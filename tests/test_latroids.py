@@ -1,8 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+from latroids import core
 from latroids.codes import full_space, span_from_ints
 from latroids.core import (
     Latroid,
@@ -26,12 +28,24 @@ from latroids.core import (
     rank_from_circuits,
     rank_from_independents,
     restrict,
+    sadd,
     scale_latroid,
+    sleq,
+    slt,
+    ssub,
+    szero,
     uniform_latroid,
     validate_latroid,
 )
 from latroids.errors import NotGradedError, ReconstructionError
-from latroids.lattices import boolean_lattice, build_lattice, ideal_lattice, subspace_lattice
+from latroids.lattices import (
+    boolean_lattice,
+    build_lattice,
+    grid_lattice,
+    ideal_lattice,
+    subspace_lattice,
+)
+from latroids.report import Check, Report
 from latroids.rings import parse_ring
 
 B3 = boolean_lattice(3)
@@ -410,3 +424,81 @@ def test_scale_latroid():
     assert doubled.length[B3.top] == (6,)
     with pytest.raises(ValueError):
         scale_latroid(lt, 0)
+
+
+def reference_validate(lt):
+    """validate_latroid as a plain loop over pairs, witnesses in row-major
+    order; the array version must give the same report."""
+    lat = lt.lattice
+    zero = szero(lt.udim)
+    checks = []
+    ok = lt.rank[lat.bottom] == zero and lt.length[lat.bottom] == zero
+    checks.append(Check("L1_zero_at_bottom", ok, "" if ok else
+                        f"rho(0)={lt.rank[lat.bottom]}, len(0)={lt.length[lat.bottom]}"))
+    strict = [(a, b) for a, b in lat.pairs() if lat.lt(a, b)]
+
+    def first(pairs, fails, describe):
+        return next((describe(a, b) for a, b in pairs if fails(a, b)), "")
+
+    def both(a, b):
+        return f"{lat.labels[a]}, {lat.labels[b]}"
+
+    def join_meet_sum(f, a, b):
+        return sadd(f[lat.join[a, b]], f[lat.meet[a, b]])
+
+    L, R = lt.length, lt.rank
+    scans = [
+        ("L2_length_strictly_increasing", strict,
+         lambda a, b: not slt(L[a], L[b]),
+         lambda a, b: f"len({lat.labels[a]})={L[a]} !< len({lat.labels[b]})={L[b]}"),
+        ("L3_length_modular", lat.pairs(),
+         lambda a, b: sadd(L[a], L[b]) != join_meet_sum(L, a, b), both),
+        ("L4_rank_bounded_increasing", strict,
+         lambda a, b: not (sleq(zero, ssub(R[b], R[a]))
+                           and sleq(ssub(R[b], R[a]), ssub(L[b], L[a]))),
+         lambda a, b: f"{lat.labels[a]} < {lat.labels[b]}: "
+                      f"drho={ssub(R[b], R[a])}, dlen={ssub(L[b], L[a])}"),
+        ("L5_rank_submodular", lat.pairs(),
+         lambda a, b: not sleq(join_meet_sum(R, a, b), sadd(R[a], R[b])), both),
+    ]
+    for name, pairs, fails, describe in scans:
+        witness = first(pairs, fails, describe)
+        checks.append(Check(name, not witness, witness))
+    return Report.from_checks(checks)
+
+
+def perturbed_latroids(count, seed):
+    """Capped-height latroids with udim 1 or 2, some halved to Fractions,
+    with up to three entries nudged so that most fail some check."""
+    lats = [boolean_lattice(4), grid_lattice([2, 1, 2]), grid_lattice([3, 3]),
+            subspace_lattice(2, 3), subspace_lattice(3, 2)]
+    rng = random.Random(seed)
+    for _ in range(count):
+        lat = rng.choice(lats)
+        u = rng.choice([1, 2])
+        cap = rng.randint(1, lat.hgt(lat.top))
+        scale = Fraction(1, 2) if rng.random() < 0.3 else 1
+        length = [tuple(scale * lat.hgt(i) * (j + 1) for j in range(u)) for i in range(lat.size)]
+        rank = [tuple(min(x, scale * cap * (j + 1)) for j, x in enumerate(l)) for l in length]
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            table = rng.choice([rank, length])
+            i, j = rng.randrange(lat.size), rng.randrange(u)
+            entry = list(table[i])
+            entry[j] += rng.choice([-1, 1, Fraction(1, 3)])
+            table[i] = tuple(entry)
+        yield Latroid(lat, tuple(rank), tuple(length), u)
+
+
+@pytest.mark.parametrize("block", [None, 40])
+def test_validate_latroid_matches_pairwise_reference(block, monkeypatch):
+    if block is not None:  # a few rows per block: witnesses cross block edges
+        monkeypatch.setattr(core, "_SCAN_BLOCK", block)
+    failed = set()
+    for lt in perturbed_latroids(300, seed=5):
+        report = validate_latroid(lt)
+        assert report.to_dict() == reference_validate(lt).to_dict()
+        failed.update(c.name for c in report.failures())
+    assert failed == {
+        "L1_zero_at_bottom", "L2_length_strictly_increasing", "L3_length_modular",
+        "L4_rank_bounded_increasing", "L5_rank_submodular",
+    }

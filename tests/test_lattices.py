@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latroids.codes import full_space, span_from_ints
 from latroids.errors import NotALatticeError, NotGradedError
@@ -215,3 +217,84 @@ def test_covers_and_atoms():
     assert len(b3.atoms) == 3
     strict_pairs = [(a, b) for a, b in b3.pairs() if b3.covers[a, b]]
     assert all(len(b3.labels[b]) == len(b3.labels[a]) + 1 for a, b in strict_pairs)
+
+
+def test_transitivity_check_counts_exactly():
+    # 0 <= c <= 1 for 256 midpoints c, but not 0 <= 1: a count of
+    # midpoints kept mod 256 would read 0 and let the relation through.
+    n = 258
+    leq = np.eye(n, dtype=bool)
+    leq[0, 2:] = True
+    leq[2:, 1] = True
+    with pytest.raises(ValueError, match="transitive"):
+        build_lattice(range(n), leq)
+
+
+def _least_bound(leq, a, b):
+    """The least common upper bound of a and b by brute force, or None."""
+    upper = np.flatnonzero(leq[a] & leq[b])
+    least = [u for u in upper if leq[u, upper].all()]
+    return least[0] if least else None
+
+
+@st.composite
+def random_posets(draw):
+    """A transitively closed random order on at most 9 elements, under a
+    random labelling, optionally with an added bottom and top."""
+    n = draw(st.integers(1, 9))
+    rel = np.array(
+        draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)), dtype=bool
+    ).reshape(n, n)
+    leq = np.triu(rel, 1) | np.eye(n, dtype=bool)
+    for _ in range(n):
+        leq |= (leq.astype(int) @ leq.astype(int)) > 0
+    if draw(st.booleans()):
+        leq = np.pad(leq, 1)
+        leq[0, :] = True
+        leq[:, -1] = True
+        n += 2
+    perm = np.array(draw(st.permutations(range(n))))
+    return leq[np.ix_(perm, perm)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(random_posets())
+def test_tables_match_brute_force_bounds(leq):
+    n = leq.shape[0]
+    joins = {(a, b): _least_bound(leq, a, b) for a in range(n) for b in range(n)}
+    meets = {(a, b): _least_bound(leq.T, a, b) for a in range(n) for b in range(n)}
+    is_lattice = None not in joins.values() and None not in meets.values()
+    labels = [f"e{i}" for i in range(n)]
+    if not is_lattice:
+        with pytest.raises(NotALatticeError) as err:
+            build_lattice(labels, leq)
+        a, b = (labels.index(x) for x in err.value.pair)
+        assert joins[a, b] is None or meets[a, b] is None
+        return
+    lat = build_lattice(labels, leq)
+    for (a, b), j in joins.items():
+        assert lat.join[a, b] == j
+        assert lat.meet[a, b] == meets[a, b]
+
+
+def test_shuffled_grid_bounds_are_coordinatewise():
+    # labels shuffled so that index order is far from a linear extension
+    labels = list(itertools.product(range(4), repeat=4))
+    np.random.default_rng(3).shuffle(labels)
+    coords = np.array(labels)
+    leq = (coords[:, None, :] <= coords[None, :, :]).all(axis=2)
+    lat = build_lattice(labels, leq)
+    assert lat.size == 256
+    assert (coords[lat.join] == np.maximum(coords[:, None], coords[None, :])).all()
+    assert (coords[lat.meet] == np.minimum(coords[:, None], coords[None, :])).all()
+    assert lat.labels[lat.bottom] == (0, 0, 0, 0)
+    assert lat.labels[lat.top] == (3, 3, 3, 3)
+
+
+def test_boolean_lattice_10_union_and_intersection():
+    lat = boolean_lattice(10)
+    assert lat.size == 1024
+    masks = np.array([sum(1 << i for i in lab) for lab in lat.labels])
+    assert (masks[lat.join] == masks[:, None] | masks[None, :]).all()
+    assert (masks[lat.meet] == masks[:, None] & masks[None, :]).all()
+    assert lat.height == tuple(len(lab) for lab in lat.labels)
