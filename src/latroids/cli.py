@@ -22,8 +22,8 @@ from .code_latroids import (
     code_gen_weights_dr,
     latroid_from_code,
     latroid_gen_weights,
-    latroid_weights_equal_code_weights,
     rect_supp_latroid,
+    weights_equal_report,
 )
 from .codes import Code, span
 from .core import (
@@ -36,10 +36,10 @@ from .core import (
     validate_latroid,
 )
 from .enumerators import (
-    enumerator_from_tutte,
+    enumerator_from_rprime,
     homogeneous_enumerator,
     refined_enumerator,
-    tutte_whitney_R,
+    rprime_z_to_one,
     tutte_whitney_Rprime,
     weight_distribution,
 )
@@ -171,10 +171,21 @@ def _require(cfg: dict, *keys):
             raise InputError(f"config needs {key}=")
 
 
+def _parse_n(cfg: dict) -> int:
+    """The ambient length n, an integer >= 1."""
+    try:
+        n = int(cfg["n"])
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise InputError(f"n must be an integer >= 1, got {cfg['n']!r}")
+    return n
+
+
 def load_problem(cfg: dict, cap: int):
     _require(cfg, "ring", "n")
     ring = parse_ring(cfg["ring"])
-    n = int(cfg["n"])
+    n = _parse_n(cfg)
     gens = [
         tuple(parse_entry(ring, t) for t in row) for row in cfg["gen"]
     ]
@@ -269,15 +280,8 @@ def _flat(value) -> str:
 def cmd_validate_support(cfg, cap):
     _require(cfg, "ring", "n", "support")
     ring = parse_ring(cfg["ring"])
-    n = int(cfg["n"])
-    try:
-        supp = parse_support(ring, n, cfg["support"])
-        axioms = validate_support(supp, cap=cap)
-    except InputError:
-        raise
-    except ValueError as e:
-        # table supports reject invalid tables at construction
-        return {"valid": False, "error": str(e)}, 1
+    supp = parse_support(ring, _parse_n(cfg), cfg["support"])
+    axioms = validate_support(supp, cap=cap)
     modular = validate_modular(supp, cap=cap)
     data = {
         "valid": axioms.ok,
@@ -361,12 +365,13 @@ def cmd_weights(cfg, cap):
     dbar = code_gen_weights_dbar(code, supp, r)
     dmu = code_gen_weights_dr(code, supp, r)
     data = {"dbar": dbar, "dmu": dmu}
-    if isinstance(supp, ChainSupport):
-        data["latroid"] = latroid_gen_weights(code)
-        rep = latroid_weights_equal_code_weights(code, supp)
-        data["latroid_equals_dbar"] = rep.ok
-        return data, 0 if rep.ok else 1
-    return data, 0
+    if not isinstance(supp, ChainSupport):
+        return data, 0
+    oracle = dbar if r is None else code_gen_weights_dbar(code, supp)
+    data["latroid"] = latroid_gen_weights(code)
+    rep = weights_equal_report("dbar", "dbar_equals_latroid", oracle, data["latroid"])
+    data["latroid_equals_dbar"] = rep.ok
+    return data, 0 if rep.ok else 1
 
 
 def cmd_enumerator(cfg, cap):
@@ -394,10 +399,9 @@ def cmd_tutte(cfg, cap):
             "factorization": rep.to_dict(),
         }
         return data, 0 if rep.ok else 1
-    lt = chain_support_latroid(code, validate=False)
-    rgf = tutte_whitney_R(lt)
-    rprime = tutte_whitney_Rprime(lt)
-    via_tutte = enumerator_from_tutte(code)
+    rprime = tutte_whitney_Rprime(chain_support_latroid(code, validate=False))
+    rgf = rprime_z_to_one(rprime, n)
+    via_tutte = enumerator_from_rprime(rprime, n, ring.factors[0].residue_field_size)
     direct = refined_enumerator(code, ChainSupport(ring, n))
     same = via_tutte == direct
     data = {

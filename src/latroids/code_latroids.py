@@ -14,15 +14,13 @@ from . import linalg
 from .codes import (
     Code,
     big_m,
-    code_in_rect,
     enumerate_submodules,
     full_space,
     length_lambda,
     rect_meet,
     rectangular_closure,
-    span,
 )
-from .core import Latroid, _validated, generalized_weight
+from .core import Latroid, _validated, generalized_weight, sleq
 from .lattices import (
     FiniteLattice,
     boolean_lattice,
@@ -35,7 +33,7 @@ from .lattices import (
 from .limits import SPAN_CAP, check_cap
 from .report import Check, Report
 from .rings import Pir, intlog
-from .supports import ChainSupport, Support, rect_support, validate_modular
+from .supports import ChainSupport, HammingSupport, Support, rect_support, validate_modular
 
 
 # -- latroids on submodule lattices ------------------------------------------
@@ -85,7 +83,7 @@ def chain_support_latroid(code: Code, validate: bool = True) -> Latroid:
 
     words_by_grid = {}
     for label in lattice.labels:
-        inside = [c for c in code.codewords if _vleq(supp(c), label)]
+        inside = [c for c in code.codewords if sleq(supp(c), label)]
         words_by_grid[label] = inside
 
     def factor_block(label, j):
@@ -105,10 +103,6 @@ def chain_support_latroid(code: Code, validate: bool = True) -> Latroid:
 
     lt = Latroid.from_functions(lattice, rho, length, udim=ell)
     return _validated(lt, validate)
-
-
-def _vleq(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b, strict=True))
 
 
 # -- rectangular-support latroids ------------------------------------------------
@@ -208,13 +202,6 @@ class MatrixCode:
 
     def dim(self) -> int:
         return intlog(self.q, len(self.codewords))
-
-    def transposed(self) -> "MatrixCode":
-        blocks = tuple((n, m) for m, n in self.blocks)
-        words = frozenset(
-            tuple(tuple(zip(*mat)) for mat in word) for word in self.codewords
-        )
-        return MatrixCode(self.q, blocks, words)
 
 
 def matrix_code(q: int, blocks, generators, cap: int = SPAN_CAP) -> MatrixCode:
@@ -321,38 +308,24 @@ def qpolymatroid_axioms(lt: Latroid) -> Report:
     """P1: 0 <= rho <= dim, P2: monotone, P3: submodular, with the latroid's
     length playing the dimension."""
     lat = lt.lattice
-    p1 = next(
-        (
+    return Report.from_checks([
+        Check.from_witnesses("P1_bounded_by_dim", (
             f"rho({lat.labels[i]}) = {lt.rank[i]}"
             for i in range(lat.size)
             if not (0 <= lt.rank[i][0] and lt.rank[i][0] <= lt.length[i][0])
-        ),
-        None,
-    )
-    p2 = next(
-        (
+        )),
+        Check.from_witnesses("P2_monotone", (
             f"{lat.labels[a]} <= {lat.labels[b]}"
             for a, b in lat.comparable_pairs()
             if lt.rank[a][0] > lt.rank[b][0]
-        ),
-        None,
-    )
-    p3 = next(
-        (
+        )),
+        Check.from_witnesses("P3_submodular", (
             f"{lat.labels[a]}, {lat.labels[b]}"
             for a, b in lat.pairs()
             if lt.rank[lat.join[a, b]][0] + lt.rank[lat.meet[a, b]][0]
             > lt.rank[a][0] + lt.rank[b][0]
-        ),
-        None,
-    )
-    return Report.from_checks(
-        [
-            Check("P1_bounded_by_dim", p1 is None, p1 or ""),
-            Check("P2_monotone", p2 is None, p2 or ""),
-            Check("P3_submodular", p3 is None, p3 or ""),
-        ]
-    )
+        )),
+    ])
 
 
 def tilde_relation_check(mc: MatrixCode, cap: int = 256) -> Report:
@@ -362,19 +335,17 @@ def tilde_relation_check(mc: MatrixCode, cap: int = 256) -> Report:
     plain = rank_metric_latroid(mc, validate=False, cap=cap)
     tilde = tilde_polymatroid(mc, validate=False, cap=cap)
     lat = plain.lattice
-    witness = None
-    for i, basis in enumerate(lat.labels):
-        perp = linalg.orthogonal_complement(basis, mc.q, n)
-        j = lat.index[perp]
-        expected = Fraction(
-            plain.rank[j][0] - m * len(perp) + mc.dim(), m
-        )
-        if tilde.rank[i][0] != expected:
-            witness = f"V = {basis}"
-            break
-    return Report.from_checks(
-        [Check("tilde_rank_relation", witness is None, witness or "")]
-    )
+
+    def mismatches():
+        for i, basis in enumerate(lat.labels):
+            perp = linalg.orthogonal_complement(basis, mc.q, n)
+            expected = Fraction(
+                plain.rank[lat.index[perp]][0] - m * len(perp) + mc.dim(), m
+            )
+            if tilde.rank[i][0] != expected:
+                yield f"V = {basis}"
+
+    return Report.from_checks([Check.from_witnesses("tilde_rank_relation", mismatches())])
 
 
 # -- sum-rank latroids ------------------------------------------------------------
@@ -436,43 +407,46 @@ def sum_rank_latroid(mc: MatrixCode, spaces: str = "column",
 # -- generalized weights of codes -----------------------------------------------
 
 
-def code_gen_weights_dbar(code: Code, supp: Support, r: int | None = None):
-    """Length-based generalized weights: the least wt(D) over submodules D
-    with lambda(D) >= r.  Brute force over all submodules.  Returns the
-    value for one r, or the full list for r = 1..lambda(C)."""
-    lam = length_lambda(code)
-    subs = [(length_lambda(d), sum(supp.of_set(d.codewords))) for d in
-            enumerate_submodules(code)]
+def _least_weights(subcodes, top: int, r: int | None = None):
+    """Generalized weights from one (invariant, weight) pair per subcode:
+    the least weight over subcodes with invariant >= r.  Returns the value
+    for one r in [1, top], or the full list for r = 1..top."""
 
     def one(rr: int) -> int:
-        if not 1 <= rr <= lam:
-            raise ValueError(f"r = {rr} outside [1, {lam}]")
-        return min(w for l, w in subs if l >= rr)
-
-    if r is not None:
-        return one(r)
-    return [one(rr) for rr in range(1, lam + 1)]
-
-
-def code_gen_weights_dr(code: Code, supp: Support, r: int | None = None):
-    """Generator-based generalized weights: the least wt(D) over submodules
-    D with M(D) >= r, for r = 1..M(C).  Errors loudly if no submodule
-    reaches some r in range."""
-    cap_m = big_m(code)
-    subs = [(big_m(d), sum(supp.of_set(d.codewords))) for d in
-            enumerate_submodules(code)]
-
-    def one(rr: int) -> int:
-        if not 1 <= rr <= cap_m:
-            raise ValueError(f"r = {rr} outside [1, {cap_m}]")
-        feasible = [w for m, w in subs if m >= rr]
+        if not 1 <= rr <= top:
+            raise ValueError(f"r = {rr} outside [1, {top}]")
+        feasible = [w for d, w in subcodes if d >= rr]
         if not feasible:
-            raise ValueError(f"no submodule with M(D) >= {rr}; enumeration bug?")
+            raise ValueError(f"no subcode reaches r = {rr}; enumeration bug?")
         return min(feasible)
 
     if r is not None:
         return one(r)
-    return [one(rr) for rr in range(1, cap_m + 1)]
+    return [one(rr) for rr in range(1, top + 1)]
+
+
+def _submodule_weights(code: Code, supp: Support, invariant) -> list[tuple[int, int]]:
+    """(invariant(D), wt(D)) for every submodule D of the code."""
+    return [(invariant(d), supp.code_weight(d)) for d in enumerate_submodules(code)]
+
+
+def code_gen_weights_dbar(code: Code, supp: Support, r: int | None = None):
+    """Length-based generalized weights: the least wt(D) over submodules D
+    with lambda(D) >= r.  Brute force over all submodules.  Returns the
+    value for one r, or the full list for r = 1..lambda(C)."""
+    subs = _submodule_weights(code, supp, length_lambda)
+    return _least_weights(subs, length_lambda(code), r)
+
+
+def code_gen_weights_dr(code: Code, supp: Support, r: int | None = None):
+    """Generator-based generalized weights: the least wt(D) over submodules
+    D with M(D) >= r, for r = 1..M(C)."""
+    return _least_weights(_submodule_weights(code, supp, big_m), big_m(code), r)
+
+
+def _latroid_weights(lt: Latroid, top: int) -> list[int]:
+    """d_r of a udim-1 latroid as a lattice minimum, for r = 1..top."""
+    return [generalized_weight(lt, r) for r in range(1, top + 1)]
 
 
 def latroid_gen_weights(code: Code) -> list[int]:
@@ -483,27 +457,31 @@ def latroid_gen_weights(code: Code) -> list[int]:
     lt = chain_support_latroid(code, validate=False)
     if lt.udim > 1:
         lt = collapse_scalars(lt, validate=False)
-    return [generalized_weight(lt, r) for r in range(1, length_lambda(code) + 1)]
+    return _latroid_weights(lt, length_lambda(code))
+
+
+def weights_equal_report(name: str, zero_name: str, oracle, lattice_side,
+                         m: int = 1) -> Report:
+    """Compare a subcode oracle with the latroid's weights: one check
+    ``{name}_{r}`` per r that m * oracle[r-1] equals lattice_side[r-1], or
+    a single passing ``zero_name`` check when there is no r (the zero
+    code)."""
+    if not oracle:
+        return Report.from_checks([Check(zero_name, True, "zero code")])
+    scaled = "oracle" if m == 1 else "m*oracle"
+    return Report.from_checks(
+        Check(f"{name}_{r}", m * o == d, f"{scaled} {m * o} vs latroid {d}")
+        for r, (o, d) in enumerate(zip(oracle, lattice_side, strict=True), 1)
+    )
 
 
 def latroid_weights_equal_code_weights(code: Code, supp: Support | None = None) -> Report:
     """Check d_bar_r(C) = d_r(chain-support latroid) for every r, computing
     the two sides independently (submodule oracle vs lattice minimum)."""
-    supp = supp or ChainSupport(code.ring, code.n)
-    lam = length_lambda(code)
-    if lam == 0:
-        return Report.from_checks([Check("dbar_equals_latroid", True, "zero code")])
-    oracle = code_gen_weights_dbar(code, supp)
-    lattice_side = latroid_gen_weights(code)
-    checks = [
-        Check(
-            f"dbar_{r}",
-            oracle[r - 1] == lattice_side[r - 1],
-            f"oracle {oracle[r - 1]} vs latroid {lattice_side[r - 1]}",
-        )
-        for r in range(1, lam + 1)
-    ]
-    return Report.from_checks(checks)
+    oracle = code_gen_weights_dbar(code, supp or ChainSupport(code.ring, code.n))
+    return weights_equal_report(
+        "dbar", "dbar_equals_latroid", oracle, latroid_gen_weights(code) if oracle else []
+    )
 
 
 # -- rank-metric generalized weights ------------------------------------------------
@@ -556,14 +534,11 @@ def _rowspace_dim_of_subcode(sub, q: int, block: int | None = None) -> int:
 def rank_code_gen_weights(mc: MatrixCode) -> list[int]:
     """Generalized rank weights by subcode enumeration:
     d_r = min{dim rowspace(D) : D a subcode, dim D >= r}."""
-    dim_c = mc.dim()
     subs = [
         (intlog(mc.q, len(s)), _rowspace_dim_of_subcode(s, mc.q))
         for s in _all_subcodes(mc)
     ]
-    return [
-        min(w for d, w in subs if d >= r) for r in range(1, dim_c + 1)
-    ]
+    return _least_weights(subs, mc.dim())
 
 
 def rank_weights_equal(mc: MatrixCode, cap: int = 256) -> Report:
@@ -571,32 +546,24 @@ def rank_weights_equal(mc: MatrixCode, cap: int = 256) -> Report:
     m, n = mc.shape
     if m <= n:
         raise ValueError("the rank-weight identity is stated for m > n")
-    if mc.dim() == 0:
-        return Report.from_checks([Check("rank_weights", True, "zero code")])
-    lt = rank_metric_latroid(mc, validate=False, cap=cap)
     oracle = rank_code_gen_weights(mc)
-    checks = [
-        Check(
-            f"rank_d_{r}",
-            m * oracle[r - 1] == generalized_weight(lt, r),
-            f"m*oracle {m * oracle[r - 1]} vs latroid {generalized_weight(lt, r)}",
-        )
-        for r in range(1, mc.dim() + 1)
-    ]
-    return Report.from_checks(checks)
+    lattice_side = _latroid_weights(
+        rank_metric_latroid(mc, validate=False, cap=cap), len(oracle)
+    ) if oracle else []
+    return weights_equal_report("rank_d", "rank_weights", oracle, lattice_side, m)
 
 
 def sum_rank_code_gen_weights(mc: MatrixCode) -> list[int]:
     """Generalized sum-rank weights (equal m_i) by subcode enumeration:
     d_r = min{sum_i dim rowspace_i(D) : D a subcode, dim D >= r}."""
-    dim_c = mc.dim()
-    subs = []
-    for s in _all_subcodes(mc):
-        w = sum(
-            _rowspace_dim_of_subcode(s, mc.q, block=i) for i in range(mc.ell)
+    subs = [
+        (
+            intlog(mc.q, len(s)),
+            sum(_rowspace_dim_of_subcode(s, mc.q, block=i) for i in range(mc.ell)),
         )
-        subs.append((intlog(mc.q, len(s)), w))
-    return [min(w for d, w in subs if d >= r) for r in range(1, dim_c + 1)]
+        for s in _all_subcodes(mc)
+    ]
+    return _least_weights(subs, mc.dim())
 
 
 def sum_rank_weights_equal(mc: MatrixCode, cap: int = 256) -> Report:
@@ -609,19 +576,11 @@ def sum_rank_weights_equal(mc: MatrixCode, cap: int = 256) -> Report:
     m = ms.pop()
     if any(m <= n for _, n in mc.blocks):
         raise ValueError("the sum-rank weight identity needs m > n_i")
-    if mc.dim() == 0:
-        return Report.from_checks([Check("sum_rank_weights", True, "zero code")])
-    lt = sum_rank_latroid(mc, spaces="row", validate=False, cap=cap)
     oracle = sum_rank_code_gen_weights(mc)
-    checks = [
-        Check(
-            f"sum_rank_d_{r}",
-            m * oracle[r - 1] == generalized_weight(lt, r),
-            f"m*oracle {m * oracle[r - 1]} vs latroid {generalized_weight(lt, r)}",
-        )
-        for r in range(1, mc.dim() + 1)
-    ]
-    return Report.from_checks(checks)
+    lattice_side = _latroid_weights(
+        sum_rank_latroid(mc, spaces="row", validate=False, cap=cap), len(oracle)
+    ) if oracle else []
+    return weights_equal_report("sum_rank_d", "sum_rank_weights", oracle, lattice_side, m)
 
 
 # -- block-code generalized weights ---------------------------------------------
@@ -630,53 +589,18 @@ def sum_rank_weights_equal(mc: MatrixCode, cap: int = 256) -> Report:
 def hamming_code_gen_weights(code: Code) -> list[int]:
     """Classical generalized Hamming weights by subcode enumeration:
     d_r = min{|supp(D)| : D a subcode, dim D >= r}."""
-    from .supports import HammingSupport
-
     q = _require_field(code.ring)
-    supp = HammingSupport(code.ring, code.n)
-    k = intlog(q, len(code))
-    subs = [
-        (intlog(q, len(d)), sum(supp.of_set(d.codewords)))
-        for d in enumerate_submodules(code)
-    ]
-    return [min(w for d, w in subs if d >= r) for r in range(1, k + 1)]
+    subs = _submodule_weights(
+        code, HammingSupport(code.ring, code.n), lambda d: intlog(q, len(d))
+    )
+    return _least_weights(subs, intlog(q, len(code)))
 
 
 def block_matroid_weights_equal(code: Code) -> Report:
     """Check d_r(block matroid) equals the classical generalized Hamming
     weights of the code."""
-    q = _require_field(code.ring)
-    k = intlog(q, len(code))
-    if k == 0:
-        return Report.from_checks([Check("block_weights", True, "zero code")])
-    lt = block_matroid(code, validate=False)
     oracle = hamming_code_gen_weights(code)
-    checks = [
-        Check(
-            f"hamming_d_{r}",
-            oracle[r - 1] == generalized_weight(lt, r),
-            f"oracle {oracle[r - 1]} vs latroid {generalized_weight(lt, r)}",
-        )
-        for r in range(1, k + 1)
-    ]
-    return Report.from_checks(checks)
-
-
-# -- circuits as minimal supports -----------------------------------------------
-
-
-def minimal_codeword_rowspaces(mc: MatrixCode) -> set:
-    """Minimal nonzero codeword row spaces (rref labels), the expected
-    circuits of the rank-metric latroid."""
-    spaces = {
-        linalg.rref(c[0], mc.q)
-        for c in mc.codewords
-        if any(any(row) for row in c[0])
-    }
-    return {
-        s
-        for s in spaces
-        if not any(
-            t != s and linalg.span_contains(s, t, mc.q) for t in spaces
-        )
-    }
+    lattice_side = _latroid_weights(
+        block_matroid(code, validate=False), len(oracle)
+    ) if oracle else []
+    return weights_equal_report("hamming_d", "block_weights", oracle, lattice_side)

@@ -9,8 +9,7 @@ notion of code equality we need.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,17 +250,5 @@ def rect_members(ring: Pir, rect: tuple[Ideal, ...]):
     return itertools.product(*(ring.ideal_members(I) for I in rect))
 
 
-def rect_size(ring: Pir, rect: tuple[Ideal, ...]) -> int:
-    return math.prod(ring.ideal_size(I) for I in rect)
-
-
 def all_rectangular_modules(ring: Pir, n: int):
     return itertools.product(tuple(ring.all_ideals()), repeat=n)
-
-
-def code_in_rect(code: Code, rect: tuple[Ideal, ...]) -> Code:
-    """The intersection of the code with a rectangular module."""
-    words = frozenset(
-        c for c in code.codewords if rect_contains(code.ring, rect, c)
-    )
-    return Code(code.ring, code.n, (), words)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -84,14 +83,8 @@ class Latroid:
     def rho(self, i: int) -> Scalar:
         return self.rank[i]
 
-    def len_of(self, i: int) -> Scalar:
-        return self.length[i]
-
     def top_rank(self) -> Scalar:
         return self.rank[self.lattice.top]
-
-    def rho_of_label(self, label) -> Scalar:
-        return self.rank[self.lattice.index[label]]
 
     def uses_height_length(self) -> bool:
         """True when the length function is the lattice height (udim 1)."""
@@ -114,16 +107,14 @@ def _scalar_array(values, udim: int) -> np.ndarray:
     return out
 
 
-def _first_bad_pair(n: int, udim: int, bad_rows):
-    """The first (a, b) in row-major order where ``bad_rows(rows)``, a
-    (rows, n) mask for a slice of rows, is true; None if there is none."""
+def _bad_pairs(n: int, udim: int, bad_rows):
+    """The (a, b) in row-major order where ``bad_rows(rows)``, a (rows, n)
+    mask for a slice of rows, is true; evaluated a block of rows at a time."""
     step = max(1, _SCAN_BLOCK // (n * max(udim, 1)))
     for start in range(0, n, step):
-        hit = np.flatnonzero(bad_rows(slice(start, start + step)))
-        if hit.size:
-            a, b = divmod(int(hit[0]), n)
-            return start + a, b
-    return None
+        for hit in np.flatnonzero(bad_rows(slice(start, start + step))).tolist():
+            a, b = divmod(hit, n)
+            yield start + a, b
 
 
 def validate_latroid(lt: Latroid) -> Report:
@@ -133,6 +124,7 @@ def validate_latroid(lt: Latroid) -> Report:
     a witness is the first failing pair in row-major order.
     """
     lat = lt.lattice
+    labels = lat.labels
     zero = szero(lt.udim)
     rank = _scalar_array(lt.rank, lt.udim)
     length = _scalar_array(lt.length, lt.udim)
@@ -141,58 +133,48 @@ def validate_latroid(lt: Latroid) -> Report:
     def le(x, y):
         return (x <= y).all(axis=-1)
 
-    checks = []
-
-    ok = lt.rank[lat.bottom] == zero and lt.length[lat.bottom] == zero
-    checks.append(
-        Check("L1_zero_at_bottom", ok, "" if ok else
-              f"rho(0)={lt.rank[lat.bottom]}, len(0)={lt.length[lat.bottom]}")
-    )
+    def bad_pairs(bad_rows):
+        return _bad_pairs(lat.size, lt.udim, bad_rows)
 
     def length_not_increasing(rows):
         lo, hi = length[rows, None], length[None]
         return strict[rows] & ~(le(lo, hi) & (lo != hi).any(axis=-1))
-
-    pair = _first_bad_pair(lat.size, lt.udim, length_not_increasing)
-    witness = None if pair is None else (
-        f"len({lat.labels[pair[0]]})={lt.length[pair[0]]} "
-        f"!< len({lat.labels[pair[1]]})={lt.length[pair[1]]}"
-    )
-    checks.append(Check("L2_length_strictly_increasing", witness is None, witness or ""))
 
     def length_not_modular(rows):
         lhs = length[rows, None] + length[None]
         rhs = length[lat.join[rows]] + length[lat.meet[rows]]
         return (lhs != rhs).any(axis=-1)
 
-    pair = _first_bad_pair(lat.size, lt.udim, length_not_modular)
-    witness = None if pair is None else f"{lat.labels[pair[0]]}, {lat.labels[pair[1]]}"
-    checks.append(Check("L3_length_modular", witness is None, witness or ""))
-
     def rank_not_bounded(rows):
         dr = rank[None] - rank[rows, None]
         dl = length[None] - length[rows, None]
         return strict[rows] & ~((dr >= 0).all(axis=-1) & le(dr, dl))
-
-    pair = _first_bad_pair(lat.size, lt.udim, rank_not_bounded)
-    witness = None
-    if pair is not None:
-        a, b = pair
-        dr = ssub(lt.rank[b], lt.rank[a])
-        dl = ssub(lt.length[b], lt.length[a])
-        witness = f"{lat.labels[a]} < {lat.labels[b]}: drho={dr}, dlen={dl}"
-    checks.append(Check("L4_rank_bounded_increasing", witness is None, witness or ""))
 
     def rank_not_submodular(rows):
         lhs = rank[rows, None] + rank[None]
         rhs = rank[lat.join[rows]] + rank[lat.meet[rows]]
         return ~le(rhs, lhs)
 
-    pair = _first_bad_pair(lat.size, lt.udim, rank_not_submodular)
-    witness = None if pair is None else f"{lat.labels[pair[0]]}, {lat.labels[pair[1]]}"
-    checks.append(Check("L5_rank_submodular", witness is None, witness or ""))
-
-    return Report.from_checks(checks)
+    ok = lt.rank[lat.bottom] == zero and lt.length[lat.bottom] == zero
+    return Report.from_checks([
+        Check("L1_zero_at_bottom", ok, "" if ok else
+              f"rho(0)={lt.rank[lat.bottom]}, len(0)={lt.length[lat.bottom]}"),
+        Check.from_witnesses("L2_length_strictly_increasing", (
+            f"len({labels[a]})={lt.length[a]} !< len({labels[b]})={lt.length[b]}"
+            for a, b in bad_pairs(length_not_increasing)
+        )),
+        Check.from_witnesses("L3_length_modular", (
+            f"{labels[a]}, {labels[b]}" for a, b in bad_pairs(length_not_modular)
+        )),
+        Check.from_witnesses("L4_rank_bounded_increasing", (
+            f"{labels[a]} < {labels[b]}: drho={ssub(lt.rank[b], lt.rank[a])}, "
+            f"dlen={ssub(lt.length[b], lt.length[a])}"
+            for a, b in bad_pairs(rank_not_bounded)
+        )),
+        Check.from_witnesses("L5_rank_submodular", (
+            f"{labels[a]}, {labels[b]}" for a, b in bad_pairs(rank_not_submodular)
+        )),
+    ])
 
 
 def _validated(lt: Latroid, validate: bool) -> Latroid:
@@ -348,165 +330,127 @@ def axioms_I(lat: FiniteLattice, indep) -> Report:
     graded lattice (height as length)."""
     _require_crypto_hypotheses(lat)
     I = set(indep)
-    checks = []
+    max_below = {l: _maximal_in(lat, I, l) for l in range(lat.size)}
 
-    checks.append(Check("I1_bottom", lat.bottom in I,
-                        "" if lat.bottom in I else "bottom not independent"))
+    def unmatched_maxima():
+        for l1, l2 in lat.pairs():
+            above = max_below[int(lat.join[l1, l2])]
+            for i1 in max_below[l1]:
+                for i2 in max_below[l2]:
+                    jii = int(lat.join[i1, i2])
+                    if not any(lat.leq[i3, jii] for i3 in above):
+                        yield (
+                            f"L1={lat.labels[l1]}, L2={lat.labels[l2]}, "
+                            f"I1={lat.labels[i1]}, I2={lat.labels[i2]}"
+                        )
 
-    witness = None
-    for i in I:
-        for j in range(lat.size):
-            if lat.lt(j, i) and j not in I:
-                witness = f"{lat.labels[j]} < {lat.labels[i]}"
-                break
-        if witness:
-            break
-    checks.append(Check("I2_downward_closed", witness is None, witness or ""))
-
-    witness = None
-    for i1 in I:
-        for i2 in I:
-            if lat.hgt(i2) >= lat.hgt(i1):
-                continue
-            if not any(
+    return Report.from_checks([
+        Check("I1_bottom", lat.bottom in I,
+              "" if lat.bottom in I else "bottom not independent"),
+        Check.from_witnesses("I2_downward_closed", (
+            f"{lat.labels[j]} < {lat.labels[i]}"
+            for i in I
+            for j in range(lat.size)
+            if lat.lt(j, i) and j not in I
+        )),
+        Check.from_witnesses("I3_augmentation", (
+            f"I1={lat.labels[i1]}, I2={lat.labels[i2]}"
+            for i1 in I
+            for i2 in I
+            if lat.hgt(i2) < lat.hgt(i1)
+            and not any(
                 lat.leq[a, i1] and not lat.leq[a, i2] and int(lat.join[i2, a]) in I
                 for a in lat.atoms
-            ):
-                witness = f"I1={lat.labels[i1]}, I2={lat.labels[i2]}"
-                break
-        if witness:
-            break
-    checks.append(Check("I3_augmentation", witness is None, witness or ""))
+            )
+        )),
+        Check.from_witnesses("I4_join_compatible_maxima", unmatched_maxima()),
+    ])
 
-    witness = None
-    max_below = {l: _maximal_in(lat, I, l) for l in range(lat.size)}
-    for l1, l2 in lat.pairs():
-        j12 = int(lat.join[l1, l2])
-        for i1 in max_below[l1]:
-            for i2 in max_below[l2]:
-                jii = int(lat.join[i1, i2])
-                if not any(lat.leq[i3, jii] for i3 in max_below[j12]):
-                    witness = (
-                        f"L1={lat.labels[l1]}, L2={lat.labels[l2]}, "
-                        f"I1={lat.labels[i1]}, I2={lat.labels[i2]}"
-                    )
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("I4_join_compatible_maxima", witness is None, witness or ""))
 
-    return Report.from_checks(checks)
+def _maximal_meets(lat: FiniteLattice, B, l: int) -> list[tuple[int, int]]:
+    """(b, b ^ l) for the bases b whose meet with l is maximal."""
+    meets = [int(lat.meet[b, l]) for b in B]
+    return [
+        (b, m) for b, m in zip(B, meets) if not any(lat.lt(m, m2) for m2 in meets)
+    ]
 
 
 def axioms_B(lat: FiniteLattice, base_set) -> Report:
     """Basis axioms for a candidate set."""
     _require_crypto_hypotheses(lat)
     B = sorted(set(base_set))
-    checks = [Check("B1_nonempty", bool(B), "" if B else "empty basis set")]
-
-    witness = None
     decomps = {b: list(_atom_decompositions(lat, b)) for b in B}
-    for b1 in B:
-        for b2 in B:
-            for js in decomps[b1]:
-                for ts in decomps[b2]:
-                    for pos, ji in enumerate(js):
-                        if lat.leq[ji, b2]:
-                            continue
-                        rest = js[:pos] + js[pos + 1 :]
-                        jrest = lat.bottom
-                        for a in rest:
-                            jrest = int(lat.join[jrest, a])
-                        if not any(
-                            not lat.leq[t, b1] and int(lat.join[jrest, t]) in B
-                            for t in ts
-                        ):
-                            witness = (
-                                f"B1={lat.labels[b1]}, B2={lat.labels[b2]}, "
-                                f"atom={lat.labels[ji]}"
-                            )
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("B2_atom_exchange", witness is None, witness or ""))
+    max_meets = {l: _maximal_meets(lat, B, l) for l in range(lat.size)}
 
-    witness = None
-    meets = {l: [int(lat.meet[b, l]) for b in B] for l in range(lat.size)}
+    def failed_exchanges():
+        for b1 in B:
+            for b2 in B:
+                for js in decomps[b1]:
+                    for ts in decomps[b2]:
+                        for pos, ji in enumerate(js):
+                            if lat.leq[ji, b2]:
+                                continue
+                            jrest = lat.bottom
+                            for a in js[:pos] + js[pos + 1 :]:
+                                jrest = int(lat.join[jrest, a])
+                            if not any(
+                                not lat.leq[t, b1] and int(lat.join[jrest, t]) in B
+                                for t in ts
+                            ):
+                                yield (
+                                    f"B1={lat.labels[b1]}, B2={lat.labels[b2]}, "
+                                    f"atom={lat.labels[ji]}"
+                                )
 
-    def maximal_meets(l):
-        ms = meets[l]
-        return [
-            (b, m) for b, m in zip(B, ms) if not any(lat.lt(m, m2) for m2 in ms)
-        ]
+    def unmatched_meets():
+        for l1, l2 in lat.pairs():
+            above = max_meets[int(lat.join[l1, l2])]
+            for _, m1 in max_meets[l1]:
+                for _, m2 in max_meets[l2]:
+                    target = int(lat.join[m1, m2])
+                    if not any(lat.leq[m3, target] for _, m3 in above):
+                        yield f"L1={lat.labels[l1]}, L2={lat.labels[l2]}"
 
-    max_meets = {l: maximal_meets(l) for l in range(lat.size)}
-    for l1, l2 in lat.pairs():
-        j12 = int(lat.join[l1, l2])
-        for b1, m1 in max_meets[l1]:
-            for b2, m2 in max_meets[l2]:
-                target = int(lat.join[m1, m2])
-                if not any(
-                    lat.leq[m3, target] for _, m3 in max_meets[j12]
-                ):
-                    witness = f"L1={lat.labels[l1]}, L2={lat.labels[l2]}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("B3_join_compatible_meets", witness is None, witness or ""))
-
-    return Report.from_checks(checks)
+    return Report.from_checks([
+        Check("B1_nonempty", bool(B), "" if B else "empty basis set"),
+        Check.from_witnesses("B2_atom_exchange", failed_exchanges()),
+        Check.from_witnesses("B3_join_compatible_meets", unmatched_meets()),
+    ])
 
 
 def axioms_C(lat: FiniteLattice, circuit_set) -> Report:
     """Circuit axioms for a candidate set."""
     _require_crypto_hypotheses(lat)
     C = sorted(set(circuit_set))
-    checks = [
-        Check("C1_no_bottom", lat.bottom not in C,
-              "" if lat.bottom not in C else "bottom is a circuit")
-    ]
 
-    witness = None
-    for c1 in C:
-        for c2 in C:
-            if c1 != c2 and lat.leq[c1, c2]:
-                witness = f"{lat.labels[c1]} < {lat.labels[c2]}"
-                break
-        if witness:
-            break
-    checks.append(Check("C2_antichain", witness is None, witness or ""))
-
-    witness = None
-    for c1 in C:
-        for c2 in C:
-            if c2 <= c1:
-                continue
-            j = int(lat.join[c1, c2])
-            for l in range(lat.size):
-                if lat.leq[l, j] and lat.hgt(l) == lat.hgt(j) - 1:
-                    if not any(lat.leq[c3, l] for c3 in C):
-                        witness = (
+    def failed_eliminations():
+        for c1 in C:
+            for c2 in C:
+                if c2 <= c1:
+                    continue
+                j = int(lat.join[c1, c2])
+                for l in range(lat.size):
+                    if (
+                        lat.leq[l, j]
+                        and lat.hgt(l) == lat.hgt(j) - 1
+                        and not any(lat.leq[c3, l] for c3 in C)
+                    ):
+                        yield (
                             f"C1={lat.labels[c1]}, C2={lat.labels[c2]}, "
                             f"L={lat.labels[l]}"
                         )
-                        break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(Check("C3_elimination", witness is None, witness or ""))
 
-    return Report.from_checks(checks)
+    return Report.from_checks([
+        Check("C1_no_bottom", lat.bottom not in C,
+              "" if lat.bottom not in C else "bottom is a circuit"),
+        Check.from_witnesses("C2_antichain", (
+            f"{lat.labels[c1]} < {lat.labels[c2]}"
+            for c1 in C
+            for c2 in C
+            if c1 != c2 and lat.leq[c1, c2]
+        )),
+        Check.from_witnesses("C3_elimination", failed_eliminations()),
+    ])
 
 
 # -- rank reconstructions ------------------------------------------------------
@@ -541,9 +485,7 @@ def rank_from_bases(lat: FiniteLattice, base_set, validate: bool = True) -> Latr
         raise ReconstructionError(f"basis axioms fail: {report.summary()}")
     rank = []
     for l in range(lat.size):
-        ms = [int(lat.meet[b, l]) for b in B]
-        maxima = [m for m in ms if not any(lat.lt(m, m2) for m2 in ms)]
-        heights = {lat.hgt(m) for m in maxima}
+        heights = {lat.hgt(m) for _, m in _maximal_meets(lat, B, l)}
         if len(heights) != 1:
             raise ReconstructionError(
                 f"maximal basis meets below {lat.labels[l]} have heights {sorted(heights)}"

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 
-from .code_latroids import chain_support_latroid
+from .code_latroids import chain_support_latroid, code_gen_weights_dbar
 from .codes import Code, enumerate_submodules, length_lambda
-from .core import Latroid
+from .core import Latroid, sleq
 from .report import Check, Report
 from .supports import ChainSupport, Support, split_support
 
@@ -124,16 +124,6 @@ class ExpPoly:
     def total(self) -> int:
         """Sum of coefficients (evaluation at all-ones)."""
         return sum(self.terms.values())
-
-    def evaluate(self, values) -> int:
-        values = tuple(values)
-        out = 0
-        for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(values, exps):
-                term *= v**e
-            out += term
-        return out
 
     def set_to_one(self, indices) -> "ExpPoly":
         """Substitute 1 for the given variables and drop them."""
@@ -244,13 +234,19 @@ def weight_distribution(code: Code, supp: Support) -> list[int]:
     return out
 
 
+def _weight_distributions(code: Code, supp: Support) -> dict[int, list[int]]:
+    """A^(j)_w for every length j of a submodule, from one enumeration."""
+    out: dict[int, list[int]] = {}
+    for d in enumerate_submodules(code):
+        dist = out.setdefault(length_lambda(d), [0] * (supp.ambient_weight() + 1))
+        dist[supp.code_weight(d)] += 1
+    return out
+
+
 def generalized_weight_distribution(code: Code, supp: Support, r: int) -> list[int]:
     """A^(r)_w = number of submodules with lambda = r and wt = w."""
-    out = [0] * (supp.ambient_weight() + 1)
-    for d in enumerate_submodules(code):
-        if length_lambda(d) == r:
-            out[sum(supp.of_set(d.codewords))] += 1
-    return out
+    empty = [0] * (supp.ambient_weight() + 1)
+    return _weight_distributions(code, supp).get(r, empty)
 
 
 def generalized_enumerator(code: Code, supp: Support, r: int) -> ExpPoly:
@@ -258,31 +254,27 @@ def generalized_enumerator(code: Code, supp: Support, r: int) -> ExpPoly:
     sum_w A^(r)_w x^(wt(R^n)-w) y^w, for 0 <= r <= lambda(C).
 
     The minimum w with A^(j)_w != 0 over j >= r recovers the r-th
-    generalized weight; that consistency is asserted here.
+    generalized weight; that consistency is asserted here against the
+    submodule oracle ``code_gen_weights_dbar``.
     """
     lam = length_lambda(code)
     if not 0 <= r <= lam:
         raise ValueError(f"r = {r} outside [0, {lam}]")
     wt_top = supp.ambient_weight()
-    dist = generalized_weight_distribution(code, supp, r)
+    dists = _weight_distributions(code, supp)
     poly = ExpPoly.zero(2, ("x", "y"))
-    for w, a in enumerate(dist):
+    for w, a in enumerate(dists[r]):
         if a:
             poly._add_term((wt_top - w, w), a)
     if r >= 1:
-        from .code_latroids import code_gen_weights_dbar
-
-        mins = [
-            w
-            for j in range(r, lam + 1)
-            for w, a in enumerate(generalized_weight_distribution(code, supp, j))
-            if a
-        ]
+        least = min(
+            w for j in range(r, lam + 1) for w, a in enumerate(dists[j]) if a
+        )
         expected = code_gen_weights_dbar(code, supp, r)
-        if min(mins) != expected:
+        if least != expected:
             raise AssertionError(
                 f"generalized enumerator inconsistent with d_bar_{r}: "
-                f"{min(mins)} != {expected}"
+                f"{least} != {expected}"
             )
     return poly
 
@@ -300,32 +292,10 @@ def _grid_labels(lt: Latroid):
     return labels
 
 
-def tutte_whitney_R(lt: Latroid) -> ExpPoly:
-    """R = sum over lattice elements M of
-    x^M y^(1_L - M) u^(rho(1)-rho(M)) v^(len(M)-rho(M))."""
-    labels = _grid_labels(lt)
-    g = len(labels[0])
-    s = lt.udim
-    names = (
-        tuple(f"x{i+1}" for i in range(g))
-        + tuple(f"y{i+1}" for i in range(g))
-        + tuple(f"u{i+1}" for i in range(s))
-        + tuple(f"v{i+1}" for i in range(s))
-    )
-    top_label = lt.lattice.labels[lt.lattice.top]
-    top_rank = lt.top_rank()
-    poly = ExpPoly.zero(2 * g + 2 * s, names)
-    for i, m in enumerate(labels):
-        comp = tuple(t - x for t, x in zip(top_label, m))
-        uexp = tuple(a - b for a, b in zip(top_rank, lt.rank[i]))
-        vexp = tuple(a - b for a, b in zip(lt.length[i], lt.rank[i]))
-        poly._add_term(m + comp + uexp + vexp, 1)
-    return poly
-
-
 def tutte_whitney_Rprime(lt: Latroid) -> ExpPoly:
-    """R' carries an extra z^(M~ - M) with M~ = (M + 1) ^ 1_L; setting
-    z = 1 recovers R."""
+    """R' = sum over lattice elements M of
+    x^M z^(M~ - M) y^(1_L - M) u^(rho(1)-rho(M)) v^(len(M)-rho(M)),
+    with M~ = (M + 1) ^ 1_L."""
     labels = _grid_labels(lt)
     g = len(labels[0])
     s = lt.udim
@@ -349,12 +319,19 @@ def tutte_whitney_Rprime(lt: Latroid) -> ExpPoly:
     return poly
 
 
-def rprime_z_to_one(rp: ExpPoly, g: int, s: int) -> ExpPoly:
-    """R from R' by the substitution z = 1."""
+def rprime_z_to_one(rp: ExpPoly, g: int) -> ExpPoly:
+    """R from R' of a latroid on a g-dimensional grid by the substitution
+    z = 1."""
     return rp.set_to_one(range(g, 2 * g))
 
 
-def _enumerator_from_rprime(rp: ExpPoly, g: int, p: int) -> ExpPoly:
+def tutte_whitney_R(lt: Latroid) -> ExpPoly:
+    """R = sum over lattice elements M of
+    x^M y^(1_L - M) u^(rho(1)-rho(M)) v^(len(M)-rho(M)): R' at z = 1."""
+    return rprime_z_to_one(tutte_whitney_Rprime(lt), len(_grid_labels(lt)[0]))
+
+
+def enumerator_from_rprime(rp: ExpPoly, g: int, p: int) -> ExpPoly:
     """Turn R' of a chain-support latroid (udim 1) into the refined weight
     enumerator.
 
@@ -392,9 +369,8 @@ def enumerator_from_tutte(code: Code) -> ExpPoly:
     ring = code.ring
     if ring.ell != 1:
         raise ValueError("use pir_tutte_corollary for product rings")
-    lt = chain_support_latroid(code, validate=False)
-    rp = tutte_whitney_Rprime(lt)
-    return _enumerator_from_rprime(rp, code.n, ring.factors[0].residue_field_size)
+    rp = tutte_whitney_Rprime(chain_support_latroid(code, validate=False))
+    return enumerator_from_rprime(rp, code.n, ring.factors[0].residue_field_size)
 
 
 # -- products over CRT factors ----------------------------------------------------
@@ -470,25 +446,24 @@ def inclusion_exclusion_check(code: Code) -> Report:
     }
     dominated = {
         b: sum(
-            1 for s in support_of.values() if all(x <= y for x, y in zip(s, b))
+            1 for s in support_of.values() if sleq(s, b)
         )
         for b in labels
     }
-    witness = None
     u = supp.u
-    for a in labels:
-        total = 0
-        for delta in itertools.product((0, 1), repeat=u):
-            b = tuple(x - d for x, d in zip(a, delta))
-            if any(x < 0 for x in b):
-                continue
-            total += (-1) ** sum(delta) * dominated[b]
-        if total != counts[a]:
-            witness = f"A = {a}: {total} != {counts[a]}"
-            break
-    return Report.from_checks(
-        [Check("inclusion_exclusion", witness is None, witness or "")]
-    )
+
+    def mismatches():
+        for a in labels:
+            total = 0
+            for delta in itertools.product((0, 1), repeat=u):
+                b = tuple(x - d for x, d in zip(a, delta))
+                if any(x < 0 for x in b):
+                    continue
+                total += (-1) ** sum(delta) * dominated[b]
+            if total != counts[a]:
+                yield f"A = {a}: {total} != {counts[a]}"
+
+    return Report.from_checks([Check.from_witnesses("inclusion_exclusion", mismatches())])
 
 
 def binomial_identity_check(u: int) -> Report:
@@ -499,25 +474,24 @@ def binomial_identity_check(u: int) -> Report:
     left factor is a power of x (a y-power there would already fail at
     u = 1, B = 1)."""
     names = _xy_names(u)
-    witness = None
-    for b in itertools.product((0, 1), repeat=u):
-        lhs = ExpPoly.monomial(b + (0,) * u, 1, names)
-        for i, e in enumerate(b):
-            if not e:
-                diff = ExpPoly.variable(u + i, 2 * u, names) - ExpPoly.variable(
-                    i, 2 * u, names
-                )
-                lhs = lhs * diff
-        rhs = ExpPoly.zero(2 * u, names)
-        for a in itertools.product((0, 1), repeat=u):
-            if all(x >= y for x, y in zip(a, b)):
-                sign = (-1) ** (sum(a) - sum(b))
-                rhs = rhs + ExpPoly.monomial(
-                    a + tuple(1 - x for x in a), sign, names
-                )
-        if lhs != rhs:
-            witness = f"B = {b}"
-            break
-    return Report.from_checks(
-        [Check("binomial_identity", witness is None, witness or "")]
-    )
+
+    def mismatches():
+        for b in itertools.product((0, 1), repeat=u):
+            lhs = ExpPoly.monomial(b + (0,) * u, 1, names)
+            for i, e in enumerate(b):
+                if not e:
+                    diff = ExpPoly.variable(u + i, 2 * u, names) - ExpPoly.variable(
+                        i, 2 * u, names
+                    )
+                    lhs = lhs * diff
+            rhs = ExpPoly.zero(2 * u, names)
+            for a in itertools.product((0, 1), repeat=u):
+                if all(x >= y for x, y in zip(a, b)):
+                    sign = (-1) ** (sum(a) - sum(b))
+                    rhs = rhs + ExpPoly.monomial(
+                        a + tuple(1 - x for x in a), sign, names
+                    )
+            if lhs != rhs:
+                yield f"B = {b}"
+
+    return Report.from_checks([Check.from_witnesses("binomial_identity", mismatches())])

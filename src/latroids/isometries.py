@@ -20,12 +20,6 @@ def matrix_from_ints(ring: Pir, rows) -> RingMatrix:
     return tuple(tuple(ring.from_int(int(x)) for x in row) for row in rows)
 
 
-def identity_matrix(ring: Pir, n: int) -> RingMatrix:
-    return tuple(
-        tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n)
-    )
-
-
 def apply_matrix(ring: Pir, mat: RingMatrix, v: Vector) -> Vector:
     n = len(mat)
     if len(v) != n:

@@ -75,9 +75,6 @@ class FiniteLattice:
     def __len__(self):
         return self.size
 
-    def le(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b])
-
     def lt(self, a: int, b: int) -> bool:
         return a != b and bool(self.leq[a, b])
 
@@ -257,16 +254,17 @@ def predicates(lat: FiniteLattice) -> LatticeFlags:
 def atoms_join_check(lat: FiniteLattice) -> Report:
     """Every element should be the join of the atoms below it (holds on
     relatively complemented lattices); reports the first failure."""
-    witness = None
-    for x in range(lat.size):
-        below = [a for a in lat.atoms if lat.leq[a, x]]
-        j = lat.bottom
-        for a in below:
-            j = int(lat.join[j, a])
-        if j != x:
-            witness = f"element {lat.labels[x]} is not the join of its atoms"
-            break
-    return Report.from_checks([Check("atoms_join", witness is None, witness or "")])
+
+    def joins_of_atoms():
+        for x in range(lat.size):
+            j = lat.bottom
+            for a in lat.atoms:
+                if lat.leq[a, x]:
+                    j = int(lat.join[j, a])
+            if j != x:
+                yield f"element {lat.labels[x]} is not the join of its atoms"
+
+    return Report.from_checks([Check.from_witnesses("atoms_join", joins_of_atoms())])
 
 
 # -- constructions -------------------------------------------------------------

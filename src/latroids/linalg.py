@@ -57,20 +57,6 @@ def span_contains(basis: tuple[Row, ...], other: tuple[Row, ...], p: int) -> boo
     return all(in_span(basis, row, p) for row in other)
 
 
-def span_vectors(basis: tuple[Row, ...], p: int, n: int) -> frozenset[Row]:
-    """All p^dim vectors of the subspace with the given basis."""
-    if not basis:
-        return frozenset({(0,) * n})
-    out = set()
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        v = [0] * n
-        for c, row in zip(coeffs, basis):
-            for i, x in enumerate(row):
-                v[i] = (v[i] + c * x) % p
-        out.add(tuple(v))
-    return frozenset(out)
-
-
 def all_subspaces(p: int, n: int) -> list[tuple[Row, ...]]:
     """rref bases of every subspace of F_p^n, sorted by (dim, basis)."""
     zero = ()

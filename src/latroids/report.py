@@ -1,4 +1,11 @@
-"""Pass/fail reports returned by validators and consistency checks."""
+"""Pass/fail reports returned by validators and consistency checks.
+
+Validators scan for witnesses, not for booleans: a check is written as an
+iterable (usually a generator) that yields a description of each violation
+in scan order, and ``Check.from_witnesses`` takes the first one.  The scan
+stops there, an empty scan passes with an empty detail, and the reported
+witness is always the first in the documented order.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +17,12 @@ class Check:
     name: str
     ok: bool
     detail: str = ""
+
+    @classmethod
+    def from_witnesses(cls, name: str, witnesses) -> "Check":
+        """Fail with the first witness ``witnesses`` yields; pass if none."""
+        witness = next(iter(witnesses), None)
+        return cls(name, witness is None, witness or "")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .limits import SPAN_CAP, VECTOR_ENUM_CAP, check_cap
+from .limits import VECTOR_ENUM_CAP, check_cap
 
 Element = tuple[int, ...]
 Vector = tuple[Element, ...]
@@ -112,10 +112,6 @@ class Pir:
         return math.prod(self.sizes)
 
     @property
-    def is_chain_ring(self) -> bool:
-        return self.ell == 1
-
-    @property
     def zero(self) -> Element:
         return (0,) * self.ell
 
@@ -196,9 +192,6 @@ class Pir:
     def vadd(self, v: Vector, w: Vector) -> Vector:
         return tuple(self.add(a, b) for a, b in zip(v, w, strict=True))
 
-    def vneg(self, v: Vector) -> Vector:
-        return tuple(self.neg(a) for a in v)
-
     def vscale(self, r: Element, v: Vector) -> Vector:
         return tuple(self.mul(r, a) for a in v)
 
@@ -225,21 +218,6 @@ class Pir:
         return tuple(out)
 
     # -- ideals ------------------------------------------------------------
-
-    def check_ideal(self, I: Ideal) -> None:
-        if len(I.exponents) != self.ell:
-            raise ValueError(f"ideal {I} does not fit a ring with {self.ell} factors")
-        for e, f in zip(I.exponents, self.factors):
-            if not 0 <= e <= f.k:
-                raise ValueError(f"ideal exponent {e} outside [0, {f.k}]")
-
-    @property
-    def unit_ideal(self) -> Ideal:
-        return Ideal((0,) * self.ell)
-
-    @property
-    def zero_ideal(self) -> Ideal:
-        return Ideal(tuple(f.k for f in self.factors))
 
     def all_ideals(self):
         return (

@@ -19,9 +19,7 @@ from .code_latroids import (
     chain_support_latroid,
     latroid_from_code,
     latroid_weights_equal_code_weights,
-    matrix_code,
     product_matrix_code,
-    qpolymatroid_axioms,
     rank_metric_latroid,
     rank_weights_equal,
     rect_supp_latroid,
@@ -29,10 +27,9 @@ from .code_latroids import (
     sum_rank_latroid,
     sum_rank_weights_equal,
     tilde_polymatroid,
-    tilde_relation_check,
     code_gen_weights_dbar,
 )
-from .codes import Code, cyclic_code, full_space, length_lambda, span, span_from_ints
+from .codes import Code, cyclic_code, full_space, length_lambda, span_from_ints
 from .core import (
     Latroid,
     axioms_B,

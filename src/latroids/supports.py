@@ -14,14 +14,8 @@ import itertools
 
 import numpy as np
 
-from .codes import (
-    Code,
-    all_rectangular_modules,
-    code_in_rect,
-    rect_meet,
-    rect_members,
-    rect_sum,
-)
+from .codes import Code, all_rectangular_modules, rect_meet, rect_members, rect_sum
+from .core import sleq
 from .limits import VECTOR_ENUM_CAP, check_cap
 from .report import Check, Report
 from .rings import Pir, Vector
@@ -73,10 +67,6 @@ SupportVec = tuple[int, ...]
 
 def _vmax(a: SupportVec, b: SupportVec) -> SupportVec:
     return tuple(max(x, y) for x, y in zip(a, b, strict=True))
-
-
-def _vleq(a: SupportVec, b: SupportVec) -> bool:
-    return all(x <= y for x, y in zip(a, b, strict=True))
 
 
 class Support:
@@ -308,63 +298,46 @@ def validate_support(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
     ring = s.ring
     check_cap(ring.size**s.n, cap, "support validation")
     zero = (0,) * s.u
-    checks = []
     tables = _space_tables(ring, s.n)
+    arr = None if tables is None else _support_array(s, tables)
 
-    witness = None
-    for v in ring.vectors(s.n, cap=cap):
-        sv = s(v)
-        if any(x < 0 for x in sv):
-            witness = f"supp({v}) has a negative coordinate"
-            break
-        iszero = v == ring.zero_vector(s.n)
-        if (sv == zero) != iszero:
-            witness = f"supp({v}) = {sv}"
-            break
-    checks.append(Check("axiom1_zero_iff_zero", witness is None, witness or ""))
-
-    witness = None
-    if tables is not None:
-        arr = _support_array(s, tables)
-        for r_i, r in enumerate(tables.scalars):
-            bad = (arr[tables.mult[r_i]] > arr).any(axis=1)
-            if bad.any():
-                v = tables.vectors[int(np.flatnonzero(bad)[0])]
-                witness = f"r={r}, v={v}"
-                break
-    else:
-        for r in ring.elements():
-            for v in ring.vectors(s.n, cap=cap):
-                if not _vleq(s(ring.vscale(r, v)), s(v)):
-                    witness = f"r={r}, v={v}"
-                    break
-            if witness:
-                break
-    checks.append(Check("axiom2_scalar_monotone", witness is None, witness or ""))
-
-    witness = None
-    if tables is not None:
-        arr = _support_array(s, tables)
-        for vi, v in enumerate(tables.vectors):
-            lhs = arr[tables.add[vi]]
-            rhs = np.maximum(arr[vi], arr)
-            bad = (lhs > rhs).any(axis=1)
-            if bad.any():
-                w = tables.vectors[int(np.flatnonzero(bad)[0])]
-                witness = f"v={v}, w={w}"
-                break
-    else:
+    def zero_iff_zero():
         for v in ring.vectors(s.n, cap=cap):
             sv = s(v)
-            for w in ring.vectors(s.n, cap=cap):
-                if not _vleq(s(ring.vadd(v, w)), _vmax(sv, s(w))):
-                    witness = f"v={v}, w={w}"
-                    break
-            if witness:
-                break
-    checks.append(Check("axiom3_subadditive", witness is None, witness or ""))
+            if any(x < 0 for x in sv):
+                yield f"supp({v}) has a negative coordinate"
+            elif (sv == zero) != (v == ring.zero_vector(s.n)):
+                yield f"supp({v}) = {sv}"
 
-    report = Report.from_checks(checks)
+    def growing_multiples():
+        if tables is None:
+            for r in ring.elements():
+                for v in ring.vectors(s.n, cap=cap):
+                    if not sleq(s(ring.vscale(r, v)), s(v)):
+                        yield f"r={r}, v={v}"
+            return
+        for r_i, r in enumerate(tables.scalars):
+            for i in np.flatnonzero((arr[tables.mult[r_i]] > arr).any(axis=1)):
+                yield f"r={r}, v={tables.vectors[int(i)]}"
+
+    def growing_sums():
+        if tables is None:
+            for v in ring.vectors(s.n, cap=cap):
+                sv = s(v)
+                for w in ring.vectors(s.n, cap=cap):
+                    if not sleq(s(ring.vadd(v, w)), _vmax(sv, s(w))):
+                        yield f"v={v}, w={w}"
+            return
+        for vi, v in enumerate(tables.vectors):
+            bad = (arr[tables.add[vi]] > np.maximum(arr[vi], arr)).any(axis=1)
+            for wi in np.flatnonzero(bad):
+                yield f"v={v}, w={tables.vectors[int(wi)]}"
+
+    report = Report.from_checks([
+        Check.from_witnesses("axiom1_zero_iff_zero", zero_iff_zero()),
+        Check.from_witnesses("axiom2_scalar_monotone", growing_multiples()),
+        Check.from_witnesses("axiom3_subadditive", growing_sums()),
+    ])
     s._support_report = report
     return report
 
@@ -380,43 +353,32 @@ def validate_modular(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
     ring = s.ring
     check_cap(ring.size**s.n, cap, "modularity validation")
     tables = _space_tables(ring, s.n)
-    witness = None
-    if tables is not None:
+
+    def unreduced():
+        if tables is None:
+            scalars = tuple(ring.elements())
+            for v in ring.vectors(s.n, cap=cap):
+                sv = s(v)
+                for w in ring.vectors(s.n, cap=cap):
+                    sw = s(w)
+                    for i in range(s.u):
+                        if 0 < sv[i] <= sw[i] and not any(
+                            s(ring.vadd(v, ring.vscale(r, w)))[i] < sv[i]
+                            for r in scalars
+                        ):
+                            yield f"v={v}, w={w}, i={i}"
+            return
         arr = _support_array(s, tables)
         for vi, v in enumerate(tables.vectors):
             sv = arr[vi]
             if not sv.any():
                 continue
-            sums = tables.add[vi, tables.mult]
-            mins = arr[sums].min(axis=0)
-            mask = (sv > 0) & (sv <= arr)
-            bad = mask & (mins >= sv)
-            if bad.any():
-                w_i, i = map(int, np.argwhere(bad)[0])
-                witness = f"v={v}, w={tables.vectors[w_i]}, i={i}"
-                break
-    else:
-        scalars = tuple(ring.elements())
-        for v in ring.vectors(s.n, cap=cap):
-            sv = s(v)
-            for w in ring.vectors(s.n, cap=cap):
-                sw = s(w)
-                for i in range(s.u):
-                    if not 0 < sv[i] <= sw[i]:
-                        continue
-                    if not any(
-                        s(ring.vadd(v, ring.vscale(r, w)))[i] < sv[i]
-                        for r in scalars
-                    ):
-                        witness = f"v={v}, w={w}, i={i}"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-    report = Report.from_checks(
-        [Check("axiom4_modular", witness is None, witness or "")]
-    )
+            mins = arr[tables.add[vi, tables.mult]].min(axis=0)
+            bad = (sv > 0) & (sv <= arr) & (mins >= sv)
+            for w_i, i in np.argwhere(bad).tolist():
+                yield f"v={v}, w={tables.vectors[w_i]}, i={i}"
+
+    report = Report.from_checks([Check.from_witnesses("axiom4_modular", unreduced())])
     s._modular_report = report
     return report
 
@@ -494,29 +456,28 @@ def modular_function_on_rectangulars(s: Support, cap: int = VECTOR_ENUM_CAP) -> 
     check_cap(len(rects) ** 2, cap, "rectangular module pairs")
     supp = {r: rect_support(s, r) for r in rects}
 
-    modular_witness = None
-    strict_witness = None
-    for a in rects:
-        for b in rects:
-            lhs = tuple(x + y for x, y in zip(supp[a], supp[b]))
-            rhs = tuple(
-                x + y
-                for x, y in zip(supp[rect_sum(ring, a, b)], supp[rect_meet(ring, a, b)])
-            )
-            if lhs != rhs and modular_witness is None:
-                modular_witness = f"M1={a}, M2={b}: {sum(supp[a])}+{sum(supp[b])} != {rhs}"
-            if a != b and all(
-                ring.ideal_leq(x, y) for x, y in zip(a, b)
-            ):
-                if not (_vleq(supp[a], supp[b]) and supp[a] != supp[b]):
-                    if strict_witness is None:
-                        strict_witness = f"M1={a} < M2={b}"
-    return Report.from_checks(
-        [
-            Check("modular_function", modular_witness is None, modular_witness or ""),
-            Check("strictly_increasing", strict_witness is None, strict_witness or ""),
-        ]
-    )
+    def non_modular():
+        for a in rects:
+            for b in rects:
+                lhs = tuple(x + y for x, y in zip(supp[a], supp[b]))
+                rhs = tuple(
+                    x + y
+                    for x, y in zip(supp[rect_sum(ring, a, b)], supp[rect_meet(ring, a, b)])
+                )
+                if lhs != rhs:
+                    yield f"M1={a}, M2={b}: {sum(supp[a])}+{sum(supp[b])} != {rhs}"
+
+    return Report.from_checks([
+        Check.from_witnesses("modular_function", non_modular()),
+        Check.from_witnesses("strictly_increasing", (
+            f"M1={a} < M2={b}"
+            for a in rects
+            for b in rects
+            if a != b
+            and all(ring.ideal_leq(x, y) for x, y in zip(a, b))
+            and not (sleq(supp[a], supp[b]) and supp[a] != supp[b])
+        )),
+    ])
 
 
 def module_support_lattice_check(s: Support, modules: list[Code]) -> Report:
@@ -525,18 +486,17 @@ def module_support_lattice_check(s: Support, modules: list[Code]) -> Report:
     from .codes import code_intersection, code_sum
 
     supp = {m.codewords: s.of_set(m.codewords) for m in modules}
-    join_witness = meet_witness = None
-    for a in modules:
-        for b in modules:
-            sa, sb = supp[a.codewords], supp[b.codewords]
-            if s.of_set(code_sum(a, b).codewords) != _vmax(sa, sb) and not join_witness:
-                join_witness = f"{sorted(a.codewords)} + {sorted(b.codewords)}"
-            both = s.of_set(code_intersection(a, b).codewords)
-            if both != tuple(min(x, y) for x, y in zip(sa, sb)) and not meet_witness:
-                meet_witness = f"{sorted(a.codewords)} cap {sorted(b.codewords)}"
-    return Report.from_checks(
-        [
-            Check("support_of_sum_is_join", join_witness is None, join_witness or ""),
-            Check("support_of_intersection_is_meet", meet_witness is None, meet_witness or ""),
-        ]
-    )
+    pairs = [(a, b, supp[a.codewords], supp[b.codewords]) for a in modules for b in modules]
+    return Report.from_checks([
+        Check.from_witnesses("support_of_sum_is_join", (
+            f"{sorted(a.codewords)} + {sorted(b.codewords)}"
+            for a, b, sa, sb in pairs
+            if s.of_set(code_sum(a, b).codewords) != _vmax(sa, sb)
+        )),
+        Check.from_witnesses("support_of_intersection_is_meet", (
+            f"{sorted(a.codewords)} cap {sorted(b.codewords)}"
+            for a, b, sa, sb in pairs
+            if s.of_set(code_intersection(a, b).codewords)
+            != tuple(min(x, y) for x, y in zip(sa, sb))
+        )),
+    ])

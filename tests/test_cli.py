@@ -1,0 +1,220 @@
+"""The batch CLI on the shipped configs, and its handling of bad input."""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from latroids.cli import COMMANDS, SCHEMA_VERSION, main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CONFIG_NAMES = ("f2_block", "z4_code", "z6_isometry", "z8_tutte")
+CONFIG_COMMANDS = tuple(c for c in COMMANDS if c != "selftest")
+
+# (command, config) -> exit code, for the pairs that do not exit 0: isometry
+# needs mat= rows, the axiom systems need a complemented modular lattice, and
+# round trips also need the height function as length.
+REJECTED = {
+    ("isometry", "f2_block"): 2,
+    ("isometry", "z4_code"): 2,
+    ("isometry", "z8_tutte"): 2,
+    ("axioms", "z4_code"): 2,
+    ("axioms", "z8_tutte"): 2,
+    ("crypto-roundtrip", "z4_code"): 2,
+    ("crypto-roundtrip", "z8_tutte"): 2,
+    ("crypto-roundtrip", "z6_isometry"): 2,
+}
+
+# Key fields of the successful runs, per (command, config).
+KEY_FIELDS = {
+    ("validate-support", name): {"valid": True, "modular": True} for name in CONFIG_NAMES
+}
+KEY_FIELDS.update({
+    ("latroid", "f2_block"): {"lattice_size": 8, "scalar_dim": 1},
+    ("latroid", "z4_code"): {"lattice_size": 9, "scalar_dim": 1},
+    ("latroid", "z6_isometry"): {"lattice_size": 16, "scalar_dim": 2},
+    ("latroid", "z8_tutte"): {"lattice_size": 4, "scalar_dim": 1},
+    ("axioms", "f2_block"): {
+        "bases": ["{0,1}", "{0,2}", "{1,2}"], "circuits": ["{0,1,2}"],
+    },
+    ("axioms", "z6_isometry"): {
+        "bases": ["(0, 0, 1, 1)"], "circuits": ["(0, 1, 0, 0)", "(1, 0, 0, 0)"],
+    },
+    ("crypto-roundtrip", "f2_block"): {
+        "roundtrips": {"from_bases": True, "from_circuits": True, "from_independents": True},
+    },
+    ("weights", "f2_block"): {"dbar": [3], "dmu": [3]},
+    ("weights", "z4_code"): {
+        "dbar": [1, 3], "dmu": [1], "latroid": [1, 3], "latroid_equals_dbar": True,
+    },
+    ("weights", "z6_isometry"): {
+        "dbar": [1, 2], "dmu": [1, 2], "latroid": [1, 2], "latroid_equals_dbar": True,
+    },
+    ("weights", "z8_tutte"): {
+        "dbar": [1, 2], "dmu": [1], "latroid": [1, 2], "latroid_equals_dbar": True,
+    },
+    ("enumerator", "f2_block"): {"homogeneous": "x^3 + y^3", "weight_distribution": [1, 0, 0, 1]},
+    ("enumerator", "z4_code"): {
+        "homogeneous": "2*x^3*y + x*y^3 + y^4", "weight_distribution": [1, 1, 0, 2, 0],
+    },
+    ("enumerator", "z6_isometry"): {
+        "homogeneous": "2*x^2*y^2 + 3*x*y^3 + y^4", "weight_distribution": [1, 3, 2, 0, 0],
+    },
+    ("enumerator", "z8_tutte"): {
+        "homogeneous": "2*x^2*y + x*y^2 + y^3", "weight_distribution": [1, 1, 2, 0],
+    },
+    ("tutte", "f2_block"): {"identity_holds": True},
+    ("tutte", "z4_code"): {
+        "identity_holds": True,
+        "enumerator_from_tutte": "2*x1^2*x2*y2 + x1*y1*y2^2 + y1^2*y2^2",
+    },
+    ("tutte", "z8_tutte"): {
+        "identity_holds": True,
+        "rank_generating_function_rendered": "x1^2*y1*u1*v1^2 + x1^3*v1^2 + x1*y1^2*u1*v1 + y1^3*u1",
+        "rprime_rendered": "x1^2*z1*y1*u1*v1^2 + x1*z1*y1^2*u1*v1 + x1^3*v1^2 + z1*y1^3*u1",
+    },
+    ("circuits", "z4_code"): {"bases": ["(0, 2)"], "circuits": ["(1, 0)"]},
+    ("circuits", "z8_tutte"): {"bases": [], "circuits": ["(1,)"], "independents": ["(0,)"]},
+    ("isometry", "z6_isometry"): {"is_isometry": True},
+})
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_command_on_shipped_config(capsys, command, name):
+    code, out, err = run_cli(
+        capsys, "--command", command, "--config", str(CONFIGS / f"{name}.cfg")
+    )
+    assert "Traceback" not in err
+    data = json.loads(out)
+    want = REJECTED.get((command, name), 0)
+    assert code == want
+    if want:
+        assert data["kind"] == "input" and data["error"]
+        return
+    assert data["schema_version"] == SCHEMA_VERSION
+    assert data["command"] == command
+    assert data["ok"] is True
+    for key, value in KEY_FIELDS.get((command, name), {}).items():
+        assert data[key] == value, key
+
+
+def test_text_format_renders_the_same_fields(capsys):
+    code, out, _ = run_cli(
+        capsys, "--command", "weights", "--config", str(CONFIGS / "z4_code.cfg"),
+        "--format", "text",
+    )
+    assert code == 0
+    assert "dbar: [1, 3]" in out.splitlines()
+    assert "schema_version: 1" in out.splitlines()
+
+
+def test_tutte_factorization_on_product_ring(capsys):
+    code, out, _ = run_cli(
+        capsys, "--command", "tutte", "--config", str(CONFIGS / "z6_isometry.cfg")
+    )
+    data = json.loads(out)
+    assert code == 0
+    assert [c["name"] for c in data["factorization"]["checks"]] == [
+        "factorized_tutte_enumerator", "factorized_refined_enumerator",
+    ]
+
+
+def _write(tmp_path, text: str) -> str:
+    path = tmp_path / "problem.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+BAD_N = ("-1", "0", "abc", "2.5")
+
+
+@pytest.mark.parametrize("n", BAD_N)
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_bad_length_exits_2(capsys, tmp_path, command, n):
+    path = _write(tmp_path, f"ring = Z_4\nn = {n}\nsupport = chain\n")
+    code, out, err = run_cli(capsys, "--command", command, "--config", path)
+    assert code == 2
+    assert "Traceback" not in err
+    data = json.loads(out)
+    assert data == {"error": f"n must be an integer >= 1, got {n!r}", "kind": "input"}
+
+
+MALFORMED = {
+    "ring Z_1": ("ring = Z_1\nn = 2\nsupport = chain\n", CONFIG_COMMANDS),
+    "ring Z_6": ("ring = Z_6\nn = 2\nsupport = chain\n", CONFIG_COMMANDS),
+    "missing ring": ("n = 2\nsupport = chain\ngen = 1 2\n", CONFIG_COMMANDS),
+    "gen of wrong length": (
+        "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2 3\n",
+        tuple(c for c in CONFIG_COMMANDS if c != "validate-support"),
+    ),
+    "2x3 mat": (
+        "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\nmat = 1 0 0\nmat = 0 1 0\n",
+        ("isometry",),
+    ),
+    "unknown support": ("ring = Z_4\nn = 2\nsupport = lee\n", CONFIG_COMMANDS),
+    "no key=value": ("ring Z_4\n", CONFIG_COMMANDS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_2_without_traceback(capsys, tmp_path, case):
+    text, commands = MALFORMED[case]
+    path = _write(tmp_path, text)
+    for command in commands:
+        code, out, err = run_cli(capsys, "--command", command, "--config", path)
+        assert code == 2, command
+        assert "Traceback" not in err
+        assert json.loads(out)["kind"] == "input"
+
+
+def test_missing_config_exits_2(capsys):
+    code, out, _ = run_cli(capsys, "--command", "latroid")
+    assert code == 2
+    assert json.loads(out)["error"] == "latroid needs --config"
+
+
+def test_cap_breach_exits_3(capsys, tmp_path):
+    path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\n")
+    code, out, _ = run_cli(capsys, "--command", "weights", "--config", path, "--cap", "4")
+    assert code == 3
+    assert json.loads(out)["kind"] == "cap"
+
+
+def test_weights_r_out_of_range_exits_2(capsys, tmp_path):
+    path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\nr = 7\n")
+    code, out, _ = run_cli(capsys, "--command", "weights", "--config", path)
+    assert code == 2
+    assert json.loads(out)["error"] == "r = 7 outside [1, 2]"
+
+
+def test_weights_single_r(capsys, tmp_path):
+    path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\nr = 2\n")
+    code, out, _ = run_cli(capsys, "--command", "weights", "--config", path)
+    data = json.loads(out)
+    assert code == 2  # dmu stops at M(C) = 1
+    assert data["error"] == "r = 2 outside [1, 1]"
+    path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\nr = 1\n")
+    code, out, _ = run_cli(capsys, "--command", "weights", "--config", path)
+    data = json.loads(out)
+    assert code == 0
+    assert (data["dbar"], data["dmu"], data["latroid"]) == (1, 1, [1, 3])
+    assert data["latroid_equals_dbar"] is True
+
+
+def test_out_writes_file(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    code, out, _ = run_cli(
+        capsys, "--command", "circuits", "--config", str(CONFIGS / "z8_tutte.cfg"),
+        "--out", str(target),
+    )
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["circuits"] == ["(1,)"]

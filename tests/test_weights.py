@@ -1,0 +1,223 @@
+"""Generalized weights: the subcode-minimum oracles, the weights-equal
+report builder, the generalized enumerator, R from R', and the witness
+idiom the validators share."""
+
+from __future__ import annotations
+
+import pytest
+
+from latroids.code_latroids import (
+    block_matroid_weights_equal,
+    chain_support_latroid,
+    code_gen_weights_dbar,
+    code_gen_weights_dr,
+    hamming_code_gen_weights,
+    latroid_weights_equal_code_weights,
+    qpolymatroid_axioms,
+    rank_code_gen_weights,
+    rank_metric_latroid,
+    rank_weights_equal,
+    single_matrix_code,
+    sum_rank_code_gen_weights,
+    tilde_polymatroid,
+    tilde_relation_check,
+    weights_equal_report,
+)
+from latroids.codes import enumerate_submodules, length_lambda, span_from_ints, zero_code
+from latroids.core import Latroid
+from latroids.enumerators import (
+    ExpPoly,
+    generalized_enumerator,
+    generalized_weight_distribution,
+    rprime_z_to_one,
+    tutte_whitney_R,
+    tutte_whitney_Rprime,
+)
+from latroids.report import Check
+from latroids.rings import parse_ring
+from latroids.selftest import rank_metric_code_corpus, tutte_code_corpus
+from latroids.supports import ChainSupport, HammingSupport
+
+F2 = parse_ring("Z_2")
+Z4 = parse_ring("Z_4")
+
+HAMMING_7_4 = span_from_ints(F2, 7, [
+    [1, 0, 0, 0, 1, 1, 0],
+    [0, 1, 0, 0, 1, 0, 1],
+    [0, 0, 1, 0, 0, 1, 1],
+    [0, 0, 0, 1, 1, 1, 1],
+])
+Z4_12 = span_from_ints(Z4, 2, [[1, 2]])
+
+
+# -- subcode-minimum oracles ------------------------------------------------------
+
+
+def test_hamming_7_4_has_weis_generalized_weights():
+    wei = [3, 5, 6, 7]
+    assert hamming_code_gen_weights(HAMMING_7_4) == wei
+    assert code_gen_weights_dbar(HAMMING_7_4, HammingSupport(F2, 7)) == wei
+    rep = block_matroid_weights_equal(HAMMING_7_4)
+    assert rep.ok
+    assert [c.name for c in rep.checks] == [f"hamming_d_{r}" for r in range(1, 5)]
+    assert rep.checks[1].detail == "oracle 5 vs latroid 5"
+
+
+def test_z4_cyclic_code_weights():
+    supp = ChainSupport(Z4, 2)
+    assert code_gen_weights_dbar(Z4_12, supp) == [1, 3]
+    assert code_gen_weights_dr(Z4_12, supp) == [1]
+    assert code_gen_weights_dbar(Z4_12, supp, 2) == 3
+    assert code_gen_weights_dr(Z4_12, supp, 1) == 1
+
+
+@pytest.mark.parametrize("oracle, r, message", [
+    (code_gen_weights_dbar, 7, "r = 7 outside [1, 2]"),
+    (code_gen_weights_dbar, 0, "r = 0 outside [1, 2]"),
+    (code_gen_weights_dr, 2, "r = 2 outside [1, 1]"),
+])
+def test_out_of_range_r_raises(oracle, r, message):
+    with pytest.raises(ValueError) as err:
+        oracle(Z4_12, ChainSupport(Z4, 2), r)
+    assert str(err.value) == message
+
+
+def test_zero_code_has_no_weights():
+    zero = zero_code(Z4, 2)
+    assert code_gen_weights_dbar(zero, ChainSupport(Z4, 2)) == []
+    rep = latroid_weights_equal_code_weights(zero)
+    assert rep.to_dict() == {
+        "ok": True,
+        "checks": [{"name": "dbar_equals_latroid", "ok": True, "detail": "zero code"}],
+    }
+
+
+def test_rank_weights_scale_by_m():
+    mc = single_matrix_code(2, 3, 1, [((1,), (0,), (0,))])
+    assert rank_code_gen_weights(mc) == [1]
+    rep = rank_weights_equal(mc)
+    assert rep.ok
+    assert rep.checks == (Check("rank_d_1", True, "m*oracle 3 vs latroid 3"),)
+    empty = single_matrix_code(2, 3, 1, [])
+    assert rank_weights_equal(empty).checks == (Check("rank_weights", True, "zero code"),)
+
+
+def test_single_block_sum_rank_weights_are_rank_weights():
+    for _, mc in rank_metric_code_corpus():
+        assert sum_rank_code_gen_weights(mc) == rank_code_gen_weights(mc)
+
+
+def test_weights_equal_report_flags_mismatches():
+    rep = weights_equal_report("dbar", "dbar_equals_latroid", [1, 3], [1, 4])
+    assert not rep.ok
+    assert rep.checks == (
+        Check("dbar_1", True, "oracle 1 vs latroid 1"),
+        Check("dbar_2", False, "oracle 3 vs latroid 4"),
+    )
+    rep = weights_equal_report("rank_d", "rank_weights", [1, 2], [2, 4], m=2)
+    assert rep.ok
+    assert rep.checks[1].detail == "m*oracle 4 vs latroid 4"
+    with pytest.raises(ValueError):
+        weights_equal_report("dbar", "dbar_equals_latroid", [1, 3], [1])
+
+
+# -- q-polymatroids ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, mc", rank_metric_code_corpus(),
+                         ids=[name for name, _ in rank_metric_code_corpus()])
+def test_rank_metric_corpus_gives_q_polymatroids(name, mc):
+    assert qpolymatroid_axioms(tilde_polymatroid(mc, validate=False)).ok
+    assert qpolymatroid_axioms(rank_metric_latroid(mc, validate=False)).ok
+    assert tilde_relation_check(mc).ok
+
+
+def test_qpolymatroid_axioms_report_first_witness():
+    lt = rank_metric_latroid(rank_metric_code_corpus()[0][1], validate=False)
+    lat = lt.lattice
+    rank = list(lt.rank)
+    rank[lat.top] = (-1,)
+    rep = qpolymatroid_axioms(Latroid(lat, tuple(rank), lt.length, 1))
+    assert [c.ok for c in rep.checks] == [False, False, True]
+    assert rep.checks[0].detail == f"rho({lat.labels[lat.top]}) = (-1,)"
+
+
+# -- generalized enumerators -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("code", [Z4_12, HAMMING_7_4] + [c for _, c in tutte_code_corpus(0)[:12]],
+                         ids=lambda c: f"{c.ring}^{c.n} |C|={len(c)}")
+def test_generalized_enumerator_counts_submodules_of_each_length(code):
+    supp = ChainSupport(code.ring, code.n)
+    lengths = [length_lambda(d) for d in enumerate_submodules(code)]
+    for r in range(length_lambda(code) + 1):
+        poly = generalized_enumerator(code, supp, r)
+        assert poly.total() == lengths.count(r)
+        assert sum(generalized_weight_distribution(code, supp, r)) == lengths.count(r)
+
+
+def test_generalized_enumerator_rejects_r_out_of_range():
+    with pytest.raises(ValueError, match=r"r = 3 outside \[0, 2\]"):
+        generalized_enumerator(Z4_12, ChainSupport(Z4, 2), 3)
+
+
+def test_generalized_enumerator_of_z4_code():
+    supp = ChainSupport(Z4, 2)
+    # lambda = 1: the submodule 2<(1,2)> = {0, (2,0)} of weight 1
+    assert generalized_enumerator(Z4_12, supp, 1).render() == "x^3*y"
+    assert generalized_enumerator(Z4_12, supp, 2).render() == "x*y^3"
+
+
+# -- R from R' ---------------------------------------------------------------------------
+
+
+def reference_R(lt: Latroid) -> ExpPoly:
+    """R summed directly over the lattice, independent of R'."""
+    labels = lt.lattice.labels
+    g, s = len(labels[0]), lt.udim
+    names = (
+        tuple(f"x{i+1}" for i in range(g)) + tuple(f"y{i+1}" for i in range(g))
+        + tuple(f"u{i+1}" for i in range(s)) + tuple(f"v{i+1}" for i in range(s))
+    )
+    top, top_rank = labels[lt.lattice.top], lt.top_rank()
+    poly = ExpPoly.zero(2 * g + 2 * s, names)
+    for i, m in enumerate(labels):
+        poly = poly + ExpPoly.monomial(
+            m
+            + tuple(t - x for t, x in zip(top, m))
+            + tuple(a - b for a, b in zip(top_rank, lt.rank[i]))
+            + tuple(a - b for a, b in zip(lt.length[i], lt.rank[i])),
+            1,
+            names,
+        )
+    return poly
+
+
+@pytest.mark.parametrize("name, code", tutte_code_corpus(0)[::3],
+                         ids=[name for name, _ in tutte_code_corpus(0)[::3]])
+def test_R_is_rprime_at_z_one(name, code):
+    lt = chain_support_latroid(code, validate=False)
+    want = reference_R(lt)
+    got = tutte_whitney_R(lt)
+    assert got == want
+    assert got.names == want.names
+    assert got.render() == want.render()
+    assert rprime_z_to_one(tutte_whitney_Rprime(lt), code.n) == want
+
+
+# -- the witness idiom ---------------------------------------------------------------------
+
+
+def test_check_from_witnesses_takes_the_first_and_stops():
+    seen = []
+
+    def witnesses():
+        for i in range(10):
+            seen.append(i)
+            if i >= 2:
+                yield f"w{i}"
+
+    assert Check.from_witnesses("c", witnesses()) == Check("c", False, "w2")
+    assert seen == [0, 1, 2]
+    assert Check.from_witnesses("c", []) == Check("c", True, "")
+    assert Check.from_witnesses("c", iter(["a", "b"])).detail == "a"
