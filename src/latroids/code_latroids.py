@@ -6,7 +6,6 @@ brute-force submodule oracles.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +18,7 @@ from .codes import (
     length_lambda,
     rect_meet,
     rectangular_closure,
+    span_from_ints,
 )
 from .core import Latroid, _validated, generalized_weight, sleq
 from .lattices import (
@@ -32,7 +32,7 @@ from .lattices import (
 )
 from .limits import SPAN_CAP, check_cap
 from .report import Check, Report
-from .rings import Pir, intlog
+from .rings import Pir, chain_ring, intlog
 from .supports import ChainSupport, HammingSupport, Support, rect_support, validate_modular
 
 
@@ -205,38 +205,18 @@ class MatrixCode:
 
 
 def matrix_code(q: int, blocks, generators, cap: int = SPAN_CAP) -> MatrixCode:
-    """The F_q-span of generator words (tuples of block matrices)."""
+    """The F_q-span of generator words (tuples of block matrices); q must
+    be prime."""
     blocks = tuple((int(m), int(n)) for m, n in blocks)
-    gens = []
+    rows = []
     for word in generators:
         word = tuple(tuple(tuple(int(x) % q for x in row) for row in mat) for mat in word)
         for mat, (m, n) in zip(word, blocks, strict=True):
             if len(mat) != m or any(len(r) != n for r in mat):
                 raise ValueError(f"block {mat} does not have shape {m}x{n}")
-        gens.append(word)
-    check_cap(q ** len(gens), cap, "matrix code span")
-
-    def scale_word(c, word):
-        return tuple(
-            tuple(tuple((c * x) % q for x in row) for row in mat) for mat in word
-        )
-
-    def add_words(a, b):
-        return tuple(
-            tuple(
-                tuple((x + y) % q for x, y in zip(ra, rb))
-                for ra, rb in zip(ma, mb)
-            )
-            for ma, mb in zip(a, b)
-        )
-
-    zero = tuple(
-        tuple(tuple(0 for _ in range(n)) for _ in range(m)) for m, n in blocks
-    )
-    words = {zero}
-    for g in gens:
-        words = {add_words(w, scale_word(c, g)) for w in words for c in range(q)}
-    return MatrixCode(q, blocks, frozenset(words))
+        rows.append(_entries(word))
+    check_cap(q ** len(rows), cap, "matrix code span")
+    return _spanned(q, blocks, rows)
 
 
 def single_matrix_code(q: int, m: int, n: int, generators, cap: int = SPAN_CAP) -> MatrixCode:
@@ -244,16 +224,50 @@ def single_matrix_code(q: int, m: int, n: int, generators, cap: int = SPAN_CAP) 
 
 
 def product_matrix_code(*factors: MatrixCode) -> MatrixCode:
-    """The direct product of matrix codes, one block group per factor."""
+    """The direct product of matrix codes, one block group per factor: the
+    span of every factor's basis, padded with zeros in the other blocks."""
     q = factors[0].q
     if any(f.q != q for f in factors):
         raise ValueError("factors must share the field")
-    blocks = tuple(b for f in factors for b in f.blocks)
-    words = frozenset(
-        tuple(itertools.chain.from_iterable(ws))
-        for ws in itertools.product(*(f.codewords for f in factors))
-    )
-    return MatrixCode(q, blocks, words)
+    total = sum(_length(f.blocks) for f in factors)
+    rows, offset = [], 0
+    for f in factors:
+        width = _length(f.blocks)
+        for row in linalg.rref([_entries(w) for w in f.codewords], q):
+            rows.append((0,) * offset + row + (0,) * (total - offset - width))
+        offset += width
+    return _spanned(q, tuple(b for f in factors for b in f.blocks), rows)
+
+
+def _length(blocks) -> int:
+    return sum(m * n for m, n in blocks)
+
+
+def _entries(word) -> tuple[int, ...]:
+    """The entries of a tuple of block matrices, block by block, row by row."""
+    return tuple(x for mat in word for row in mat for x in row)
+
+
+def _block_word(blocks, v) -> tuple[Matrix, ...]:
+    """A vector over Z_q cut back into block matrices (undoes _entries)."""
+    entries = iter(a for (a,) in v)
+    return tuple(tuple(tuple(next(entries) for _ in range(n)) for _ in range(m)) for m, n in blocks)
+
+
+def _spanned(q: int, blocks, rows) -> MatrixCode:
+    """The F_q-span of entry rows as a matrix code (q prime).  It holds at
+    most q^len(rows) words; the ambient space is never enumerated, so its
+    size caps nothing."""
+    length = _length(blocks)
+    code = span_from_ints(chain_ring(q, 1), length, rows, cap=q**length)
+    return MatrixCode(q, blocks, frozenset(_block_word(blocks, c) for c in code.codewords))
+
+
+def _as_code(mc: MatrixCode) -> Code:
+    """The matrix code as a code over Z_q of length sum m_i n_i."""
+    ring = chain_ring(mc.q, 1)
+    words = frozenset(ring.vector_from_ints(_entries(w)) for w in mc.codewords)
+    return Code(ring, _length(mc.blocks), (), words)
 
 
 def _rows_in_subspace(mat: Matrix, basis, q: int) -> bool:
@@ -487,39 +501,12 @@ def latroid_weights_equal_code_weights(code: Code, supp: Support | None = None) 
 # -- rank-metric generalized weights ------------------------------------------------
 
 
-def _all_subcodes(mc: MatrixCode) -> list[frozenset]:
-    """All F_q-subspaces of the code, as codeword sets."""
-    words = sorted(mc.codewords)
-    zero = words[0] if words else None
-    found = {frozenset([zero])}
-    frontier = [frozenset([zero])]
-
-    def add_words(a, b):
-        return tuple(
-            tuple(tuple((x + y) % mc.q for x, y in zip(ra, rb)) for ra, rb in zip(ma, mb))
-            for ma, mb in zip(a, b)
-        )
-
-    def grow(sub, w):
-        out = set(sub)
-        for c in range(1, mc.q):
-            scaled = w
-            for _ in range(c - 1):
-                scaled = add_words(scaled, w)
-            out |= {add_words(s, scaled) for s in sub}
-        return frozenset(out)
-
-    while frontier:
-        new = []
-        for sub in frontier:
-            for w in words:
-                if w not in sub:
-                    grown = grow(sub, w)
-                    if grown not in found:
-                        found.add(grown)
-                        new.append(grown)
-        frontier = new
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+def _subcodes(mc: MatrixCode) -> list[frozenset]:
+    """All F_q-subspaces of the code, as sets of block-matrix words."""
+    return [
+        frozenset(_block_word(mc.blocks, c) for c in d.codewords)
+        for d in enumerate_submodules(_as_code(mc))
+    ]
 
 
 def _rowspace_dim_of_subcode(sub, q: int, block: int | None = None) -> int:
@@ -536,7 +523,7 @@ def rank_code_gen_weights(mc: MatrixCode) -> list[int]:
     d_r = min{dim rowspace(D) : D a subcode, dim D >= r}."""
     subs = [
         (intlog(mc.q, len(s)), _rowspace_dim_of_subcode(s, mc.q))
-        for s in _all_subcodes(mc)
+        for s in _subcodes(mc)
     ]
     return _least_weights(subs, mc.dim())
 
@@ -561,7 +548,7 @@ def sum_rank_code_gen_weights(mc: MatrixCode) -> list[int]:
             intlog(mc.q, len(s)),
             sum(_rowspace_dim_of_subcode(s, mc.q, block=i) for i in range(mc.ell)),
         )
-        for s in _all_subcodes(mc)
+        for s in _subcodes(mc)
     ]
     return _least_weights(subs, mc.dim())
 

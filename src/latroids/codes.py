@@ -4,6 +4,12 @@ invariants lambda / mu / M, submodule enumeration, and rectangular closures.
 Codes are kept as full codeword sets in a canonical sorted order; every
 downstream computation here is exhaustive, so set equality is the only
 notion of code equality we need.
+
+``enumerate_submodules`` works on the digit encoding of R^n from
+``rings``: sorted codewords have sorted indices, so sums and multiples of
+codewords are located with ``searchsorted``.  ``span``, ``code_sum``,
+``Code.scaled`` and ``Code.factor`` stay on ``Pir`` tuple arithmetic: they
+build small sets of tuples, which is what their callers hold.
 """
 
 from __future__ import annotations
@@ -156,22 +162,24 @@ def enumerate_submodules(code: Code, cap: int = SUBMODULE_CAP) -> list[Code]:
 
     Every submodule is a join of cyclic submodules, so closing the set of
     cyclic submodules under pairwise sums reaches all of them.  Codewords
-    are re-indexed into the code itself so that sums are table lookups.
+    are re-indexed into the code itself: their digit indices are sorted,
+    so ``searchsorted`` turns the sums and multiples into table entries.
     """
     check_cap(len(code), cap, "submodule enumeration")
-    ring = code.ring
+    ring, n = code.ring, code.n
     words = code.sorted_words()
-    index = {w: i for i, w in enumerate(words)}
-    m = len(words)
-    add = np.empty((m, m), dtype=np.int32)
-    for i, w in enumerate(words):
-        for j, v in enumerate(words):
-            add[i, j] = index[ring.vadd(w, v)]
+    digits = ring.encode(words, n)
+    indices = ring.index(digits, n)
 
-    def multiples(i: int) -> frozenset[int]:
-        return frozenset(index[ring.vscale(r, words[i])] for r in ring.elements())
+    def positions(image: np.ndarray) -> np.ndarray:
+        return np.searchsorted(indices, ring.index(image, n))
 
-    cyclics = {multiples(i) for i in range(m)}
+    # Row by row, so the digit temporary is one row's (m, n * ell), not m times that.
+    add = np.empty((len(words), len(words)), dtype=np.int32)
+    for i, w in enumerate(digits):
+        add[i] = positions(w + digits)
+    multiples = positions(np.tile(ring.space(1), n)[:, None] * digits)
+    cyclics = {frozenset(col) for col in multiples.T.tolist()}
     found = set(cyclics)
     frontier = set(cyclics)
     while frontier:

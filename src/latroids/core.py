@@ -95,8 +95,9 @@ class Latroid:
         )
 
 
-#: Scalar entries per block of rows in validate_latroid's pairwise scans;
-#: bounds the temporary object arrays (and so peak memory) on big lattices.
+#: Entries per block of rows in the exhaustive scans (validate_latroid and
+#: the support validators); bounds their temporary arrays, and so peak
+#: memory, on big inputs.
 _SCAN_BLOCK = 1 << 13
 
 
@@ -107,14 +108,15 @@ def _scalar_array(values, udim: int) -> np.ndarray:
     return out
 
 
-def _bad_pairs(n: int, udim: int, bad_rows):
-    """The (a, b) in row-major order where ``bad_rows(rows)``, a (rows, n)
-    mask for a slice of rows, is true; evaluated a block of rows at a time."""
-    step = max(1, _SCAN_BLOCK // (n * max(udim, 1)))
-    for start in range(0, n, step):
-        for hit in np.flatnonzero(bad_rows(slice(start, start + step))).tolist():
-            a, b = divmod(hit, n)
-            yield start + a, b
+def scan_rows(rows: int, width: int, bad):
+    """The indices (a, ...), in row-major order, where ``bad(sl)`` is true;
+    ``bad`` maps a slice of rows to a mask whose first axis runs over that
+    slice.  Evaluated a block of rows at a time, a block holding about
+    ``_SCAN_BLOCK`` entries of ``width`` per row."""
+    step = max(1, _SCAN_BLOCK // width)
+    for start in range(0, rows, step):
+        for a, *rest in np.argwhere(bad(slice(start, start + step))).tolist():
+            yield (start + a, *rest)
 
 
 def validate_latroid(lt: Latroid) -> Report:
@@ -134,7 +136,7 @@ def validate_latroid(lt: Latroid) -> Report:
         return (x <= y).all(axis=-1)
 
     def bad_pairs(bad_rows):
-        return _bad_pairs(lat.size, lt.udim, bad_rows)
+        return scan_rows(lat.size, lat.size * max(lt.udim, 1), bad_rows)
 
     def length_not_increasing(rows):
         lo, hi = length[rows, None], length[None]

@@ -1,11 +1,18 @@
 """Weight-preserving module automorphisms of R^n: verification, the
 diagonal-times-permutation decomposition over chain rings, per-factor
 projections over product rings, and invariance of code invariants.
+
+A matrix acts on the digit encoding of R^n from ``rings``: entries as an
+(n, n, ell) residue array, vectors as rows of digits, and the action is
+one ``einsum`` reduced mod the factor sizes.  Every function taking a
+matrix for a support or code on R^n first checks that it is n x n.
 """
 
 from __future__ import annotations
 
 import random
+
+import numpy as np
 
 from .codes import Code, length_lambda
 from .limits import VECTOR_ENUM_CAP, check_cap
@@ -20,55 +27,48 @@ def matrix_from_ints(ring: Pir, rows) -> RingMatrix:
     return tuple(tuple(ring.from_int(int(x)) for x in row) for row in rows)
 
 
+def _as_array(ring: Pir, mat: RingMatrix, n: int) -> np.ndarray:
+    """The matrix as an (n, n, ell) residue array; raises unless it is n x n."""
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise ValueError(f"matrix is not {n}x{n}")
+    return np.array(mat, dtype=np.int64).reshape(n, n, ring.ell)
+
+
+def _act(ring: Pir, entries: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """The matrix applied to every row of a digit array of R^n."""
+    count, n = len(digits), len(entries)
+    v = digits.reshape(count, n, ring.ell)
+    return (np.einsum("ijf,vjf->vif", entries, v) % ring.sizes).reshape(count, -1)
+
+
 def apply_matrix(ring: Pir, mat: RingMatrix, v: Vector) -> Vector:
     n = len(mat)
     if len(v) != n:
         raise ValueError(f"vector length {len(v)} != matrix size {n}")
-    out = []
-    for i in range(n):
-        acc = ring.zero
-        for j in range(n):
-            acc = ring.add(acc, ring.mul(mat[i][j], v[j]))
-        out.append(acc)
-    return tuple(out)
+    return ring.decode(_act(ring, _as_array(ring, mat, n), ring.encode([v], n)))[0]
 
 
 def matmul(ring: Pir, a: RingMatrix, b: RingMatrix) -> RingMatrix:
     n = len(a)
-    return tuple(
-        tuple(
-            _dot(ring, a, b, i, j) for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def _dot(ring: Pir, a, b, i, j) -> Element:
-    acc = ring.zero
-    for t in range(len(a)):
-        acc = ring.add(acc, ring.mul(a[i][t], b[t][j]))
-    return acc
+    prod = np.einsum("itf,tjf->ijf", _as_array(ring, a, n), _as_array(ring, b, n))
+    return tuple(tuple(map(tuple, row)) for row in (prod % ring.sizes).tolist())
 
 
 def apply_to_code(mat: RingMatrix, code: Code) -> Code:
     ring = code.ring
-    words = frozenset(apply_matrix(ring, mat, c) for c in code.codewords)
-    return Code(ring, code.n, (), words)
+    image = _act(ring, _as_array(ring, mat, code.n), ring.encode(code.codewords, code.n))
+    return Code(ring, code.n, (), frozenset(ring.decode(image)))
 
 
 def is_isometry(mat: RingMatrix, supp: Support, cap: int = VECTOR_ENUM_CAP) -> bool:
     """True iff v -> mat v is a bijection of R^n preserving the weight,
     checked exhaustively."""
-    ring = supp.ring
-    n = len(mat)
+    ring, n = supp.ring, supp.n
+    entries = _as_array(ring, mat, n)
     check_cap(ring.size**n, cap, "isometry verification")
-    image = set()
-    for v in ring.vectors(n, cap=cap):
-        w = apply_matrix(ring, mat, v)
-        if supp.weight(w) != supp.weight(v):
-            return False
-        image.add(w)
-    return len(image) == ring.size**n
+    image = ring.index(_act(ring, entries, ring.space(n)), n)
+    weight = supp.values().sum(axis=1)
+    return bool((weight[image] == weight).all()) and len(np.unique(image)) == len(image)
 
 
 def decompose_chain_isometry(mat: RingMatrix, supp: Support):

@@ -4,6 +4,17 @@ CRT products of chain rings.
 Elements of a product ring are tuples of residues, one per factor, with
 coordinate i reduced modulo p_i^{k_i}.  Vectors are tuples of elements.
 All arithmetic is exact.
+
+The exhaustive scans of R^n (support axioms, submodule sums, isometries)
+use one array encoding instead: a vector is a row of n * ell residue
+digits whose moduli are ``sizes`` tiled n times, and its index is the
+mixed-radix number of those digits.  Since ``vectors(n)`` is lexicographic,
+the index is the vector's position there, and sorted vectors have sorted
+indices.  Sums, multiples and matrix actions are then ``%`` arithmetic on
+integer arrays (``mods``, ``radix``, ``index``, ``encode``, ``decode``,
+``space``).  The element-wise methods (``add``, ``mul``, ``vadd``, ``vscale``) stay for
+the small sets that ``codes.span`` and code sums build from tuples, where
+converting to arrays and back would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -12,6 +23,8 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .limits import VECTOR_ENUM_CAP, check_cap
 
@@ -216,6 +229,40 @@ class Pir:
             coords[i] = a[0]
             out.append(tuple(coords))
         return tuple(out)
+
+    # -- R^n as digit arrays ---------------------------------------------------
+
+    def mods(self, n: int) -> np.ndarray:
+        """The modulus of each digit of a vector in R^n."""
+        return np.tile(np.array(self.sizes, dtype=np.int64), n)
+
+    def radix(self, n: int) -> np.ndarray:
+        """The place value of each digit: ``digits @ radix`` is the index."""
+        mods = self.mods(n)
+        return mods.prod() // np.cumprod(mods)
+
+    def index(self, digits: np.ndarray, n: int) -> np.ndarray:
+        """The indices of digit rows (last axis), reducing every digit first,
+        so sums and products of digit arrays can be passed unreduced."""
+        return digits % self.mods(n) @ self.radix(n)
+
+    def encode(self, vectors, n: int) -> np.ndarray:
+        """Vectors of R^n as rows of digits, shape (count, n * ell)."""
+        rows = [[x for a in v for x in a] for v in vectors]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), n * self.ell)
+
+    def decode(self, digits: np.ndarray) -> list[Vector]:
+        """Rows of digits back to vectors (tuples of Python ints)."""
+        ell = self.ell
+        return [
+            tuple(tuple(row[i : i + ell]) for i in range(0, len(row), ell))
+            for row in digits.tolist()
+        ]
+
+    def space(self, n: int) -> np.ndarray:
+        """All of R^n as digits; row i is the vector of index i."""
+        indices = np.arange(self.size**n, dtype=np.int64)
+        return indices[:, None] // self.radix(n) % self.mods(n)
 
     # -- ideals ------------------------------------------------------------
 

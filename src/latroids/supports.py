@@ -6,6 +6,11 @@ A support is modular when any positive coordinate supp(v)_i <= supp(w)_i can
 be strictly decreased by adding a suitable multiple of w.  (The positivity
 guard is forced: at supp(v)_i = 0 no support could decrease further, the
 Hamming support included.)
+
+The validators and ``Support.values`` work on the digit encoding of R^n
+from ``rings``: row i of every array is the vector of index i, so sums and
+multiples of all vectors at once are integer array arithmetic followed by
+``Pir.index``, and each scan visits its rows in lexicographic order.
 """
 
 from __future__ import annotations
@@ -15,52 +20,10 @@ import itertools
 import numpy as np
 
 from .codes import Code, all_rectangular_modules, rect_meet, rect_members, rect_sum
-from .core import sleq
+from .core import scan_rows, sleq
 from .limits import VECTOR_ENUM_CAP, check_cap
 from .report import Check, Report
 from .rings import Pir, Vector
-
-#: Above this many ambient vectors the validators fall back to plain loops
-#: instead of materializing quadratic index tables.
-_TABLE_LIMIT = 4096
-
-_space_cache: dict = {}
-
-
-class _SpaceTables:
-    """Index tables for R^n: vector list, addition, and scalar action."""
-
-    def __init__(self, ring: Pir, n: int):
-        self.vectors = list(ring.vectors(n, cap=_TABLE_LIMIT))
-        index = {v: i for i, v in enumerate(self.vectors)}
-        self.index = index
-        nv = len(self.vectors)
-        self.add = np.empty((nv, nv), dtype=np.int32)
-        for i, v in enumerate(self.vectors):
-            for j, w in enumerate(self.vectors):
-                self.add[i, j] = index[ring.vadd(v, w)]
-        scalars = list(ring.elements())
-        self.scalars = scalars
-        self.mult = np.empty((len(scalars), nv), dtype=np.int32)
-        for r_i, r in enumerate(scalars):
-            for j, w in enumerate(self.vectors):
-                self.mult[r_i, j] = index[ring.vscale(r, w)]
-
-
-def _space_tables(ring: Pir, n: int) -> "_SpaceTables | None":
-    if ring.size**n > _TABLE_LIMIT:
-        return None
-    key = (ring, n)
-    if key not in _space_cache:
-        _space_cache[key] = _SpaceTables(ring, n)
-    return _space_cache[key]
-
-
-def _support_array(s: "Support", tables: _SpaceTables) -> np.ndarray:
-    arr = np.empty((len(tables.vectors), s.u), dtype=np.int64)
-    for i, v in enumerate(tables.vectors):
-        arr[i] = s(v)
-    return arr
 
 SupportVec = tuple[int, ...]
 
@@ -85,6 +48,12 @@ class Support:
     @property
     def is_standard(self) -> bool:
         return False
+
+    def values(self) -> np.ndarray:
+        """supp(v) for every v in R^n, row i for the vector of index i.
+        Enumerates R^n; callers check the cap."""
+        vectors = self.ring.decode(self.ring.space(self.n))
+        return np.array([self(v) for v in vectors], dtype=np.int64).reshape(len(vectors), self.u)
 
     def of_set(self, vectors) -> SupportVec:
         """Coordinatewise maximum over a set of vectors."""
@@ -245,7 +214,7 @@ class TableSupport(Support):
         owner = [None] * self.u
         for i in range(self.n):
             for r in ring.elements():
-                sv = self(ring.vscale(r, ring.basis_vector(self.n, i)))
+                sv = self(tuple(r if t == i else ring.zero for t in range(self.n)))
                 for j in range(self.u):
                     if sv[j] > 0:
                         if owner[j] is not None and owner[j] != i:
@@ -287,56 +256,52 @@ def support_from_unit_table(ring: Pir, n: int, unit_table: dict, validate: bool 
 # -- validation ---------------------------------------------------------------
 
 
+def _vector(ring: Pir, digits: np.ndarray, i: int) -> Vector:
+    """Row i of a digit array as a vector, for a witness."""
+    return ring.decode(digits[i : i + 1])[0]
+
+
 def validate_support(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
     """Exhaustively check the three support axioms; reports carry the first
-    violating witness in lexicographic scan order.
+    violating witness in lexicographic scan order (r then v for axiom 2, v
+    then w for axiom 3).
 
     Results are memoized on the support (supports are immutable)."""
     cached = getattr(s, "_support_report", None)
     if cached is not None:
         return cached
-    ring = s.ring
-    check_cap(ring.size**s.n, cap, "support validation")
-    zero = (0,) * s.u
-    tables = _space_tables(ring, s.n)
-    arr = None if tables is None else _support_array(s, tables)
+    ring, n = s.ring, s.n
+    check_cap(ring.size**n, cap, "support validation")
+    digits, vals = ring.space(n), s.values()
+    size = len(vals)
 
     def zero_iff_zero():
-        for v in ring.vectors(s.n, cap=cap):
+        bad = (vals < 0).any(axis=1) | ((vals == 0).all(axis=1) != (np.arange(size) == 0))
+        for i in np.flatnonzero(bad).tolist():
+            v = _vector(ring, digits, i)
             sv = s(v)
             if any(x < 0 for x in sv):
                 yield f"supp({v}) has a negative coordinate"
-            elif (sv == zero) != (v == ring.zero_vector(s.n)):
+            else:
                 yield f"supp({v}) = {sv}"
 
     def growing_multiples():
-        if tables is None:
-            for r in ring.elements():
-                for v in ring.vectors(s.n, cap=cap):
-                    if not sleq(s(ring.vscale(r, v)), s(v)):
-                        yield f"r={r}, v={v}"
-            return
-        for r_i, r in enumerate(tables.scalars):
-            for i in np.flatnonzero((arr[tables.mult[r_i]] > arr).any(axis=1)):
-                yield f"r={r}, v={tables.vectors[int(i)]}"
+        for r in ring.elements():
+            image = ring.index(digits * np.tile(r, n), n)
+            for i in np.flatnonzero((vals[image] > vals).any(axis=1)).tolist():
+                yield f"r={r}, v={_vector(ring, digits, i)}"
 
-    def growing_sums():
-        if tables is None:
-            for v in ring.vectors(s.n, cap=cap):
-                sv = s(v)
-                for w in ring.vectors(s.n, cap=cap):
-                    if not sleq(s(ring.vadd(v, w)), _vmax(sv, s(w))):
-                        yield f"v={v}, w={w}"
-            return
-        for vi, v in enumerate(tables.vectors):
-            bad = (arr[tables.add[vi]] > np.maximum(arr[vi], arr)).any(axis=1)
-            for wi in np.flatnonzero(bad):
-                yield f"v={v}, w={tables.vectors[int(wi)]}"
+    def growing_sums(rows):
+        image = ring.index(digits[rows, None] + digits, n)
+        return (vals[image] > np.maximum(vals[rows, None], vals)).any(axis=2)
 
     report = Report.from_checks([
         Check.from_witnesses("axiom1_zero_iff_zero", zero_iff_zero()),
         Check.from_witnesses("axiom2_scalar_monotone", growing_multiples()),
-        Check.from_witnesses("axiom3_subadditive", growing_sums()),
+        Check.from_witnesses("axiom3_subadditive", (
+            f"v={_vector(ring, digits, v)}, w={_vector(ring, digits, w)}"
+            for v, w in scan_rows(size, size * (s.u + digits.shape[1]), growing_sums)
+        )),
     ])
     s._support_report = report
     return report
@@ -345,40 +310,28 @@ def validate_support(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
 def validate_modular(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
     """Exhaustively check the modularity axiom over all (v, w, i) with
     0 < supp(v)_i <= supp(w)_i: some r must give supp(v + r w)_i < supp(v)_i.
+    The witness is the first (v, w, i) in lexicographic scan order.
 
     Results are memoized on the support (supports are immutable)."""
     cached = getattr(s, "_modular_report", None)
     if cached is not None:
         return cached
-    ring = s.ring
-    check_cap(ring.size**s.n, cap, "modularity validation")
-    tables = _space_tables(ring, s.n)
+    ring, n = s.ring, s.n
+    check_cap(ring.size**n, cap, "modularity validation")
+    digits, vals = ring.space(n), s.values()
+    multiples = np.tile(ring.space(1), n)[:, None] * digits  # [r, w] = r w, unreduced
 
-    def unreduced():
-        if tables is None:
-            scalars = tuple(ring.elements())
-            for v in ring.vectors(s.n, cap=cap):
-                sv = s(v)
-                for w in ring.vectors(s.n, cap=cap):
-                    sw = s(w)
-                    for i in range(s.u):
-                        if 0 < sv[i] <= sw[i] and not any(
-                            s(ring.vadd(v, ring.vscale(r, w)))[i] < sv[i]
-                            for r in scalars
-                        ):
-                            yield f"v={v}, w={w}, i={i}"
-            return
-        arr = _support_array(s, tables)
-        for vi, v in enumerate(tables.vectors):
-            sv = arr[vi]
-            if not sv.any():
-                continue
-            mins = arr[tables.add[vi, tables.mult]].min(axis=0)
-            bad = (sv > 0) & (sv <= arr) & (mins >= sv)
-            for w_i, i in np.argwhere(bad).tolist():
-                yield f"v={v}, w={tables.vectors[w_i]}, i={i}"
+    def unreduced(rows):
+        image = ring.index(digits[rows, None, None] + multiples, n)
+        least = vals[image].min(axis=1)
+        sv = vals[rows, None]
+        return (sv > 0) & (sv <= vals) & (least >= sv)
 
-    report = Report.from_checks([Check.from_witnesses("axiom4_modular", unreduced())])
+    width = multiples.size + multiples.shape[0] * vals.size
+    report = Report.from_checks([Check.from_witnesses("axiom4_modular", (
+        f"v={_vector(ring, digits, v)}, w={_vector(ring, digits, w)}, i={i}"
+        for v, w, i in scan_rows(len(vals), width, unreduced)
+    ))])
     s._modular_report = report
     return report
 

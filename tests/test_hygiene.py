@@ -1,9 +1,12 @@
-"""Static hygiene of the package source: every import is used.
+"""Static hygiene of the package source: every import is used, and every
+private module-level definition is used somewhere in the package.
 
 Each module under ``src/latroids`` is parsed with ``ast``; a name bound by an
 import statement must be read somewhere in the module (string annotations
 included).  ``__init__`` is exempt, since its imports are the re-exported
-public API.
+public API.  A private module-level name (``_name``: a function, a class or
+an assignment target) must be read, or taken as an attribute, in some module
+of the package.
 """
 
 from __future__ import annotations
@@ -69,3 +72,59 @@ def test_checker_sees_unused_import():
     tree = ast.parse("import os\nfrom x import y, z as w\nprint(y)\n")
     used = _read_names(tree)
     assert {n for n in _imported_names(tree) if n not in used} == {"os", "w"}
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` definitions (not dunders), with their lines."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    return _read_names(tree) | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def _unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    used = set().union(*(_referenced_names(t) for t in trees.values()))
+    return sorted(
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in used
+    )
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    unused = _unreferenced_privates(trees)
+    assert not unused, f"private definitions used nowhere: {', '.join(unused)}"
+
+
+def test_checker_sees_unreferenced_private_definitions():
+    trees = {
+        "a.py": ast.parse(
+            "_LIMIT = 3\n_cache: dict = {}\n"
+            "class _Tables: pass\n"
+            "def _used(): return _LIMIT\n"
+            "def _helper(): pass\n"
+            "def public(): return _used()\n"
+        ),
+        "b.py": ast.parse("from . import a\nx = a._helper\n"),
+    }
+    assert _unreferenced_privates(trees) == [
+        "a.py: _Tables (line 3)",
+        "a.py: _cache (line 2)",
+    ]

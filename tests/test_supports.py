@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from latroids.codes import enumerate_submodules, full_space, span_from_ints
+from latroids.core import sleq
+from latroids.report import Check, Report
 from latroids.rings import parse_ring
 from latroids.supports import (
     ChainSupport,
@@ -194,3 +198,134 @@ def test_table_support_must_cover_domain():
 def test_product_support_needs_single_coordinate_parts():
     with pytest.raises(ValueError):
         ProductSupport(Z4, [ChainSupport(Z4, 2)])
+
+
+# -- the validators against plain reference loops ---------------------------------
+#
+# The loops below scan R^n in lexicographic order exactly as the validators
+# promise (r then v for axiom 2, v then w for axiom 3, v then w then i for
+# axiom 4), so every report, first witness included, must agree.
+
+
+def _vmax(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def reference_support_report(s) -> dict:
+    ring, n = s.ring, s.n
+    vectors = list(ring.vectors(n))
+
+    def zero_iff_zero():
+        for v in vectors:
+            sv = s(v)
+            if any(x < 0 for x in sv):
+                yield f"supp({v}) has a negative coordinate"
+            elif (sv == (0,) * s.u) != (v == ring.zero_vector(n)):
+                yield f"supp({v}) = {sv}"
+
+    def growing_multiples():
+        for r in ring.elements():
+            for v in vectors:
+                if not sleq(s(ring.vscale(r, v)), s(v)):
+                    yield f"r={r}, v={v}"
+
+    def growing_sums():
+        for v in vectors:
+            for w in vectors:
+                if not sleq(s(ring.vadd(v, w)), _vmax(s(v), s(w))):
+                    yield f"v={v}, w={w}"
+
+    return Report.from_checks([
+        Check.from_witnesses("axiom1_zero_iff_zero", zero_iff_zero()),
+        Check.from_witnesses("axiom2_scalar_monotone", growing_multiples()),
+        Check.from_witnesses("axiom3_subadditive", growing_sums()),
+    ]).to_dict()
+
+
+def reference_modular_report(s) -> dict:
+    ring = s.ring
+    vectors = list(ring.vectors(s.n))
+    scalars = list(ring.elements())
+
+    def unreduced():
+        for v in vectors:
+            sv = s(v)
+            for w in vectors:
+                sw = s(w)
+                for i in range(s.u):
+                    if 0 < sv[i] <= sw[i] and not any(
+                        s(ring.vadd(v, ring.vscale(r, w)))[i] < sv[i] for r in scalars
+                    ):
+                        yield f"v={v}, w={w}, i={i}"
+
+    return Report.from_checks([Check.from_witnesses("axiom4_modular", unreduced())]).to_dict()
+
+
+REFERENCE_SPACES = [
+    (name, n)
+    for name in ("Z_2", "Z_3", "Z_4", "Z_5", "Z_7", "Z_8", "Z_9", "Z_2 x Z_3", "Z_2 x Z_2")
+    for n in range(1, 7)
+    if parse_ring(name).size ** n <= 64
+]
+
+
+def perturbed_tables(ring, n, count):
+    """Chain and Hamming tables with one to three entries moved by one (a
+    coordinate may turn negative) or a nonzero vector sent to zero;
+    seeded by the space, so the same tables are drawn on every run."""
+    rng = random.Random(f"{ring}^{n}")
+    vectors = list(ring.vectors(n))
+    out = []
+    for t in range(count):
+        base = ChainSupport(ring, n) if t % 2 else HammingSupport(ring, n)
+        table = {v: base(v) for v in vectors}
+        for _ in range(rng.randint(1, 3)):
+            v = rng.choice(vectors)
+            if rng.random() < 0.2 and v != ring.zero_vector(n):
+                table[v] = (0,) * base.u
+            else:
+                j = rng.randrange(base.u)
+                sv = list(table[v])
+                sv[j] += rng.choice((-1, 1))
+                table[v] = tuple(sv)
+        out.append(TableSupport(ring, n, table, validate=False))
+    return out
+
+
+def reference_fixtures(name, n):
+    ring = parse_ring(name)
+    out = [
+        ChainSupport(ring, n),
+        HammingSupport(ring, n),
+        ProductSupport(ring, [
+            ChainSupport(ring, 1) if i % 2 else HammingSupport(ring, 1) for i in range(n)
+        ]),
+        tau_support(ring, n),
+    ]
+    if name == "Z_4":
+        out.append(support_from_unit_table(ring, n, LEE_TABLE, validate=False))
+    return out + perturbed_tables(ring, n, 6 if ring.size**n <= 16 else 3)
+
+
+@pytest.mark.parametrize("name, n", REFERENCE_SPACES, ids=[f"{a}^{n}" for a, n in REFERENCE_SPACES])
+def test_validators_match_reference_loops(name, n):
+    for s in reference_fixtures(name, n):
+        assert validate_support(s).to_dict() == reference_support_report(s)
+        assert validate_modular(s).to_dict() == reference_modular_report(s)
+
+
+def test_reference_fixtures_fail_every_axiom():
+    outcomes = {}
+    for name, n in REFERENCE_SPACES:
+        for s in reference_fixtures(name, n):
+            for check in validate_support(s).checks + validate_modular(s).checks:
+                outcomes.setdefault(check.name, set()).add(check.ok)
+                if "negative" in check.detail:
+                    outcomes.setdefault("negative coordinate", set()).add(False)
+    assert outcomes == {
+        "axiom1_zero_iff_zero": {True, False},
+        "axiom2_scalar_monotone": {True, False},
+        "axiom3_subadditive": {True, False},
+        "axiom4_modular": {True, False},
+        "negative coordinate": {False},
+    }

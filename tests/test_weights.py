@@ -4,15 +4,20 @@ idiom the validators share."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from latroids.code_latroids import (
+    _subcodes,
     block_matroid_weights_equal,
     chain_support_latroid,
     code_gen_weights_dbar,
     code_gen_weights_dr,
     hamming_code_gen_weights,
     latroid_weights_equal_code_weights,
+    matrix_code,
+    product_matrix_code,
     qpolymatroid_axioms,
     rank_code_gen_weights,
     rank_metric_latroid,
@@ -34,8 +39,8 @@ from latroids.enumerators import (
     tutte_whitney_Rprime,
 )
 from latroids.report import Check
-from latroids.rings import parse_ring
-from latroids.selftest import rank_metric_code_corpus, tutte_code_corpus
+from latroids.rings import intlog, parse_ring
+from latroids.selftest import rank_metric_code_corpus, tutte_code_corpus, two_block_sum_rank_code
 from latroids.supports import ChainSupport, HammingSupport
 
 F2 = parse_ring("Z_2")
@@ -105,6 +110,52 @@ def test_rank_weights_scale_by_m():
 def test_single_block_sum_rank_weights_are_rank_weights():
     for _, mc in rank_metric_code_corpus():
         assert sum_rank_code_gen_weights(mc) == rank_code_gen_weights(mc)
+
+
+def q_binomial(k: int, r: int, q: int) -> int:
+    """The number of r-dimensional subspaces of F_q^k."""
+    num = den = 1
+    for i in range(r):
+        num *= q ** (k - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+MATRIX_CODES = list(rank_metric_code_corpus()) + [
+    ("two-block F_2", two_block_sum_rank_code()),
+    ("two-block F_3", product_matrix_code(
+        single_matrix_code(3, 3, 1, [[(1,), (0,), (0,)]]),
+        single_matrix_code(3, 3, 2, [[(1, 0), (0, 1), (0, 0)], [(0, 1), (0, 0), (1, 0)]]),
+    )),
+]
+
+
+@pytest.mark.parametrize("name, mc", MATRIX_CODES, ids=[name for name, _ in MATRIX_CODES])
+def test_matrix_code_subcodes_are_counted_by_gaussian_binomials(name, mc):
+    k = mc.dim()
+    subs = _subcodes(mc)
+    assert len(set(subs)) == len(subs)
+    assert all(s <= mc.codewords for s in subs)
+    by_dim = Counter(intlog(mc.q, len(s)) for s in subs)
+    assert by_dim == {r: q_binomial(k, r, mc.q) for r in range(k + 1)}
+
+
+def test_product_matrix_code_is_the_direct_product():
+    a = single_matrix_code(3, 3, 1, [[(1,), (0,), (0,)]])
+    b = single_matrix_code(3, 3, 2, [[(1, 0), (0, 1), (0, 0)], [(0, 1), (0, 0), (1, 0)]])
+    p = product_matrix_code(a, b)
+    assert p.blocks == a.blocks + b.blocks
+    assert p.codewords == {x + y for x in a.codewords for y in b.codewords}
+
+
+def test_q_binomial():
+    assert [q_binomial(3, r, 2) for r in range(4)] == [1, 7, 7, 1]
+    assert q_binomial(2, 1, 3) == 4
+
+
+def test_matrix_code_needs_a_prime_field():
+    with pytest.raises(ValueError, match="not prime"):
+        matrix_code(4, [(2, 2)], [(((1, 0), (0, 1)),)])
 
 
 def test_weights_equal_report_flags_mismatches():
