@@ -6,6 +6,7 @@ brute-force submodule oracles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,8 +206,7 @@ class MatrixCode:
 
 
 def matrix_code(q: int, blocks, generators, cap: int = SPAN_CAP) -> MatrixCode:
-    """The F_q-span of generator words (tuples of block matrices); q must
-    be prime."""
+    """The F_q-span of generator words (tuples of block matrices), q prime."""
     blocks = tuple((int(m), int(n)) for m, n in blocks)
     rows = []
     for word in generators:
@@ -216,7 +216,10 @@ def matrix_code(q: int, blocks, generators, cap: int = SPAN_CAP) -> MatrixCode:
                 raise ValueError(f"block {mat} does not have shape {m}x{n}")
         rows.append(_entries(word))
     check_cap(q ** len(rows), cap, "matrix code span")
-    return _spanned(q, blocks, rows)
+    # The span never enumerates the ambient space, so its size caps nothing.
+    length = sum(m * n for m, n in blocks)
+    code = span_from_ints(chain_ring(q, 1), length, rows, cap=q**length)
+    return MatrixCode(q, blocks, frozenset(_block_word(blocks, c) for c in code.codewords))
 
 
 def single_matrix_code(q: int, m: int, n: int, generators, cap: int = SPAN_CAP) -> MatrixCode:
@@ -224,23 +227,16 @@ def single_matrix_code(q: int, m: int, n: int, generators, cap: int = SPAN_CAP) 
 
 
 def product_matrix_code(*factors: MatrixCode) -> MatrixCode:
-    """The direct product of matrix codes, one block group per factor: the
-    span of every factor's basis, padded with zeros in the other blocks."""
+    """The direct product of matrix codes, one block group per factor."""
     q = factors[0].q
     if any(f.q != q for f in factors):
         raise ValueError("factors must share the field")
-    total = sum(_length(f.blocks) for f in factors)
-    rows, offset = [], 0
-    for f in factors:
-        width = _length(f.blocks)
-        for row in linalg.rref([_entries(w) for w in f.codewords], q):
-            rows.append((0,) * offset + row + (0,) * (total - offset - width))
-        offset += width
-    return _spanned(q, tuple(b for f in factors for b in f.blocks), rows)
-
-
-def _length(blocks) -> int:
-    return sum(m * n for m, n in blocks)
+    blocks = tuple(b for f in factors for b in f.blocks)
+    words = frozenset(
+        tuple(itertools.chain.from_iterable(ws))
+        for ws in itertools.product(*(f.codewords for f in factors))
+    )
+    return MatrixCode(q, blocks, words)
 
 
 def _entries(word) -> tuple[int, ...]:
@@ -254,20 +250,11 @@ def _block_word(blocks, v) -> tuple[Matrix, ...]:
     return tuple(tuple(tuple(next(entries) for _ in range(n)) for _ in range(m)) for m, n in blocks)
 
 
-def _spanned(q: int, blocks, rows) -> MatrixCode:
-    """The F_q-span of entry rows as a matrix code (q prime).  It holds at
-    most q^len(rows) words; the ambient space is never enumerated, so its
-    size caps nothing."""
-    length = _length(blocks)
-    code = span_from_ints(chain_ring(q, 1), length, rows, cap=q**length)
-    return MatrixCode(q, blocks, frozenset(_block_word(blocks, c) for c in code.codewords))
-
-
 def _as_code(mc: MatrixCode) -> Code:
     """The matrix code as a code over Z_q of length sum m_i n_i."""
     ring = chain_ring(mc.q, 1)
     words = frozenset(ring.vector_from_ints(_entries(w)) for w in mc.codewords)
-    return Code(ring, _length(mc.blocks), (), words)
+    return Code(ring, sum(m * n for m, n in mc.blocks), (), words)
 
 
 def _rows_in_subspace(mat: Matrix, basis, q: int) -> bool:

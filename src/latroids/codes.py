@@ -5,11 +5,10 @@ Codes are kept as full codeword sets in a canonical sorted order; every
 downstream computation here is exhaustive, so set equality is the only
 notion of code equality we need.
 
-``enumerate_submodules`` works on the digit encoding of R^n from
-``rings``: sorted codewords have sorted indices, so sums and multiples of
-codewords are located with ``searchsorted``.  ``span``, ``code_sum``,
-``Code.scaled`` and ``Code.factor`` stay on ``Pir`` tuple arithmetic: they
-build small sets of tuples, which is what their callers hold.
+``enumerate_submodules`` locates sums and multiples of codeword digits
+(the encoding of R^n from ``rings``) in the sorted code.  ``span``,
+``code_sum``, ``Code.scaled`` and ``Code.factor`` stay on ``Pir`` tuple
+arithmetic: they build small sets of tuples, which is what callers hold.
 """
 
 from __future__ import annotations
@@ -157,22 +156,47 @@ def big_m(code: Code) -> int:
 # -- submodule enumeration ---------------------------------------------------
 
 
+def _row_locator(digits: np.ndarray, mods: np.ndarray):
+    """Locates rows (maybe unreduced) among ``digits``, distinct reduced rows
+    in sorted order.  Runs of digits fold into int64 keys by mixed radix; before
+    a run could overflow, keys become their ranks among those of ``digits``,
+    which keep the order and stay below len(digits).  (``Pir.index`` is one
+    run: it overflows once R^n has 2**63 vectors, as a small code's may.)"""
+    cuts, bound = [0], 1
+    for j, mod in enumerate(mods.tolist()):
+        if bound * mod >= 2**63:
+            cuts.append(j)
+            bound = len(digits)
+        bound *= mod
+    levels = []
+
+    def locate(rows: np.ndarray, build: bool = False) -> np.ndarray:
+        key = np.zeros(rows.shape[:-1], dtype=np.int64)
+        for i, (start, stop) in enumerate(zip(cuts, cuts[1:] + [len(mods)])):
+            run = mods[start:stop]
+            key = key * run.prod() + rows[..., start:stop] % run @ (run.prod() // np.cumprod(run))
+            if build:
+                levels.append(np.unique(key))
+            key = np.searchsorted(levels[i], key)
+        return key
+
+    locate(digits, build=True)
+    return locate
+
+
 def enumerate_submodules(code: Code, cap: int = SUBMODULE_CAP) -> list[Code]:
     """All submodules of the code, in a deterministic order.
 
     Every submodule is a join of cyclic submodules, so closing the set of
     cyclic submodules under pairwise sums reaches all of them.  Codewords
-    are re-indexed into the code itself: their digit indices are sorted,
-    so ``searchsorted`` turns the sums and multiples into table entries.
+    are numbered by their position in the sorted code, and the sums and
+    multiples of codeword digits are located among them by ``_row_locator``.
     """
     check_cap(len(code), cap, "submodule enumeration")
     ring, n = code.ring, code.n
     words = code.sorted_words()
     digits = ring.encode(words, n)
-    indices = ring.index(digits, n)
-
-    def positions(image: np.ndarray) -> np.ndarray:
-        return np.searchsorted(indices, ring.index(image, n))
+    positions = _row_locator(digits, ring.mods(n))
 
     # Row by row, so the digit temporary is one row's (m, n * ell), not m times that.
     add = np.empty((len(words), len(words)), dtype=np.int32)

@@ -95,9 +95,8 @@ class Latroid:
         )
 
 
-#: Entries per block of rows in the exhaustive scans (validate_latroid and
-#: the support validators); bounds their temporary arrays, and so peak
-#: memory, on big inputs.
+#: Entries per block of rows in the exhaustive scans (validate_latroid, the
+#: support validators); bounds their temporary arrays and so peak memory.
 _SCAN_BLOCK = 1 << 13
 
 

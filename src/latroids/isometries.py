@@ -2,10 +2,9 @@
 diagonal-times-permutation decomposition over chain rings, per-factor
 projections over product rings, and invariance of code invariants.
 
-A matrix acts on the digit encoding of R^n from ``rings``: entries as an
-(n, n, ell) residue array, vectors as rows of digits, and the action is
-one ``einsum`` reduced mod the factor sizes.  Every function taking a
-matrix for a support or code on R^n first checks that it is n x n.
+A matrix acts on the digit encoding of R^n from ``rings`` by one ``einsum``
+on its (n, n, ell) entry array.  Every function taking a matrix for a
+support or code on R^n first checks that it is n x n.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ def _as_array(ring: Pir, mat: RingMatrix, n: int) -> np.ndarray:
 
 def _act(ring: Pir, entries: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """The matrix applied to every row of a digit array of R^n."""
-    count, n = len(digits), len(entries)
-    v = digits.reshape(count, n, ring.ell)
-    return (np.einsum("ijf,vjf->vif", entries, v) % ring.sizes).reshape(count, -1)
+    v = digits.reshape(len(digits), len(entries), ring.ell)
+    return (np.einsum("ijf,vjf->vif", entries, v) % ring.sizes).reshape(len(v), -1)
 
 
 def apply_matrix(ring: Pir, mat: RingMatrix, v: Vector) -> Vector:

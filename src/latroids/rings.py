@@ -5,16 +5,12 @@ Elements of a product ring are tuples of residues, one per factor, with
 coordinate i reduced modulo p_i^{k_i}.  Vectors are tuples of elements.
 All arithmetic is exact.
 
-The exhaustive scans of R^n (support axioms, submodule sums, isometries)
-use one array encoding instead: a vector is a row of n * ell residue
-digits whose moduli are ``sizes`` tiled n times, and its index is the
-mixed-radix number of those digits.  Since ``vectors(n)`` is lexicographic,
-the index is the vector's position there, and sorted vectors have sorted
-indices.  Sums, multiples and matrix actions are then ``%`` arithmetic on
-integer arrays (``mods``, ``radix``, ``index``, ``encode``, ``decode``,
-``space``).  The element-wise methods (``add``, ``mul``, ``vadd``, ``vscale``) stay for
-the small sets that ``codes.span`` and code sums build from tuples, where
-converting to arrays and back would cost more than it saves.
+The exhaustive scans of R^n use one array encoding instead: a vector is a
+row of n * ell residue digits (moduli ``sizes`` tiled n times), and the
+mixed-radix number of its digits is its position in the lexicographic
+``vectors(n)``.  Sums, multiples and matrix actions are ``%`` arithmetic on
+such arrays.  The tuple methods stay for the small sets that ``codes.span``
+and code sums build, where converting to arrays would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -237,7 +233,10 @@ class Pir:
         return np.tile(np.array(self.sizes, dtype=np.int64), n)
 
     def radix(self, n: int) -> np.ndarray:
-        """The place value of each digit: ``digits @ radix`` is the index."""
+        """The place value of each digit: ``digits @ radix`` is the index.
+        Indices are int64, so R^n must have fewer than 2**63 vectors."""
+        if self.size**n >= 2**63:
+            raise OverflowError(f"indices of {self}^{n} do not fit in int64")
         mods = self.mods(n)
         return mods.prod() // np.cumprod(mods)
 
@@ -253,16 +252,11 @@ class Pir:
 
     def decode(self, digits: np.ndarray) -> list[Vector]:
         """Rows of digits back to vectors (tuples of Python ints)."""
-        ell = self.ell
-        return [
-            tuple(tuple(row[i : i + ell]) for i in range(0, len(row), ell))
-            for row in digits.tolist()
-        ]
+        return [tuple(zip(*[iter(row)] * self.ell)) for row in digits.tolist()]
 
     def space(self, n: int) -> np.ndarray:
         """All of R^n as digits; row i is the vector of index i."""
-        indices = np.arange(self.size**n, dtype=np.int64)
-        return indices[:, None] // self.radix(n) % self.mods(n)
+        return np.arange(self.size**n)[:, None] // self.radix(n) % self.mods(n)
 
     # -- ideals ------------------------------------------------------------
 

@@ -7,10 +7,9 @@ be strictly decreased by adding a suitable multiple of w.  (The positivity
 guard is forced: at supp(v)_i = 0 no support could decrease further, the
 Hamming support included.)
 
-The validators and ``Support.values`` work on the digit encoding of R^n
-from ``rings``: row i of every array is the vector of index i, so sums and
-multiples of all vectors at once are integer array arithmetic followed by
-``Pir.index``, and each scan visits its rows in lexicographic order.
+The validators work on the digit encoding of R^n from ``rings``: row i of
+every array is the vector of index i, sums and multiples are array
+arithmetic plus ``Pir.index``, and scans visit rows in lexicographic order.
 """
 
 from __future__ import annotations
@@ -319,15 +318,16 @@ def validate_modular(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
     ring, n = s.ring, s.n
     check_cap(ring.size**n, cap, "modularity validation")
     digits, vals = ring.space(n), s.values()
-    multiples = np.tile(ring.space(1), n)[:, None] * digits  # [r, w] = r w, unreduced
+    scalars = np.tile(ring.space(1), n)
 
     def unreduced(rows):
-        image = ring.index(digits[rows, None, None] + multiples, n)
-        least = vals[image].min(axis=1)
-        sv = vals[rows, None]
+        least = sv = vals[rows, None]  # r = 0 leaves v as it is
+        for r in scalars[1:]:
+            image = ring.index(digits[rows, None] + r * digits, n)
+            least = np.minimum(least, vals[image])
         return (sv > 0) & (sv <= vals) & (least >= sv)
 
-    width = multiples.size + multiples.shape[0] * vals.size
+    width = len(vals) * (s.u + digits.shape[1])
     report = Report.from_checks([Check.from_witnesses("axiom4_modular", (
         f"v={_vector(ring, digits, v)}, w={_vector(ring, digits, w)}, i={i}"
         for v, w, i in scan_rows(len(vals), width, unreduced)

@@ -101,6 +101,27 @@ def test_enumerate_submodules_closed_under_sum_and_intersection():
         assert code_intersection(a, b).codewords in keys
 
 
+@pytest.mark.parametrize("ring_text, tail", [("Z_2", 62), ("Z_3", 39), ("Z_4", 38)])
+def test_enumerate_submodules_beyond_int64_indices(ring_text, tail):
+    # Generators (e_i | random tail) put the code in an R^n with at least
+    # 2**63 vectors; projecting onto the first two coordinates is an
+    # order-preserving bijection onto the short code R^2, so the submodules
+    # must correspond one to one, in the same order.
+    ring = parse_ring(ring_text)
+    size = ring.size
+    rows = [
+        [1, 0] + [(3 * j + 1) % size for j in range(tail)],
+        [0, 1] + [(j * j + 2) % size for j in range(tail)],
+    ]
+    ambient = size ** (2 + tail)
+    assert ambient >= 2**63
+    long_subs = enumerate_submodules(span_from_ints(ring, 2 + tail, rows, cap=ambient))
+    short_subs = enumerate_submodules(full_space(ring, 2))
+    assert [{w[:2] for w in s.codewords} for s in long_subs] == [
+        set(s.codewords) for s in short_subs
+    ]
+
+
 def test_enumerate_submodules_cap():
     with pytest.raises(CapExceededError):
         enumerate_submodules(full_space(F2, 3), cap=4)

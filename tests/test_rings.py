@@ -122,3 +122,24 @@ def test_intlog():
     assert intlog(3, 1) == 0
     with pytest.raises(ValueError):
         intlog(2, 12)
+
+
+@pytest.mark.parametrize("text, n", [("Z_4", 3), ("Z_9", 2), ("Z_2 x Z_3", 2), ("Z_2 x Z_2", 3)])
+def test_digit_encoding_matches_vector_order(text, n):
+    ring = parse_ring(text)
+    digits = ring.space(n)
+    vectors = list(ring.vectors(n))
+    assert ring.decode(digits) == vectors
+    assert (ring.encode(vectors, n) == digits).all()
+    assert ring.index(digits, n).tolist() == list(range(len(vectors)))
+    # Unreduced digits index like their reductions.
+    assert (ring.index(digits + ring.mods(n), n) == ring.index(digits, n)).all()
+
+
+def test_radix_rejects_spaces_beyond_int64():
+    ring = parse_ring("Z_2")
+    assert ring.radix(62)[0] == 2**61
+    with pytest.raises(OverflowError):
+        ring.radix(63)
+    with pytest.raises(OverflowError):
+        parse_ring("Z_3").radix(40)

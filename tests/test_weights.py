@@ -140,6 +140,21 @@ def test_matrix_code_subcodes_are_counted_by_gaussian_binomials(name, mc):
     assert by_dim == {r: q_binomial(k, r, mc.q) for r in range(k + 1)}
 
 
+def test_long_matrix_code_subcodes():
+    # 8 x 8 binary matrices: the code lives in F_2^64, past int64 indices.
+    gens = [
+        [[(i * j + k) % 2 for j in range(8)] for i in range(8)]
+        for k in range(2)
+    ] + [[[int(i == j) for j in range(8)] for i in range(8)]]
+    mc = single_matrix_code(2, 8, 8, gens)
+    k = mc.dim()
+    subs = _subcodes(mc)
+    assert Counter(intlog(2, len(s)) for s in subs) == {
+        r: q_binomial(k, r, 2) for r in range(k + 1)
+    }
+    assert rank_code_gen_weights(mc)[-1] == 8
+
+
 def test_product_matrix_code_is_the_direct_product():
     a = single_matrix_code(3, 3, 1, [[(1,), (0,), (0,)]])
     b = single_matrix_code(3, 3, 2, [[(1, 0), (0, 1), (0, 0)], [(0, 1), (0, 0), (1, 0)]])
