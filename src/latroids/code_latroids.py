@@ -6,11 +6,13 @@ brute-force submodule oracles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+import numpy as np
+
 from .codes import (
     Code,
     big_m,
@@ -19,17 +21,18 @@ from .codes import (
     length_lambda,
     rect_meet,
     rectangular_closure,
+    rref,
     span_from_ints,
 )
 from .core import Latroid, _validated, generalized_weight, sleq
 from .lattices import (
     FiniteLattice,
+    _subspaces,
     boolean_lattice,
     chain_support_lattice,
     product as product_lattice,
     rectangular_lattice,
     submodule_lattice,
-    subspace_lattice,
 )
 from .limits import SPAN_CAP, check_cap
 from .report import Check, Report
@@ -257,51 +260,63 @@ def _as_code(mc: MatrixCode) -> Code:
     return Code(ring, sum(m * n for m, n in mc.blocks), (), words)
 
 
-def _rows_in_subspace(mat: Matrix, basis, q: int) -> bool:
-    return all(linalg.in_span(basis, row, q) for row in mat)
-
-
-def _cols_in_subspace(mat: Matrix, basis, q: int) -> bool:
-    return all(linalg.in_span(basis, col, q) for col in zip(*mat))
-
-
 # -- rank-metric latroids ------------------------------------------------------------
+#
+# A subspace V of F_q^n is held as a row of the membership matrix from
+# ``lattices._subspaces``: members[V, j] says whether the j-th vector of F_q^n
+# (in the order of ``Pir.space``) lies in V.  Each row (or column) of a
+# codeword's block is likewise held as its index j in F_q^n, so a codeword
+# lies in the subcode of V exactly when members[V, j] holds for every one of
+# its row indices, and the subcode sizes are one boolean reduction.
+
+
+def _block_subspaces(mc: MatrixCode, spaces: str, cap: int):
+    """Per block: the subspace lattice of the row (``spaces="row"``) or
+    column spaces, its membership matrix, and inside[V, w], true when every
+    row (column) of word w's block lies in V."""
+    words = list(mc.codewords)
+    out = []
+    for b in range(mc.ell):
+        mats = np.array([w[b] for w in words], dtype=np.int64)
+        if spaces == "column":
+            mats = mats.transpose(0, 2, 1)
+        d = mats.shape[2]
+        lattice, members = _subspaces(mc.q, d, cap)
+        rows = chain_ring(mc.q, 1).index(mats, d)
+        out.append((lattice, members, members[:, rows].all(axis=2)))
+    return out
+
+
+def _perps(members: np.ndarray, q: int, n: int) -> list[int]:
+    """The index of V^perp for each subspace V of F_q^n.  One product with
+    the nonzero-dot-product matrix of F_q^n counts, for each vector, the
+    members of V it is not orthogonal to; V^perp is found by its
+    membership row."""
+    space = chain_ring(q, 1).space(n)
+    skew = (space @ space.T % q != 0).astype(np.float32)
+    perp_rows = members.astype(np.float32) @ skew == 0
+    row_of = {row.tobytes(): i for i, row in enumerate(members)}
+    return [row_of[row.tobytes()] for row in perp_rows]
 
 
 def rank_metric_latroid(mc: MatrixCode, validate: bool = True, cap: int = 256) -> Latroid:
     """rho(V) = m dim(V) - dim{c : rowspace(c) in V} on the subspace
-    lattice of F_q^n."""
-    m, n = mc.shape
-    lattice = subspace_lattice(mc.q, n, cap=cap)
-
-    def subcode_dim(basis) -> int:
-        words = [c for c in mc.codewords if _rows_in_subspace(c[0], basis, mc.q)]
-        return intlog(mc.q, len(words))
-
-    lt = Latroid.from_functions(
-        lattice,
-        lambda b: m * len(b) - subcode_dim(b),
-        lambda b: m * len(b),
-    )
-    return _validated(lt, validate)
+    lattice of F_q^n: the one-block row-space sum-rank latroid."""
+    mc.shape  # raises unless the code has one block
+    return sum_rank_latroid(mc, spaces="row", validate=validate, cap=cap)
 
 
 def tilde_polymatroid(mc: MatrixCode, validate: bool = True, cap: int = 256) -> Latroid:
     """The rational-rank variant rho(V) = (dim C - dim C(V*)) / m with
     dim as length; a q-polymatroid presented as a latroid."""
     m, n = mc.shape
-    lattice = subspace_lattice(mc.q, n, cap=cap)
-    dim_c = mc.dim()
-
-    def subcode_dim(basis) -> int:
-        words = [c for c in mc.codewords if _rows_in_subspace(c[0], basis, mc.q)]
-        return intlog(mc.q, len(words))
-
-    def rho(basis):
-        perp = linalg.orthogonal_complement(basis, mc.q, n)
-        return Fraction(dim_c - subcode_dim(perp), m)
-
-    lt = Latroid.from_functions(lattice, rho, lambda b: len(b))
+    [(lattice, members, inside)] = _block_subspaces(mc, "row", cap)
+    counts = inside.sum(axis=1).tolist()
+    rank = tuple(
+        (Fraction(mc.dim() - intlog(mc.q, counts[p]), m),)
+        for p in _perps(members, mc.q, n)
+    )
+    lt = Latroid(lattice, rank, tuple((len(b),) for b in lattice.labels), 1)
     return _validated(lt, validate)
 
 
@@ -336,12 +351,13 @@ def tilde_relation_check(mc: MatrixCode, cap: int = 256) -> Report:
     plain = rank_metric_latroid(mc, validate=False, cap=cap)
     tilde = tilde_polymatroid(mc, validate=False, cap=cap)
     lat = plain.lattice
+    perp = _perps(_subspaces(mc.q, n, cap)[1], mc.q, n)
 
     def mismatches():
         for i, basis in enumerate(lat.labels):
-            perp = linalg.orthogonal_complement(basis, mc.q, n)
+            j = perp[i]
             expected = Fraction(
-                plain.rank[lat.index[perp]][0] - m * len(perp) + mc.dim(), m
+                plain.rank[j][0] - m * len(lat.labels[j]) + mc.dim(), m
             )
             if tilde.rank[i][0] != expected:
                 yield f"V = {basis}"
@@ -370,38 +386,16 @@ def sum_rank_latroid(mc: MatrixCode, spaces: str = "column",
         raise ValueError(
             "column-space sum-rank latroids need m_i >= n_i in every block"
         )
-    dims = [m if spaces == "column" else n for m, n in mc.blocks]
-    factors = [subspace_lattice(mc.q, d, cap=cap) for d in dims]
-    lattice = factors[0]
-    for f in factors[1:]:
-        lattice = product_lattice(lattice, f)
-
-    def unpack(label):
-        out = []
-        for _ in range(mc.ell - 1):
-            label, last = label
-            out.append(last)
-        out.append(label)
-        return tuple(reversed(out))
-
-    contains = _rows_in_subspace if spaces == "row" else _cols_in_subspace
-
-    def subcode_dim(bases) -> int:
-        words = [
-            w
-            for w in mc.codewords
-            if all(contains(mat, basis, mc.q) for mat, basis in zip(w, bases))
-        ]
-        return intlog(mc.q, len(words))
-
-    def length(label):
-        bases = unpack(label)
-        return sum(m * len(b) for (m, _), b in zip(mc.blocks, bases))
-
-    def rho(label):
-        return length(label) - subcode_dim(unpack(label))
-
-    lt = Latroid.from_functions(lattice, rho, length)
+    parts = _block_subspaces(mc, spaces, cap)
+    lattice = functools.reduce(product_lattice, [lat for lat, _, _ in parts])
+    # Element (V_1, ..., V_l) in the row-major order of the product.
+    length, inside = np.zeros(1, dtype=np.int64), np.ones((1, len(mc)), dtype=bool)
+    for (m, _), (lat, _, ins) in zip(mc.blocks, parts):
+        length = (length[:, None] + [m * len(b) for b in lat.labels]).ravel()
+        inside = (inside[:, None] & ins).reshape(-1, len(mc))
+    counts = inside.sum(axis=1).tolist()
+    rank = tuple((d - intlog(mc.q, c),) for d, c in zip(length.tolist(), counts))
+    lt = Latroid(lattice, rank, tuple((d,) for d in length.tolist()), 1)
     return _validated(lt, validate)
 
 
@@ -502,7 +496,7 @@ def _rowspace_dim_of_subcode(sub, q: int, block: int | None = None) -> int:
         mats = word if block is None else (word[block],)
         for mat in mats:
             rows.extend(mat)
-    return len(linalg.rref(rows, q))
+    return len(rref(rows, q))
 
 
 def rank_code_gen_weights(mc: MatrixCode) -> list[int]:

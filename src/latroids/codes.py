@@ -9,6 +9,11 @@ notion of code equality we need.
 (the encoding of R^n from ``rings``) in the sorted code.  ``span``,
 ``code_sum``, ``Code.scaled`` and ``Code.factor`` stay on ``Pir`` tuple
 arithmetic: they build small sets of tuples, which is what callers hold.
+
+Over a prime field F_p, ``rref`` row-reduces a list of vectors; the reduced
+row echelon basis is the canonical label of the subspace they span (the
+labels of ``lattices.subspace_lattice``), and its length is the dimension
+(the row spaces the rank-weight oracles measure).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limits import SPAN_CAP, SUBMODULE_CAP, check_cap
-from .rings import Ideal, Pir, Vector, intlog
+from .rings import Ideal, Pir, Vector, intlog, is_prime
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,9 +193,11 @@ def enumerate_submodules(code: Code, cap: int = SUBMODULE_CAP) -> list[Code]:
     """All submodules of the code, in a deterministic order.
 
     Every submodule is a join of cyclic submodules, so closing the set of
-    cyclic submodules under pairwise sums reaches all of them.  Codewords
-    are numbered by their position in the sorted code, and the sums and
-    multiples of codeword digits are located among them by ``_row_locator``.
+    cyclic submodules under pairwise sums reaches all of them; a cyclic
+    submodule already inside a submodule adds nothing and is skipped.
+    Codewords are numbered by their position in the sorted code, and the
+    sums and multiples of codeword digits are located among them by
+    ``_row_locator``.
     """
     check_cap(len(code), cap, "submodule enumeration")
     ring, n = code.ring, code.n
@@ -211,6 +218,8 @@ def enumerate_submodules(code: Code, cap: int = SUBMODULE_CAP) -> list[Code]:
         for a in frontier:
             ia = sorted(a)
             for b in cyclics:
+                if b <= a:
+                    continue
                 s = frozenset(np.unique(add[np.ix_(ia, sorted(b))]).tolist())
                 if s not in found:
                     new.add(s)
@@ -221,6 +230,37 @@ def enumerate_submodules(code: Code, cap: int = SUBMODULE_CAP) -> list[Code]:
     return [
         Code(ring, code.n, (), frozenset(words[i] for i in s)) for s in subs
     ]
+
+
+# -- row reduction over F_p -------------------------------------------------
+
+
+def rref(rows, p: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced row echelon form over F_p, zero rows dropped."""
+    if not is_prime(p):
+        raise ValueError(f"only prime fields are supported, got q = {p}")
+    mat = [list(r) for r in rows]
+    if not mat:
+        return ()
+    ncols = len(mat[0])
+    pivot_row = 0
+    for col in range(ncols):
+        pivot = next(
+            (r for r in range(pivot_row, len(mat)) if mat[r][col] % p), None
+        )
+        if pivot is None:
+            continue
+        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
+        inv = pow(mat[pivot_row][col], -1, p)
+        mat[pivot_row] = [(x * inv) % p for x in mat[pivot_row]]
+        for r in range(len(mat)):
+            if r != pivot_row and mat[r][col] % p:
+                c = mat[r][col]
+                mat[r] = [(x - c * y) % p for x, y in zip(mat[r], mat[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(mat):
+            break
+    return tuple(tuple(r) for r in mat[:pivot_row] if any(r))
 
 
 def irredundant_generating_sizes(code: Code, max_size: int | None = None) -> set[int]:

@@ -5,6 +5,15 @@ Lattices are fully materialized with O(N^2) tables; element labels are
 domain objects (subsets, support vectors, rref bases, codes) so that
 cross-module identification goes through labels, never raw indices.
 
+No builder here calls a ``leq`` per pair.  Set-labelled lattices (subsets,
+subspaces, submodules) get their order from a boolean membership matrix,
+one row per element and one column per point of the ground set: a <= b
+when no member of a lies outside b, which is one exact float32 product
+``members @ ~members.T == 0``.  Lattices of ideals, rectangular modules and
+grids use the product order on integer coordinates (ideal exponents order
+reversed: (p^e) lies in (p^f) exactly when e >= f).  Every builder checks
+``LATTICE_CAP`` from the label count before it allocates an N x N array.
+
 Every lattice, whatever builds it, goes through one kernel.  One exact
 float32 product of the order matrix with itself counts the elements
 between each pair; it checks transitivity and gives the cover relation.
@@ -33,12 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .codes import Code, enumerate_submodules
+from .codes import Code, enumerate_submodules, full_space, rref
 from .errors import NotALatticeError, NotGradedError
 from .limits import LATTICE_CAP, SUBMODULE_CAP, check_cap
 from .report import Check, Report
-from .rings import Pir
+from .rings import Pir, chain_ring, is_prime
 
 
 class FiniteLattice:
@@ -47,7 +55,7 @@ class FiniteLattice:
     def __init__(self, labels, leq: np.ndarray):
         self.labels = tuple(labels)
         self.size = len(self.labels)
-        check_cap(self.size, LATTICE_CAP, "lattice size")
+        _check_size(self.size)
         if len(set(self.labels)) != self.size:
             raise ValueError("lattice labels must be distinct")
         self.leq = np.asarray(leq, dtype=bool)
@@ -179,9 +187,14 @@ def _height_if_graded(lat: FiniteLattice):
     return tuple(height)
 
 
+def _check_size(size: int) -> None:
+    check_cap(size, LATTICE_CAP, "lattice size")
+
+
 def build_lattice(labels, leq) -> FiniteLattice:
     """Build from labels and either a callable leq(a, b) or a boolean matrix."""
     labels = tuple(labels)
+    _check_size(len(labels))
     if callable(leq):
         mat = np.array([[bool(leq(a, b)) for b in labels] for a in labels], dtype=bool)
     else:
@@ -285,6 +298,7 @@ def dual(lat: FiniteLattice) -> FiniteLattice:
 
 
 def product(lat1: FiniteLattice, lat2: FiniteLattice) -> FiniteLattice:
+    _check_size(lat1.size * lat2.size)
     labels = tuple(
         (a, b) for a in lat1.labels for b in lat2.labels
     )
@@ -302,15 +316,20 @@ def boolean_lattice(n: int) -> FiniteLattice:
         for size in range(n + 1)
         for c in itertools.combinations(range(n), size)
     ]
-    members = np.array([[i in lab for i in range(n)] for lab in labels], dtype=bool)
-    return build_lattice(labels, _product_order(members))
+    return _ordered(labels, _membership_order, _members(labels, range(n)))
 
 
 def grid_lattice(ranges) -> FiniteLattice:
     """Integer vectors 0 <= v[i] <= ranges[i] under the product order."""
     labels = list(itertools.product(*(range(r + 1) for r in ranges)))
-    coords = np.array(labels, dtype=np.int64)
-    return build_lattice(labels, _product_order(coords))
+    return _ordered(labels, _product_order, np.array(labels, dtype=np.int64))
+
+
+def _ordered(labels, order, rows) -> FiniteLattice:
+    """``build_lattice(labels, order(rows))``, with the size checked before
+    ``order`` allocates its N x N matrix."""
+    _check_size(len(labels))
+    return build_lattice(labels, order(rows))
 
 
 def _product_order(coords: np.ndarray) -> np.ndarray:
@@ -320,6 +339,22 @@ def _product_order(coords: np.ndarray) -> np.ndarray:
     for col in coords.T:
         leq &= col[:, None] <= col[None, :]
     return leq
+
+
+def _members(sets, ground) -> np.ndarray:
+    """members[i, j]: the j-th point of ``ground`` lies in sets[i]."""
+    column = {x: j for j, x in enumerate(ground)}
+    members = np.zeros((len(sets), len(column)), dtype=bool)
+    for i, s in enumerate(sets):
+        members[i, [column[x] for x in s]] = True
+    return members
+
+
+def _membership_order(members: np.ndarray) -> np.ndarray:
+    """leq[a, b]: no member of a lies outside b.  The float32 product counts
+    those members exactly, as there are fewer than 2**24 points."""
+    inside = members.astype(np.float32)
+    return inside @ (1 - inside).T == 0
 
 
 def chain_support_lattice(ring: Pir, n: int) -> FiniteLattice:
@@ -333,29 +368,39 @@ def chain_support_lattice(ring: Pir, n: int) -> FiniteLattice:
 def ideal_lattice(ring: Pir) -> FiniteLattice:
     """The ideals of R ordered by containment."""
     labels = sorted(ring.all_ideals(), key=lambda I: I.exponents)
-    return build_lattice(labels, ring.ideal_leq)
+    return _ordered(labels, _product_order, -np.array([I.exponents for I in labels]))
 
 
 def subspace_lattice(q: int, n: int, cap: int = 256) -> FiniteLattice:
     """All subspaces of F_q^n, labelled by rref bases, ordered by inclusion."""
+    return _subspaces(q, n, cap)[0]
+
+
+def _subspaces(q: int, n: int, cap: int = 256) -> tuple[FiniteLattice, np.ndarray]:
+    """The subspace lattice of F_q^n, sorted by (dim, rref basis), and its
+    membership matrix: row i marks the vectors of subspace i, indexed as in
+    ``Pir.space``.  The subspaces are the submodules of F_q^n."""
     check_cap(q**n, cap, f"enumerating F_{q}^{n}")
-    bases = linalg.all_subspaces(q, n)
-    return build_lattice(
-        tuple(bases), lambda a, b: linalg.span_contains(b, a, q)
-    )
+    if not is_prime(q):
+        raise ValueError(f"only prime fields are supported, got q = {q}")
+    space = full_space(chain_ring(q, 1), n)
+    subs = enumerate_submodules(space)
+    bases = [rref([[a for (a,) in w] for w in s.codewords], q) for s in subs]
+    order = sorted(range(len(subs)), key=lambda i: (len(bases[i]), bases[i]))
+    members = _members([subs[i].codewords for i in order], space.sorted_words())
+    return _ordered([bases[i] for i in order], _membership_order, members), members
 
 
 def submodule_lattice(code: Code, cap: int = SUBMODULE_CAP) -> FiniteLattice:
     """All submodules of the given code, ordered by inclusion."""
     subs = enumerate_submodules(code, cap=cap)
-    return build_lattice(tuple(subs), lambda a, b: a.codewords <= b.codewords)
+    members = _members([s.codewords for s in subs], code.sorted_words())
+    return _ordered(subs, _membership_order, members)
 
 
 def rectangular_lattice(ring: Pir, n: int) -> FiniteLattice:
     """Rectangular modules I_1 x ... x I_n of R^n ordered by containment."""
     ideals = sorted(ring.all_ideals(), key=lambda I: I.exponents)
     labels = list(itertools.product(ideals, repeat=n))
-    return build_lattice(
-        labels,
-        lambda a, b: all(ring.ideal_leq(x, y) for x, y in zip(a, b)),
-    )
+    exponents = [[e for I in lab for e in I.exponents] for lab in labels]
+    return _ordered(labels, _product_order, -np.array(exponents))

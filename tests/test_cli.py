@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from latroids import lattices
 from latroids.cli import COMMANDS, SCHEMA_VERSION, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -187,6 +188,20 @@ def test_cap_breach_exits_3(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--command", "weights", "--config", path, "--cap", "4")
     assert code == 3
     assert json.loads(out)["kind"] == "cap"
+
+
+def test_lattice_cap_is_checked_before_the_order_matrix(capsys, tmp_path, monkeypatch):
+    # Z_2^16 is within the default vector cap, but its 65536-element grid
+    # exceeds LATTICE_CAP: the run must stop before the 65536 x 65536 order.
+    def no_order_matrix(coords):
+        raise AssertionError(f"order matrix asked for {len(coords)} elements")
+
+    monkeypatch.setattr(lattices, "_product_order", no_order_matrix)
+    path = _write(tmp_path, "ring = Z_2\nn = 16\nsupport = chain\ngen = " + "1 " * 16 + "\n")
+    code, out, err = run_cli(capsys, "--command", "latroid", "--config", path)
+    assert code == 3
+    assert "Traceback" not in err
+    assert json.loads(out) == {"error": "lattice size needs 65536 > cap 4096", "kind": "cap"}
 
 
 def test_weights_r_out_of_range_exits_2(capsys, tmp_path):

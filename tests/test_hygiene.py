@@ -6,7 +6,8 @@ import statement must be read somewhere in the module (string annotations
 included).  ``__init__`` is exempt, since its imports are the re-exported
 public API.  A private module-level name (``_name``: a function, a class or
 an assignment target) must be read, or taken as an attribute, in some module
-of the package.
+of the package.  Every module other than ``__init__`` and ``__main__`` must be
+imported by some other module of the package, so none is left orphaned.
 """
 
 from __future__ import annotations
@@ -128,3 +129,41 @@ def test_checker_sees_unreferenced_private_definitions():
         "a.py: _Tables (line 3)",
         "a.py: _cache (line 2)",
     ]
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Modules of the package that a module imports, by relative import."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def _orphaned_modules(trees: dict[str, ast.Module]) -> list[str]:
+    imported = set().union(*(_imported_modules(t) - {name} for name, t in trees.items()))
+    return sorted(
+        f"{name}.py" for name in trees
+        if name not in ("__init__", "__main__", *imported)
+    )
+
+
+def test_every_module_is_imported_by_another():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    orphans = _orphaned_modules(trees)
+    assert not orphans, f"modules no other module imports: {', '.join(orphans)}"
+
+
+def test_checker_sees_orphaned_modules():
+    trees = {
+        "__init__": ast.parse("from .a import f\n"),
+        "a": ast.parse("from . import b\nfrom .a import g\n"),
+        "b": ast.parse(""),
+        "c": ast.parse("from .c import h\n"),
+        "d": ast.parse(""),
+        "__main__": ast.parse(""),
+    }
+    assert _orphaned_modules(trees) == ["c.py", "d.py"]

@@ -1,12 +1,15 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_weights import q_binomial
 
+from latroids import lattices
 from latroids.codes import full_space, span_from_ints
-from latroids.errors import NotALatticeError, NotGradedError
+from latroids.errors import CapExceededError, NotALatticeError, NotGradedError
 from latroids.lattices import (
     atoms_join_check,
     boolean_lattice,
@@ -70,11 +73,54 @@ def test_subspace_lattice_counts():
     assert subspace_lattice(2, 2).size == 5
     assert subspace_lattice(3, 2).size == 6
     assert subspace_lattice(2, 3).size == 16
+    for q, n, size in ((2, 5, 374), (3, 4, 212)):
+        lat = subspace_lattice(q, n)
+        assert lat.size == size
+        assert Counter(map(len, lat.labels)) == {r: q_binomial(n, r, q) for r in range(n + 1)}
 
 
 def test_subspace_lattice_prime_only():
     with pytest.raises(ValueError, match="prime"):
         subspace_lattice(4, 2)
+
+
+@pytest.mark.parametrize("q", [4, 6])
+def test_subspace_lattice_rejections_come_before_enumeration(monkeypatch, q):
+    def no_enumeration(code, cap=None):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(lattices, "enumerate_submodules", no_enumeration)
+    with pytest.raises(ValueError, match="prime"):
+        subspace_lattice(q, 2)
+    with pytest.raises(CapExceededError, match="enumerating F_2\\^4"):
+        subspace_lattice(2, 4, cap=15)
+
+
+def _no_order(rows):
+    raise AssertionError(f"N x N order asked for {len(rows)} elements")
+
+
+def test_lattice_cap_is_checked_before_any_order_matrix(monkeypatch):
+    monkeypatch.setattr(lattices, "_product_order", _no_order)
+    monkeypatch.setattr(lattices, "_membership_order", _no_order)
+    monkeypatch.setattr(np, "kron", _no_order)
+    calls = []
+
+    def leq(a, b):
+        calls.append((a, b))
+        return a <= b
+
+    too_many = range(lattices.LATTICE_CAP + 1)
+    for build in (
+        lambda: boolean_lattice(13),
+        lambda: grid_lattice([1] * 13),
+        lambda: build_lattice(too_many, leq),
+        lambda: build_lattice(too_many, np.eye(2, dtype=bool)),
+        lambda: product(chain(65), chain(64)),
+    ):
+        with pytest.raises(CapExceededError, match="lattice size"):
+            build()
+    assert not calls
 
 
 def test_subspace_lattice_f2_3_flags():
