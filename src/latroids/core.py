@@ -9,6 +9,12 @@ A triple (rho, len, L) must satisfy
   L5  rho is submodular
 Scalars are tuples under the product order, so comparisons may leave pairs
 incomparable; the validators treat that explicitly.
+
+The axiom systems (``axioms_I/B/C``) and the rank reconstructions run on
+boolean arrays from ``leq``, ``join``, ``meet`` and membership masks: I4,
+B3 and the reconstructions share the maximal candidates below each element
+(``_maximal``) and ``_unmatched_pairs``; the other pairwise checks go
+through ``scan_rows``.  Witnesses come in ascending index, row-major order.
 """
 
 from __future__ import annotations
@@ -96,7 +102,8 @@ class Latroid:
 
 
 #: Entries per block of rows in the exhaustive scans (validate_latroid, the
-#: support validators); bounds their temporary arrays and so peak memory.
+#: pairwise axiom checks, the support validators); bounds their temporary
+#: arrays and so peak memory.
 _SCAN_BLOCK = 1 << 13
 
 
@@ -105,6 +112,11 @@ def _scalar_array(values, udim: int) -> np.ndarray:
     out = np.empty((len(values), udim), dtype=object)
     out[:] = values
     return out
+
+
+def _strict(lat: FiniteLattice) -> np.ndarray:
+    """The strict order: [a, b] is a < b."""
+    return lat.leq & ~np.eye(lat.size, dtype=bool)
 
 
 def scan_rows(rows: int, width: int, bad):
@@ -129,7 +141,7 @@ def validate_latroid(lt: Latroid) -> Report:
     zero = szero(lt.udim)
     rank = _scalar_array(lt.rank, lt.udim)
     length = _scalar_array(lt.length, lt.udim)
-    strict = lat.leq & ~np.eye(lat.size, dtype=bool)
+    strict = _strict(lat)
 
     def le(x, y):
         return (x <= y).all(axis=-1)
@@ -274,28 +286,29 @@ def collapse_scalars(lt: Latroid, validate: bool = True) -> Latroid:
 # -- independents / bases / circuits ------------------------------------------
 
 
+def _independent_mask(lt: Latroid) -> np.ndarray:
+    rank = _scalar_array(lt.rank, lt.udim)
+    return (rank == _scalar_array(lt.length, lt.udim)).all(axis=1)
+
+
 def independents(lt: Latroid) -> tuple[int, ...]:
     """Elements with rho(L) = len(L)."""
-    return tuple(i for i in range(lt.lattice.size) if lt.rank[i] == lt.length[i])
+    return tuple(np.flatnonzero(_independent_mask(lt)).tolist())
 
 
 def bases(lt: Latroid) -> tuple[int, ...]:
     """Independent elements whose length equals the top rank."""
-    top_rank = lt.top_rank()
-    return tuple(i for i in independents(lt) if lt.length[i] == top_rank)
+    top_rank = _scalar_array([lt.top_rank()], lt.udim)
+    full = (_scalar_array(lt.length, lt.udim) == top_rank).all(axis=1)
+    return tuple(np.flatnonzero(_independent_mask(lt) & full).tolist())
 
 
 def circuits(lt: Latroid) -> tuple[int, ...]:
-    """Dependent elements all of whose proper predecessors are independent."""
+    """Dependent elements all of whose proper predecessors are independent,
+    i.e. with no dependent element strictly below them."""
     lat = lt.lattice
-    indep = set(independents(lt))
-    out = []
-    for i in range(lat.size):
-        if i in indep:
-            continue
-        if all(j in indep for j in range(lat.size) if lat.lt(j, i)):
-            out.append(i)
-    return tuple(out)
+    dep = ~_independent_mask(lt)
+    return tuple(np.flatnonzero(dep & ~(_strict(lat) & dep[:, None]).any(axis=0)).tolist())
 
 
 def _require_crypto_hypotheses(lat: FiniteLattice) -> None:
@@ -305,10 +318,70 @@ def _require_crypto_hypotheses(lat: FiniteLattice) -> None:
         raise ValueError("cryptomorphisms need a complemented modular lattice")
 
 
-def _maximal_in(lat: FiniteLattice, subset, below: int) -> list[int]:
-    """Maximal members of ``subset`` dominated by ``below``."""
-    inside = [i for i in subset if lat.leq[i, below]]
-    return [i for i in inside if not any(lat.lt(i, j) for j in inside)]
+def _membership(lat: FiniteLattice, subset) -> np.ndarray:
+    member = np.zeros(lat.size, dtype=bool)
+    member[np.fromiter(subset, dtype=np.intp)] = True
+    return member
+
+
+def _maximal(lat: FiniteLattice, cand: np.ndarray) -> np.ndarray:
+    """M[l, x]: x is a candidate of row l and no candidate of row l lies
+    strictly above x (one float32 product with the strict order)."""
+    strict = _strict(lat).astype(np.float32)
+    return cand & ~((cand.astype(np.float32) @ strict.T) > 0)
+
+
+def _meet_maxima(lat: FiniteLattice, B) -> np.ndarray:
+    """M[l, m]: m = b ^ l for a basis b, and no b' ^ l lies strictly above m."""
+    cand = np.zeros((lat.size, lat.size), dtype=bool)
+    cand[np.arange(lat.size), lat.meet[np.asarray(B, dtype=np.intp)]] = True
+    return _maximal(lat, cand)
+
+
+def _unmatched_pairs(lat: FiniteLattice, M: np.ndarray):
+    """(l1, l2, m1, m2) for each failing pair (l1, l2), in row-major order:
+    some m1 in M(l1) and m2 in M(l2) have no m3 in M(l1 v l2) below
+    m1 v m2, and (m1, m2) is the first such pair in row-major order.
+
+    ``reach[l, t]`` says some m3 in M(l) lies below t.  A pair with join j
+    lies in the down-set of j, and so do its maxima and their joins, so
+    pairs are grouped by j: on down(j), (l1, l2) fails exactly where
+    M @ ~reach[j, join] @ M.T is nonzero (the products count nonnegative
+    integers, so a float32 sum is positive exactly when a term is).  Cost:
+    one N^3 product for ``reach``, then per j a |down(j)|^2 gather and two
+    products of 2 |down(j)|^3 flops; on the boolean lattice of n-sets
+    that is 4 * 9^n flops in all, about N^3.17.  The temporaries of one j
+    hold |down(j)|^2 <= N^2 entries, the size of the lattice's own tables.
+    """
+    n = lat.size
+    mf = M.astype(np.float32)
+    reach = (mf @ lat.leq.astype(np.float32)) > 0
+    fail = np.zeros((n, n), dtype=bool)
+    for j in range(n):
+        block = np.ix_(*[np.flatnonzero(lat.leq[:, j])] * 2)
+        joins = lat.join[block]
+        m = mf[block]
+        hits = m @ (~reach[j, joins]).astype(np.float32) @ m.T
+        fail[block] |= (hits > 0) & (joins == j)
+    for l1, l2 in np.argwhere(fail).tolist():
+        rows, cols = np.flatnonzero(M[l1]), np.flatnonzero(M[l2])
+        above = reach[lat.join[l1, l2], lat.join[np.ix_(rows, cols)]]
+        a, b = np.argwhere(~above)[0]
+        yield l1, l2, int(rows[a]), int(cols[b])
+
+
+def _common_heights(lat: FiniteLattice, M: np.ndarray, what: str) -> tuple:
+    """(h,) for each row of M whose members all have height h."""
+    height = np.asarray(lat.height)
+    hi = np.where(M, height, -1).max(axis=1)
+    mixed = hi != np.where(M, height, lat.size).min(axis=1)
+    if mixed.any():
+        l = int(np.argmax(mixed))
+        raise ReconstructionError(
+            f"maximal {what} below {lat.labels[l]} have heights "
+            f"{sorted(set(height[M[l]].tolist()))}"
+        )
+    return tuple((h,) for h in hi.tolist())
 
 
 def _atom_decompositions(lat: FiniteLattice, x: int):
@@ -328,60 +401,60 @@ def _atom_decompositions(lat: FiniteLattice, x: int):
 
 def axioms_I(lat: FiniteLattice, indep) -> Report:
     """Independence axioms for a candidate set on a complemented modular
-    graded lattice (height as length)."""
-    _require_crypto_hypotheses(lat)
-    I = set(indep)
-    max_below = {l: _maximal_in(lat, I, l) for l in range(lat.size)}
+    graded lattice (height as length).
 
-    def unmatched_maxima():
-        for l1, l2 in lat.pairs():
-            above = max_below[int(lat.join[l1, l2])]
-            for i1 in max_below[l1]:
-                for i2 in max_below[l2]:
-                    jii = int(lat.join[i1, i2])
-                    if not any(lat.leq[i3, jii] for i3 in above):
-                        yield (
-                            f"L1={lat.labels[l1]}, L2={lat.labels[l2]}, "
-                            f"I1={lat.labels[i1]}, I2={lat.labels[i2]}"
-                        )
+    I2 scans (I, L) and I3 (I1, I2) a block of rows at a time, I3's
+    exchange atoms coming from one product over the atoms; I4 runs
+    ``_unmatched_pairs`` on the maximal independents below each element.
+    Each witness is the first failure in ascending index, row-major order
+    (I4: the first (L1, L2), then its first (I1, I2)).
+    """
+    _require_crypto_hypotheses(lat)
+    member = _membership(lat, indep)
+    strict_below = _strict(lat).T
+    height = np.asarray(lat.height)
+    atoms = np.asarray(lat.atoms, dtype=np.intp)
+    atom_below = lat.leq[atoms].T.astype(np.float32)
+    exchange = (~lat.leq[atoms].T & member[lat.join[:, atoms]]).astype(np.float32)
+    labels = lat.labels
+
+    def not_closed(rows):
+        return member[rows, None] & strict_below[rows] & ~member[None, :]
+
+    def not_augmentable(rows):
+        both = member[rows, None] & member[None, :]
+        return (both & (height[None, :] < height[rows, None])
+                & ~((atom_below[rows] @ exchange.T) > 0))
 
     return Report.from_checks([
-        Check("I1_bottom", lat.bottom in I,
-              "" if lat.bottom in I else "bottom not independent"),
+        Check("I1_bottom", bool(member[lat.bottom]),
+              "" if member[lat.bottom] else "bottom not independent"),
         Check.from_witnesses("I2_downward_closed", (
-            f"{lat.labels[j]} < {lat.labels[i]}"
-            for i in I
-            for j in range(lat.size)
-            if lat.lt(j, i) and j not in I
+            f"{labels[j]} < {labels[i]}"
+            for i, j in scan_rows(lat.size, lat.size, not_closed)
         )),
         Check.from_witnesses("I3_augmentation", (
-            f"I1={lat.labels[i1]}, I2={lat.labels[i2]}"
-            for i1 in I
-            for i2 in I
-            if lat.hgt(i2) < lat.hgt(i1)
-            and not any(
-                lat.leq[a, i1] and not lat.leq[a, i2] and int(lat.join[i2, a]) in I
-                for a in lat.atoms
-            )
+            f"I1={labels[i1]}, I2={labels[i2]}"
+            for i1, i2 in scan_rows(lat.size, lat.size, not_augmentable)
         )),
-        Check.from_witnesses("I4_join_compatible_maxima", unmatched_maxima()),
+        Check.from_witnesses("I4_join_compatible_maxima", (
+            f"L1={labels[l1]}, L2={labels[l2]}, I1={labels[i1]}, I2={labels[i2]}"
+            for l1, l2, i1, i2 in _unmatched_pairs(lat, _maximal(lat, lat.leq.T & member))
+        )),
     ])
 
 
-def _maximal_meets(lat: FiniteLattice, B, l: int) -> list[tuple[int, int]]:
-    """(b, b ^ l) for the bases b whose meet with l is maximal."""
-    meets = [int(lat.meet[b, l]) for b in B]
-    return [
-        (b, m) for b, m in zip(B, meets) if not any(lat.lt(m, m2) for m2 in meets)
-    ]
-
-
 def axioms_B(lat: FiniteLattice, base_set) -> Report:
-    """Basis axioms for a candidate set."""
+    """Basis axioms for a candidate set.
+
+    B2 loops over the atom decompositions of each pair of bases, in
+    ascending index order.  B3 runs ``_unmatched_pairs`` on the maximal
+    meets b ^ L below each element; its witness is the first failing
+    (L1, L2) in row-major order.
+    """
     _require_crypto_hypotheses(lat)
     B = sorted(set(base_set))
     decomps = {b: list(_atom_decompositions(lat, b)) for b in B}
-    max_meets = {l: _maximal_meets(lat, B, l) for l in range(lat.size)}
 
     def failed_exchanges():
         for b1 in B:
@@ -403,52 +476,50 @@ def axioms_B(lat: FiniteLattice, base_set) -> Report:
                                     f"atom={lat.labels[ji]}"
                                 )
 
-    def unmatched_meets():
-        for l1, l2 in lat.pairs():
-            above = max_meets[int(lat.join[l1, l2])]
-            for _, m1 in max_meets[l1]:
-                for _, m2 in max_meets[l2]:
-                    target = int(lat.join[m1, m2])
-                    if not any(lat.leq[m3, target] for _, m3 in above):
-                        yield f"L1={lat.labels[l1]}, L2={lat.labels[l2]}"
-
     return Report.from_checks([
         Check("B1_nonempty", bool(B), "" if B else "empty basis set"),
         Check.from_witnesses("B2_atom_exchange", failed_exchanges()),
-        Check.from_witnesses("B3_join_compatible_meets", unmatched_meets()),
+        Check.from_witnesses("B3_join_compatible_meets", (
+            f"L1={lat.labels[l1]}, L2={lat.labels[l2]}"
+            for l1, l2, _, _ in _unmatched_pairs(lat, _meet_maxima(lat, B))
+        )),
     ])
 
 
 def axioms_C(lat: FiniteLattice, circuit_set) -> Report:
-    """Circuit axioms for a candidate set."""
+    """Circuit axioms for a candidate set.
+
+    C2 scans (C1, C2) pairs a block of rows at a time.  C3 marks the
+    elements with a lower cover that dominates no circuit, then scans the
+    pairs C1 < C2 (by index) whose join is marked; its witness names the
+    first such cover.  Witnesses are in ascending index, row-major order.
+    """
     _require_crypto_hypotheses(lat)
-    C = sorted(set(circuit_set))
+    member = _membership(lat, circuit_set)
+    strict = _strict(lat)
+    free = ~(lat.leq & member[:, None]).any(axis=0)
+    gap = (lat.covers & free[:, None]).any(axis=0)
+    index = np.arange(lat.size)
+    labels = lat.labels
+
+    def nested(rows):
+        return member[rows, None] & member[None, :] & strict[rows]
+
+    def not_eliminable(rows):
+        later = index[None, :] > index[rows, None]
+        return member[rows, None] & member[None, :] & later & gap[lat.join[rows]]
 
     def failed_eliminations():
-        for c1 in C:
-            for c2 in C:
-                if c2 <= c1:
-                    continue
-                j = int(lat.join[c1, c2])
-                for l in range(lat.size):
-                    if (
-                        lat.leq[l, j]
-                        and lat.hgt(l) == lat.hgt(j) - 1
-                        and not any(lat.leq[c3, l] for c3 in C)
-                    ):
-                        yield (
-                            f"C1={lat.labels[c1]}, C2={lat.labels[c2]}, "
-                            f"L={lat.labels[l]}"
-                        )
+        for c1, c2 in scan_rows(lat.size, lat.size, not_eliminable):
+            l = int(np.flatnonzero(lat.covers[:, lat.join[c1, c2]] & free)[0])
+            yield f"C1={labels[c1]}, C2={labels[c2]}, L={labels[l]}"
 
     return Report.from_checks([
-        Check("C1_no_bottom", lat.bottom not in C,
-              "" if lat.bottom not in C else "bottom is a circuit"),
+        Check("C1_no_bottom", not member[lat.bottom],
+              "" if not member[lat.bottom] else "bottom is a circuit"),
         Check.from_witnesses("C2_antichain", (
-            f"{lat.labels[c1]} < {lat.labels[c2]}"
-            for c1 in C
-            for c2 in C
-            if c1 != c2 and lat.leq[c1, c2]
+            f"{labels[c1]} < {labels[c2]}"
+            for c1, c2 in scan_rows(lat.size, lat.size, nested)
         )),
         Check.from_witnesses("C3_elimination", failed_eliminations()),
     ])
@@ -459,41 +530,25 @@ def axioms_C(lat: FiniteLattice, circuit_set) -> Report:
 
 def rank_from_independents(lat: FiniteLattice, indep, validate: bool = True) -> Latroid:
     """rho(L) = hgt(I) for I maximal independent below L."""
-    _require_crypto_hypotheses(lat)
     I = set(indep)
     report = axioms_I(lat, I)
     if not report.ok:
         raise ReconstructionError(f"independent axioms fail: {report.summary()}")
-    rank = []
-    for l in range(lat.size):
-        maxima = _maximal_in(lat, I, l)
-        heights = {lat.hgt(i) for i in maxima}
-        if len(heights) != 1:
-            raise ReconstructionError(
-                f"maximal independents below {lat.labels[l]} have heights {sorted(heights)}"
-            )
-        rank.append((heights.pop(),))
+    maxima = _maximal(lat, lat.leq.T & _membership(lat, I))
+    rank = _common_heights(lat, maxima, "independents")
     length = tuple((lat.hgt(i),) for i in range(lat.size))
-    return _validated(Latroid(lat, tuple(rank), length, 1), validate)
+    return _validated(Latroid(lat, rank, length, 1), validate)
 
 
 def rank_from_bases(lat: FiniteLattice, base_set, validate: bool = True) -> Latroid:
     """rho(L) = hgt(L ^ B) for B with maximal intersection with L."""
-    _require_crypto_hypotheses(lat)
     B = sorted(set(base_set))
     report = axioms_B(lat, B)
     if not report.ok:
         raise ReconstructionError(f"basis axioms fail: {report.summary()}")
-    rank = []
-    for l in range(lat.size):
-        heights = {lat.hgt(m) for _, m in _maximal_meets(lat, B, l)}
-        if len(heights) != 1:
-            raise ReconstructionError(
-                f"maximal basis meets below {lat.labels[l]} have heights {sorted(heights)}"
-            )
-        rank.append((heights.pop(),))
+    rank = _common_heights(lat, _meet_maxima(lat, B), "basis meets")
     length = tuple((lat.hgt(i),) for i in range(lat.size))
-    return _validated(Latroid(lat, tuple(rank), length, 1), validate)
+    return _validated(Latroid(lat, rank, length, 1), validate)
 
 
 def circuit_chain_length(lat: FiniteLattice, circuit_set, l: int) -> int:
@@ -523,7 +578,6 @@ def circuit_chain_length(lat: FiniteLattice, circuit_set, l: int) -> int:
 
 def rank_from_circuits(lat: FiniteLattice, circuit_set, validate: bool = True) -> Latroid:
     """rho = hgt - kappa for the maximal circuit-chain length kappa."""
-    _require_crypto_hypotheses(lat)
     C = sorted(set(circuit_set))
     report = axioms_C(lat, C)
     if not report.ok:

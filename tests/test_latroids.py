@@ -43,6 +43,7 @@ from latroids.lattices import (
     build_lattice,
     grid_lattice,
     ideal_lattice,
+    is_modular_lattice,
     subspace_lattice,
 )
 from latroids.report import Check, Report
@@ -244,8 +245,30 @@ def test_axioms_reject_bad_candidates():
 
 def test_axioms_require_hypotheses():
     chain3 = build_lattice(range(3), lambda a, b: a <= b)
-    with pytest.raises(ValueError):
-        axioms_I(chain3, [0])
+    for fn in (axioms_I, rank_from_independents, rank_from_bases, rank_from_circuits):
+        with pytest.raises(ValueError, match="complemented modular lattice"):
+            fn(chain3, [0])
+    pentagon = build_lattice(
+        "0abc1", lambda x, y: x == y or x == "0" or y == "1" or (x, y) == ("a", "b")
+    )
+    for fn in (rank_from_independents, rank_from_bases, rank_from_circuits):
+        with pytest.raises(NotGradedError, match="graded lattice"):
+            fn(pentagon, [0])
+
+
+def test_reconstructions_check_hypotheses_once(monkeypatch):
+    calls = []
+
+    def counted(lat):
+        calls.append(lat)
+        return is_modular_lattice(lat)
+
+    monkeypatch.setattr(core, "is_modular_lattice", counted)
+    lt = uniform_latroid(B3, 2)
+    rank_from_independents(B3, independents(lt))
+    rank_from_bases(B3, bases(lt))
+    rank_from_circuits(B3, circuits(lt))
+    assert len(calls) == 3
 
 
 def test_reconstruction_roundtrips_on_corpus():
