@@ -24,9 +24,10 @@ from .codes import (
     rref,
     span_from_ints,
 )
-from .core import Latroid, _validated, generalized_weight, sleq
+from .core import Latroid, _validated, generalized_weight
 from .lattices import (
     FiniteLattice,
+    _members,
     _subspaces,
     boolean_lattice,
     chain_support_lattice,
@@ -72,40 +73,48 @@ def latroid_from_code(code: Code, length_fn=length_lambda,
 # -- chain-support latroids ----------------------------------------------------
 
 
+def _dominated_counts(levels: np.ndarray, top) -> np.ndarray:
+    """counts[g] = the number of rows of ``levels`` that lie below g in every
+    coordinate, for each g of the grid 0..top: a histogram of the rows on
+    the grid, then a prefix sum along each axis.  Memory is the grid itself,
+    whatever the number of rows."""
+    counts = np.zeros([t + 1 for t in top], dtype=np.int64)
+    np.add.at(counts, tuple(levels.T), 1)
+    for axis in range(counts.ndim):
+        np.cumsum(counts, axis=axis, out=counts)
+    return counts
+
+
 def chain_support_latroid(code: Code, validate: bool = True) -> Latroid:
     """The latroid on the grid of rectangular support vectors.
 
     For a chain ring, rho(s) = |s| - lambda(M_s n C) where M_s is the
     rectangular module with support s.  Over a product ring the scalar is
     the tuple of per-factor values, one coordinate per CRT factor.
+
+    |M_s n C| is the number of codewords with support <= s, so the supports
+    are evaluated once and ``_dominated_counts`` gives that number for every
+    s at once.  Over a product ring, factor j counts the distinct
+    projections of the codewords onto its digit columns against s_j, the
+    support coordinates of factor j.  This is lambda_j(M_s n C): the
+    idempotents of R_1 x ... x R_l exist whatever the factor sizes, so
+    every submodule is the product of its projections, and the projection
+    of M_s n C is C_j n M_{s_j}.
     """
-    ring = code.ring
-    supp = ChainSupport(ring, code.n)
-    lattice = chain_support_lattice(ring, code.n)
-    ell = ring.ell
-    ks = [f.k for f in ring.factors]
-
-    words_by_grid = {}
-    for label in lattice.labels:
-        inside = [c for c in code.codewords if sleq(supp(c), label)]
-        words_by_grid[label] = inside
-
-    def factor_block(label, j):
-        return label[j::ell]
-
-    def rho(label):
-        sub = Code(ring, code.n, (), frozenset(words_by_grid[label]))
-        out = []
-        for j in range(ell):
-            block = factor_block(label, j)
-            lam = intlog(ring.factors[j].p, len(sub.factor(j)))
-            out.append(sum(block) - lam)
-        return tuple(out)
-
-    def length(label):
-        return tuple(sum(factor_block(label, j)) for j in range(ell))
-
-    lt = Latroid.from_functions(lattice, rho, length, udim=ell)
+    ring, n, ell = code.ring, code.n, code.ring.ell
+    lattice = chain_support_lattice(ring, n)
+    grid = np.array(lattice.labels, dtype=np.int64)
+    digits = ring.encode(code.codewords, n)
+    levels = ChainSupport(ring, n).of_digits(digits)
+    rank, length = [], []
+    for j, f in enumerate(ring.factors):
+        _, first = np.unique(digits[:, j::ell], axis=0, return_index=True)
+        counts = _dominated_counts(levels[first, j::ell], [f.k] * n)
+        sizes = grid[:, j::ell].sum(axis=1).tolist()
+        inside = counts[tuple(grid[:, j::ell].T)].tolist()
+        rank.append([s - intlog(f.p, c) for s, c in zip(sizes, inside)])
+        length.append(sizes)
+    lt = Latroid(lattice, tuple(zip(*rank)), tuple(zip(*length)), ell)
     return _validated(lt, validate)
 
 
@@ -152,23 +161,18 @@ def _require_field(ring: Pir) -> int:
 
 def block_matroid(code: Code, validate: bool = True) -> Latroid:
     """The classical matroid of a block code over a field, as a latroid on
-    the boolean lattice: rho(S) = |S| - dim{c : supp(c) in S}.
+    the boolean lattice: rho(S) = |S| - dim{c : supp(c) in S}, with the
+    subcode sizes from ``_dominated_counts`` of the 0/1 Hamming supports.
 
     Its circuits are the minimal supports of nonzero codewords, so two
     coordinates that carry a weight-2 codeword are parallel."""
     q = _require_field(code.ring)
     lattice = boolean_lattice(code.n)
-
-    def subcode_dim(s: frozenset) -> int:
-        words = [
-            c for c in code.codewords
-            if all(i in s for i in range(code.n) if c[i] != code.ring.zero)
-        ]
-        return intlog(q, len(words))
-
-    lt = Latroid.from_functions(
-        lattice, lambda s: len(s) - subcode_dim(s), lambda s: len(s)
-    )
+    levels = HammingSupport(code.ring, code.n).of_digits(code.ring.encode(code.codewords, code.n))
+    rows = _members(lattice.labels, range(code.n)).astype(np.int64)
+    inside = _dominated_counts(levels, [1] * code.n)[tuple(rows.T)].tolist()
+    rank = tuple((len(s) - intlog(q, c),) for s, c in zip(lattice.labels, inside))
+    lt = Latroid(lattice, rank, tuple((len(s),) for s in lattice.labels), 1)
     return _validated(lt, validate)
 
 

@@ -12,10 +12,14 @@ polynomial (the denominator cancels exactly).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+
+import numpy as np
 
 from .code_latroids import chain_support_latroid, code_gen_weights_dbar
 from .codes import Code, enumerate_submodules, length_lambda
-from .core import Latroid, sleq
+from .core import Latroid
+from .lattices import chain_support_lattice
 from .report import Check, Report
 from .supports import ChainSupport, Support, split_support
 
@@ -211,10 +215,8 @@ def refined_enumerator(code: Code, supp: Support) -> ExpPoly:
     top = supp.ambient_support()
     u = supp.u
     poly = ExpPoly.zero(2 * u, _xy_names(u))
-    for c in code.codewords:
-        s = supp(c)
-        exps = s + tuple(t - x for t, x in zip(top, s))
-        poly._add_term(exps, 1)
+    for s in supp.of_digits(code.ring.encode(code.codewords, code.n)).tolist():
+        poly._add_term(tuple(s) + tuple(t - x for t, x in zip(top, s)), 1)
     return poly
 
 
@@ -228,10 +230,8 @@ def homogeneous_enumerator(code: Code, supp: Support) -> ExpPoly:
 
 def weight_distribution(code: Code, supp: Support) -> list[int]:
     """A_w = number of codewords of weight w, for w = 0..wt(R^n)."""
-    out = [0] * (supp.ambient_weight() + 1)
-    for c in code.codewords:
-        out[supp.weight(c)] += 1
-    return out
+    weights = supp.of_digits(code.ring.encode(code.codewords, code.n)).sum(axis=1)
+    return np.bincount(weights, minlength=supp.ambient_weight() + 1).tolist()
 
 
 def _weight_distributions(code: Code, supp: Support) -> dict[int, list[int]]:
@@ -438,18 +438,12 @@ def inclusion_exclusion_check(code: Code) -> Report:
     and by alternating sums of the dominated-support counts |C_B|."""
     ring = code.ring
     supp = ChainSupport(ring, code.n)
-    lt = chain_support_latroid(code, validate=False)
-    labels = lt.lattice.labels
-    support_of = {c: supp(c) for c in code.codewords}
-    counts = {
-        a: sum(1 for s in support_of.values() if s == a) for a in labels
-    }
-    dominated = {
-        b: sum(
-            1 for s in support_of.values() if sleq(s, b)
-        )
-        for b in labels
-    }
+    labels = chain_support_lattice(ring, code.n).labels
+    levels = supp.of_digits(ring.encode(code.codewords, code.n))
+    counts = Counter(map(tuple, levels.tolist()))
+    # One comparison per label, not the prefix sums of chain_support_latroid,
+    # so that this route stays independent of that kernel.
+    dominated = {b: int((levels <= b).all(axis=1).sum()) for b in labels}
     u = supp.u
 
     def mismatches():

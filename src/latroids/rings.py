@@ -217,15 +217,6 @@ class Pir:
         vector over the one-factor ring."""
         return tuple((a[i],) for a in v)
 
-    def embed_vector(self, w: Vector, i: int, n: int) -> Vector:
-        """Embed a vector over factor i into R^n (zeros in other factors)."""
-        out = []
-        for a in w:
-            coords = [0] * self.ell
-            coords[i] = a[0]
-            out.append(tuple(coords))
-        return tuple(out)
-
     # -- R^n as digit arrays ---------------------------------------------------
 
     def mods(self, n: int) -> np.ndarray:

@@ -7,14 +7,20 @@ be strictly decreased by adding a suitable multiple of w.  (The positivity
 guard is forced: at supp(v)_i = 0 no support could decrease further, the
 Hamming support included.)
 
-The validators work on the digit encoding of R^n from ``rings``: row i of
-every array is the vector of index i, sums and multiples are array
-arithmetic plus ``Pir.index``, and scans visit rows in lexicographic order.
+``Support.of_digits`` is the one evaluation: it maps rows of the digit
+encoding of R^n from ``rings`` to an array of support rows.  ``__call__``,
+``values``, ``of_set`` and every consumer that loops over vectors or a
+code's words (validators, CRT splitting, the chain-support and block
+latroids, the enumerators) read that array.  ``ChainSupport`` computes it
+with one lookup per CRT factor and ``HammingSupport`` with one nonzero test
+per coordinate; other supports evaluate row by row.
+
+The validators work on the same encoding: row i of every array is the
+vector of index i, sums and multiples are array arithmetic plus
+``Pir.index``, and scans visit rows in lexicographic order.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -25,10 +31,6 @@ from .report import Check, Report
 from .rings import Pir, Vector
 
 SupportVec = tuple[int, ...]
-
-
-def _vmax(a: SupportVec, b: SupportVec) -> SupportVec:
-    return tuple(max(x, y) for x, y in zip(a, b, strict=True))
 
 
 class Support:
@@ -48,18 +50,21 @@ class Support:
     def is_standard(self) -> bool:
         return False
 
+    def of_digits(self, digits: np.ndarray) -> np.ndarray:
+        """supp(v) for each row of a (rows, n * ell) digit array, as an
+        int64 (rows, u) array."""
+        vectors = self.ring.decode(digits)
+        return np.array([self(v) for v in vectors], dtype=np.int64).reshape(len(vectors), self.u)
+
     def values(self) -> np.ndarray:
         """supp(v) for every v in R^n, row i for the vector of index i.
         Enumerates R^n; callers check the cap."""
-        vectors = self.ring.decode(self.ring.space(self.n))
-        return np.array([self(v) for v in vectors], dtype=np.int64).reshape(len(vectors), self.u)
+        return self.of_digits(self.ring.space(self.n))
 
     def of_set(self, vectors) -> SupportVec:
-        """Coordinatewise maximum over a set of vectors."""
-        out = (0,) * self.u
-        for v in vectors:
-            out = _vmax(out, self(v))
-        return out
+        """Coordinatewise maximum over a set of vectors (zero when empty)."""
+        rows = self.of_digits(self.ring.encode(vectors, self.n))
+        return tuple(rows.max(axis=0, initial=0).tolist())
 
     def weight(self, v: Vector) -> int:
         return sum(self(v))
@@ -68,11 +73,11 @@ class Support:
         return sum(self.of_set(code.codewords))
 
     def min_max_weight(self, code: Code) -> tuple[int, int]:
-        weights = sorted(self.weight(c) for c in code.codewords)
-        nonzero = [w for w in weights if w > 0]
-        if not nonzero:
+        weights = self.of_digits(self.ring.encode(code.codewords, self.n)).sum(axis=1)
+        nonzero = weights[weights > 0]
+        if not nonzero.size:
             raise ValueError("minimum weight of the zero code is undefined")
-        return nonzero[0], weights[-1]
+        return int(nonzero.min()), int(weights.max())
 
     def ambient_support(self) -> SupportVec:
         """supp(R^n), the top support vector."""
@@ -85,7 +90,8 @@ class Support:
         """Pointwise equality on the full (capped) domain."""
         if (self.ring, self.n, self.u) != (other.ring, other.n, other.u):
             return False
-        return all(self(v) == other(v) for v in self.ring.vectors(self.n, cap=cap))
+        check_cap(self.ring.size**self.n, cap, f"enumerating {self.ring}^{self.n}")
+        return np.array_equal(self.values(), other.values())
 
 
 class HammingSupport(Support):
@@ -96,8 +102,12 @@ class HammingSupport(Support):
     def __init__(self, ring: Pir, n: int):
         super().__init__(ring, n, n)
 
+    def of_digits(self, digits: np.ndarray) -> np.ndarray:
+        nonzero = digits.reshape(len(digits), self.n, self.ring.ell).any(axis=2)
+        return nonzero.astype(np.int64)
+
     def __call__(self, v: Vector) -> SupportVec:
-        return tuple(0 if a == self.ring.zero else 1 for a in v)
+        return tuple(self.of_digits(self.ring.encode([v], self.n))[0].tolist())
 
     @property
     def is_standard(self) -> bool:
@@ -120,15 +130,20 @@ class ChainSupport(Support):
     def __init__(self, ring: Pir, n: int):
         super().__init__(ring, n, n * ring.ell)
 
+    def of_digits(self, digits: np.ndarray) -> np.ndarray:
+        """One lookup per CRT factor j on the digit columns j::ell: the
+        digit layout is already the coordinate-major layout of the support."""
+        ell = self.ring.ell
+        out = np.empty_like(digits)
+        for j, f in enumerate(self.ring.factors):
+            level = np.array([f.k - f.valuation(r) for r in range(f.size)], dtype=np.int64)
+            out[:, j::ell] = level[digits[:, j::ell]]
+        return out
+
     def __call__(self, v: Vector) -> SupportVec:
         if len(v) != self.n:
             raise ValueError(f"vector {v} does not have length {self.n}")
-        ks = [f.k for f in self.ring.factors]
-        out = []
-        for a in v:
-            vals = self.ring.valuations(a)
-            out.extend(k - t for k, t in zip(ks, vals))
-        return tuple(out)
+        return tuple(self.of_digits(self.ring.encode([v], self.n))[0].tolist())
 
     @property
     def is_standard(self) -> bool:
@@ -209,32 +224,18 @@ class TableSupport(Support):
         return self._standard
 
     def _detect_standard(self) -> bool:
-        ring = self.ring
-        owner = [None] * self.u
-        for i in range(self.n):
-            for r in ring.elements():
-                sv = self(tuple(r if t == i else ring.zero for t in range(self.n)))
-                for j in range(self.u):
-                    if sv[j] > 0:
-                        if owner[j] is not None and owner[j] != i:
-                            return False
-                        owner[j] = i
-        for v, sv in self.table.items():
-            combined = (0,) * self.u
-            for i in range(self.n):
-                axis = tuple(
-                    a if t == i else ring.zero for t, a in enumerate(v)
-                )
-                combined = _vmax(combined, self(axis))
-            if combined != sv:
-                return False
-        return True
+        ring, n, ell = self.ring, self.n, self.ring.ell
+        digits, vals = ring.space(n), self.values()
+        combined, owners = np.zeros_like(vals), np.zeros(self.u, dtype=np.int64)
+        for i in range(n):
+            # supp of each vector with every coordinate but the i-th zeroed
+            axis = vals[ring.index(np.where(np.arange(n * ell) // ell == i, digits, 0), n)]
+            owners += (axis > 0).any(axis=0)
+            combined = np.maximum(combined, axis)
+        return bool((owners <= 1).all() and (combined == vals).all())
 
     def ambient_support(self) -> SupportVec:
-        out = (0,) * self.u
-        for val in self.table.values():
-            out = _vmax(out, val)
-        return out
+        return self.of_set(self.table)
 
 
 def tau_support(ring: Pir, n: int) -> TableSupport:
@@ -347,43 +348,33 @@ def split_support(s: Support, cap: int = VECTOR_ENUM_CAP):
     (stable within each group), so that for every v
     ``concat(parts[i](proj_i(v)))`` equals ``s(v)`` permuted accordingly.
     """
-    ring = s.ring
+    ring, n, ell = s.ring, s.n, s.ring.ell
     if not validate_modular(s, cap=cap).ok:
         raise ValueError("only modular supports are guaranteed to split")
-
-    owners = [None] * s.u
-    for i in range(ring.ell):
-        seen = set()
-        for w in ring.factor_ring(i).vectors(s.n, cap=cap):
-            sv = s(ring.embed_vector(w, i, s.n))
-            seen.update(j for j in range(s.u) if sv[j] > 0)
-        for j in seen:
-            if owners[j] is not None and owners[j] != i:
-                raise ValueError(
-                    f"support coordinate {j} moves with factors {owners[j]} and {i}"
-                )
-            owners[j] = i
-    owners = [0 if o is None else o for o in owners]
-
-    groups = [[j for j in range(s.u) if owners[j] == i] for i in range(ring.ell)]
-    permutation = tuple(itertools.chain.from_iterable(groups))
+    digits, vals = ring.space(n), s.values()
+    # The rows that vanish outside factor i: R_i^n embedded in R^n.
+    embedded = [(digits[:, np.arange(n * ell) % ell != i] == 0).all(axis=1) for i in range(ell)]
+    # moves[i, j]: support coordinate j is positive somewhere on factor i.
+    moves = np.array([(vals[rows] > 0).any(axis=0) for rows in embedded])
+    clash = np.argwhere(moves & (moves.cumsum(axis=0) > 1))
+    if clash.size:
+        i, j = clash[0].tolist()
+        first = moves[:, j].argmax()
+        raise ValueError(f"support coordinate {j} moves with factors {first} and {i}")
+    owners = moves.argmax(axis=0)
+    groups = [np.flatnonzero(owners == i) for i in range(ell)]
+    permutation = tuple(np.concatenate(groups).tolist())
 
     parts = []
-    for i, group in enumerate(groups):
+    for i, (rows, group) in enumerate(zip(embedded, groups)):
         sub = ring.factor_ring(i)
-        table = {}
-        for w in sub.vectors(s.n, cap=cap):
-            sv = s(ring.embed_vector(w, i, s.n))
-            table[w] = tuple(sv[j] for j in group)
-        parts.append(TableSupport(sub, s.n, table))
+        words = sub.decode(digits[rows][:, i::ell])
+        parts.append(TableSupport(sub, n, dict(zip(words, vals[rows][:, group].tolist()))))
 
-    for v in ring.vectors(s.n, cap=cap):
-        sv = s(v)
-        combined = []
-        for i, part in enumerate(parts):
-            combined.extend(part(ring.project_vector(v, i)))
-        if tuple(sv[j] for j in permutation) != tuple(combined):
-            raise ValueError(f"support does not split at v={v}")
+    split = np.hstack([p.values()[p.ring.index(digits[:, i::ell], n)] for i, p in enumerate(parts)])
+    bad = np.flatnonzero((split != vals[:, permutation]).any(axis=1))
+    if bad.size:
+        raise ValueError(f"support does not split at v={_vector(ring, digits, bad[0])}")
 
     for i, part in enumerate(parts):
         if not validate_modular(part, cap=cap).ok:
@@ -444,7 +435,8 @@ def module_support_lattice_check(s: Support, modules: list[Code]) -> Report:
         Check.from_witnesses("support_of_sum_is_join", (
             f"{sorted(a.codewords)} + {sorted(b.codewords)}"
             for a, b, sa, sb in pairs
-            if s.of_set(code_sum(a, b).codewords) != _vmax(sa, sb)
+            if s.of_set(code_sum(a, b).codewords)
+            != tuple(max(x, y) for x, y in zip(sa, sb))
         )),
         Check.from_witnesses("support_of_intersection_is_meet", (
             f"{sorted(a.codewords)} cap {sorted(b.codewords)}"

@@ -218,6 +218,65 @@ def test_modular_iff_graded_with_modular_height():
         assert claim == law
 
 
+def modular_law_loop(lat):
+    """The modular law x v (y ^ z) = (x v y) ^ z over all triples with
+    x <= z, one gather of N^2 entries per y."""
+    idx = np.arange(lat.size)
+    for y in range(lat.size):
+        lhs = lat.join[idx[:, None], lat.meet[y][None, :]]
+        rhs = lat.meet[lat.join[:, y][:, None], idx[None, :]]
+        if ((lhs != rhs) & lat.leq).any():
+            return False
+    return True
+
+
+def partition_lattice(n):
+    """Set partitions of {0..n-1} under refinement."""
+    parts = [[]]
+    for x in range(n):
+        parts = [
+            p[:i] + [p[i] + [x]] + p[i + 1:] for p in parts for i in range(len(p))
+        ] + [p + [[x]] for p in parts]
+    labels = [frozenset(map(frozenset, p)) for p in parts]
+    return build_lattice(labels, lambda a, b: all(any(x <= y for y in b) for x in a))
+
+
+def five_element(kind):
+    """N5 (the pentagon) or M3 (the diamond)."""
+    if kind == "N5":
+        order = {("a", "b")}
+    else:
+        order = set()
+    return build_lattice(
+        "0abc1", lambda x, y: x == y or x == "0" or y == "1" or (x, y) in order
+    )
+
+
+def test_modular_check_matches_modular_law_loop():
+    z4, z8 = parse_ring("Z_4"), parse_ring("Z_8")
+    pi4 = partition_lattice(4)
+    lattices_ = [
+        five_element("N5"),
+        five_element("M3"),
+        pi4,
+        partition_lattice(5),
+        boolean_lattice(5),
+        grid_lattice([2, 1, 3]),
+        subspace_lattice(2, 4),
+        subspace_lattice(3, 3),
+        submodule_lattice(full_space(z4, 2)),
+        submodule_lattice(full_space(z8, 2)),
+        ideal_lattice(parse_ring("Z_4 x Z_9")),
+        dual(pi4),
+        product(five_element("N5"), boolean_lattice(2)),
+        product(pi4, boolean_lattice(1)),
+    ]
+    verdicts = [is_modular_lattice(lat) for lat in lattices_]
+    assert verdicts == [modular_law_loop(lat) for lat in lattices_]
+    assert verdicts == [False, True, False, False] + [True] * 7 + [False] * 3
+    assert pi4.is_graded and not verdicts[2]
+
+
 def test_distributive_implies_modular_on_corpus():
     for lat in corpus():
         if is_distributive_lattice(lat):

@@ -5,6 +5,10 @@ Z_2 x Z_2 and Z_4 x Z_2; the last two have factor sizes that are not
 coprime, so ``Pir.from_int`` does not reach every element and generators
 are drawn as residue tuples instead.  Codes have at most two generators,
 which keeps every submodule enumeration below a few hundred codewords.
+
+The chain-support latroid and the block matroid are compared with
+reference constructions that evaluate one support per (label, codeword)
+pair.
 """
 
 from __future__ import annotations
@@ -13,17 +17,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latroids.code_latroids import chain_support_latroid, latroid_weights_equal_code_weights
-from latroids.codes import span
-from latroids.core import dual_latroid, validate_latroid
-from latroids.enumerators import enumerator_from_tutte, pir_tutte_corollary, refined_enumerator
-from latroids.rings import parse_ring
-from latroids.supports import ChainSupport
+from test_supports import BATCH_RINGS, reference_chain_support
+
+from latroids.code_latroids import (
+    block_matroid,
+    chain_support_latroid,
+    latroid_weights_equal_code_weights,
+)
+from latroids.codes import Code, span, zero_code
+from latroids.core import Latroid, dual_latroid, sleq, validate_latroid
+from latroids.enumerators import (
+    enumerator_from_tutte,
+    inclusion_exclusion_check,
+    pir_tutte_corollary,
+    refined_enumerator,
+    weight_distribution,
+)
+from latroids.lattices import boolean_lattice, chain_support_lattice
+from latroids.rings import intlog, parse_ring
+from latroids.supports import ChainSupport, HammingSupport
 
 RINGS = (
     "Z_2", "Z_3", "Z_4", "Z_5", "Z_7", "Z_8", "Z_9",
     "Z_2 x Z_3", "Z_2 x Z_2", "Z_4 x Z_2",
 )
+
+
+def reference_chain_support_latroid(code):
+    """rho(s) = |s| - lambda(M_s n C), one support comparison per (grid
+    label, codeword) pair and lambda factor by factor from the projections."""
+    ring, ell = code.ring, code.ring.ell
+
+    def rho(label):
+        words = [c for c in code.codewords if sleq(reference_chain_support(ring, c), label)]
+        sub = Code(ring, code.n, (), frozenset(words))
+        return tuple(
+            sum(label[j::ell]) - intlog(f.p, len(sub.factor(j)))
+            for j, f in enumerate(ring.factors)
+        )
+
+    def length(label):
+        return tuple(sum(label[j::ell]) for j in range(ell))
+
+    return Latroid.from_functions(chain_support_lattice(ring, code.n), rho, length, udim=ell)
+
+
+def reference_block_matroid(code):
+    """rho(S) = |S| - dim{c : supp(c) in S}, one subset test per (S, c)."""
+    q = code.ring.factors[0].p
+
+    def subcode_dim(s):
+        words = [
+            c for c in code.codewords
+            if all(i in s for i in range(code.n) if c[i] != code.ring.zero)
+        ]
+        return intlog(q, len(words))
+
+    return Latroid.from_functions(boolean_lattice(code.n), lambda s: len(s) - subcode_dim(s), len)
+
+
+def is_field(ring):
+    return ring.ell == 1 and ring.factors[0].k == 1
 
 
 @st.composite
@@ -40,6 +94,9 @@ def codes(draw, ring):
 def test_chain_support_latroid_of_random_code(ring_name, data):
     code = data.draw(codes(parse_ring(ring_name)))
     lt = chain_support_latroid(code, validate=False)
+    assert lt == reference_chain_support_latroid(code)
+    if is_field(code.ring):
+        assert block_matroid(code, validate=False) == reference_block_matroid(code)
     report = validate_latroid(lt)
     assert report.ok, report.summary()
     assert dual_latroid(dual_latroid(lt)) == lt
@@ -53,3 +110,31 @@ def test_chain_support_latroid_of_random_code(ring_name, data):
 
     rep = latroid_weights_equal_code_weights(code)
     assert rep.ok, rep.summary()
+
+
+@pytest.mark.parametrize("ring_name", BATCH_RINGS)
+def test_code_latroids_of_zero_code_match_references(ring_name):
+    ring = parse_ring(ring_name)
+    for n in (1, 2, 3):
+        code = zero_code(ring, n)
+        assert chain_support_latroid(code) == reference_chain_support_latroid(code)
+        if is_field(ring):
+            assert block_matroid(code) == reference_block_matroid(code)
+
+
+def test_code_latroids_and_enumerators_evaluate_supports_in_one_batch(monkeypatch):
+    calls = []
+    for cls in (ChainSupport, HammingSupport):
+        per_vector = cls.__call__
+        monkeypatch.setattr(
+            cls, "__call__", lambda self, v, f=per_vector: calls.append(v) or f(self, v)
+        )
+    z6, f3 = parse_ring("Z_2 x Z_3"), parse_ring("Z_3")
+    code = span(z6, 3, [((1, 1), (0, 2), (1, 0))])
+    chain = ChainSupport(z6, 3)
+    chain_support_latroid(code, validate=False)
+    refined_enumerator(code, chain)
+    weight_distribution(code, chain)
+    assert inclusion_exclusion_check(code).ok
+    block_matroid(span(f3, 4, [((1,), (2,), (0,), (1,))]), validate=False)
+    assert calls == []

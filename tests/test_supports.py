@@ -142,6 +142,17 @@ def test_split_single_factor_is_identity():
     assert parts[0].same_values(ChainSupport(Z4, 1))
 
 
+def test_split_reports_the_first_vector_that_does_not_split():
+    # modular, but (1, 1) weighs 2 in the second coordinate while both of
+    # its factor projections weigh at most 1
+    z2z2 = parse_ring("Z_2 x Z_2")
+    table = {((0, 0),): (0, 0), ((0, 1),): (0, 1), ((1, 0),): (1, 0), ((1, 1),): (1, 2)}
+    s = TableSupport(z2z2, 1, table, validate=False)
+    assert validate_modular(s).ok
+    with pytest.raises(ValueError, match=r"does not split at v=\(\(1, 1\),\)"):
+        split_support(s)
+
+
 def test_split_requires_modular():
     with pytest.raises(ValueError, match="modular"):
         split_support(HammingSupport(Z6, 1))
@@ -329,3 +340,42 @@ def test_reference_fixtures_fail_every_axiom():
         "axiom4_modular": {True, False},
         "negative coordinate": {False},
     }
+
+
+# -- batch evaluation against the per-vector definitions --------------------------
+
+
+def reference_chain_support(ring, v):
+    """k minus the valuation, per coordinate and CRT factor (coordinate-major)."""
+    ks = [f.k for f in ring.factors]
+    out = []
+    for a in v:
+        out.extend(k - t for k, t in zip(ks, ring.valuations(a)))
+    return tuple(out)
+
+
+def reference_hamming_support(ring, v):
+    return tuple(0 if a == ring.zero else 1 for a in v)
+
+
+BATCH_RINGS = ("Z_4", "Z_8", "Z_9", "Z_2", "Z_3", "Z_2 x Z_3", "Z_2 x Z_2", "Z_4 x Z_2")
+
+
+@pytest.mark.parametrize("name", BATCH_RINGS)
+def test_of_digits_matches_per_vector_references(name):
+    ring = parse_ring(name)
+    for n in (1, 2, 3):
+        vectors = list(ring.vectors(n))
+        for s, reference in (
+            (ChainSupport(ring, n), reference_chain_support),
+            (HammingSupport(ring, n), reference_hamming_support),
+        ):
+            expected = [reference(ring, v) for v in vectors]
+            assert list(map(tuple, s.of_digits(ring.space(n)).tolist())) == expected
+            assert list(map(tuple, s.values().tolist())) == expected
+            assert [s(v) for v in vectors] == expected
+
+
+def test_of_set_of_nothing_is_zero():
+    assert ChainSupport(Z4, 2).of_set([]) == (0, 0)
+    assert ChainSupport(Z6, 2).of_set(iter(())) == (0, 0, 0, 0)

@@ -1,6 +1,6 @@
 """Generalized weights: the subcode-minimum oracles, the weights-equal
-report builder, the generalized enumerator, R from R', and the witness
-idiom the validators share."""
+report builder, the generalized enumerator, R from R', the octacode's
+enumerators, and the witness idiom the validators share."""
 
 from __future__ import annotations
 
@@ -32,8 +32,10 @@ from latroids.codes import enumerate_submodules, length_lambda, span_from_ints, 
 from latroids.core import Latroid
 from latroids.enumerators import (
     ExpPoly,
+    enumerator_from_tutte,
     generalized_enumerator,
     generalized_weight_distribution,
+    refined_enumerator,
     rprime_z_to_one,
     tutte_whitney_R,
     tutte_whitney_Rprime,
@@ -269,6 +271,37 @@ def test_R_is_rprime_at_z_one(name, code):
     assert got.names == want.names
     assert got.render() == want.render()
     assert rprime_z_to_one(tutte_whitney_Rprime(lt), code.n) == want
+
+
+# -- the octacode ------------------------------------------------------------------------
+#
+# The Z_4 code whose Gray image is the Nordstrom-Robinson code (Hammons,
+# Kumar, Calderbank, Sloane and Sole, IEEE Trans. IT 1994).
+
+
+OCTACODE_ROWS = [
+    [1, 0, 0, 0, 3, 1, 2, 1],
+    [0, 1, 0, 0, 1, 2, 3, 1],
+    [0, 0, 1, 0, 3, 3, 3, 2],
+    [0, 0, 0, 1, 2, 3, 1, 1],
+]
+
+
+def test_octacode_lee_distribution_from_chain_support_enumerator():
+    # Lee weight depends only on the chain level: a unit (level 2) weighs 1,
+    # 2 (level 1) weighs 2, and 0 weighs 0.
+    octacode = span_from_ints(Z4, 8, OCTACODE_ROWS)
+    poly = refined_enumerator(octacode, ChainSupport(Z4, 8))
+    lee = Counter()
+    for exps, coeff in poly.terms.items():
+        lee[sum((0, 2, 1)[level] for level in exps[:8])] += coeff
+    assert dict(lee) == {0: 1, 6: 112, 8: 30, 10: 112, 16: 1}
+
+
+def test_punctured_octacode_enumerator_from_tutte():
+    punctured = span_from_ints(Z4, 7, [row[:7] for row in OCTACODE_ROWS])
+    assert len(punctured) == 256
+    assert enumerator_from_tutte(punctured) == refined_enumerator(punctured, ChainSupport(Z4, 7))
 
 
 # -- the witness idiom ---------------------------------------------------------------------
