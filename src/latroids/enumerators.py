@@ -6,20 +6,25 @@ The refined weight enumerator of a code can be read off from R' of its
 chain-support latroid.  The substitution z -> (y - x)/y never happens as a
 rational function: the closed form multiplies each term by (y - x)^e and
 drops e from the matching y exponent, so everything stays an integer
-polynomial (the denominator cancels exactly).
+polynomial (the denominator cancels exactly).  The power (y - x)^e is
+expanded with binomial coefficients, so each R' term lists its monomials
+x^(B+K) y^(T-B-K), 0 <= K <= e, directly.  Those lists, like the terms of
+every other polynomial here, are collected once, by the ``ExpPoly``
+constructor, which adds up repeated exponents and drops zero sums.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from operator import add, sub
 
 import numpy as np
 
 from .code_latroids import chain_support_latroid, code_gen_weights_dbar
 from .codes import Code, enumerate_submodules, length_lambda
 from .core import Latroid
-from .lattices import chain_support_lattice
 from .report import Check, Report
 from .supports import ChainSupport, Support, split_support
 
@@ -28,46 +33,44 @@ class ExpPoly:
     """A polynomial as a map from exponent vectors to integer coefficients.
 
     The variable layout is fixed at construction; no zero coefficients are
-    stored.  Arithmetic is exact.
+    stored.  Arithmetic is exact.  The constructor is the one place where
+    terms are collected: it takes (exponents, coefficient) pairs, adds up
+    the coefficients of repeated exponents and drops the sums that are
+    zero, and every operation below only lists pairs for it.
     """
 
-    def __init__(self, nvars: int, terms=None, names=None):
+    def __init__(self, nvars: int, terms=(), names=None):
         self.nvars = nvars
         self.names = tuple(names) if names else tuple(f"t{i+1}" for i in range(nvars))
         if len(self.names) != nvars:
             raise ValueError("one name per variable")
-        self.terms: dict[tuple[int, ...], int] = {}
-        for exps, coeff in (terms or {}).items():
-            self._add_term(tuple(exps), int(coeff))
-
-    def _add_term(self, exps: tuple[int, ...], coeff: int) -> None:
-        if len(exps) != self.nvars:
-            raise ValueError(f"exponent vector {exps} does not have {self.nvars} entries")
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        new = self.terms.get(exps, 0) + coeff
-        if new:
-            self.terms[exps] = new
-        else:
-            self.terms.pop(exps, None)
+        sums: dict[tuple[int, ...], int] = {}
+        for exps, coeff in terms:
+            exps = tuple(exps)
+            if len(exps) != nvars:
+                raise ValueError(f"exponent vector {exps} does not have {nvars} entries")
+            if min(exps, default=0) < 0:
+                raise ValueError(f"negative exponent in {exps}")
+            sums[exps] = sums.get(exps, 0) + int(coeff)
+        self.terms: dict[tuple[int, ...], int] = {e: c for e, c in sums.items() if c}
 
     @classmethod
     def zero(cls, nvars: int, names=None) -> "ExpPoly":
-        return cls(nvars, {}, names)
+        return cls(nvars, (), names)
 
     @classmethod
     def constant(cls, c: int, nvars: int, names=None) -> "ExpPoly":
-        return cls(nvars, {(0,) * nvars: c} if c else {}, names)
+        return cls(nvars, [((0,) * nvars, c)], names)
 
     @classmethod
     def monomial(cls, exps, coeff: int = 1, names=None) -> "ExpPoly":
         exps = tuple(exps)
-        return cls(len(exps), {exps: coeff}, names)
+        return cls(len(exps), [(exps, coeff)], names)
 
     @classmethod
     def variable(cls, i: int, nvars: int, names=None) -> "ExpPoly":
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: 1}, names)
+        return cls(nvars, [(exps, 1)], names)
 
     def _like(self, terms) -> "ExpPoly":
         return ExpPoly(self.nvars, terms, self.names)
@@ -83,44 +86,24 @@ class ExpPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            new = out.get(exps, 0) + c
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
-        return self._like(out)
+        return self._like([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self) -> "ExpPoly":
-        return self._like({e: -c for e, c in self.terms.items()})
+        return self._like((e, -c) for e, c in self.terms.items())
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "ExpPoly":
         if isinstance(other, int):
-            return self._like({e: c * other for e, c in self.terms.items()})
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(e, 0) + c1 * c2
-                if new:
-                    out[e] = new
-                else:
-                    out.pop(e, None)
-        return self._like(out)
+            return self._like((e, c * other) for e, c in self.terms.items())
+        return self._like(
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "ExpPoly":
-        if n < 0:
-            raise ValueError("only nonnegative powers")
-        out = ExpPoly.constant(1, self.nvars, self.names)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -129,39 +112,18 @@ class ExpPoly:
         """Sum of coefficients (evaluation at all-ones)."""
         return sum(self.terms.values())
 
-    def set_to_one(self, indices) -> "ExpPoly":
-        """Substitute 1 for the given variables and drop them."""
-        drop = set(indices)
-        keep = [i for i in range(self.nvars) if i not in drop]
-        names = tuple(self.names[i] for i in keep)
-        out: dict[tuple[int, ...], int] = {}
+    def remap(self, targets, nvars: int, names) -> "ExpPoly":
+        """Move old variable i onto new variable targets[i] of an nvars
+        layout, adding the exponents of variables that land together; a
+        target of None substitutes 1 for the variable."""
+        pairs = []
         for exps, c in self.terms.items():
-            e = tuple(exps[i] for i in keep)
-            out[e] = out.get(e, 0) + c
-        return ExpPoly(len(keep), {e: c for e, c in out.items() if c}, names)
-
-    def collapse(self, mapping, new_nvars: int, names=None) -> "ExpPoly":
-        """Merge variables: exponents of old variable i add onto new
-        variable mapping[i]."""
-        out: dict[tuple[int, ...], int] = {}
-        for exps, c in self.terms.items():
-            e = [0] * new_nvars
-            for i, x in enumerate(exps):
-                e[mapping[i]] += x
-            e = tuple(e)
-            out[e] = out.get(e, 0) + c
-        return ExpPoly(new_nvars, {e: c for e, c in out.items() if c}, names)
-
-    def embed(self, positions, total: int, names=None) -> "ExpPoly":
-        """View the polynomial inside a larger variable space, placing old
-        variable i at positions[i]."""
-        out = {}
-        for exps, c in self.terms.items():
-            e = [0] * total
-            for pos, x in zip(positions, exps):
-                e[pos] = x
-            out[tuple(e)] = c
-        return ExpPoly(total, out, names)
+            e = [0] * nvars
+            for t, x in zip(targets, exps):
+                if t is not None:
+                    e[t] += x
+            pairs.append((e, c))
+        return ExpPoly(nvars, pairs, names)
 
     def sorted_terms(self):
         """Graded-lexicographic, highest first; the serialization order."""
@@ -212,20 +174,15 @@ def _xy_names(u: int) -> tuple[str, ...]:
 
 def refined_enumerator(code: Code, supp: Support) -> ExpPoly:
     """sum over codewords of x^supp(c) y^(supp(R^n) - supp(c))."""
-    top = supp.ambient_support()
-    u = supp.u
-    poly = ExpPoly.zero(2 * u, _xy_names(u))
-    for s in supp.of_digits(code.ring.encode(code.codewords, code.n)).tolist():
-        poly._add_term(tuple(s) + tuple(t - x for t, x in zip(top, s)), 1)
-    return poly
+    levels = supp.of_digits(code.ring.encode(code.codewords, code.n))
+    exps = np.hstack([levels, np.array(supp.ambient_support()) - levels])
+    return ExpPoly(2 * supp.u, ((e, 1) for e in exps.tolist()), _xy_names(supp.u))
 
 
 def homogeneous_enumerator(code: Code, supp: Support) -> ExpPoly:
     """The refined enumerator with every x_i set to x and y_i to y."""
     u = supp.u
-    refined = refined_enumerator(code, supp)
-    mapping = [0] * u + [1] * u
-    return refined.collapse(mapping, 2, ("x", "y"))
+    return refined_enumerator(code, supp).remap([0] * u + [1] * u, 2, ("x", "y"))
 
 
 def weight_distribution(code: Code, supp: Support) -> list[int]:
@@ -262,10 +219,7 @@ def generalized_enumerator(code: Code, supp: Support, r: int) -> ExpPoly:
         raise ValueError(f"r = {r} outside [0, {lam}]")
     wt_top = supp.ambient_weight()
     dists = _weight_distributions(code, supp)
-    poly = ExpPoly.zero(2, ("x", "y"))
-    for w, a in enumerate(dists[r]):
-        if a:
-            poly._add_term((wt_top - w, w), a)
+    poly = ExpPoly(2, (((wt_top - w, w), a) for w, a in enumerate(dists[r])), ("x", "y"))
     if r >= 1:
         least = min(
             w for j in range(r, lam + 1) for w, a in enumerate(dists[j]) if a
@@ -308,21 +262,22 @@ def tutte_whitney_Rprime(lt: Latroid) -> ExpPoly:
     )
     top_label = lt.lattice.labels[lt.lattice.top]
     top_rank = lt.top_rank()
-    poly = ExpPoly.zero(3 * g + 2 * s, names)
+    pairs = []
     for i, m in enumerate(labels):
         tilde = tuple(min(x + 1, t) for x, t in zip(m, top_label))
         zexp = tuple(a - b for a, b in zip(tilde, m))
         comp = tuple(t - x for t, x in zip(top_label, m))
         uexp = tuple(a - b for a, b in zip(top_rank, lt.rank[i]))
         vexp = tuple(a - b for a, b in zip(lt.length[i], lt.rank[i]))
-        poly._add_term(m + zexp + comp + uexp + vexp, 1)
-    return poly
+        pairs.append((m + zexp + comp + uexp + vexp, 1))
+    return ExpPoly(3 * g + 2 * s, pairs, names)
 
 
 def rprime_z_to_one(rp: ExpPoly, g: int) -> ExpPoly:
     """R from R' of a latroid on a g-dimensional grid by the substitution
     z = 1."""
-    return rp.set_to_one(range(g, 2 * g))
+    targets = [*range(g), *[None] * g, *range(g, rp.nvars - g)]
+    return rp.remap(targets, rp.nvars - g, rp.names[:g] + rp.names[2 * g :])
 
 
 def tutte_whitney_R(lt: Latroid) -> ExpPoly:
@@ -339,28 +294,19 @@ def enumerator_from_rprime(rp: ExpPoly, g: int, p: int) -> ExpPoly:
     p^b * x^B * (y - x)^e * y^(T-B-e): substituting the residue field size
     into the length-minus-rank slot counts the codewords supported inside B,
     and the binomial factor performs the inclusion-exclusion that isolates
-    exact supports.
+    exact supports.  Expanded binomially, that is
+    sum over 0 <= K <= e of p^b * prod_i (-1)^(K_i) C(e_i, K_i) *
+    x^(B+K) y^(T-B-K).
     """
-    names = _xy_names(g)
-    out = ExpPoly.zero(2 * g, names)
+    pairs = []
     for exps, coeff in rp.terms.items():
-        b = exps[:g]
-        zexp = exps[g : 2 * g]
-        yexp = exps[2 * g : 3 * g]
-        vexp = exps[3 * g + 1]
-        term = ExpPoly.monomial(
-            b + tuple(t - e for t, e in zip(yexp, zexp)),
-            coeff * p**vexp,
-            names,
-        )
-        for i, e in enumerate(zexp):
-            if e:
-                diff = ExpPoly.variable(g + i, 2 * g, names) - ExpPoly.variable(
-                    i, 2 * g, names
-                )
-                term = term * diff**e
-        out = out + term
-    return out
+        b, zexp, yexp = exps[:g], exps[g : 2 * g], exps[2 * g : 3 * g]
+        scale = coeff * p ** exps[3 * g + 1]
+        ks = itertools.product(*(range(e + 1) for e in zexp))
+        signed = [[(-1) ** k * math.comb(e, k) for k in range(e + 1)] for e in zexp]
+        for k, c in zip(ks, map(math.prod, itertools.product(*signed))):
+            pairs.append((tuple(map(add, b, k)) + tuple(map(sub, yexp, k)), scale * c))
+    return ExpPoly(2 * g, pairs, _xy_names(g))
 
 
 def enumerator_from_tutte(code: Code) -> ExpPoly:
@@ -382,24 +328,27 @@ def _chain_groups(ell: int, n: int) -> list[list[int]]:
     return [[i * ell + j for i in range(n)] for j in range(ell)]
 
 
+def _embedded_product(polys, groups, u: int) -> ExpPoly:
+    """The product of per-factor polynomials in x and y: factor j's x_t and
+    y_t move onto x_i and y_i of a u-coordinate layout, i = groups[j][t]."""
+    names = _xy_names(u)
+    out = ExpPoly.constant(1, 2 * u, names)
+    for poly, group in zip(polys, groups):
+        out = out * poly.remap([*group, *(u + i for i in group)], 2 * u, names)
+    return out
+
+
 def enumerator_product(code: Code, supp: Support) -> ExpPoly:
     """The refined enumerator computed as the product of the CRT factors'
     refined enumerators, expressed in the layout of ``supp``."""
     parts, perm = split_support(supp)
-    u = supp.u
-    names = _xy_names(u)
-    offsets = []
+    groups = []
     at = 0
     for part in parts:
-        offsets.append(list(range(at, at + part.u)))
+        groups.append([perm[t] for t in range(at, at + part.u)])
         at += part.u
-    groups = [[perm[t] for t in offs] for offs in offsets]
-    out = ExpPoly.constant(1, 2 * u, names)
-    for j, (part, group) in enumerate(zip(parts, groups)):
-        factor_poly = refined_enumerator(code.factor(j), part)
-        positions = list(group) + [u + g for g in group]
-        out = out * factor_poly.embed(positions, 2 * u, names)
-    return out
+    polys = (refined_enumerator(code.factor(j), part) for j, part in enumerate(parts))
+    return _embedded_product(polys, groups, supp.u)
 
 
 def pir_tutte_corollary(code: Code, supp: Support | None = None) -> Report:
@@ -408,15 +357,8 @@ def pir_tutte_corollary(code: Code, supp: Support | None = None) -> Report:
     support."""
     ring = code.ring
     supp = supp or ChainSupport(ring, code.n)
-    u = supp.u
-    names = _xy_names(u)
-    groups = _chain_groups(ring.ell, code.n)
-    prod = ExpPoly.constant(1, 2 * u, names)
-    for j, group in enumerate(groups):
-        factor_code = code.factor(j)
-        w_j = enumerator_from_tutte(factor_code)
-        positions = list(group) + [u + g for g in group]
-        prod = prod * w_j.embed(positions, 2 * u, names)
+    polys = (enumerator_from_tutte(code.factor(j)) for j in range(ring.ell))
+    prod = _embedded_product(polys, _chain_groups(ring.ell, code.n), supp.u)
     direct = refined_enumerator(code, supp)
     ok = prod == direct
     detail = "" if ok else f"product {prod.render()} != direct {direct.render()}"
@@ -438,7 +380,7 @@ def inclusion_exclusion_check(code: Code) -> Report:
     and by alternating sums of the dominated-support counts |C_B|."""
     ring = code.ring
     supp = ChainSupport(ring, code.n)
-    labels = chain_support_lattice(ring, code.n).labels
+    labels = list(itertools.product(*(range(k + 1) for k in supp.ambient_support())))
     levels = supp.of_digits(ring.encode(code.codewords, code.n))
     counts = Counter(map(tuple, levels.tolist()))
     # One comparison per label, not the prefix sums of chain_support_latroid,

@@ -1,13 +1,16 @@
 """Static hygiene of the package source: every import is used, and every
-private module-level definition is used somewhere in the package.
+private module-level definition and private method is used somewhere in the
+package.
 
 Each module under ``src/latroids`` is parsed with ``ast``; a name bound by an
 import statement must be read somewhere in the module (string annotations
 included).  ``__init__`` is exempt, since its imports are the re-exported
 public API.  A private module-level name (``_name``: a function, a class or
 an assignment target) must be read, or taken as an attribute, in some module
-of the package.  Every module other than ``__init__`` and ``__main__`` must be
-imported by some other module of the package, so none is left orphaned.
+of the package.  A private method (``def _name`` in a class body, dunders
+excluded) must be taken as an attribute in some module of the package.  Every
+module other than ``__init__`` and ``__main__`` must be imported by some other
+module of the package, so none is left orphaned.
 """
 
 from __future__ import annotations
@@ -129,6 +132,57 @@ def test_checker_sees_unreferenced_private_definitions():
         "a.py: _Tables (line 3)",
         "a.py: _cache (line 2)",
     ]
+
+
+def _private_methods(tree: ast.Module) -> dict[str, tuple[str, int]]:
+    """``_name`` methods of module-level classes (not dunders), keyed by
+    ``Class._name``, with the method name and its line."""
+    return {
+        f"{node.name}.{item.name}": (item.name, item.lineno)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name.startswith("_")
+        and not item.name.startswith("__")
+    }
+
+
+def _unread_private_methods(trees: dict[str, ast.Module]) -> list[str]:
+    attrs = {
+        node.attr
+        for t in trees.values()
+        for node in ast.walk(t)
+        if isinstance(node, ast.Attribute)
+    }
+    return sorted(
+        f"{module}: {qualname} (line {line})"
+        for module, tree in trees.items()
+        for qualname, (name, line) in _private_methods(tree).items()
+        if name not in attrs
+    )
+
+
+def test_no_unread_private_methods():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    unread = _unread_private_methods(trees)
+    assert not unread, f"private methods read nowhere: {', '.join(unread)}"
+
+
+def test_checker_sees_unread_private_methods():
+    trees = {
+        "a.py": ast.parse(
+            "class Poly:\n"
+            "    def __init__(self): self._like()\n"
+            "    def _like(self): pass\n"
+            "    def _add_term(self): pass\n"
+            "    def public(self): return _add_term\n"
+            "class Support:\n"
+            "    def _detect_standard(self): pass\n"
+        ),
+        "b.py": ast.parse("def f(s): return s._detect_standard()\n"),
+    }
+    assert _unread_private_methods(trees) == ["a.py: Poly._add_term (line 4)"]
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:
