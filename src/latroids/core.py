@@ -609,12 +609,7 @@ def closure(lt: Latroid, l: int) -> int:
 
 
 def flats(lt: Latroid) -> tuple[int, ...]:
-    """The L with cl(L) = L: every x whose join with L keeps the rank of L
-    lies below L."""
-    lat = lt.lattice
-    rank = _scalar_array(lt.rank, lt.udim)
-    keeps = (rank[lat.join] == rank[:, None, :]).all(axis=2)
-    return tuple(np.flatnonzero(~(keeps & ~lat.leq.T).any(axis=1)).tolist())
+    return tuple(l for l in range(lt.lattice.size) if closure(lt, l) == l)
 
 
 def hyperplanes(lt: Latroid) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ import numpy as np
 from .code_latroids import chain_support_latroid, code_gen_weights_dbar
 from .codes import Code, enumerate_submodules, length_lambda
 from .core import Latroid
+from .limits import LATTICE_CAP, check_cap
 from .report import Check, Report
 from .supports import ChainSupport, Support, split_support
 
@@ -380,7 +381,9 @@ def inclusion_exclusion_check(code: Code) -> Report:
     and by alternating sums of the dominated-support counts |C_B|."""
     ring = code.ring
     supp = ChainSupport(ring, code.n)
-    labels = list(itertools.product(*(range(k + 1) for k in supp.ambient_support())))
+    top = supp.ambient_support()
+    check_cap(math.prod(k + 1 for k in top), LATTICE_CAP, "lattice size")
+    labels = list(itertools.product(*(range(k + 1) for k in top)))
     levels = supp.of_digits(ring.encode(code.codewords, code.n))
     counts = Counter(map(tuple, levels.tolist()))
     # One comparison per label, not the prefix sums of chain_support_latroid,

@@ -8,11 +8,13 @@ from __future__ import annotations
 import pytest
 
 from latroids.codes import span, zero_code
+from latroids.errors import CapExceededError
 from latroids.enumerators import (
     ExpPoly,
     enumerator_from_rprime,
     enumerator_product,
     homogeneous_enumerator,
+    inclusion_exclusion_check,
     refined_enumerator,
     weight_distribution,
 )
@@ -127,3 +129,13 @@ def test_enumerator_product_matches_refined_enumerator(name, code):
     want = refined_enumerator(code, supp)
     assert got == want
     assert got.names == want.names
+
+
+# -- inclusion-exclusion --------------------------------------------------------------
+
+
+def test_inclusion_exclusion_check_refuses_a_grid_over_the_lattice_cap():
+    z4 = parse_ring("Z_4")
+    with pytest.raises(CapExceededError, match="lattice size needs 6561 > cap 4096"):
+        inclusion_exclusion_check(zero_code(z4, 8))
+    assert inclusion_exclusion_check(zero_code(z4, 3)).ok
