@@ -50,7 +50,6 @@ from .isometries import (
     is_isometry,
     pir_isometry_projections,
 )
-from .lattices import is_complemented_lattice, is_modular_lattice
 from .limits import VECTOR_ENUM_CAP
 from .report import Report
 from .rings import Element, Pir, parse_ring
@@ -200,13 +199,13 @@ def load_problem(cfg: dict, cap: int):
 def build_latroid(cfg: dict, code: Code, supp: Support):
     kind = cfg.get("lattice", "chain-support")
     if kind == "chain-support":
-        return chain_support_latroid(code, validate=False)
+        return chain_support_latroid(code)
     if kind == "submodule":
-        return latroid_from_code(code, validate=False)
+        return latroid_from_code(code)
     if kind == "rect":
-        return rect_supp_latroid(code, supp, validate=False)
+        return rect_supp_latroid(code, supp)
     if kind == "block":
-        return block_matroid(code, validate=False)
+        return block_matroid(code)
     raise InputError(f"unknown lattice kind {kind!r}")
 
 
@@ -318,11 +317,6 @@ def cmd_axioms(cfg, cap):
     ring, n, code, supp = load_problem(cfg, cap)
     lt = build_latroid(cfg, code, supp)
     lat = lt.lattice
-    if not (lat.is_graded and is_complemented_lattice(lat) and is_modular_lattice(lat)):
-        raise InputError(
-            "axiom systems need a complemented modular graded lattice; "
-            "choose lattice=block or a field-case chain-support grid"
-        )
     I, B, C = independents(lt), bases(lt), circuits(lt)
     reports = {
         "independents": axioms_I(lat, I),
@@ -342,16 +336,14 @@ def cmd_crypto_roundtrip(cfg, cap):
     ring, n, code, supp = load_problem(cfg, cap)
     lt = build_latroid(cfg, code, supp)
     lat = lt.lattice
-    if not (lat.is_graded and is_complemented_lattice(lat) and is_modular_lattice(lat)):
-        raise InputError("round trips need a complemented modular graded lattice")
     if not lt.uses_height_length():
         raise InputError("round trips need the height function as length")
     results = {}
     ok = True
     for tag, rebuilt in (
-        ("from_independents", rank_from_independents(lat, independents(lt), validate=False)),
-        ("from_bases", rank_from_bases(lat, bases(lt), validate=False)),
-        ("from_circuits", rank_from_circuits(lat, circuits(lt), validate=False)),
+        ("from_independents", rank_from_independents(lat, independents(lt))),
+        ("from_bases", rank_from_bases(lat, bases(lt))),
+        ("from_circuits", rank_from_circuits(lat, circuits(lt))),
     ):
         same = rebuilt.rank == lt.rank
         results[tag] = same
@@ -399,7 +391,7 @@ def cmd_tutte(cfg, cap):
             "factorization": rep.to_dict(),
         }
         return data, 0 if rep.ok else 1
-    rprime = tutte_whitney_Rprime(chain_support_latroid(code, validate=False))
+    rprime = tutte_whitney_Rprime(chain_support_latroid(code))
     rgf = rprime_z_to_one(rprime, n)
     via_tutte = enumerator_from_rprime(rprime, n, ring.factors[0].residue_field_size)
     direct = refined_enumerator(code, ChainSupport(ring, n))
@@ -517,34 +509,40 @@ def main(argv=None) -> int:
             }[args.command]
             data, code = handler(cfg, args.cap)
     except CapExceededError as e:
-        _emit({"error": str(e), "kind": "cap"}, args)
-        return 3
+        payload, code = {"error": str(e), "kind": "cap"}, 3
     except (InputError, ValueError, KeyError) as e:
-        _emit({"error": str(e), "kind": "input"}, args)
-        return 2
+        payload, code = {"error": str(e), "kind": "input"}, 2
+    else:
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "ok": code == 0,
+        }
+        payload.update(jsonable(data))
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "ok": code == 0,
-    }
-    payload.update(jsonable(data))
-    _emit(payload, args)
+    try:
+        _emit(payload, args.format, args.out)
+    except OSError as e:
+        error = f"cannot write --out {args.out}: {e.strerror or e}"
+        _emit({"error": error, "kind": "input"}, args.format, None)
+        return 2
     return code
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, fmt: str, out: str | None) -> None:
+    """Write the report to stdout, or atomically to the file ``out``; an
+    OSError from the file leaves no temporary file behind."""
     payload = jsonable(payload)
-    if args.format == "json":
+    if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = render_text(payload) + "\n"
-    if args.out:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(args.out)) or ".")
+    if out:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)) or ".")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-            os.replace(tmp, args.out)
+            os.replace(tmp, out)
         except BaseException:
             os.unlink(tmp)
             raise

@@ -24,9 +24,8 @@ from .codes import (
     rref,
     span_from_ints,
 )
-from .core import Latroid, _validated, generalized_weight
+from .core import Latroid, generalized_weight
 from .lattices import (
-    FiniteLattice,
     _members,
     _subspaces,
     boolean_lattice,
@@ -44,30 +43,21 @@ from .supports import ChainSupport, HammingSupport, Support, rect_support, valid
 # -- latroids on submodule lattices ------------------------------------------
 
 
-def latroid_from_code(code: Code, length_fn=length_lambda,
-                      lattice: FiniteLattice | None = None,
-                      validate: bool = True) -> Latroid:
-    """rho(M) = len(M) - len(M n C) on a lattice of submodules of R^n.
+def latroid_from_code(code: Code) -> Latroid:
+    """rho(M) = lambda(M) - lambda(M n C) on the lattice of submodules of
+    R^n, with the composition length lambda as length.
 
-    ``length_fn`` maps a Code to an integer and must be strictly increasing
-    and modular on the lattice (checked via the free latroid axioms).
+    lambda is strictly increasing and modular on every submodule lattice,
+    so the table is built as is; ``validate_latroid`` checks L1-L5 on it.
     """
-    if lattice is None:
-        lattice = submodule_lattice(full_space(code.ring, code.n))
-    length = {m: length_fn(m) for m in lattice.labels}
-    base = Latroid.from_functions(lattice, lambda m: length[m], lambda m: length[m])
-    from .core import validate_latroid
-
-    base_report = validate_latroid(base)
-    if not base_report.ok:
-        raise ValueError(f"length functional unusable: {base_report.summary()}")
+    lattice = submodule_lattice(full_space(code.ring, code.n))
+    length = {m: length_lambda(m) for m in lattice.labels}
 
     def rho(m: Code):
         inside = Code(code.ring, code.n, (), m.codewords & code.codewords)
-        return length[m] - length_fn(inside)
+        return length[m] - length_lambda(inside)
 
-    lt = Latroid.from_functions(lattice, rho, lambda m: length[m])
-    return _validated(lt, validate)
+    return Latroid.from_functions(lattice, rho, lambda m: length[m])
 
 
 # -- chain-support latroids ----------------------------------------------------
@@ -85,7 +75,7 @@ def _dominated_counts(levels: np.ndarray, top) -> np.ndarray:
     return counts
 
 
-def chain_support_latroid(code: Code, validate: bool = True) -> Latroid:
+def chain_support_latroid(code: Code) -> Latroid:
     """The latroid on the grid of rectangular support vectors.
 
     For a chain ring, rho(s) = |s| - lambda(M_s n C) where M_s is the
@@ -114,14 +104,13 @@ def chain_support_latroid(code: Code, validate: bool = True) -> Latroid:
         inside = counts[tuple(grid[:, j::ell].T)].tolist()
         rank.append([s - intlog(f.p, c) for s, c in zip(sizes, inside)])
         length.append(sizes)
-    lt = Latroid(lattice, tuple(zip(*rank)), tuple(zip(*length)), ell)
-    return _validated(lt, validate)
+    return Latroid(lattice, tuple(zip(*rank)), tuple(zip(*length)), ell)
 
 
 # -- rectangular-support latroids ------------------------------------------------
 
 
-def rect_supp_latroid(code: Code, supp: Support, validate: bool = True) -> Latroid:
+def rect_supp_latroid(code: Code, supp: Support) -> Latroid:
     """rho(M) = supp(M) - supp(M ^ K) on the lattice of rectangular modules,
     where K is the rectangular closure of the code.
 
@@ -144,10 +133,9 @@ def rect_supp_latroid(code: Code, supp: Support, validate: bool = True) -> Latro
             x - y for x, y in zip(supp_of[m], rect_support(supp, inter))
         )
 
-    lt = Latroid.from_functions(
+    return Latroid.from_functions(
         lattice, rho, lambda m: supp_of[m], udim=supp.u
     )
-    return _validated(lt, validate)
 
 
 # -- block matroids ---------------------------------------------------------------
@@ -159,7 +147,7 @@ def _require_field(ring: Pir) -> int:
     return ring.factors[0].p
 
 
-def block_matroid(code: Code, validate: bool = True) -> Latroid:
+def block_matroid(code: Code) -> Latroid:
     """The classical matroid of a block code over a field, as a latroid on
     the boolean lattice: rho(S) = |S| - dim{c : supp(c) in S}, with the
     subcode sizes from ``_dominated_counts`` of the 0/1 Hamming supports.
@@ -172,8 +160,7 @@ def block_matroid(code: Code, validate: bool = True) -> Latroid:
     rows = _members(lattice.labels, range(code.n)).astype(np.int64)
     inside = _dominated_counts(levels, [1] * code.n)[tuple(rows.T)].tolist()
     rank = tuple((len(s) - intlog(q, c),) for s, c in zip(lattice.labels, inside))
-    lt = Latroid(lattice, rank, tuple((len(s),) for s in lattice.labels), 1)
-    return _validated(lt, validate)
+    return Latroid(lattice, rank, tuple((len(s),) for s in lattice.labels), 1)
 
 
 # -- matrix codes ------------------------------------------------------------------
@@ -303,14 +290,14 @@ def _perps(members: np.ndarray, q: int, n: int) -> list[int]:
     return [row_of[row.tobytes()] for row in perp_rows]
 
 
-def rank_metric_latroid(mc: MatrixCode, validate: bool = True, cap: int = 256) -> Latroid:
+def rank_metric_latroid(mc: MatrixCode, cap: int = 256) -> Latroid:
     """rho(V) = m dim(V) - dim{c : rowspace(c) in V} on the subspace
     lattice of F_q^n: the one-block row-space sum-rank latroid."""
     mc.shape  # raises unless the code has one block
-    return sum_rank_latroid(mc, spaces="row", validate=validate, cap=cap)
+    return sum_rank_latroid(mc, spaces="row", cap=cap)
 
 
-def tilde_polymatroid(mc: MatrixCode, validate: bool = True, cap: int = 256) -> Latroid:
+def tilde_polymatroid(mc: MatrixCode, cap: int = 256) -> Latroid:
     """The rational-rank variant rho(V) = (dim C - dim C(V*)) / m with
     dim as length; a q-polymatroid presented as a latroid."""
     m, n = mc.shape
@@ -320,8 +307,7 @@ def tilde_polymatroid(mc: MatrixCode, validate: bool = True, cap: int = 256) -> 
         (Fraction(mc.dim() - intlog(mc.q, counts[p]), m),)
         for p in _perps(members, mc.q, n)
     )
-    lt = Latroid(lattice, rank, tuple((len(b),) for b in lattice.labels), 1)
-    return _validated(lt, validate)
+    return Latroid(lattice, rank, tuple((len(b),) for b in lattice.labels), 1)
 
 
 def qpolymatroid_axioms(lt: Latroid) -> Report:
@@ -352,8 +338,8 @@ def tilde_relation_check(mc: MatrixCode, cap: int = 256) -> Report:
     """The two rank-metric latroids carry the same information:
     tilde_rho(V) = (rho(V*) - m dim(V*) + dim C) / m for every V."""
     m, n = mc.shape
-    plain = rank_metric_latroid(mc, validate=False, cap=cap)
-    tilde = tilde_polymatroid(mc, validate=False, cap=cap)
+    plain = rank_metric_latroid(mc, cap=cap)
+    tilde = tilde_polymatroid(mc, cap=cap)
     lat = plain.lattice
     perp = _perps(_subspaces(mc.q, n, cap)[1], mc.q, n)
 
@@ -372,8 +358,7 @@ def tilde_relation_check(mc: MatrixCode, cap: int = 256) -> Report:
 # -- sum-rank latroids ------------------------------------------------------------
 
 
-def sum_rank_latroid(mc: MatrixCode, spaces: str = "column",
-                     validate: bool = True, cap: int = 256) -> Latroid:
+def sum_rank_latroid(mc: MatrixCode, spaces: str = "column", cap: int = 256) -> Latroid:
     """The latroid of a sum-rank code on a product of subspace lattices.
 
     ``spaces="column"`` constrains block column spaces, so the i-th lattice
@@ -399,8 +384,7 @@ def sum_rank_latroid(mc: MatrixCode, spaces: str = "column",
         inside = (inside[:, None] & ins).reshape(-1, len(mc))
     counts = inside.sum(axis=1).tolist()
     rank = tuple((d - intlog(mc.q, c),) for d, c in zip(length.tolist(), counts))
-    lt = Latroid(lattice, rank, tuple((d,) for d in length.tolist()), 1)
-    return _validated(lt, validate)
+    return Latroid(lattice, rank, tuple((d,) for d in length.tolist()), 1)
 
 
 # -- generalized weights of codes -----------------------------------------------
@@ -453,9 +437,9 @@ def latroid_gen_weights(code: Code) -> list[int]:
     lattice minimum (1-norm collapse over the CRT factors)."""
     from .core import collapse_scalars
 
-    lt = chain_support_latroid(code, validate=False)
+    lt = chain_support_latroid(code)
     if lt.udim > 1:
-        lt = collapse_scalars(lt, validate=False)
+        lt = collapse_scalars(lt)
     return _latroid_weights(lt, length_lambda(code))
 
 
@@ -474,10 +458,10 @@ def weights_equal_report(name: str, zero_name: str, oracle, lattice_side,
     )
 
 
-def latroid_weights_equal_code_weights(code: Code, supp: Support | None = None) -> Report:
+def latroid_weights_equal_code_weights(code: Code) -> Report:
     """Check d_bar_r(C) = d_r(chain-support latroid) for every r, computing
     the two sides independently (submodule oracle vs lattice minimum)."""
-    oracle = code_gen_weights_dbar(code, supp or ChainSupport(code.ring, code.n))
+    oracle = code_gen_weights_dbar(code, ChainSupport(code.ring, code.n))
     return weights_equal_report(
         "dbar", "dbar_equals_latroid", oracle, latroid_gen_weights(code) if oracle else []
     )
@@ -520,7 +504,7 @@ def rank_weights_equal(mc: MatrixCode, cap: int = 256) -> Report:
         raise ValueError("the rank-weight identity is stated for m > n")
     oracle = rank_code_gen_weights(mc)
     lattice_side = _latroid_weights(
-        rank_metric_latroid(mc, validate=False, cap=cap), len(oracle)
+        rank_metric_latroid(mc, cap=cap), len(oracle)
     ) if oracle else []
     return weights_equal_report("rank_d", "rank_weights", oracle, lattice_side, m)
 
@@ -550,7 +534,7 @@ def sum_rank_weights_equal(mc: MatrixCode, cap: int = 256) -> Report:
         raise ValueError("the sum-rank weight identity needs m > n_i")
     oracle = sum_rank_code_gen_weights(mc)
     lattice_side = _latroid_weights(
-        sum_rank_latroid(mc, spaces="row", validate=False, cap=cap), len(oracle)
+        sum_rank_latroid(mc, spaces="row", cap=cap), len(oracle)
     ) if oracle else []
     return weights_equal_report("sum_rank_d", "sum_rank_weights", oracle, lattice_side, m)
 
@@ -573,6 +557,6 @@ def block_matroid_weights_equal(code: Code) -> Report:
     weights of the code."""
     oracle = hamming_code_gen_weights(code)
     lattice_side = _latroid_weights(
-        block_matroid(code, validate=False), len(oracle)
+        block_matroid(code), len(oracle)
     ) if oracle else []
     return weights_equal_report("hamming_d", "block_weights", oracle, lattice_side)

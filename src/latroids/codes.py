@@ -263,7 +263,7 @@ def rref(rows, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in mat[:pivot_row] if any(r))
 
 
-def irredundant_generating_sizes(code: Code, max_size: int | None = None) -> set[int]:
+def irredundant_generating_sizes(code: Code) -> set[int]:
     """Sizes of inclusion-minimal generating sets of the code.
 
     Desk-scale oracle used to probe which 'number of generators' values a
@@ -272,10 +272,9 @@ def irredundant_generating_sizes(code: Code, max_size: int | None = None) -> set
     """
     if code.is_zero():
         return {0}
-    bound = big_m(code) if max_size is None else max_size
     nonzero = [w for w in code.sorted_words() if any(any(a) for a in w)]
     sizes = set()
-    for size in range(1, bound + 1):
+    for size in range(1, big_m(code) + 1):
         for subset in itertools.combinations(nonzero, size):
             if len(span(code.ring, code.n, subset)) != len(code):
                 continue

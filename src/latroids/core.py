@@ -10,6 +10,12 @@ A triple (rho, len, L) must satisfy
 Scalars are tuples under the product order, so comparisons may leave pairs
 incomparable; the validators treat that explicitly.
 
+Constructors, here and in ``code_latroids``, only build the rank and length
+tables.  ``validate_latroid`` is the one check of L1-L5, called by whoever
+reports validity.  The rank reconstructions still reject candidate sets
+that fail their axiom system (``ReconstructionError``): those sets come
+from the caller, so that check is a guard, not a validation of the result.
+
 The axiom systems (``axioms_I/B/C``) and the rank reconstructions run on
 boolean arrays from ``leq``, ``join``, ``meet`` and membership masks: I4,
 B3 and the reconstructions share the maximal candidates below each element
@@ -190,56 +196,42 @@ def validate_latroid(lt: Latroid) -> Report:
     ])
 
 
-def _validated(lt: Latroid, validate: bool) -> Latroid:
-    if validate:
-        report = validate_latroid(lt)
-        if not report.ok:
-            raise ValueError(f"not a latroid: {report.summary()}")
-    return lt
-
-
 # -- constructors ----------------------------------------------------------
 
 
-def free_latroid(lat: FiniteLattice, length=None, udim: int = 1, validate: bool = True) -> Latroid:
-    """rho = len; defaults to the height function of a graded lattice."""
-    if length is None:
-        if not lat.is_graded:
-            raise NotGradedError("free latroid needs a graded lattice or an explicit length")
-        length = tuple((lat.hgt(i),) for i in range(lat.size))
-        udim = 1
-    else:
-        length = tuple(as_scalar(length[i], udim) for i in range(lat.size))
-    return _validated(Latroid(lat, length, length, udim), validate)
+def _height_length(lat: FiniteLattice, what: str) -> tuple[Scalar, ...]:
+    """The height function as a udim-1 length; ``what`` names the caller."""
+    if not lat.is_graded:
+        raise NotGradedError(f"{what} needs a graded lattice")
+    return tuple((h,) for h in lat.height)
 
 
-def uniform_latroid(lat: FiniteLattice, a, length=None, udim: int = 1,
-                    validate: bool = True) -> Latroid:
-    """rho(L) = len(L) capped at a > 0."""
-    if length is None:
-        if not lat.is_graded:
-            raise NotGradedError("uniform latroid needs a graded lattice or an explicit length")
-        length = tuple((lat.hgt(i),) for i in range(lat.size))
-        udim = 1
-    else:
-        length = tuple(as_scalar(length[i], udim) for i in range(lat.size))
-    a = as_scalar(a, udim)
-    if not slt(szero(udim), a):
+def free_latroid(lat: FiniteLattice) -> Latroid:
+    """rho = len = the height function of a graded lattice."""
+    length = _height_length(lat, "free latroid")
+    return Latroid(lat, length, length, 1)
+
+
+def uniform_latroid(lat: FiniteLattice, a) -> Latroid:
+    """rho(L) = hgt(L) capped at a > 0, with the height as length."""
+    length = _height_length(lat, "uniform latroid")
+    a = as_scalar(a, 1)
+    if not slt(szero(1), a):
         raise ValueError(f"uniform cap must be positive, got {a}")
     rank = tuple(l if sleq(l, a) else a for l in length)
-    return _validated(Latroid(lat, rank, length, udim), validate)
+    return Latroid(lat, rank, length, 1)
 
 
-def restrict(lt: Latroid, a: int, b: int, validate: bool = True) -> Latroid:
+def restrict(lt: Latroid, a: int, b: int) -> Latroid:
     """The latroid on [a, b] with both functions shifted to vanish at a."""
     sub = interval(lt.lattice, a, b)
     idx = [lt.lattice.index[lab] for lab in sub.labels]
     rank = tuple(ssub(lt.rank[i], lt.rank[a]) for i in idx)
     length = tuple(ssub(lt.length[i], lt.length[a]) for i in idx)
-    return _validated(Latroid(sub, rank, length, lt.udim), validate)
+    return Latroid(sub, rank, length, lt.udim)
 
 
-def direct_sum(lt1: Latroid, lt2: Latroid, validate: bool = True) -> Latroid:
+def direct_sum(lt1: Latroid, lt2: Latroid) -> Latroid:
     """Product lattice with coordinatewise sums of ranks and lengths."""
     if lt1.udim != lt2.udim:
         raise ValueError("direct summands must share the scalar dimension")
@@ -251,10 +243,10 @@ def direct_sum(lt1: Latroid, lt2: Latroid, validate: bool = True) -> Latroid:
         for j in range(n2):
             rank.append(sadd(lt1.rank[i], lt2.rank[j]))
             length.append(sadd(lt1.length[i], lt2.length[j]))
-    return _validated(Latroid(lat, tuple(rank), tuple(length), lt1.udim), validate)
+    return Latroid(lat, tuple(rank), tuple(length), lt1.udim)
 
 
-def dual_latroid(lt: Latroid, validate: bool = True) -> Latroid:
+def dual_latroid(lt: Latroid) -> Latroid:
     """Reverse the lattice; len*(L) = len(1) - len(L) and
     rho*(L) = len*(L) - rho(1) + rho(L)."""
     lat = dual_lattice(lt.lattice)
@@ -264,23 +256,23 @@ def dual_latroid(lt: Latroid, validate: bool = True) -> Latroid:
     rank = tuple(
         sadd(ssub(length[i], top_rank), lt.rank[i]) for i in range(lat.size)
     )
-    return _validated(Latroid(lat, rank, length, lt.udim), validate)
+    return Latroid(lat, rank, length, lt.udim)
 
 
-def scale_latroid(lt: Latroid, c: int, validate: bool = True) -> Latroid:
+def scale_latroid(lt: Latroid, c: int) -> Latroid:
     """Multiply rank and length by a positive integer."""
     if c <= 0:
         raise ValueError("scale factor must be positive")
     rank = tuple(tuple(c * x for x in s) for s in lt.rank)
     length = tuple(tuple(c * x for x in s) for s in lt.length)
-    return _validated(Latroid(lt.lattice, rank, length, lt.udim), validate)
+    return Latroid(lt.lattice, rank, length, lt.udim)
 
 
-def collapse_scalars(lt: Latroid, validate: bool = True) -> Latroid:
+def collapse_scalars(lt: Latroid) -> Latroid:
     """Sum the scalar coordinates, giving a udim-1 latroid."""
     rank = tuple((sum(s),) for s in lt.rank)
     length = tuple((sum(s),) for s in lt.length)
-    return _validated(Latroid(lt.lattice, rank, length, 1), validate)
+    return Latroid(lt.lattice, rank, length, 1)
 
 
 # -- independents / bases / circuits ------------------------------------------
@@ -311,11 +303,17 @@ def circuits(lt: Latroid) -> tuple[int, ...]:
     return tuple(np.flatnonzero(dep & ~(_strict(lat) & dep[:, None]).any(axis=0)).tolist())
 
 
+#: Which lattices of the package meet the cryptomorphism hypotheses.
+_CRYPTO_HINT = "choose lattice=block or a field-case chain-support grid"
+
+
 def _require_crypto_hypotheses(lat: FiniteLattice) -> None:
     if not lat.is_graded:
-        raise NotGradedError("cryptomorphisms need a graded lattice")
+        raise NotGradedError(f"cryptomorphisms need a graded lattice; {_CRYPTO_HINT}")
     if not (is_complemented_lattice(lat) and is_modular_lattice(lat)):
-        raise ValueError("cryptomorphisms need a complemented modular lattice")
+        raise ValueError(
+            f"cryptomorphisms need a complemented modular lattice; {_CRYPTO_HINT}"
+        )
 
 
 def _membership(lat: FiniteLattice, subset) -> np.ndarray:
@@ -528,7 +526,7 @@ def axioms_C(lat: FiniteLattice, circuit_set) -> Report:
 # -- rank reconstructions ------------------------------------------------------
 
 
-def rank_from_independents(lat: FiniteLattice, indep, validate: bool = True) -> Latroid:
+def rank_from_independents(lat: FiniteLattice, indep) -> Latroid:
     """rho(L) = hgt(I) for I maximal independent below L."""
     I = set(indep)
     report = axioms_I(lat, I)
@@ -536,19 +534,17 @@ def rank_from_independents(lat: FiniteLattice, indep, validate: bool = True) -> 
         raise ReconstructionError(f"independent axioms fail: {report.summary()}")
     maxima = _maximal(lat, lat.leq.T & _membership(lat, I))
     rank = _common_heights(lat, maxima, "independents")
-    length = tuple((lat.hgt(i),) for i in range(lat.size))
-    return _validated(Latroid(lat, rank, length, 1), validate)
+    return Latroid(lat, rank, _height_length(lat, "rank_from_independents"), 1)
 
 
-def rank_from_bases(lat: FiniteLattice, base_set, validate: bool = True) -> Latroid:
+def rank_from_bases(lat: FiniteLattice, base_set) -> Latroid:
     """rho(L) = hgt(L ^ B) for B with maximal intersection with L."""
     B = sorted(set(base_set))
     report = axioms_B(lat, B)
     if not report.ok:
         raise ReconstructionError(f"basis axioms fail: {report.summary()}")
     rank = _common_heights(lat, _meet_maxima(lat, B), "basis meets")
-    length = tuple((lat.hgt(i),) for i in range(lat.size))
-    return _validated(Latroid(lat, rank, length, 1), validate)
+    return Latroid(lat, rank, _height_length(lat, "rank_from_bases"), 1)
 
 
 def circuit_chain_length(lat: FiniteLattice, circuit_set, l: int) -> int:
@@ -576,7 +572,7 @@ def circuit_chain_length(lat: FiniteLattice, circuit_set, l: int) -> int:
     return longest(lat.bottom)
 
 
-def rank_from_circuits(lat: FiniteLattice, circuit_set, validate: bool = True) -> Latroid:
+def rank_from_circuits(lat: FiniteLattice, circuit_set) -> Latroid:
     """rho = hgt - kappa for the maximal circuit-chain length kappa."""
     C = sorted(set(circuit_set))
     report = axioms_C(lat, C)
@@ -585,8 +581,7 @@ def rank_from_circuits(lat: FiniteLattice, circuit_set, validate: bool = True) -
     rank = tuple(
         (lat.hgt(l) - circuit_chain_length(lat, C, l),) for l in range(lat.size)
     )
-    length = tuple((lat.hgt(i),) for i in range(lat.size))
-    return _validated(Latroid(lat, rank, length, 1), validate)
+    return Latroid(lat, rank, _height_length(lat, "rank_from_circuits"), 1)
 
 
 # -- closure, flats, hyperplanes ----------------------------------------------

@@ -143,9 +143,9 @@ def z6_product_code_corpus(seed: int = 0) -> tuple[tuple[str, Code], ...]:
 def latroid_corpus(seed: int = 0) -> tuple[tuple[str, Latroid], ...]:
     """Every latroid family the package constructs, at desk scale.
 
-    Latroids are built unvalidated here; the axiom criterion validates them
-    explicitly (everything else would mask failures behind constructor
-    errors)."""
+    Constructors only build; criteria 3 and 9 check L1-L5 with
+    ``validate_latroid``, so a broken construction shows up as a failed
+    check with its witness, not as an error that stops the corpus."""
     z4 = parse_ring("Z_4")
     z8 = parse_ring("Z_8")
     z9 = parse_ring("Z_9")
@@ -164,7 +164,7 @@ def latroid_corpus(seed: int = 0) -> tuple[tuple[str, Latroid], ...]:
         ("F_2^3 <(1,1,0),(0,1,1)>", span_from_ints(f2, 3, [[1, 1, 0], [0, 1, 1]])),
         ("F_3^2 <(1,2)>", span_from_ints(f3, 2, [[1, 2]])),
     ):
-        out.append((f"submodule-lattice latroid {name}", latroid_from_code(code, validate=False)))
+        out.append((f"submodule-lattice latroid {name}", latroid_from_code(code)))
 
     # chain-support latroids on grids
     chain_codes = [
@@ -176,13 +176,13 @@ def latroid_corpus(seed: int = 0) -> tuple[tuple[str, Latroid], ...]:
         ("Z_6^2 <(1,4)>", span_from_ints(z6, 2, [[1, 4]])),
     ]
     for name, code in chain_codes:
-        out.append((f"chain-support latroid {name}", chain_support_latroid(code, validate=False)))
+        out.append((f"chain-support latroid {name}", chain_support_latroid(code)))
 
     # rectangular-support latroids
     out.append(
         (
             "rect-support latroid Z_4^2 <(1,2)>",
-            rect_supp_latroid(span_from_ints(z4, 2, [[1, 2]]), ChainSupport(z4, 2), validate=False),
+            rect_supp_latroid(span_from_ints(z4, 2, [[1, 2]]), ChainSupport(z4, 2)),
         )
     )
 
@@ -194,35 +194,35 @@ def latroid_corpus(seed: int = 0) -> tuple[tuple[str, Latroid], ...]:
         ("F_2^4 <(1,1,0,0),(0,0,1,1)>", span_from_ints(f2, 4, [[1, 1, 0, 0], [0, 0, 1, 1]])),
         ("F_3^3 <(1,1,2)>", span_from_ints(f3, 3, [[1, 1, 2]])),
     ):
-        out.append((f"block matroid {name}", block_matroid(code, validate=False)))
+        out.append((f"block matroid {name}", block_matroid(code)))
 
     # rank-metric latroids (q^n <= 81) and a rational-rank variant
     rank_codes = rank_metric_code_corpus()
     for name, mc in rank_codes:
-        out.append((f"rank-metric latroid {name}", rank_metric_latroid(mc, validate=False)))
+        out.append((f"rank-metric latroid {name}", rank_metric_latroid(mc)))
     out.append(
         (
             "tilde polymatroid F_2 3x2 <E11+E22>",
-            tilde_polymatroid(rank_codes[0][1], validate=False),
+            tilde_polymatroid(rank_codes[0][1]),
         )
     )
 
     # sum-rank latroids with two blocks
     sr = two_block_sum_rank_code()
-    out.append(("sum-rank latroid (row spaces)", sum_rank_latroid(sr, spaces="row", validate=False)))
-    out.append(("sum-rank latroid (column spaces)", sum_rank_latroid(sr, spaces="column", validate=False)))
+    out.append(("sum-rank latroid (row spaces)", sum_rank_latroid(sr, spaces="row")))
+    out.append(("sum-rank latroid (column spaces)", sum_rank_latroid(sr, spaces="column")))
     tiny = product_matrix_code(
         single_matrix_code(2, 1, 1, [[(1,)]]),
         single_matrix_code(2, 1, 2, [[(1, 0)], [(0, 1)]]),
     )
-    out.append(("sum-rank latroid m_i=1 (row spaces)", sum_rank_latroid(tiny, spaces="row", validate=False)))
+    out.append(("sum-rank latroid m_i=1 (row spaces)", sum_rank_latroid(tiny, spaces="row")))
 
     # free and uniform latroids
-    out.append(("free latroid B_3", free_latroid(boolean_lattice(3), validate=False)))
-    out.append(("uniform latroid B_4 a=1", uniform_latroid(boolean_lattice(4), 1, validate=False)))
-    out.append(("uniform latroid B_4 a=2", uniform_latroid(boolean_lattice(4), 2, validate=False)))
+    out.append(("free latroid B_3", free_latroid(boolean_lattice(3))))
+    out.append(("uniform latroid B_4 a=1", uniform_latroid(boolean_lattice(4), 1)))
+    out.append(("uniform latroid B_4 a=2", uniform_latroid(boolean_lattice(4), 2)))
     out.append(
-        ("uniform latroid subspaces(F_2^3) a=2", uniform_latroid(subspace_lattice(2, 3), 2, validate=False))
+        ("uniform latroid subspaces(F_2^3) a=2", uniform_latroid(subspace_lattice(2, 3), 2))
     )
     return tuple(out)
 
@@ -256,7 +256,7 @@ def two_block_sum_rank_code():
 # -- criteria -------------------------------------------------------------------
 
 
-def criterion_tutte_identity(seed: int = 0) -> Report:
+def criterion_tutte_identity(seed: int) -> Report:
     """Refined enumerator equals the closed form from R' on every corpus code."""
     checks = []
     corpus = tutte_code_corpus(seed)
@@ -268,7 +268,7 @@ def criterion_tutte_identity(seed: int = 0) -> Report:
     return Report.from_checks(checks)
 
 
-def criterion_pir_corollary(seed: int = 0) -> Report:
+def criterion_pir_corollary(seed: int) -> Report:
     """Per-factor closed forms multiply to the refined enumerator over Z_6^2."""
     checks = []
     corpus = z6_product_code_corpus(seed)
@@ -279,7 +279,7 @@ def criterion_pir_corollary(seed: int = 0) -> Report:
     return Report.from_checks(checks)
 
 
-def criterion_latroid_axioms(seed: int = 0) -> Report:
+def criterion_latroid_axioms(seed: int) -> Report:
     checks = []
     for name, lt in latroid_corpus(seed):
         rep = validate_latroid(lt)
@@ -299,7 +299,7 @@ def _crypto_eligible(lt: Latroid) -> bool:
     )
 
 
-def criterion_crypto_roundtrips(seed: int = 0) -> Report:
+def criterion_crypto_roundtrips(seed: int) -> Report:
     """On corpus latroids matching the cryptomorphism hypotheses
     (complemented modular lattice, height as length): the derived
     independents / bases / circuits satisfy their axiom systems and each
@@ -319,16 +319,16 @@ def criterion_crypto_roundtrips(seed: int = 0) -> Report:
         ):
             checks.append(Check(f"{name} {tag}", rep.ok, rep.summary() if not rep.ok else ""))
         for tag, rebuilt in (
-            ("rank_from_independents", rank_from_independents(lat, I, validate=False)),
-            ("rank_from_bases", rank_from_bases(lat, B, validate=False)),
-            ("rank_from_circuits", rank_from_circuits(lat, C, validate=False)),
+            ("rank_from_independents", rank_from_independents(lat, I)),
+            ("rank_from_bases", rank_from_bases(lat, B)),
+            ("rank_from_circuits", rank_from_circuits(lat, C)),
         ):
             ok = rebuilt.rank == lt.rank
             checks.append(Check(f"{name} {tag}", ok, "" if ok else "rank mismatch"))
     return Report.from_checks(checks)
 
 
-def criterion_weight_equalities(seed: int = 0) -> Report:
+def criterion_weight_equalities(seed: int) -> Report:
     checks = []
     for name, code in tutte_code_corpus(seed):
         rep = latroid_weights_equal_code_weights(code)
@@ -376,7 +376,7 @@ def criterion_weight_equalities(seed: int = 0) -> Report:
     return Report.from_checks(checks)
 
 
-def criterion_strict_monotonicity(seed: int = 0) -> Report:
+def criterion_strict_monotonicity(seed: int) -> Report:
     """Modular supports force strictly increasing generalized weights; the
     non-modular tau support exhibits a non-strict pair as a negative
     control."""
@@ -397,7 +397,7 @@ def criterion_strict_monotonicity(seed: int = 0) -> Report:
     return Report.from_checks(checks)
 
 
-def criterion_isometry_fixtures(seed: int = 0) -> Report:
+def criterion_isometry_fixtures(seed: int) -> Report:
     checks = []
     z6 = parse_ring("Z_2 x Z_3")
     supp6 = support_from_unit_table(
@@ -471,7 +471,7 @@ def criterion_isometry_fixtures(seed: int = 0) -> Report:
     return Report.from_checks(checks)
 
 
-def criterion_support_validation(seed: int = 0) -> Report:
+def criterion_support_validation(seed: int) -> Report:
     checks = []
     for name in ("Z_4", "Z_8", "Z_9"):
         ring = parse_ring(name)
@@ -511,15 +511,14 @@ def criterion_support_validation(seed: int = 0) -> Report:
     return Report.from_checks(checks)
 
 
-def criterion_duality(seed: int = 0) -> Report:
+def criterion_duality(seed: int) -> Report:
     """Dual involution, interval duality, and validity of duals,
     restrictions, and direct sums across the corpus."""
     checks = []
     corpus = latroid_corpus(seed)
     for name, lt in corpus:
-        dd = dual_latroid(dual_latroid(lt, validate=False), validate=False)
-        checks.append(Check(f"involution {name}", dd == lt, ""))
-        dl = dual_latroid(lt, validate=False)
+        dl = dual_latroid(lt)
+        checks.append(Check(f"involution {name}", dual_latroid(dl) == lt, ""))
         rep = validate_latroid(dl)
         checks.append(Check(f"dual valid {name}", rep.ok, rep.summary() if not rep.ok else ""))
         top = lt.lattice.top
@@ -538,26 +537,26 @@ def criterion_duality(seed: int = 0) -> Report:
             pairs.append((lat.bottom, mids[len(mids) // 2]))
             pairs.append((mids[len(mids) // 2], lat.top))
         for a, b in pairs:
-            sub = restrict(lt, a, b, validate=False)
+            sub = restrict(lt, a, b)
             rep = validate_latroid(sub)
             checks.append(
                 Check(f"restrict [{a},{b}] valid {name}", rep.ok,
                       rep.summary() if not rep.ok else "")
             )
-            left = dual_latroid(sub, validate=False)
-            right = restrict(dual_latroid(lt, validate=False), b, a, validate=False)
+            left = dual_latroid(sub)
+            right = restrict(dl, b, a)
             same = left.rank == right.rank and left.length == right.length
             checks.append(Check(f"interval duality [{a},{b}] {name}", same, ""))
 
     small = [lt for _, lt in corpus if lt.lattice.size <= 9 and lt.udim == 1]
     for i in range(min(3, len(small) - 1)):
-        ds = direct_sum(small[i], small[i + 1], validate=False)
+        ds = direct_sum(small[i], small[i + 1])
         rep = validate_latroid(ds)
         checks.append(Check(f"direct sum #{i} valid", rep.ok, rep.summary() if not rep.ok else ""))
     return Report.from_checks(checks)
 
 
-def criterion_internal_identities(seed: int = 0) -> Report:
+def criterion_internal_identities(seed: int) -> Report:
     checks = []
     for name, code in tutte_code_corpus(seed):
         if code.ring.ell != 1:

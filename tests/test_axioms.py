@@ -36,7 +36,7 @@ from latroids.errors import ReconstructionError
 from latroids.lattices import boolean_lattice, subspace_lattice
 from latroids.report import Check, Report
 from latroids.rings import parse_ring
-from test_latroids import crypto_corpus
+from test_latroids import crypto_corpus, valid
 
 # -- reference loops -------------------------------------------------------------
 
@@ -215,9 +215,9 @@ SUBMODULE_CODES = {
 def _latroid(name):
     if name in BLOCK_CODES:
         ring, n, rows = BLOCK_CODES[name]
-        return block_matroid(span_from_ints(ring, n, rows))
+        return valid(block_matroid(span_from_ints(ring, n, rows)))
     ring, n, rows = SUBMODULE_CODES[name]
-    return latroid_from_code(span_from_ints(ring, n, rows))
+    return valid(latroid_from_code(span_from_ints(ring, n, rows)))
 
 
 def _perturbed(subset, size, seed):
@@ -306,10 +306,10 @@ def test_rank_reconstructions_match_reference_maxima(name):
     I, B = independents(lt), bases(lt)
     assert ref_rank(lat, lambda l: ref_maximal_in(lat, I, l)) == lt.rank
     assert ref_rank(lat, lambda l: [m for _, m in ref_maximal_meets(lat, B, l)]) == lt.rank
-    assert rank_from_independents(lat, I).rank == lt.rank
-    assert rank_from_circuits(lat, circuits(lt)).rank == lt.rank
+    assert valid(rank_from_independents(lat, I)).rank == lt.rank
+    assert valid(rank_from_circuits(lat, circuits(lt))).rank == lt.rank
     if name not in SUBSPACE_B2_CASES:
-        assert rank_from_bases(lat, B).rank == lt.rank
+        assert valid(rank_from_bases(lat, B)).rank == lt.rank
 
 
 def test_common_heights_reject_maxima_of_mixed_heights():
@@ -331,8 +331,8 @@ def test_subspace_latroids_fail_atom_exchange_only(name):
     lat = lt.lattice
     assert axioms_I(lat, independents(lt)).ok
     assert axioms_C(lat, circuits(lt)).ok
-    assert rank_from_independents(lat, independents(lt)).rank == lt.rank
-    assert rank_from_circuits(lat, circuits(lt)).rank == lt.rank
+    assert valid(rank_from_independents(lat, independents(lt))).rank == lt.rank
+    assert valid(rank_from_circuits(lat, circuits(lt))).rank == lt.rank
     # Known seed finding (ROADMAP item 1): atom decompositions are not unique
     # on a subspace lattice, so the atom-exchange B2 rejects the true bases.
     # The q-analogue exchange should pass here; whoever replaces B2 must

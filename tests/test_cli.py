@@ -225,6 +225,21 @@ def test_weights_single_r(capsys, tmp_path):
     assert data["latroid_equals_dbar"] is True
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "directory"])
+def test_unwritable_out_exits_2_and_leaves_no_file(capsys, tmp_path, target):
+    (tmp_path / "directory").mkdir()
+    code, out, err = run_cli(
+        capsys, "--command", "circuits", "--config", str(CONFIGS / "z8_tutte.cfg"),
+        "--out", str(tmp_path / target),
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    data = json.loads(out)
+    assert data["kind"] == "input"
+    assert data["error"].startswith(f"cannot write --out {tmp_path / target}: ")
+    assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
+
+
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -10,17 +10,22 @@ an assignment target) must be read, or taken as an attribute, in some module
 of the package.  A private method (``def _name`` in a class body, dunders
 excluded) must be taken as an attribute in some module of the package.  Every
 module other than ``__init__`` and ``__main__`` must be imported by some other
-module of the package, so none is left orphaned.
+module of the package, so none is left orphaned.  Every defaulted parameter
+of a module-level function is set, by position or by keyword, by some call
+in the package or its tests; ``cap`` parameters are exempt, since every cap
+can be overridden per call (``limits``).
 """
 
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "latroids"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -221,3 +226,89 @@ def test_checker_sees_orphaned_modules():
         "__main__": ast.parse(""),
     }
     assert _orphaned_modules(trees) == ["c.py", "d.py"]
+
+
+#: Defaulted parameters that may stay unset: every cap can be overridden
+#: per call, by policy (``limits``).
+OVERRIDABLE = {"cap"}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function, position or None if keyword-only, parameter, line) for
+    each defaulted parameter of a module-level function."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        for pos, arg in enumerate(positional[first:], first):
+            yield node.name, pos, arg.arg, node.lineno
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield node.name, None, arg.arg, node.lineno
+
+
+def _set_arguments(trees) -> dict[str, tuple[float, set[str]]]:
+    """For each called name (a plain or an attribute call): the most
+    positional arguments any call passes (infinite with ``*args``) and
+    the keywords some call passes (``None`` for ``**kwargs``)."""
+    out: dict[str, tuple[float, set]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            most, keywords = out.get(name, (0, set()))
+            given = math.inf if any(isinstance(x, ast.Starred) for x in node.args) else len(node.args)
+            keywords |= {k.arg for k in node.keywords}
+            out[name] = (max(most, given), keywords)
+    return out
+
+
+def _unset_defaults(modules: dict[str, ast.Module], callers) -> list[str]:
+    calls = _set_arguments(callers)
+    unset = []
+    for module, tree in modules.items():
+        for fn, pos, param, line in _defaulted_parameters(tree):
+            most, keywords = calls.get(fn, (0, set()))
+            by_position = pos is not None and most > pos
+            if param in OVERRIDABLE or by_position or param in keywords or None in keywords:
+                continue
+            unset.append(f"{module}: {fn}({param}) (line {line})")
+    return sorted(unset)
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    modules = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    callers = [
+        ast.parse(p.read_text(), filename=str(p))
+        for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
+    ]
+    unset = _unset_defaults(modules, callers)
+    assert not unset, f"defaulted parameters no call sets: {', '.join(unset)}"
+
+
+def test_checker_sees_unset_defaulted_parameters():
+    modules = {
+        "a.py": ast.parse(
+            "def f(a, b=1, c=2, *, d=3, e=4, cap=5): pass\n"
+            "def g(x=0): pass\n"
+            "def h(y=0): pass\n"
+            "def k(z=0): pass\n"
+            "class C:\n"
+            "    def m(self, w=0): pass\n"
+        ),
+    }
+    callers = [
+        modules["a.py"],
+        ast.parse("f(1, 2)\nf(0, d=5)\nmod.g(*xs)\nh(**kw)\n"),
+    ]
+    assert _unset_defaults(modules, callers) == [
+        "a.py: f(c) (line 1)",
+        "a.py: f(e) (line 1)",
+        "a.py: k(z) (line 4)",
+    ]

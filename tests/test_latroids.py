@@ -54,8 +54,17 @@ B4 = boolean_lattice(4)
 PG23 = subspace_lattice(2, 3)
 
 
+def valid(lt):
+    """``lt``, after asserting that it satisfies L1-L5 (constructors only
+    build; ``validate_latroid`` is the check)."""
+    report = validate_latroid(lt)
+    assert report.ok, report.summary()
+    return lt
+
+
 def crypto_corpus():
-    """Latroids under the height function on complemented modular lattices."""
+    """Latroids under the height function on complemented modular lattices;
+    ``test_crypto_corpus_is_valid`` validates each once."""
     out = [
         free_latroid(B3),
         free_latroid(PG23),
@@ -75,6 +84,11 @@ def crypto_corpus():
     out.append(block_matroid(span_from_ints(f2, 4, [[1, 1, 0, 0], [0, 0, 1, 1]])))
     out.append(block_matroid(span_from_ints(f2, 4, [[1, 1, 1, 0], [0, 1, 1, 1]])))
     return out
+
+
+@pytest.mark.parametrize("lt", crypto_corpus())
+def test_crypto_corpus_is_valid(lt):
+    valid(lt)
 
 
 def test_free_latroid_valid_and_trivial():
@@ -97,7 +111,7 @@ def test_free_needs_graded_or_length():
 
 
 def test_uniform_latroid_cap():
-    lt = uniform_latroid(B3, 2)
+    lt = valid(uniform_latroid(B3, 2))
     assert lt.rank[B3.top] == (2,)
     assert lt.rank[B3.index[frozenset({0, 1})]] == (2,)
     with pytest.raises(ValueError):
@@ -105,13 +119,13 @@ def test_uniform_latroid_cap():
 
 
 def test_uniform_with_full_cap_is_free():
-    lt = uniform_latroid(B3, 3)
+    lt = valid(uniform_latroid(B3, 3))
     assert lt.rank == lt.length
 
 
 def test_one_element_lattice_free():
     lat = build_lattice([0], lambda a, b: True)
-    lt = free_latroid(lat)
+    lt = valid(free_latroid(lat))
     assert lt.rank == ((0,),)
 
 
@@ -143,12 +157,12 @@ def test_z8_ideal_latroids():
 
 
 def test_restrict_full_is_identity():
-    lt = free_latroid(B3)
-    assert restrict(lt, B3.bottom, B3.top) == lt
+    lt = valid(free_latroid(B3))
+    assert valid(restrict(lt, B3.bottom, B3.top)) == lt
 
 
 def test_restrict_shifts_to_zero():
-    lt = uniform_latroid(B4, 2)
+    lt = valid(uniform_latroid(B4, 2))
     a = B4.index[frozenset({0})]
     sub = restrict(lt, a, B4.top)
     assert validate_latroid(sub).ok
@@ -156,14 +170,14 @@ def test_restrict_shifts_to_zero():
 
 
 def test_direct_sum_of_free_is_free():
-    lt = direct_sum(free_latroid(B3), free_latroid(boolean_lattice(2)))
+    lt = direct_sum(valid(free_latroid(B3)), valid(free_latroid(boolean_lattice(2))))
     assert lt.rank == lt.length
     assert validate_latroid(lt).ok
 
 
 def test_direct_sum_checks_scalar_dim():
-    a = free_latroid(B3)
-    b = collapse_scalars(direct_sum(a, a))
+    a = valid(free_latroid(B3))
+    b = valid(collapse_scalars(valid(direct_sum(a, a))))
     assert b.udim == 1
     with pytest.raises(ValueError):
         direct_sum(a, Latroid.from_functions(B3, lambda s: (0, 0), lambda s: (len(s), len(s)), udim=2))
@@ -176,13 +190,13 @@ def test_dual_involution_on_random_code_latroids():
     z4 = parse_ring("Z_4")
     for _ in range(10):
         rows = [[rng.randrange(4) for _ in range(2)] for _ in range(2)]
-        lt = chain_support_latroid(span_from_ints(z4, 2, rows), validate=False)
-        dd = dual_latroid(dual_latroid(lt, validate=False), validate=False)
+        lt = chain_support_latroid(span_from_ints(z4, 2, rows))
+        dd = dual_latroid(dual_latroid(lt))
         assert dd == lt
 
 
 def test_dual_identities():
-    lt = uniform_latroid(B4, 2)
+    lt = valid(uniform_latroid(B4, 2))
     dl = dual_latroid(lt)
     assert validate_latroid(dl).ok
     top_len = lt.length[B4.top]
@@ -191,8 +205,8 @@ def test_dual_identities():
     # interval duality: restrict-then-dualize = dualize-then-restrict-swapped
     a = B4.index[frozenset({0})]
     b = B4.index[frozenset({0, 1, 2})]
-    left = dual_latroid(restrict(lt, a, b))
-    right = restrict(dual_latroid(lt), b, a)
+    left = valid(dual_latroid(valid(restrict(lt, a, b))))
+    right = valid(restrict(dl, b, a))
     assert left.rank == right.rank and left.length == right.length
 
 
@@ -216,7 +230,7 @@ def test_block_matroid_circuit_of_repetition_pair():
     from latroids.code_latroids import block_matroid
 
     f2 = parse_ring("Z_2")
-    lt = block_matroid(span_from_ints(f2, 2, [[1, 1]]))
+    lt = valid(block_matroid(span_from_ints(f2, 2, [[1, 1]])))
     assert [lt.lattice.labels[c] for c in circuits(lt)] == [frozenset({0, 1})]
 
 
@@ -264,27 +278,27 @@ def test_reconstructions_check_hypotheses_once(monkeypatch):
         return is_modular_lattice(lat)
 
     monkeypatch.setattr(core, "is_modular_lattice", counted)
-    lt = uniform_latroid(B3, 2)
-    rank_from_independents(B3, independents(lt))
-    rank_from_bases(B3, bases(lt))
-    rank_from_circuits(B3, circuits(lt))
+    lt = valid(uniform_latroid(B3, 2))
+    valid(rank_from_independents(B3, independents(lt)))
+    valid(rank_from_bases(B3, bases(lt)))
+    valid(rank_from_circuits(B3, circuits(lt)))
     assert len(calls) == 3
 
 
 def test_reconstruction_roundtrips_on_corpus():
     for lt in crypto_corpus():
         lat = lt.lattice
-        assert rank_from_independents(lat, independents(lt)).rank == lt.rank
-        assert rank_from_bases(lat, bases(lt)).rank == lt.rank
-        assert rank_from_circuits(lat, circuits(lt)).rank == lt.rank
+        assert valid(rank_from_independents(lat, independents(lt))).rank == lt.rank
+        assert valid(rank_from_bases(lat, bases(lt))).rank == lt.rank
+        assert valid(rank_from_circuits(lat, circuits(lt))).rank == lt.rank
 
 
 def test_reconstructions_agree_pairwise():
     for lt in crypto_corpus():
         lat = lt.lattice
-        a = rank_from_independents(lat, independents(lt)).rank
-        b = rank_from_bases(lat, bases(lt)).rank
-        c = rank_from_circuits(lat, circuits(lt)).rank
+        a = valid(rank_from_independents(lat, independents(lt))).rank
+        b = valid(rank_from_bases(lat, bases(lt))).rank
+        c = valid(rank_from_circuits(lat, circuits(lt))).rank
         assert a == b == c
 
 
@@ -296,16 +310,16 @@ def test_reconstruction_rejects_violations():
 def test_kappa_needs_longest_chain_not_greedy():
     # rank-1 uniform on B_4: circuits are the six pairs; a stuck chain of
     # two disjoint pairs has length 2 but maximal chains have length 3
-    lt = uniform_latroid(B4, 1)
+    lt = valid(uniform_latroid(B4, 1))
     cs = circuits(lt)
     assert len(cs) == 6
     assert circuit_chain_length(B4, cs, B4.top) == 3
-    assert rank_from_circuits(B4, cs).rank == lt.rank
+    assert valid(rank_from_circuits(B4, cs)).rank == lt.rank
 
 
 def test_all_maximal_circuit_chains_have_equal_length():
     # brute-force refinement check against the memoized longest chain
-    for lt in (uniform_latroid(B4, 1), uniform_latroid(B3, 1), uniform_latroid(PG23, 2)):
+    for lt in map(valid, (uniform_latroid(B4, 1), uniform_latroid(B3, 1), uniform_latroid(PG23, 2))):
         lat = lt.lattice
         cs = circuits(lt)
         for l in range(lat.size):
@@ -357,10 +371,10 @@ def test_lemma_atoms_join_under_rank_stability():
 
 
 def test_closure_and_flats():
-    free = free_latroid(B3)
+    free = valid(free_latroid(B3))
     assert all(closure(free, l) == l for l in range(B3.size))
     assert closure(free, B3.top) == B3.top
-    lt = uniform_latroid(B3, 1)
+    lt = valid(uniform_latroid(B3, 1))
     # rank-1 uniform: any nonempty set closes to the whole ground set
     one = B3.index[frozenset({0})]
     assert closure(lt, one) == B3.top
@@ -373,12 +387,12 @@ def test_closure_on_block_matroid():
 
     f2 = parse_ring("Z_2")
     # the codeword (1,1) is a circuit, so coordinates 0 and 1 are parallel
-    lt = block_matroid(span_from_ints(f2, 2, [[1, 1]]))
+    lt = valid(block_matroid(span_from_ints(f2, 2, [[1, 1]])))
     lat = lt.lattice
     assert closure(lt, lat.index[frozenset({0})]) == lat.index[frozenset({0, 1})]
     assert set(flats(lt)) == {lat.index[frozenset()], lat.index[frozenset({0, 1})]}
     # coordinate 2 is a coloop: its singleton is a flat and closes to itself
-    lt = block_matroid(span_from_ints(f2, 3, [[1, 1, 0]]))
+    lt = valid(block_matroid(span_from_ints(f2, 3, [[1, 1, 0]])))
     lat = lt.lattice
     assert closure(lt, lat.index[frozenset({2})]) == lat.index[frozenset({2})]
     assert closure(lt, lat.index[frozenset({0})]) == lat.index[frozenset({0, 1})]
@@ -392,7 +406,7 @@ def test_block_matroid_closure_matches_elementwise_definition():
     cases = 0
     for name, n in (("Z_2", 3), ("Z_3", 2)):
         for code in enumerate_submodules(full_space(parse_ring(name), n)):
-            lt = block_matroid(code, validate=False)
+            lt = block_matroid(code)
             lat = lt.lattice
             for l, s in enumerate(lat.labels):
                 expected = s | {
@@ -405,10 +419,10 @@ def test_block_matroid_closure_matches_elementwise_definition():
 
 
 def test_generalized_weight_conventions():
-    free = free_latroid(B3)
+    free = valid(free_latroid(B3))
     assert generalized_weight(free, 1) == 0  # infeasible, convention
     assert generalized_weight(free, 0) == 0
-    lt = uniform_latroid(B4, 2)
+    lt = valid(uniform_latroid(B4, 2))
     # nullity |L| - 2 >= 1 first at |L| = 3
     assert generalized_weight(lt, 1) == 3
     assert generalized_weight(lt, 2) == 4
@@ -442,8 +456,8 @@ def test_weight_monotone_and_strict_step():
 
 
 def test_scale_latroid():
-    lt = free_latroid(B3)
-    doubled = scale_latroid(lt, 2)
+    lt = valid(free_latroid(B3))
+    doubled = valid(scale_latroid(lt, 2))
     assert doubled.length[B3.top] == (6,)
     with pytest.raises(ValueError):
         scale_latroid(lt, 0)

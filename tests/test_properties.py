@@ -93,13 +93,16 @@ def codes(draw, ring):
 @given(data=st.data())
 def test_chain_support_latroid_of_random_code(ring_name, data):
     code = data.draw(codes(parse_ring(ring_name)))
-    lt = chain_support_latroid(code, validate=False)
+    lt = chain_support_latroid(code)
     assert lt == reference_chain_support_latroid(code)
     if is_field(code.ring):
-        assert block_matroid(code, validate=False) == reference_block_matroid(code)
+        assert block_matroid(code) == reference_block_matroid(code)
     report = validate_latroid(lt)
     assert report.ok, report.summary()
-    assert dual_latroid(dual_latroid(lt)) == lt
+    dual = dual_latroid(lt)
+    report = validate_latroid(dual)
+    assert report.ok, report.summary()
+    assert dual_latroid(dual) == lt
 
     if code.ring.ell == 1:
         direct = refined_enumerator(code, ChainSupport(code.ring, code.n))
@@ -117,9 +120,13 @@ def test_code_latroids_of_zero_code_match_references(ring_name):
     ring = parse_ring(ring_name)
     for n in (1, 2, 3):
         code = zero_code(ring, n)
-        assert chain_support_latroid(code) == reference_chain_support_latroid(code)
+        lt = chain_support_latroid(code)
+        assert validate_latroid(lt).ok
+        assert lt == reference_chain_support_latroid(code)
         if is_field(ring):
-            assert block_matroid(code) == reference_block_matroid(code)
+            lt = block_matroid(code)
+            assert validate_latroid(lt).ok
+            assert lt == reference_block_matroid(code)
 
 
 def test_code_latroids_and_enumerators_evaluate_supports_in_one_batch(monkeypatch):
@@ -132,9 +139,9 @@ def test_code_latroids_and_enumerators_evaluate_supports_in_one_batch(monkeypatc
     z6, f3 = parse_ring("Z_2 x Z_3"), parse_ring("Z_3")
     code = span(z6, 3, [((1, 1), (0, 2), (1, 0))])
     chain = ChainSupport(z6, 3)
-    chain_support_latroid(code, validate=False)
+    chain_support_latroid(code)
     refined_enumerator(code, chain)
     weight_distribution(code, chain)
     assert inclusion_exclusion_check(code).ok
-    block_matroid(span(f3, 4, [((1,), (2,), (0,), (1,))]), validate=False)
+    block_matroid(span(f3, 4, [((1,), (2,), (0,), (1,))]))
     assert calls == []

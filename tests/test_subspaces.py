@@ -125,10 +125,10 @@ SINGLE_BLOCK = [(name, mc) for name, mc in MATRIX_CODES if mc.ell == 1]
 def test_rank_metric_and_tilde_match_reference(name, mc):
     m, n = mc.shape
     bases = reference_all_subspaces(mc.q, n)
-    plain = rank_metric_latroid(mc, validate=False)
+    plain = rank_metric_latroid(mc)
     assert plain.lattice.labels == tuple(bases)
     assert list(zip(plain.rank, plain.length)) == reference_sum_rank(mc, "row")
-    tilde = tilde_polymatroid(mc, validate=False)
+    tilde = tilde_polymatroid(mc)
     assert tilde.lattice.labels == tuple(bases)
     perps = [reference_orthogonal_complement(b, mc.q, n) for b in bases]
     assert tilde.rank == tuple(
@@ -142,7 +142,7 @@ def test_rank_metric_and_tilde_match_reference(name, mc):
 def test_sum_rank_matches_reference(name, mc, spaces):
     if spaces == "column" and any(m < n for m, n in mc.blocks):
         with pytest.raises(ValueError, match="m_i >= n_i"):
-            sum_rank_latroid(mc, spaces=spaces, validate=False)
+            sum_rank_latroid(mc, spaces=spaces)
         return
-    lt = sum_rank_latroid(mc, spaces=spaces, validate=False)
+    lt = sum_rank_latroid(mc, spaces=spaces)
     assert list(zip(lt.rank, lt.length)) == reference_sum_rank(mc, spaces)

@@ -30,11 +30,13 @@ from latroids.code_latroids import (
 )
 from latroids.codes import enumerate_submodules, length_lambda, span_from_ints, zero_code
 from latroids.core import Latroid
+from latroids import enumerators
 from latroids.enumerators import (
     ExpPoly,
     enumerator_from_tutte,
     generalized_enumerator,
     generalized_weight_distribution,
+    inclusion_exclusion_check,
     refined_enumerator,
     rprime_z_to_one,
     tutte_whitney_R,
@@ -195,13 +197,13 @@ def test_weights_equal_report_flags_mismatches():
 @pytest.mark.parametrize("name, mc", rank_metric_code_corpus(),
                          ids=[name for name, _ in rank_metric_code_corpus()])
 def test_rank_metric_corpus_gives_q_polymatroids(name, mc):
-    assert qpolymatroid_axioms(tilde_polymatroid(mc, validate=False)).ok
-    assert qpolymatroid_axioms(rank_metric_latroid(mc, validate=False)).ok
+    assert qpolymatroid_axioms(tilde_polymatroid(mc)).ok
+    assert qpolymatroid_axioms(rank_metric_latroid(mc)).ok
     assert tilde_relation_check(mc).ok
 
 
 def test_qpolymatroid_axioms_report_first_witness():
-    lt = rank_metric_latroid(rank_metric_code_corpus()[0][1], validate=False)
+    lt = rank_metric_latroid(rank_metric_code_corpus()[0][1])
     lat = lt.lattice
     rank = list(lt.rank)
     rank[lat.top] = (-1,)
@@ -264,7 +266,7 @@ def reference_R(lt: Latroid) -> ExpPoly:
 @pytest.mark.parametrize("name, code", tutte_code_corpus(0)[::3],
                          ids=[name for name, _ in tutte_code_corpus(0)[::3]])
 def test_R_is_rprime_at_z_one(name, code):
-    lt = chain_support_latroid(code, validate=False)
+    lt = chain_support_latroid(code)
     want = reference_R(lt)
     got = tutte_whitney_R(lt)
     assert got == want
@@ -302,6 +304,26 @@ def test_punctured_octacode_enumerator_from_tutte():
     punctured = span_from_ints(Z4, 7, [row[:7] for row in OCTACODE_ROWS])
     assert len(punctured) == 256
     assert enumerator_from_tutte(punctured) == refined_enumerator(punctured, ChainSupport(Z4, 7))
+
+
+def test_punctured_octacode_inclusion_exclusion(monkeypatch):
+    punctured = span_from_ints(Z4, 7, [row[:7] for row in OCTACODE_ROWS])
+    assert inclusion_exclusion_check(punctured).ok
+    # Corrupt the direct count of one exact support: the Moebius inversion
+    # of the dominated counts disagrees with it there, and only there.
+    label = (1, 2, 0, 2, 1, 1, 2)
+
+    class Corrupted(Counter):
+        def __init__(self, items):
+            super().__init__(items)
+            self[label] += 1
+
+    monkeypatch.setattr(enumerators, "Counter", Corrupted)
+    exact = Counter(
+        map(tuple, ChainSupport(Z4, 7).of_digits(Z4.encode(punctured.codewords, 7)).tolist())
+    )[label]
+    report = inclusion_exclusion_check(punctured)
+    assert report.first_failure().detail == f"A = {label}: {exact} != {exact + 1}"
 
 
 # -- the witness idiom ---------------------------------------------------------------------
