@@ -19,7 +19,6 @@ from .codes import (
     enumerate_submodules,
     full_space,
     length_lambda,
-    rect_meet,
     rectangular_closure,
     rref,
     span_from_ints,
@@ -118,24 +117,18 @@ def rect_supp_latroid(code: Code, supp: Support) -> Latroid:
     rectangular module containing M n C breaks monotonicity and is not a
     latroid, so the meet form is the one implemented.
     """
-    ring = code.ring
     if not supp.is_standard:
         raise ValueError("rectangular-support latroids need a standard support")
     if not validate_modular(supp).ok:
         raise ValueError("rectangular-support latroids need a modular support")
-    lattice = rectangular_lattice(ring, code.n)
-    closure = rectangular_closure(code)
-    supp_of = {m: rect_support(supp, m) for m in lattice.labels}
-
-    def rho(m):
-        inter = rect_meet(ring, m, closure)
-        return tuple(
-            x - y for x, y in zip(supp_of[m], rect_support(supp, inter))
-        )
-
-    return Latroid.from_functions(
-        lattice, rho, lambda m: supp_of[m], udim=supp.u
+    lattice = rectangular_lattice(code.ring, code.n)
+    supp_of = [rect_support(supp, m) for m in lattice.labels]
+    closure = lattice.index[rectangular_closure(code)]
+    rank = tuple(
+        tuple(x - y for x, y in zip(supp_of[i], supp_of[lattice.meet[i, closure]]))
+        for i in range(lattice.size)
     )
+    return Latroid(lattice, rank, tuple(supp_of), supp.u)
 
 
 # -- block matroids ---------------------------------------------------------------

@@ -305,14 +305,6 @@ def rect_leq(ring: Pir, a: tuple[Ideal, ...], b: tuple[Ideal, ...]) -> bool:
     return all(ring.ideal_leq(x, y) for x, y in zip(a, b, strict=True))
 
 
-def rect_sum(ring: Pir, a: tuple[Ideal, ...], b: tuple[Ideal, ...]) -> tuple[Ideal, ...]:
-    return tuple(ring.ideal_sum(x, y) for x, y in zip(a, b, strict=True))
-
-
-def rect_meet(ring: Pir, a: tuple[Ideal, ...], b: tuple[Ideal, ...]) -> tuple[Ideal, ...]:
-    return tuple(ring.ideal_intersection(x, y) for x, y in zip(a, b, strict=True))
-
-
 def rect_contains(ring: Pir, rect: tuple[Ideal, ...], v: Vector) -> bool:
     return all(ring.ideal_contains(I, a) for I, a in zip(rect, v, strict=True))
 

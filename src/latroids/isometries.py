@@ -17,7 +17,7 @@ from .codes import Code, length_lambda
 from .limits import VECTOR_ENUM_CAP, check_cap
 from .report import Check, Report
 from .rings import Element, Pir, Vector
-from .supports import Support, split_support, validate_modular
+from .supports import ChainSupport, Support, split_support, validate_modular
 
 RingMatrix = tuple[tuple[Element, ...], ...]
 
@@ -81,7 +81,8 @@ def decompose_chain_isometry(mat: RingMatrix, supp: Support):
     ring = supp.ring
     if ring.ell != 1:
         raise ValueError("the D*P decomposition is for chain rings")
-    if not supp.is_standard or not validate_modular(supp).ok:
+    # A ChainSupport is standard modular by construction; others are scanned.
+    if not supp.is_standard or not (isinstance(supp, ChainSupport) or validate_modular(supp).ok):
         raise ValueError("decomposition needs a standard modular support")
     if not is_isometry(mat, supp):
         raise ValueError("matrix is not an isometry for the given support")

@@ -5,28 +5,30 @@ Lattices are fully materialized with O(N^2) tables; element labels are
 domain objects (subsets, support vectors, rref bases, codes) so that
 cross-module identification goes through labels, never raw indices.
 
-No builder here calls a ``leq`` per pair.  Set-labelled lattices (subsets,
-subspaces, submodules) get their order from a boolean membership matrix,
-one row per element and one column per point of the ground set: a <= b
-when no member of a lies outside b, which is one exact float32 product
-``members @ ~members.T == 0``.  Lattices of ideals, rectangular modules and
-grids use the product order on integer coordinates (ideal exponents order
-reversed: (p^e) lies in (p^f) exactly when e >= f).  Every builder checks
-``LATTICE_CAP`` from the label count before it allocates an N x N array.
-
-Every lattice, whatever builds it, goes through one kernel.  One exact
-float32 product of the order matrix with itself counts the elements
-between each pair; it checks transitivity and gives the cover relation.
-The meet table then follows from the lower-cover recurrence (the one
-SageMath's ``HasseDiagram`` uses for its meet matrix): in a linear
-extension (elements sorted by the size of their down-set), meet(x, y) for
-y before x is the last of the meet(z, y) over the lower covers z of x, and
+``build_lattice`` is the one place where an order from outside is checked
+and completed.  One exact float32 product of the order matrix with itself
+counts the elements between each pair; it checks transitivity and gives the
+cover relation.  The meet table then follows from the lower-cover
+recurrence (the one SageMath's ``HasseDiagram`` uses): in a linear
+extension (elements sorted by the size of their down-set), meet(x, y) for y
+before x is the last of the meet(z, y) over the lower covers z of x, and
 the poset has that meet exactly when this element lies above all the
-others.  Each x is one vectorized row (gather, max, membership check), so
-the cost is O(N^2 * degree) element operations plus the O(N^3) product
-in BLAS, instead of O(N^3) Python-level pair searches; joins are the same
-recurrence on the reversed order.  On a 2-vCPU x86 machine a 1024-element
-boolean lattice builds in about 0.2 s and a 4096-element grid in about 5 s.
+others.  Each x is one vectorized row, so the cost is O(N^2 * degree)
+element operations plus the O(N^3) product in BLAS; joins are the same
+recurrence on the reversed order.  Subspace and submodule lattices get
+their order from a membership matrix: a <= b when no member of a lies
+outside b, one exact float32 product ``members @ ~members.T == 0``.
+
+Lattices built from lattices keep their tables.  A product's order, join
+and meet are componentwise and a cover changes one coordinate by a cover
+(Davey and Priestley, ch. 2); ``dual`` transposes and swaps join with meet;
+``interval`` slices.  Grids are products of chains, each chain built once;
+boolean lattices are renumbered grids of 2-chains; ideal lattices are
+products of reversed chains ((p^e) lies in (p^f) exactly when e >= f); and
+rectangular-module lattices are products of ideal lattices.  Every builder
+checks ``LATTICE_CAP`` before it allocates an N x N array.  On a 2-vCPU x86
+machine the 4096-element boolean lattice builds in about 1 s and the 3^7
+grid in 0.04 s, against about 5 s and 1 s through the recurrence.
 
 Scans over all N^2 pairs that evaluate Python scalars (``Fraction`` or
 ``int`` in ``core.validate_latroid``) run on numpy object arrays a block
@@ -37,7 +39,9 @@ the first failing pair in row-major order as the witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,27 +50,23 @@ from .codes import Code, enumerate_submodules, full_space, rref
 from .errors import NotALatticeError, NotGradedError
 from .limits import LATTICE_CAP, SUBMODULE_CAP, check_cap
 from .report import Check, Report
-from .rings import Pir, chain_ring, is_prime
+from .rings import Ideal, Pir, chain_ring, is_prime
 
 
 class FiniteLattice:
-    """A finite lattice on indexed, hashable labels."""
+    """A finite lattice on indexed, hashable labels, held as tables: ``leq``
+    and ``covers`` (bool), ``join`` and ``meet`` (int32 indices).  It trusts
+    them; ``build_lattice`` is what checks an order from outside."""
 
-    def __init__(self, labels, leq: np.ndarray):
+    def __init__(self, labels, leq, covers, join, meet):
         self.labels = tuple(labels)
         self.size = len(self.labels)
-        _check_size(self.size)
-        if len(set(self.labels)) != self.size:
-            raise ValueError("lattice labels must be distinct")
-        self.leq = np.asarray(leq, dtype=bool)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.covers = _check_partial_order(self.leq, self.labels)
-        self.join = _meet_table(self.leq.T, self.covers.T, self.labels, "join")
-        self.meet = _meet_table(self.leq, self.covers, self.labels, "meet")
-        self.bottom = int(np.flatnonzero(self.leq.all(axis=1))[0])
-        self.top = int(np.flatnonzero(self.leq.all(axis=0))[0])
-        self.atoms = tuple(int(i) for i in np.flatnonzero(self.covers[self.bottom]))
-        self.height = _height_if_graded(self)
+        self.leq, self.covers, self.join, self.meet = leq, covers, join, meet
+        self.bottom = int(np.flatnonzero(leq.all(axis=1))[0])
+        self.top = int(np.flatnonzero(leq.all(axis=0))[0])
+        self.atoms = tuple(int(i) for i in np.flatnonzero(covers[self.bottom]))
+        self.height = _height_if_graded(covers, self.bottom)
 
     # -- basics -------------------------------------------------------------
 
@@ -172,34 +172,38 @@ def _meet_table(leq: np.ndarray, covers: np.ndarray, labels, what: str) -> np.nd
     return order.astype(np.int32)[table][np.ix_(pos, pos)]
 
 
-def _height_if_graded(lat: FiniteLattice):
-    order = sorted(range(lat.size), key=lambda i: int(lat.leq[:, i].sum()))
-    height = [None] * lat.size
-    height[lat.bottom] = 0
-    for x in order:
-        if x == lat.bottom:
-            continue
-        parents = np.flatnonzero(lat.covers[:, x])
-        hs = {height[int(p)] for p in parents}
-        if len(hs) != 1 or None in hs:
+def _height_if_graded(covers: np.ndarray, bottom: int):
+    """Heights by breadth-first search from the bottom along covers.  The
+    lattice is graded exactly when no cover leads back to an element that
+    already has a height."""
+    height = np.full(len(covers), -1)
+    height[bottom] = 0
+    frontier, level = np.array([bottom]), 0
+    while frontier.size:
+        level += 1
+        above = covers[frontier].any(axis=0)
+        if (above & (height >= 0)).any():
             return None
-        height[x] = hs.pop() + 1
-    return tuple(height)
+        frontier = np.flatnonzero(above)
+        height[frontier] = level
+    return tuple(height.tolist())
 
 
 def _check_size(size: int) -> None:
     check_cap(size, LATTICE_CAP, "lattice size")
 
 
-def build_lattice(labels, leq) -> FiniteLattice:
-    """Build from labels and either a callable leq(a, b) or a boolean matrix."""
+def build_lattice(labels, leq: np.ndarray) -> FiniteLattice:
+    """The lattice of a boolean order matrix from outside, checked and
+    completed with covers, joins and meets."""
     labels = tuple(labels)
     _check_size(len(labels))
-    if callable(leq):
-        mat = np.array([[bool(leq(a, b)) for b in labels] for a in labels], dtype=bool)
-    else:
-        mat = np.asarray(leq, dtype=bool)
-    return FiniteLattice(labels, mat)
+    if len(set(labels)) != len(labels):
+        raise ValueError("lattice labels must be distinct")
+    leq = np.asarray(leq, dtype=bool)
+    covers = _check_partial_order(leq, labels)
+    join = _meet_table(leq.T, covers.T, labels, "join")
+    return FiniteLattice(labels, leq, covers, join, _meet_table(leq, covers, labels, "meet"))
 
 
 # -- structural predicates ----------------------------------------------------
@@ -285,57 +289,72 @@ def interval(lat: FiniteLattice, a: int, b: int) -> FiniteLattice:
     if not lat.leq[a, b]:
         raise ValueError(f"{lat.labels[a]} is not below {lat.labels[b]}")
     idx = np.flatnonzero(lat.leq[a] & lat.leq[:, b])
-    labels = tuple(lat.labels[int(i)] for i in idx)
-    return FiniteLattice(labels, lat.leq[np.ix_(idx, idx)])
+    return _renumbered(lat, idx, [lat.labels[int(i)] for i in idx])
 
 
 def dual(lat: FiniteLattice) -> FiniteLattice:
     """Same labels, reversed order."""
-    return FiniteLattice(lat.labels, lat.leq.T)
+    return FiniteLattice(lat.labels, lat.leq.T, lat.covers.T, lat.meet, lat.join)
 
 
-def product(lat1: FiniteLattice, lat2: FiniteLattice) -> FiniteLattice:
-    _check_size(lat1.size * lat2.size)
-    labels = tuple(
-        (a, b) for a in lat1.labels for b in lat2.labels
-    )
-    leq = np.kron(lat1.leq, lat2.leq).astype(bool)
-    return FiniteLattice(labels, leq)
+def _renumbered(lat: FiniteLattice, idx: np.ndarray, labels) -> FiniteLattice:
+    """The elements ``idx`` of ``lat``, numbered in that order.  Valid only
+    for an interval (its joins, meets and covers are those of ``lat``) or a
+    permutation of all of ``lat``."""
+    pos = np.zeros(lat.size, dtype=np.int32)
+    pos[idx] = np.arange(len(idx), dtype=np.int32)
+    sub = np.ix_(idx, idx)
+    return FiniteLattice(labels, lat.leq[sub], lat.covers[sub], pos[lat.join[sub]], pos[lat.meet[sub]])
+
+
+def product(*lats: FiniteLattice) -> FiniteLattice:
+    """The product lattice on flat label tuples, numbered row-major (the
+    last factor varies fastest).  Factors are taken last to first, each in
+    front of the product of those after it, so that the long axis of every
+    broadcast is the inner one."""
+    _check_size(math.prod(lat.size for lat in lats))
+    leq, covers = np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool)
+    join = meet = np.zeros((1, 1), dtype=np.int32)
+    for lat in reversed(lats):
+        n = len(leq)
+        leq = _product_table(lat.leq, leq, np.logical_and)
+        covers = (_product_table(lat.covers, np.eye(n, dtype=bool), np.logical_and)
+                  | _product_table(np.eye(lat.size, dtype=bool), covers, np.logical_and))
+        join = _product_table(lat.join * n, join, np.add)
+        meet = _product_table(lat.meet * n, meet, np.add)
+    return FiniteLattice(itertools.product(*(lat.labels for lat in lats)), leq, covers, join, meet)
+
+
+def _product_table(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
+    """op(a[i, k], b[j, l]) at row i * len(b) + j and column k * len(b) + l:
+    a table of a product of two lattices from one table of each."""
+    n = len(a) * len(b)
+    return op(a[:, None, :, None], b[None, :, None, :]).reshape(n, n)
 
 
 # -- concrete builders ----------------------------------------------------------
 
 
-def boolean_lattice(n: int) -> FiniteLattice:
-    """Subsets of {0..n-1} ordered by inclusion."""
-    labels = [
-        frozenset(c)
-        for size in range(n + 1)
-        for c in itertools.combinations(range(n), size)
-    ]
-    return _ordered(labels, _membership_order, _members(labels, range(n)))
+@functools.cache
+def _chain(top: int) -> FiniteLattice:
+    """The chain 0 < 1 < ... < top, built once for each length and shared:
+    no code writes into a lattice's tables."""
+    _check_size(top + 1)
+    return build_lattice(range(top + 1), np.triu(np.ones((top + 1, top + 1), dtype=bool)))
 
 
 def grid_lattice(ranges) -> FiniteLattice:
-    """Integer vectors 0 <= v[i] <= ranges[i] under the product order."""
-    labels = list(itertools.product(*(range(r + 1) for r in ranges)))
-    return _ordered(labels, _product_order, np.array(labels, dtype=np.int64))
+    """Integer vectors 0 <= v[i] <= ranges[i] under the product order: the
+    product of chains, labelled by the vectors."""
+    return product(*(_chain(r) for r in ranges))
 
 
-def _ordered(labels, order, rows) -> FiniteLattice:
-    """``build_lattice(labels, order(rows))``, with the size checked before
-    ``order`` allocates its N x N matrix."""
-    _check_size(len(labels))
-    return build_lattice(labels, order(rows))
-
-
-def _product_order(coords: np.ndarray) -> np.ndarray:
-    """leq[a, b] = coords[a] <= coords[b] in every column, one column at a
-    time so that memory stays at one N x N matrix."""
-    leq = np.ones((coords.shape[0],) * 2, dtype=bool)
-    for col in coords.T:
-        leq &= col[:, None] <= col[None, :]
-    return leq
+def boolean_lattice(n: int) -> FiniteLattice:
+    """Subsets of {0..n-1} ordered by inclusion, numbered by size and then
+    in ``combinations`` order: the grid {0,1}^n renumbered."""
+    subsets = [c for size in range(n + 1) for c in itertools.combinations(range(n), size)]
+    idx = np.array([sum(1 << (n - 1 - i) for i in c) for c in subsets], dtype=np.intp)
+    return _renumbered(grid_lattice([1] * n), idx, map(frozenset, subsets))
 
 
 def _members(sets, ground) -> np.ndarray:
@@ -349,7 +368,9 @@ def _members(sets, ground) -> np.ndarray:
 
 def _membership_order(members: np.ndarray) -> np.ndarray:
     """leq[a, b]: no member of a lies outside b.  The float32 product counts
-    those members exactly, as there are fewer than 2**24 points."""
+    those members exactly, as there are fewer than 2**24 points; the size
+    is checked before it allocates its N x N matrix."""
+    _check_size(len(members))
     inside = members.astype(np.float32)
     return inside @ (1 - inside).T == 0
 
@@ -363,9 +384,10 @@ def chain_support_lattice(ring: Pir, n: int) -> FiniteLattice:
 
 
 def ideal_lattice(ring: Pir) -> FiniteLattice:
-    """The ideals of R ordered by containment."""
-    labels = sorted(ring.all_ideals(), key=lambda I: I.exponents)
-    return _ordered(labels, _product_order, -np.array([I.exponents for I in labels]))
+    """The ideals of R ordered by containment, sorted by exponents: the
+    product of the reversed chains of exponents 0..k_j, relabelled."""
+    exps = product(*(dual(_chain(f.k)) for f in ring.factors))
+    return FiniteLattice(map(Ideal, exps.labels), exps.leq, exps.covers, exps.join, exps.meet)
 
 
 def subspace_lattice(q: int, n: int, cap: int = 256) -> FiniteLattice:
@@ -385,19 +407,17 @@ def _subspaces(q: int, n: int, cap: int = 256) -> tuple[FiniteLattice, np.ndarra
     bases = [rref([[a for (a,) in w] for w in s.codewords], q) for s in subs]
     order = sorted(range(len(subs)), key=lambda i: (len(bases[i]), bases[i]))
     members = _members([subs[i].codewords for i in order], space.sorted_words())
-    return _ordered([bases[i] for i in order], _membership_order, members), members
+    return build_lattice([bases[i] for i in order], _membership_order(members)), members
 
 
 def submodule_lattice(code: Code, cap: int = SUBMODULE_CAP) -> FiniteLattice:
     """All submodules of the given code, ordered by inclusion."""
     subs = enumerate_submodules(code, cap=cap)
     members = _members([s.codewords for s in subs], code.sorted_words())
-    return _ordered(subs, _membership_order, members)
+    return build_lattice(subs, _membership_order(members))
 
 
 def rectangular_lattice(ring: Pir, n: int) -> FiniteLattice:
-    """Rectangular modules I_1 x ... x I_n of R^n ordered by containment."""
-    ideals = sorted(ring.all_ideals(), key=lambda I: I.exponents)
-    labels = list(itertools.product(ideals, repeat=n))
-    exponents = [[e for I in lab for e in I.exponents] for lab in labels]
-    return _ordered(labels, _product_order, -np.array(exponents))
+    """Rectangular modules I_1 x ... x I_n of R^n ordered by containment:
+    the product of n ideal lattices."""
+    return product(*[ideal_lattice(ring)] * n)

@@ -168,9 +168,6 @@ class Pir:
         self.check_element(a)
         return tuple((-x) % s for x, s in zip(a, self.sizes))
 
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: Element, b: Element) -> Element:
         self.check_element(a)
         self.check_element(b)
@@ -263,12 +260,6 @@ class Pir:
     def ideal_leq(self, I: Ideal, J: Ideal) -> bool:
         """Containment I <= J as subsets."""
         return all(e >= f for e, f in zip(I.exponents, J.exponents))
-
-    def ideal_sum(self, I: Ideal, J: Ideal) -> Ideal:
-        return Ideal(tuple(min(e, f) for e, f in zip(I.exponents, J.exponents)))
-
-    def ideal_intersection(self, I: Ideal, J: Ideal) -> Ideal:
-        return Ideal(tuple(max(e, f) for e, f in zip(I.exponents, J.exponents)))
 
     def ideal_size(self, I: Ideal) -> int:
         return math.prod(f.p ** (f.k - e) for f, e in zip(self.factors, I.exponents))

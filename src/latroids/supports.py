@@ -22,10 +22,13 @@ vector of index i, sums and multiples are array arithmetic plus
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .codes import Code, all_rectangular_modules, rect_meet, rect_members, rect_sum
+from .codes import Code, rect_members
 from .core import scan_rows, sleq
+from .lattices import rectangular_lattice
 from .limits import VECTOR_ENUM_CAP, check_cap
 from .report import Check, Report
 from .rings import Pir, Vector
@@ -394,32 +397,27 @@ def rect_support(s: Support, rect) -> SupportVec:
 def modular_function_on_rectangulars(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
     """Check, over all pairs of rectangular modules, that the set support is
     a modular and strictly increasing function (sums and intersections of
-    rectangular modules are again rectangular)."""
-    ring = s.ring
-    rects = list(all_rectangular_modules(ring, s.n))
-    check_cap(len(rects) ** 2, cap, "rectangular module pairs")
-    supp = {r: rect_support(s, r) for r in rects}
+    rectangular modules are again rectangular: the joins and meets of
+    ``rectangular_lattice``)."""
+    ideals = math.prod(f.k + 1 for f in s.ring.factors)
+    check_cap(ideals ** (2 * s.n), cap, "rectangular module pairs")
+    lat = rectangular_lattice(s.ring, s.n)
+    rects = lat.labels
+    supp = [rect_support(s, r) for r in rects]
 
     def non_modular():
-        for a in rects:
-            for b in rects:
-                lhs = tuple(x + y for x, y in zip(supp[a], supp[b]))
-                rhs = tuple(
-                    x + y
-                    for x, y in zip(supp[rect_sum(ring, a, b)], supp[rect_meet(ring, a, b)])
-                )
-                if lhs != rhs:
-                    yield f"M1={a}, M2={b}: {sum(supp[a])}+{sum(supp[b])} != {rhs}"
+        for a, b in lat.pairs():
+            lhs = tuple(x + y for x, y in zip(supp[a], supp[b]))
+            rhs = tuple(x + y for x, y in zip(supp[lat.join[a, b]], supp[lat.meet[a, b]]))
+            if lhs != rhs:
+                yield f"M1={rects[a]}, M2={rects[b]}: {sum(supp[a])}+{sum(supp[b])} != {rhs}"
 
     return Report.from_checks([
         Check.from_witnesses("modular_function", non_modular()),
         Check.from_witnesses("strictly_increasing", (
-            f"M1={a} < M2={b}"
-            for a in rects
-            for b in rects
-            if a != b
-            and all(ring.ideal_leq(x, y) for x, y in zip(a, b))
-            and not (sleq(supp[a], supp[b]) and supp[a] != supp[b])
+            f"M1={rects[a]} < M2={rects[b]}"
+            for a, b in lat.comparable_pairs()
+            if not (sleq(supp[a], supp[b]) and supp[a] != supp[b])
         )),
     ])
 

@@ -193,10 +193,10 @@ def test_cap_breach_exits_3(capsys, tmp_path):
 def test_lattice_cap_is_checked_before_the_order_matrix(capsys, tmp_path, monkeypatch):
     # Z_2^16 is within the default vector cap, but its 65536-element grid
     # exceeds LATTICE_CAP: the run must stop before the 65536 x 65536 order.
-    def no_order_matrix(coords):
-        raise AssertionError(f"order matrix asked for {len(coords)} elements")
+    def no_product_table(a, b, op):
+        raise AssertionError(f"product table asked for {len(a) * len(b)} elements")
 
-    monkeypatch.setattr(lattices, "_product_order", no_order_matrix)
+    monkeypatch.setattr(lattices, "_product_table", no_product_table)
     path = _write(tmp_path, "ring = Z_2\nn = 16\nsupport = chain\ngen = " + "1 " * 16 + "\n")
     code, out, err = run_cli(capsys, "--command", "latroid", "--config", path)
     assert code == 3

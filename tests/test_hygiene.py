@@ -13,7 +13,8 @@ module other than ``__init__`` and ``__main__`` must be imported by some other
 module of the package, so none is left orphaned.  Every defaulted parameter
 of a module-level function is set, by position or by keyword, by some call
 in the package or its tests; ``cap`` parameters are exempt, since every cap
-can be overridden per call (``limits``).
+can be overridden per call (``limits``).  ``FiniteLattice`` is constructed
+only in ``lattices.py``, in the package and in its tests.
 """
 
 from __future__ import annotations
@@ -311,4 +312,44 @@ def test_checker_sees_unset_defaulted_parameters():
         "a.py: f(c) (line 1)",
         "a.py: f(e) (line 1)",
         "a.py: k(z) (line 4)",
+    ]
+
+
+def _outside_lattice_constructions(trees: dict[str, ast.Module]) -> list[str]:
+    """Calls of ``FiniteLattice(...)`` in any module but ``lattices.py``: the
+    constructor trusts its tables, so every order from outside must come in
+    through ``build_lattice``, which checks it."""
+    return sorted(
+        f"{module}: line {node.lineno}"
+        for module, tree in trees.items()
+        if module != "src/latroids/lattices.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "FiniteLattice" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_lattices_are_constructed_only_in_lattices():
+    root = PACKAGE.parents[1]
+    trees = {
+        str(p.relative_to(root)): ast.parse(p.read_text(), filename=str(p))
+        for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
+    }
+    outside = _outside_lattice_constructions(trees)
+    assert not outside, f"FiniteLattice built outside lattices.py: {', '.join(outside)}"
+
+
+def test_checker_sees_outside_lattice_constructions():
+    trees = {
+        "src/latroids/lattices.py": ast.parse("def dual(l): return FiniteLattice(l.labels, l.leq.T)\n"),
+        "src/latroids/core.py": ast.parse(
+            "from .lattices import FiniteLattice\n"
+            "a = FiniteLattice(labels, leq, covers, join, meet)\n"
+            "b = lattices.FiniteLattice(labels, leq, covers, join, meet)\n"
+            "c = isinstance(a, FiniteLattice)\n"
+        ),
+    }
+    assert _outside_lattice_constructions(trees) == [
+        "src/latroids/core.py: line 2",
+        "src/latroids/core.py: line 3",
     ]

@@ -25,14 +25,27 @@ from latroids.lattices import (
     is_relatively_complemented_lattice,
     predicates,
     product,
+    rectangular_lattice,
     submodule_lattice,
     subspace_lattice,
 )
 from latroids.rings import parse_ring
+from latroids.selftest import latroid_corpus
+
+
+def leq_matrix(labels, leq):
+    """The boolean order matrix of a leq callable on the labels."""
+    labels = list(labels)
+    return np.array([[bool(leq(a, b)) for b in labels] for a in labels], dtype=bool)
 
 
 def chain(n):
-    return build_lattice(range(n), lambda a, b: a <= b)
+    return build_lattice(range(n), leq_matrix(range(n), lambda a, b: a <= b))
+
+
+def divisor_lattice(n):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return build_lattice(divisors, leq_matrix(divisors, lambda a, b: b % a == 0))
 
 
 def corpus():
@@ -48,9 +61,7 @@ def corpus():
         ideal_lattice(z6),
         chain_support_lattice(parse_ring("Z_4"), 2),
         submodule_lattice(full_space(parse_ring("Z_4"), 2)),
-        build_lattice(
-            [d for d in range(1, 13) if 12 % d == 0], lambda a, b: b % a == 0
-        ),
+        divisor_lattice(12),
         product(chain(2), chain(3)),
     ]
 
@@ -96,31 +107,22 @@ def test_subspace_lattice_rejections_come_before_enumeration(monkeypatch, q):
         subspace_lattice(2, 4, cap=15)
 
 
-def _no_order(rows):
-    raise AssertionError(f"N x N order asked for {len(rows)} elements")
+def _no_table(*args):
+    raise AssertionError(f"N x N table asked for from {len(args[0])} rows")
 
 
 def test_lattice_cap_is_checked_before_any_order_matrix(monkeypatch):
-    monkeypatch.setattr(lattices, "_product_order", _no_order)
-    monkeypatch.setattr(lattices, "_membership_order", _no_order)
-    monkeypatch.setattr(np, "kron", _no_order)
-    calls = []
-
-    def leq(a, b):
-        calls.append((a, b))
-        return a <= b
-
+    monkeypatch.setattr(lattices, "_product_table", _no_table)
+    monkeypatch.setattr(lattices, "_membership_order", _no_table)
     too_many = range(lattices.LATTICE_CAP + 1)
     for build in (
         lambda: boolean_lattice(13),
         lambda: grid_lattice([1] * 13),
-        lambda: build_lattice(too_many, leq),
         lambda: build_lattice(too_many, np.eye(2, dtype=bool)),
         lambda: product(chain(65), chain(64)),
     ):
         with pytest.raises(CapExceededError, match="lattice size"):
             build()
-    assert not calls
 
 
 def test_subspace_lattice_f2_3_flags():
@@ -137,9 +139,7 @@ def test_chain_not_complemented():
 
 
 def test_divisor_lattice_distributive():
-    divs = build_lattice(
-        [d for d in range(1, 13) if 12 % d == 0], lambda a, b: b % a == 0
-    )
+    divs = divisor_lattice(12)
     assert is_distributive_lattice(divs)
     assert is_modular_lattice(divs)
 
@@ -153,13 +153,13 @@ def test_not_a_lattice_reported():
         return x == y or (x, y) in order
 
     with pytest.raises(NotALatticeError) as err:
-        build_lattice(labels, leq)
+        build_lattice(labels, leq_matrix(labels, leq))
     assert err.value.pair is not None
 
 
 def test_partial_order_validation():
     with pytest.raises(ValueError, match="antisymmetric"):
-        build_lattice([0, 1], lambda a, b: True)
+        build_lattice([0, 1], np.ones((2, 2), dtype=bool))
 
 
 def test_interval_and_dual():
@@ -238,7 +238,7 @@ def partition_lattice(n):
             p[:i] + [p[i] + [x]] + p[i + 1:] for p in parts for i in range(len(p))
         ] + [p + [[x]] for p in parts]
     labels = [frozenset(map(frozenset, p)) for p in parts]
-    return build_lattice(labels, lambda a, b: all(any(x <= y for y in b) for x in a))
+    return build_lattice(labels, leq_matrix(labels, lambda a, b: all(any(x <= y for y in b) for x in a)))
 
 
 def five_element(kind):
@@ -248,7 +248,7 @@ def five_element(kind):
     else:
         order = set()
     return build_lattice(
-        "0abc1", lambda x, y: x == y or x == "0" or y == "1" or (x, y) in order
+        "0abc1", leq_matrix("0abc1", lambda x, y: x == y or x == "0" or y == "1" or (x, y) in order)
     )
 
 
@@ -306,7 +306,7 @@ def test_height_errors_when_not_graded():
         ("0", "a"), ("0", "b"), ("0", "c"), ("0", "1"),
         ("a", "c"), ("a", "1"), ("b", "1"), ("c", "1"),
     }
-    lat = build_lattice(labels, lambda x, y: x == y or (x, y) in order)
+    lat = build_lattice(labels, leq_matrix(labels, lambda x, y: x == y or (x, y) in order))
     assert not lat.is_graded
     with pytest.raises(NotGradedError):
         lat.hgt(0)
@@ -314,7 +314,7 @@ def test_height_errors_when_not_graded():
 
 def test_labels_must_be_distinct():
     with pytest.raises(ValueError, match="distinct"):
-        build_lattice([0, 0], lambda a, b: True)
+        build_lattice([0, 0], np.ones((2, 2), dtype=bool))
 
 
 def test_covers_and_atoms():
@@ -403,3 +403,60 @@ def test_boolean_lattice_10_union_and_intersection():
     assert (masks[lat.join] == masks[:, None] | masks[None, :]).all()
     assert (masks[lat.meet] == masks[:, None] & masks[None, :]).all()
     assert lat.height == tuple(len(lab) for lab in lat.labels)
+
+
+def assert_tables_match_recurrence(lat):
+    """Every table of ``lat`` equals what the recurrence derives from its order."""
+    ref = build_lattice(lat.labels, lat.leq)
+    for table in ("leq", "covers", "join", "meet"):
+        assert np.array_equal(getattr(lat, table), getattr(ref, table)), table
+    assert (lat.height, lat.bottom, lat.top, lat.atoms) == (ref.height, ref.bottom, ref.top, ref.atoms)
+
+
+def grid_shapes(limit):
+    """Ranges of 1 to 3, in every order, whose grid has at most ``limit``
+    elements: the chain-support grids of codes over Z_4, Z_8, Z_9 and
+    Z_2 x Z_3, among others."""
+    yield ()
+    for r in range(1, min(3, limit - 1) + 1):
+        for rest in grid_shapes(limit // (r + 1)):
+            yield (r, *rest)
+
+
+@pytest.mark.parametrize("coordinates", range(9))
+def test_grid_tables_match_recurrence(coordinates):
+    long_ranges = [(255,), (1, 127), (15, 15)]
+    shapes = [s for s in [*grid_shapes(256), *long_ranges] if len(s) == coordinates]
+    for shape in shapes:
+        lat = grid_lattice(shape)
+        assert lat.labels == tuple(itertools.product(*(range(r + 1) for r in shape)))
+        assert_tables_match_recurrence(lat)
+
+
+def test_product_tables_match_recurrence():
+    pi4, n5 = partition_lattice(4), five_element("N5")
+    cases = [boolean_lattice(n) for n in range(9)] + [
+        ideal_lattice(parse_ring(ring)) for ring in ("Z_8", "Z_2 x Z_3", "Z_4 x Z_9")
+    ]
+    cases += [
+        rectangular_lattice(parse_ring("Z_4"), 2),
+        product(n5, boolean_lattice(2)),
+        product(pi4, boolean_lattice(1)),
+        product(chain(2), five_element("M3"), n5),
+        product(),
+    ]
+    for lat in cases:
+        assert_tables_match_recurrence(lat)
+    assert cases[-2].labels == tuple(itertools.product(range(2), "0abc1", "0abc1"))
+    assert cases[-1].labels == ((),)
+
+
+def test_dual_and_interval_tables_match_recurrence():
+    lats = {id(lt.lattice): lt.lattice for _, lt in latroid_corpus(0)}
+    assert len(lats) > 10
+    for lat in lats.values():
+        assert_tables_match_recurrence(dual(lat))
+        a = lat.atoms[0]
+        for lo, hi in ((lat.bottom, lat.top), (a, lat.top), (lat.bottom, lat.size // 2),
+                       (a, int(lat.join[a, lat.size // 2]))):
+            assert_tables_match_recurrence(interval(lat, lo, hi))
