@@ -139,8 +139,10 @@ def parse_support(ring: Pir, n: int, spec: str) -> Support:
 
 
 def _support_from_file(ring: Pir, n: int, path: str) -> Support:
-    """Lines of the form ``v1 .. vn -> s1 .. su`` covering all of R^n."""
-    table = {}
+    """Lines of the form ``v1 .. vn -> s1 .. su`` listing each vector of R^n
+    once (entries are reduced first, so ``4`` and ``0`` are one vector of
+    Z_4)."""
+    table, linenos = {}, {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -156,12 +158,10 @@ def _support_from_file(ring: Pir, n: int, path: str) -> Support:
         v = tuple(parse_entry(ring, t) for t in left.split())
         if len(v) != n:
             raise InputError(f"{path}:{lineno}: vector needs {n} entries")
-        s = tuple(int(t) for t in right.split())
-        table[v] = s
-    try:
-        return TableSupport(ring, n, table)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+        if v in table:
+            raise InputError(f"{path}:{lineno}: vector {v} already given on line {linenos[v]}")
+        table[v], linenos[v] = tuple(int(t) for t in right.split()), lineno
+    return TableSupport(ring, n, table)
 
 
 def _require(cfg: dict, *keys):
@@ -192,7 +192,13 @@ def load_problem(cfg: dict, cap: int):
         if len(g) != n:
             raise InputError(f"generator {g} does not have length {n}")
     code = span(ring, n, gens, cap=cap)
-    supp = parse_support(ring, n, cfg.get("support", "chain"))
+    spec = cfg.get("support", "chain")
+    supp = parse_support(ring, n, spec)
+    if "table:" in spec:
+        # a table from a file is the one support not correct by construction
+        axioms = validate_support(supp, cap=cap)
+        if not axioms.ok:
+            raise InputError(f"not a support: {axioms.summary()}")
     return ring, n, code, supp
 
 

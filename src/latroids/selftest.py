@@ -480,9 +480,7 @@ def criterion_support_validation(seed: int) -> Report:
         checks.append(Check(f"chain_modular_{name}", ok, ""))
 
     z4 = parse_ring("Z_4")
-    lee = support_from_unit_table(
-        z4, 1, {(0,): (0,), (1,): (1,), (2,): (2,), (3,): (1,)}, validate=False
-    )
+    lee = support_from_unit_table(z4, 1, {(0,): (0,), (1,): (1,), (2,): (2,), (3,): (1,)})
     rep = validate_support(lee)
     bad = rep.first_failure()
     ok = (

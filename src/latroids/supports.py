@@ -7,13 +7,19 @@ be strictly decreased by adding a suitable multiple of w.  (The positivity
 guard is forced: at supp(v)_i = 0 no support could decrease further, the
 Hamming support included.)
 
-``Support.of_digits`` is the one evaluation: it maps rows of the digit
-encoding of R^n from ``rings`` to an array of support rows.  ``__call__``,
-``values``, ``of_set`` and every consumer that loops over vectors or a
-code's words (validators, CRT splitting, the chain-support and block
-latroids, the enumerators) read that array.  ``ChainSupport`` computes it
-with one lookup per CRT factor and ``HammingSupport`` with one nonzero test
-per coordinate; other supports evaluate row by row.
+``of_digits`` is the one evaluation, and every support defines it on
+arrays: it maps rows of the digit encoding of R^n from ``rings`` to an int64
+array of support rows.  ``ChainSupport`` computes it with one lookup per CRT
+factor, ``HammingSupport`` with one nonzero test per coordinate,
+``ProductSupport`` stacks its parts' arrays block by block of digit columns,
+and ``TableSupport`` reads its stored value array through ``Pir.index``.
+``__call__`` (one vector), ``values``, ``of_set`` and every consumer that
+loops over vectors or a code's words (validators, CRT splitting, the
+chain-support and block latroids, the enumerators) read that array.
+
+Constructors only build.  Whether a support meets the axioms is for
+``validate_support`` and ``validate_modular`` to report, and they keep
+nothing on the support.
 
 The validators work on the same encoding: row i of every array is the
 vector of index i, sums and multiples are array arithmetic plus
@@ -47,7 +53,9 @@ class Support:
         self.u = u
 
     def __call__(self, v: Vector) -> SupportVec:
-        raise NotImplementedError
+        if len(v) != self.n:
+            raise ValueError(f"vector {v} does not have length {self.n}")
+        return tuple(self.of_digits(self.ring.encode([v], self.n))[0].tolist())
 
     @property
     def is_standard(self) -> bool:
@@ -56,8 +64,7 @@ class Support:
     def of_digits(self, digits: np.ndarray) -> np.ndarray:
         """supp(v) for each row of a (rows, n * ell) digit array, as an
         int64 (rows, u) array."""
-        vectors = self.ring.decode(digits)
-        return np.array([self(v) for v in vectors], dtype=np.int64).reshape(len(vectors), self.u)
+        raise NotImplementedError
 
     def values(self) -> np.ndarray:
         """supp(v) for every v in R^n, row i for the vector of index i.
@@ -109,9 +116,6 @@ class HammingSupport(Support):
         nonzero = digits.reshape(len(digits), self.n, self.ring.ell).any(axis=2)
         return nonzero.astype(np.int64)
 
-    def __call__(self, v: Vector) -> SupportVec:
-        return tuple(self.of_digits(self.ring.encode([v], self.n))[0].tolist())
-
     @property
     def is_standard(self) -> bool:
         return True
@@ -143,11 +147,6 @@ class ChainSupport(Support):
             out[:, j::ell] = level[digits[:, j::ell]]
         return out
 
-    def __call__(self, v: Vector) -> SupportVec:
-        if len(v) != self.n:
-            raise ValueError(f"vector {v} does not have length {self.n}")
-        return tuple(self.of_digits(self.ring.encode([v], self.n))[0].tolist())
-
     @property
     def is_standard(self) -> bool:
         return True
@@ -169,13 +168,11 @@ class ProductSupport(Support):
         super().__init__(ring, len(parts), sum(p.u for p in parts))
         self.parts = parts
 
-    def __call__(self, v: Vector) -> SupportVec:
-        if len(v) != self.n:
-            raise ValueError(f"vector {v} does not have length {self.n}")
-        out = []
-        for part, a in zip(self.parts, v):
-            out.extend(part((a,)))
-        return tuple(out)
+    def of_digits(self, digits: np.ndarray) -> np.ndarray:
+        """Part i on the ell digit columns of coordinate i, side by side."""
+        ell = self.ring.ell
+        blocks = [digits[:, i * ell : (i + 1) * ell] for i in range(self.n)]
+        return np.hstack([p.of_digits(b) for p, b in zip(self.parts, blocks)])
 
     @property
     def is_standard(self) -> bool:
@@ -191,44 +188,40 @@ class ProductSupport(Support):
 class TableSupport(Support):
     """A support given by a full table R^n -> Z^u.
 
-    Tables are validated against the support axioms at construction time
-    (pass ``validate=False`` only to build negative fixtures).
+    The table is held as an int64 array, row i for the vector of index i,
+    which ``of_digits`` reads through ``Pir.index``.  Building one checks
+    only that the table lists every vector of R^n once, with values of one
+    length; whether it is a support is for ``validate_support`` to report.
     """
 
     kind = "table"
 
-    def __init__(self, ring: Pir, n: int, table: dict, validate: bool = True,
-                 cap: int = VECTOR_ENUM_CAP):
-        table = {tuple(k): tuple(v) for k, v in table.items()}
-        check_cap(ring.size**n, cap, "support table domain")
-        domain = set(ring.vectors(n, cap=cap))
-        if set(table) != domain:
+    def __init__(self, ring: Pir, n: int, table: dict):
+        if len(table) != ring.size**n:
             raise ValueError("support table must cover exactly R^n")
+        # as many distinct keys as R^n has vectors, all reduced, are all of R^n
+        digits = ring.encode(table, n)
+        if not ((digits >= 0) & (digits < ring.mods(n))).all():
+            raise ValueError("support table entries must be reduced residues")
         us = {len(v) for v in table.values()}
         if len(us) != 1:
             raise ValueError("support table values must share one length")
         super().__init__(ring, n, us.pop())
-        self.table = table
-        self._standard = None
-        if validate:
-            report = validate_support(self, cap=cap)
-            if not report.ok:
-                raise ValueError(f"not a support: {report.summary()}")
+        self.table = np.empty((len(table), self.u), dtype=np.int64)
+        try:
+            self.table[ring.index(digits, n)] = list(table.values())
+        except OverflowError:
+            raise ValueError("support table values must fit in int64") from None
 
-    def __call__(self, v: Vector) -> SupportVec:
-        return self.table[tuple(v)]
+    def of_digits(self, digits: np.ndarray) -> np.ndarray:
+        return self.table[self.ring.index(digits, self.n)]
 
     @property
     def is_standard(self) -> bool:
         """Detected: every codomain coordinate moves with one ambient
         coordinate and values are joins of single-coordinate values."""
-        if self._standard is None:
-            self._standard = self._detect_standard()
-        return self._standard
-
-    def _detect_standard(self) -> bool:
         ring, n, ell = self.ring, self.n, self.ring.ell
-        digits, vals = ring.space(n), self.values()
+        digits, vals = ring.space(n), self.table
         combined, owners = np.zeros_like(vals), np.zeros(self.u, dtype=np.int64)
         for i in range(n):
             # supp of each vector with every coordinate but the i-th zeroed
@@ -238,7 +231,7 @@ class TableSupport(Support):
         return bool((owners <= 1).all() and (combined == vals).all())
 
     def ambient_support(self) -> SupportVec:
-        return self.of_set(self.table)
+        return tuple(self.table.max(axis=0, initial=0).tolist())
 
 
 def tau_support(ring: Pir, n: int) -> TableSupport:
@@ -249,10 +242,9 @@ def tau_support(ring: Pir, n: int) -> TableSupport:
     return TableSupport(ring, n, table)
 
 
-def support_from_unit_table(ring: Pir, n: int, unit_table: dict, validate: bool = True) -> ProductSupport:
+def support_from_unit_table(ring: Pir, n: int, unit_table: dict) -> ProductSupport:
     """A standard support applying one table R -> Z^u to every coordinate."""
-    table = {(a,): tuple(v) for a, v in unit_table.items()}
-    part = TableSupport(ring, 1, table, validate=validate)
+    part = TableSupport(ring, 1, {(a,): v for a, v in unit_table.items()})
     return ProductSupport(ring, tuple(part for _ in range(n)))
 
 
@@ -267,12 +259,7 @@ def _vector(ring: Pir, digits: np.ndarray, i: int) -> Vector:
 def validate_support(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
     """Exhaustively check the three support axioms; reports carry the first
     violating witness in lexicographic scan order (r then v for axiom 2, v
-    then w for axiom 3).
-
-    Results are memoized on the support (supports are immutable)."""
-    cached = getattr(s, "_support_report", None)
-    if cached is not None:
-        return cached
+    then w for axiom 3)."""
     ring, n = s.ring, s.n
     check_cap(ring.size**n, cap, "support validation")
     digits, vals = ring.space(n), s.values()
@@ -281,8 +268,7 @@ def validate_support(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
     def zero_iff_zero():
         bad = (vals < 0).any(axis=1) | ((vals == 0).all(axis=1) != (np.arange(size) == 0))
         for i in np.flatnonzero(bad).tolist():
-            v = _vector(ring, digits, i)
-            sv = s(v)
+            v, sv = _vector(ring, digits, i), tuple(vals[i].tolist())
             if any(x < 0 for x in sv):
                 yield f"supp({v}) has a negative coordinate"
             else:
@@ -298,7 +284,7 @@ def validate_support(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
         image = ring.index(digits[rows, None] + digits, n)
         return (vals[image] > np.maximum(vals[rows, None], vals)).any(axis=2)
 
-    report = Report.from_checks([
+    return Report.from_checks([
         Check.from_witnesses("axiom1_zero_iff_zero", zero_iff_zero()),
         Check.from_witnesses("axiom2_scalar_monotone", growing_multiples()),
         Check.from_witnesses("axiom3_subadditive", (
@@ -306,19 +292,12 @@ def validate_support(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
             for v, w in scan_rows(size, size * (s.u + digits.shape[1]), growing_sums)
         )),
     ])
-    s._support_report = report
-    return report
 
 
 def validate_modular(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
     """Exhaustively check the modularity axiom over all (v, w, i) with
     0 < supp(v)_i <= supp(w)_i: some r must give supp(v + r w)_i < supp(v)_i.
-    The witness is the first (v, w, i) in lexicographic scan order.
-
-    Results are memoized on the support (supports are immutable)."""
-    cached = getattr(s, "_modular_report", None)
-    if cached is not None:
-        return cached
+    The witness is the first (v, w, i) in lexicographic scan order."""
     ring, n = s.ring, s.n
     check_cap(ring.size**n, cap, "modularity validation")
     digits, vals = ring.space(n), s.values()
@@ -332,12 +311,10 @@ def validate_modular(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
         return (sv > 0) & (sv <= vals) & (least >= sv)
 
     width = len(vals) * (s.u + digits.shape[1])
-    report = Report.from_checks([Check.from_witnesses("axiom4_modular", (
+    return Report.from_checks([Check.from_witnesses("axiom4_modular", (
         f"v={_vector(ring, digits, v)}, w={_vector(ring, digits, w)}, i={i}"
         for v, w, i in scan_rows(len(vals), width, unreduced)
     ))])
-    s._modular_report = report
-    return report
 
 
 # -- CRT splitting ------------------------------------------------------------
@@ -374,7 +351,7 @@ def split_support(s: Support, cap: int = VECTOR_ENUM_CAP):
         words = sub.decode(digits[rows][:, i::ell])
         parts.append(TableSupport(sub, n, dict(zip(words, vals[rows][:, group].tolist()))))
 
-    split = np.hstack([p.values()[p.ring.index(digits[:, i::ell], n)] for i, p in enumerate(parts)])
+    split = np.hstack([p.of_digits(digits[:, i::ell]) for i, p in enumerate(parts)])
     bad = np.flatnonzero((split != vals[:, permutation]).any(axis=1))
     if bad.size:
         raise ValueError(f"support does not split at v={_vector(ring, digits, bad[0])}")

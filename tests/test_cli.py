@@ -248,3 +248,107 @@ def test_out_writes_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["circuits"] == ["(1,)"]
+
+
+# -- table: and product[...] supports ---------------------------------------------
+
+CHAIN_Z4 = "0 -> 0\n1 -> 2\n2 -> 1\n3 -> 2\n"
+LEE_Z4 = "0 -> 0\n1 -> 1\n2 -> 2\n3 -> 1\n"
+
+
+def _table_problem(tmp_path, table: str) -> str:
+    """A Z_4, n = 1 problem whose support is the given table file."""
+    path = tmp_path / "support.tbl"
+    path.write_text(table)
+    return _write(tmp_path, f"ring = Z_4\nn = 1\nsupport = table:{path}\ngen = 2\n")
+
+
+def test_chain_table_reads_like_the_chain_support(capsys, tmp_path):
+    table = _table_problem(tmp_path, CHAIN_Z4)
+    chain = str(tmp_path / "chain.cfg")
+    Path(chain).write_text("ring = Z_4\nn = 1\nsupport = chain\ngen = 2\n")
+    for command, fields in (
+        ("validate-support", None),
+        ("enumerator", None),
+        ("weights", ("dbar", "dmu")),
+    ):
+        want_code, want, _ = run_cli(capsys, "--command", command, "--config", chain)
+        code, out, _ = run_cli(capsys, "--command", command, "--config", table)
+        assert (code, want_code) == (0, 0), command
+        want, got = json.loads(want), json.loads(out)
+        if fields:
+            want, got = ({f: d[f] for f in fields} for d in (want, got))
+        assert got == want, command
+
+
+def test_lee_table_is_reported_invalid_by_validate_support(capsys, tmp_path):
+    path = _table_problem(tmp_path, LEE_Z4)
+    code, out, err = run_cli(capsys, "--command", "validate-support", "--config", path)
+    assert code == 1
+    assert "Traceback" not in err
+    data = json.loads(out)
+    assert data["valid"] is False and data["ok"] is False
+    failed = [c for c in data["axioms"]["checks"] if not c["ok"]]
+    assert (failed[0]["name"], failed[0]["detail"]) == ("axiom2_scalar_monotone", "r=(2,), v=((1,),)")
+
+
+@pytest.mark.parametrize("command", [c for c in CONFIG_COMMANDS if c != "validate-support"])
+def test_lee_table_is_not_a_support_for_other_commands(capsys, tmp_path, command):
+    path = _table_problem(tmp_path, LEE_Z4)
+    code, out, err = run_cli(capsys, "--command", command, "--config", path)
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(out) == {
+        "error": "not a support: axiom2_scalar_monotone: r=(2,), v=((1,),)", "kind": "input",
+    }
+
+
+def test_table_with_a_repeated_vector_exits_2(capsys, tmp_path):
+    # 4 is 0 of Z_4: the fifth line gives vector 0 a second time
+    path = _table_problem(tmp_path, CHAIN_Z4 + "4 -> 1\n")
+    code, out, _ = run_cli(capsys, "--command", "weights", "--config", path)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": f"{tmp_path / 'support.tbl'}:5: vector ((0,),) already given on line 1",
+        "kind": "input",
+    }
+
+
+def test_product_of_chain_and_hamming_is_a_support(capsys, tmp_path):
+    path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = product[chain, hamming]\n")
+    code, out, _ = run_cli(capsys, "--command", "validate-support", "--config", path)
+    assert code == 0
+    assert json.loads(out)["valid"] is True
+
+
+BAD_SUPPORTS = {  # config, and the start of the error
+    "product of 1 part for n = 2": (
+        "n = 2\nsupport = product[chain]\ngen = 1 2\n", "product support needs 2 parts, got 1",
+    ),
+    "unknown part": (
+        "n = 2\nsupport = product[chain, lee]\ngen = 1 2\n", "unknown support spec 'lee'",
+    ),
+    "missing table file": (
+        "n = 1\nsupport = table:{tmp}/none.tbl\ngen = 2\n", "cannot read support table",
+    ),
+    "table short of R^n": (
+        "n = 1\nsupport = table:{tmp}/short.tbl\ngen = 2\n", "support table must cover exactly R^n",
+    ),
+    "table value past int64": (
+        "n = 1\nsupport = table:{tmp}/huge.tbl\ngen = 2\n", "support table values must fit in int64",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SUPPORTS))
+@pytest.mark.parametrize("command", ["validate-support", "weights"])
+def test_bad_support_spec_exits_2(capsys, tmp_path, case, command):
+    (tmp_path / "short.tbl").write_text("0 -> 0\n1 -> 2\n2 -> 1\n")
+    (tmp_path / "huge.tbl").write_text(f"0 -> 0\n1 -> {2**63}\n2 -> 1\n3 -> 2\n")
+    text, error = BAD_SUPPORTS[case]
+    path = _write(tmp_path, "ring = Z_4\n" + text.format(tmp=tmp_path))
+    code, out, err = run_cli(capsys, "--command", command, "--config", path)
+    assert code == 2
+    assert "Traceback" not in err
+    data = json.loads(out)
+    assert data["kind"] == "input" and data["error"].startswith(error)

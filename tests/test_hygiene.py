@@ -14,7 +14,9 @@ module of the package, so none is left orphaned.  Every defaulted parameter
 of a module-level function is set, by position or by keyword, by some call
 in the package or its tests; ``cap`` parameters are exempt, since every cap
 can be overridden per call (``limits``).  ``FiniteLattice`` is constructed
-only in ``lattices.py``, in the package and in its tests.
+only in ``lattices.py``, in the package and in its tests.  No function of
+the package takes a ``validate`` parameter: constructors only build, and
+checking is for the validators (``validate_latroid``, ``validate_support``).
 """
 
 from __future__ import annotations
@@ -353,3 +355,36 @@ def test_checker_sees_outside_lattice_constructions():
         "src/latroids/core.py: line 2",
         "src/latroids/core.py: line 3",
     ]
+
+
+def _validate_parameters(trees: dict[str, ast.Module]) -> list[str]:
+    """Functions, methods and lambdas that take a parameter named
+    ``validate``."""
+    return sorted(
+        f"{module}: line {node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and "validate" in {
+            a.arg for a in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+        }
+    )
+
+
+def test_no_function_takes_a_validate_flag():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    flagged = _validate_parameters(trees)
+    assert not flagged, f"functions with a validate parameter: {', '.join(flagged)}"
+
+
+def test_checker_sees_validate_parameters():
+    trees = {
+        "a.py": ast.parse(
+            "def f(x, validate=True): pass\n"
+            "class T:\n"
+            "    def __init__(self, ring, *, validate): pass\n"
+            "g = lambda validate: validate\n"
+            "def validate(x, validated=False): return validate_support(x)\n"
+        ),
+    }
+    assert _validate_parameters(trees) == ["a.py: line 1", "a.py: line 3", "a.py: line 4"]

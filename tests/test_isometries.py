@@ -104,9 +104,9 @@ def test_matrix_action_matches_reference_loops(name, n):
 
 
 def test_is_isometry_checks_bijectivity_where_weights_cannot():
-    # weight 0 everywhere (not a support, so validate=False): every matrix
+    # weight 0 everywhere (a table, though not a support): every matrix
     # keeps weights, and only bijectivity tells [[2]] apart
-    flat = TableSupport(Z4, 1, {(a,): (0,) for a in Z4.elements()}, validate=False)
+    flat = TableSupport(Z4, 1, {(a,): (0,) for a in Z4.elements()})
     verdicts = [is_isometry(matrix_from_ints(Z4, [[x]]), flat) for x in range(4)]
     assert verdicts == [False, True, False, True]
     assert verdicts == [reference_is_isometry(matrix_from_ints(Z4, [[x]]), flat) for x in range(4)]

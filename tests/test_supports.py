@@ -83,10 +83,10 @@ def test_code_weight_is_set_support_norm():
 
 
 def test_lee_is_rejected_at_axiom2_with_witness():
-    with pytest.raises(ValueError, match="axiom2"):
-        support_from_unit_table(Z4, 1, LEE_TABLE)
-    raw = support_from_unit_table(Z4, 1, LEE_TABLE, validate=False)
-    rep = validate_support(raw)
+    # building only builds; the validator is what rejects the Lee weight
+    lee = support_from_unit_table(Z4, 1, LEE_TABLE)
+    assert [lee((a,)) for a in Z4.elements()] == list(LEE_TABLE.values())
+    rep = validate_support(lee)
     assert not rep.ok
     bad = rep.first_failure()
     assert bad.name == "axiom2_scalar_monotone"
@@ -147,7 +147,7 @@ def test_split_reports_the_first_vector_that_does_not_split():
     # its factor projections weigh at most 1
     z2z2 = parse_ring("Z_2 x Z_2")
     table = {((0, 0),): (0, 0), ((0, 1),): (0, 1), ((1, 0),): (1, 0), ((1, 1),): (1, 2)}
-    s = TableSupport(z2z2, 1, table, validate=False)
+    s = TableSupport(z2z2, 1, table)
     assert validate_modular(s).ok
     with pytest.raises(ValueError, match=r"does not split at v=\(\(1, 1\),\)"):
         split_support(s)
@@ -206,6 +206,12 @@ def test_table_support_must_cover_domain():
         TableSupport(Z4, 1, {(Z4.from_int(0),): (0,)})
 
 
+def test_table_support_needs_reduced_entries():
+    # (4,) is 0 of Z_4, so this table covers R^1 only modulo 4
+    with pytest.raises(ValueError, match="reduced"):
+        TableSupport(Z4, 1, {((4,),): (0,), ((1,),): (1,), ((2,),): (1,), ((3,),): (1,)})
+
+
 def test_product_support_needs_single_coordinate_parts():
     with pytest.raises(ValueError):
         ProductSupport(Z4, [ChainSupport(Z4, 2)])
@@ -225,10 +231,11 @@ def _vmax(a, b):
 def reference_support_report(s) -> dict:
     ring, n = s.ring, s.n
     vectors = list(ring.vectors(n))
+    supp = {v: s(v) for v in vectors}
 
     def zero_iff_zero():
         for v in vectors:
-            sv = s(v)
+            sv = supp[v]
             if any(x < 0 for x in sv):
                 yield f"supp({v}) has a negative coordinate"
             elif (sv == (0,) * s.u) != (v == ring.zero_vector(n)):
@@ -237,13 +244,13 @@ def reference_support_report(s) -> dict:
     def growing_multiples():
         for r in ring.elements():
             for v in vectors:
-                if not sleq(s(ring.vscale(r, v)), s(v)):
+                if not sleq(supp[ring.vscale(r, v)], supp[v]):
                     yield f"r={r}, v={v}"
 
     def growing_sums():
         for v in vectors:
             for w in vectors:
-                if not sleq(s(ring.vadd(v, w)), _vmax(s(v), s(w))):
+                if not sleq(supp[ring.vadd(v, w)], _vmax(supp[v], supp[w])):
                     yield f"v={v}, w={w}"
 
     return Report.from_checks([
@@ -257,15 +264,16 @@ def reference_modular_report(s) -> dict:
     ring = s.ring
     vectors = list(ring.vectors(s.n))
     scalars = list(ring.elements())
+    supp = {v: s(v) for v in vectors}
 
     def unreduced():
         for v in vectors:
-            sv = s(v)
+            sv = supp[v]
             for w in vectors:
-                sw = s(w)
+                sw = supp[w]
                 for i in range(s.u):
                     if 0 < sv[i] <= sw[i] and not any(
-                        s(ring.vadd(v, ring.vscale(r, w)))[i] < sv[i] for r in scalars
+                        supp[ring.vadd(v, ring.vscale(r, w))][i] < sv[i] for r in scalars
                     ):
                         yield f"v={v}, w={w}, i={i}"
 
@@ -280,9 +288,9 @@ REFERENCE_SPACES = [
 ]
 
 
-def perturbed_tables(ring, n, count):
-    """Chain and Hamming tables with one to three entries moved by one (a
-    coordinate may turn negative) or a nonzero vector sent to zero;
+def perturbed_dicts(ring, n, count):
+    """Chain and Hamming tables, as dicts, with one to three entries moved by
+    one (a coordinate may turn negative) or a nonzero vector sent to zero;
     seeded by the space, so the same tables are drawn on every run."""
     rng = random.Random(f"{ring}^{n}")
     vectors = list(ring.vectors(n))
@@ -299,7 +307,7 @@ def perturbed_tables(ring, n, count):
                 sv = list(table[v])
                 sv[j] += rng.choice((-1, 1))
                 table[v] = tuple(sv)
-        out.append(TableSupport(ring, n, table, validate=False))
+        out.append(table)
     return out
 
 
@@ -314,8 +322,9 @@ def reference_fixtures(name, n):
         tau_support(ring, n),
     ]
     if name == "Z_4":
-        out.append(support_from_unit_table(ring, n, LEE_TABLE, validate=False))
-    return out + perturbed_tables(ring, n, 6 if ring.size**n <= 16 else 3)
+        out.append(support_from_unit_table(ring, n, LEE_TABLE))
+    tables = perturbed_dicts(ring, n, 6 if ring.size**n <= 16 else 3)
+    return out + [TableSupport(ring, n, table) for table in tables]
 
 
 @pytest.mark.parametrize("name, n", REFERENCE_SPACES, ids=[f"{a}^{n}" for a, n in REFERENCE_SPACES])
@@ -361,16 +370,35 @@ def reference_hamming_support(ring, v):
 BATCH_RINGS = ("Z_4", "Z_8", "Z_9", "Z_2", "Z_3", "Z_2 x Z_3", "Z_2 x Z_2", "Z_4 x Z_2")
 
 
+def reference_product_support(ring, v):
+    """Chain on odd coordinates and Hamming on even ones, concatenated."""
+    out = []
+    for i, a in enumerate(v):
+        reference = reference_chain_support if i % 2 else reference_hamming_support
+        out.extend(reference(ring, (a,)))
+    return tuple(out)
+
+
 @pytest.mark.parametrize("name", BATCH_RINGS)
 def test_of_digits_matches_per_vector_references(name):
     ring = parse_ring(name)
     for n in (1, 2, 3):
         vectors = list(ring.vectors(n))
-        for s, reference in (
-            (ChainSupport(ring, n), reference_chain_support),
-            (HammingSupport(ring, n), reference_hamming_support),
-        ):
-            expected = [reference(ring, v) for v in vectors]
+        product = ProductSupport(ring, [
+            ChainSupport(ring, 1) if i % 2 else HammingSupport(ring, 1) for i in range(n)
+        ])
+        cases = [
+            (ChainSupport(ring, n), [reference_chain_support(ring, v) for v in vectors]),
+            (HammingSupport(ring, n), [reference_hamming_support(ring, v) for v in vectors]),
+            (product, [reference_product_support(ring, v) for v in vectors]),
+        ]
+        # a table's reference is the dict it was built from; the perturbed
+        # table is not a support, which evaluation does not look at
+        perturbed = perturbed_dicts(ring, n, 2)[1]
+        assert not validate_support(TableSupport(ring, n, perturbed)).ok
+        for table in ({v: reference_chain_support(ring, v) for v in vectors}, perturbed):
+            cases.append((TableSupport(ring, n, table), [table[v] for v in vectors]))
+        for s, expected in cases:
             assert list(map(tuple, s.of_digits(ring.space(n)).tolist())) == expected
             assert list(map(tuple, s.values().tolist())) == expected
             assert [s(v) for v in vectors] == expected
