@@ -27,6 +27,9 @@ from .code_latroids import (
 )
 from .codes import Code, span
 from .core import (
+    axioms_B,
+    axioms_C,
+    axioms_I,
     bases,
     circuits,
     independents,
@@ -38,6 +41,7 @@ from .core import (
 from .enumerators import (
     enumerator_from_rprime,
     homogeneous_enumerator,
+    pir_tutte_corollary,
     refined_enumerator,
     rprime_z_to_one,
     tutte_whitney_Rprime,
@@ -318,8 +322,6 @@ def cmd_latroid(cfg, cap):
 
 
 def cmd_axioms(cfg, cap):
-    from .core import axioms_B, axioms_C, axioms_I
-
     ring, n, code, supp = load_problem(cfg, cap)
     lt = build_latroid(cfg, code, supp)
     lat = lt.lattice
@@ -357,17 +359,34 @@ def cmd_crypto_roundtrip(cfg, cap):
     return {"roundtrips": results, "ok": ok}, 0 if ok else 1
 
 
+def _parse_r(cfg: dict) -> int | None:
+    """The optional weight index r of the weights command."""
+    if "r" not in cfg:
+        return None
+    try:
+        return int(cfg["r"])
+    except ValueError:
+        raise InputError(f"r must be an integer, got {cfg['r']!r}") from None
+
+
+def _entry(weights: list[int], r: int | None):
+    """The full list of generalized weights, or d_r alone when r is set."""
+    if r is None:
+        return weights
+    if not 1 <= r <= len(weights):
+        raise InputError(f"r = {r} outside [1, {len(weights)}]")
+    return weights[r - 1]
+
+
 def cmd_weights(cfg, cap):
     ring, n, code, supp = load_problem(cfg, cap)
-    r = int(cfg["r"]) if "r" in cfg else None
-    dbar = code_gen_weights_dbar(code, supp, r)
-    dmu = code_gen_weights_dr(code, supp, r)
-    data = {"dbar": dbar, "dmu": dmu}
+    r = _parse_r(cfg)
+    dbar = code_gen_weights_dbar(code, supp)
+    data = {"dbar": _entry(dbar, r), "dmu": _entry(code_gen_weights_dr(code, supp), r)}
     if not isinstance(supp, ChainSupport):
         return data, 0
-    oracle = dbar if r is None else code_gen_weights_dbar(code, supp)
     data["latroid"] = latroid_gen_weights(code)
-    rep = weights_equal_report("dbar", "dbar_equals_latroid", oracle, data["latroid"])
+    rep = weights_equal_report("dbar", "dbar_equals_latroid", dbar, data["latroid"])
     data["latroid_equals_dbar"] = rep.ok
     return data, 0 if rep.ok else 1
 
@@ -388,8 +407,6 @@ def cmd_enumerator(cfg, cap):
 def cmd_tutte(cfg, cap):
     ring, n, code, supp = load_problem(cfg, cap)
     if ring.ell != 1:
-        from .enumerators import pir_tutte_corollary
-
         rep = pir_tutte_corollary(code)
         direct = refined_enumerator(code, ChainSupport(ring, n))
         data = {

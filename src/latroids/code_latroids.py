@@ -1,7 +1,9 @@
 """Latroids attached to codes: submodule-lattice latroids, chain-support
 latroids on grids, rectangular-support latroids, block matroids, rank-metric
-and sum-rank latroids, and the generalized weights of codes with
-brute-force submodule oracles.
+and sum-rank latroids, and the generalized weights of codes.  Every
+generalized weight is computed by brute force through the one subcode
+oracle ``least_weights``: the least weight over the subcodes whose length,
+generator count or dimension reaches r.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .codes import (
     rref,
     span_from_ints,
 )
-from .core import Latroid, generalized_weight
+from .core import Latroid, collapse_scalars, generalized_weight
 from .lattices import (
     _members,
     _subspaces,
@@ -381,43 +383,38 @@ def sum_rank_latroid(mc: MatrixCode, spaces: str = "column", cap: int = 256) -> 
 
 
 # -- generalized weights of codes -----------------------------------------------
+#
+# ``least_weights`` is the one "minimum over subcodes" oracle.  The length- and
+# generator-based weights under a support, the generalized Hamming weights and
+# the generalized rank and sum-rank weights are each one call of it.
 
 
-def _least_weights(subcodes, top: int, r: int | None = None):
-    """Generalized weights from one (invariant, weight) pair per subcode:
-    the least weight over subcodes with invariant >= r.  Returns the value
-    for one r in [1, top], or the full list for r = 1..top."""
-
-    def one(rr: int) -> int:
-        if not 1 <= rr <= top:
-            raise ValueError(f"r = {rr} outside [1, {top}]")
-        feasible = [w for d, w in subcodes if d >= rr]
+def least_weights(subcodes, invariant, weight, top: int) -> list[int]:
+    """The generalized weights d_1, ..., d_top: d_r is the least
+    weight(D) over the subcodes D with invariant(D) >= r."""
+    pairs = [(invariant(d), weight(d)) for d in subcodes]
+    out = []
+    for r in range(1, top + 1):
+        feasible = [w for d, w in pairs if d >= r]
         if not feasible:
-            raise ValueError(f"no subcode reaches r = {rr}; enumeration bug?")
-        return min(feasible)
-
-    if r is not None:
-        return one(r)
-    return [one(rr) for rr in range(1, top + 1)]
+            raise ValueError(f"no subcode reaches r = {r}; enumeration bug?")
+        out.append(min(feasible))
+    return out
 
 
-def _submodule_weights(code: Code, supp: Support, invariant) -> list[tuple[int, int]]:
-    """(invariant(D), wt(D)) for every submodule D of the code."""
-    return [(invariant(d), supp.code_weight(d)) for d in enumerate_submodules(code)]
-
-
-def code_gen_weights_dbar(code: Code, supp: Support, r: int | None = None):
+def code_gen_weights_dbar(code: Code, supp: Support) -> list[int]:
     """Length-based generalized weights: the least wt(D) over submodules D
-    with lambda(D) >= r.  Brute force over all submodules.  Returns the
-    value for one r, or the full list for r = 1..lambda(C)."""
-    subs = _submodule_weights(code, supp, length_lambda)
-    return _least_weights(subs, length_lambda(code), r)
+    with lambda(D) >= r, for r = 1..lambda(C).  Brute force over all
+    submodules."""
+    return least_weights(
+        enumerate_submodules(code), length_lambda, supp.code_weight, length_lambda(code)
+    )
 
 
-def code_gen_weights_dr(code: Code, supp: Support, r: int | None = None):
+def code_gen_weights_dr(code: Code, supp: Support) -> list[int]:
     """Generator-based generalized weights: the least wt(D) over submodules
     D with M(D) >= r, for r = 1..M(C)."""
-    return _least_weights(_submodule_weights(code, supp, big_m), big_m(code), r)
+    return least_weights(enumerate_submodules(code), big_m, supp.code_weight, big_m(code))
 
 
 def _latroid_weights(lt: Latroid, top: int) -> list[int]:
@@ -428,8 +425,6 @@ def _latroid_weights(lt: Latroid, top: int) -> list[int]:
 def latroid_gen_weights(code: Code) -> list[int]:
     """d_r of the chain-support latroid for r = 1..lambda(C), computed as a
     lattice minimum (1-norm collapse over the CRT factors)."""
-    from .core import collapse_scalars
-
     lt = chain_support_latroid(code)
     if lt.udim > 1:
         lt = collapse_scalars(lt)
@@ -471,54 +466,27 @@ def _subcodes(mc: MatrixCode) -> list[frozenset]:
     ]
 
 
-def _rowspace_dim_of_subcode(sub, q: int, block: int | None = None) -> int:
-    rows = []
-    for word in sub:
-        mats = word if block is None else (word[block],)
-        for mat in mats:
-            rows.extend(mat)
-    return len(rref(rows, q))
-
-
-def rank_code_gen_weights(mc: MatrixCode) -> list[int]:
-    """Generalized rank weights by subcode enumeration:
-    d_r = min{dim rowspace(D) : D a subcode, dim D >= r}."""
-    subs = [
-        (intlog(mc.q, len(s)), _rowspace_dim_of_subcode(s, mc.q))
-        for s in _subcodes(mc)
-    ]
-    return _least_weights(subs, mc.dim())
-
-
-def rank_weights_equal(mc: MatrixCode, cap: int = 256) -> Report:
-    """Check m * d_r(C) = d_r(rank-metric latroid) for all r; needs m > n."""
-    m, n = mc.shape
-    if m <= n:
-        raise ValueError("the rank-weight identity is stated for m > n")
-    oracle = rank_code_gen_weights(mc)
-    lattice_side = _latroid_weights(
-        rank_metric_latroid(mc, cap=cap), len(oracle)
-    ) if oracle else []
-    return weights_equal_report("rank_d", "rank_weights", oracle, lattice_side, m)
+def _rowspace_dim_of_subcode(sub, q: int, block: int) -> int:
+    return len(rref([row for word in sub for row in word[block]], q))
 
 
 def sum_rank_code_gen_weights(mc: MatrixCode) -> list[int]:
     """Generalized sum-rank weights (equal m_i) by subcode enumeration:
-    d_r = min{sum_i dim rowspace_i(D) : D a subcode, dim D >= r}."""
-    subs = [
-        (
-            intlog(mc.q, len(s)),
-            sum(_rowspace_dim_of_subcode(s, mc.q, block=i) for i in range(mc.ell)),
-        )
-        for s in _subcodes(mc)
-    ]
-    return _least_weights(subs, mc.dim())
+    d_r = min{sum_i dim rowspace_i(D) : D a subcode, dim D >= r}.  With one
+    block these are the generalized rank weights."""
+    return least_weights(
+        _subcodes(mc),
+        lambda s: intlog(mc.q, len(s)),
+        lambda s: sum(_rowspace_dim_of_subcode(s, mc.q, i) for i in range(mc.ell)),
+        mc.dim(),
+    )
 
 
 def sum_rank_weights_equal(mc: MatrixCode, cap: int = 256) -> Report:
     """Check m * d_r(C) = d_r(sum-rank latroid) when every block shares
     m_i = m > n_i, with the row-space convention that the anticode argument
-    supports."""
+    supports.  With one block this is the rank-weight identity for the
+    rank-metric latroid."""
     ms = {m for m, _ in mc.blocks}
     if len(ms) != 1:
         raise ValueError("the sum-rank weight identity needs equal m_i")
@@ -535,20 +503,12 @@ def sum_rank_weights_equal(mc: MatrixCode, cap: int = 256) -> Report:
 # -- block-code generalized weights ---------------------------------------------
 
 
-def hamming_code_gen_weights(code: Code) -> list[int]:
-    """Classical generalized Hamming weights by subcode enumeration:
-    d_r = min{|supp(D)| : D a subcode, dim D >= r}."""
-    q = _require_field(code.ring)
-    subs = _submodule_weights(
-        code, HammingSupport(code.ring, code.n), lambda d: intlog(q, len(d))
-    )
-    return _least_weights(subs, intlog(q, len(code)))
-
-
 def block_matroid_weights_equal(code: Code) -> Report:
     """Check d_r(block matroid) equals the classical generalized Hamming
-    weights of the code."""
-    oracle = hamming_code_gen_weights(code)
+    weights of the code: d_bar under the Hamming support, since over a prime
+    field lambda is the dimension."""
+    _require_field(code.ring)
+    oracle = code_gen_weights_dbar(code, HammingSupport(code.ring, code.n))
     lattice_side = _latroid_weights(
         block_matroid(code), len(oracle)
     ) if oracle else []

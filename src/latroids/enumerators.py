@@ -22,7 +22,7 @@ from operator import add, sub
 
 import numpy as np
 
-from .code_latroids import chain_support_latroid, code_gen_weights_dbar
+from .code_latroids import chain_support_latroid, least_weights
 from .codes import Code, enumerate_submodules, length_lambda
 from .core import Latroid
 from .limits import LATTICE_CAP, check_cap
@@ -192,10 +192,11 @@ def weight_distribution(code: Code, supp: Support) -> list[int]:
     return np.bincount(weights, minlength=supp.ambient_weight() + 1).tolist()
 
 
-def _weight_distributions(code: Code, supp: Support) -> dict[int, list[int]]:
-    """A^(j)_w for every length j of a submodule, from one enumeration."""
+def _weight_distributions(subcodes: list[Code], supp: Support) -> dict[int, list[int]]:
+    """A^(j)_w for every length j of a submodule, from the list of all
+    submodules."""
     out: dict[int, list[int]] = {}
-    for d in enumerate_submodules(code):
+    for d in subcodes:
         dist = out.setdefault(length_lambda(d), [0] * (supp.ambient_weight() + 1))
         dist[supp.code_weight(d)] += 1
     return out
@@ -204,7 +205,7 @@ def _weight_distributions(code: Code, supp: Support) -> dict[int, list[int]]:
 def generalized_weight_distribution(code: Code, supp: Support, r: int) -> list[int]:
     """A^(r)_w = number of submodules with lambda = r and wt = w."""
     empty = [0] * (supp.ambient_weight() + 1)
-    return _weight_distributions(code, supp).get(r, empty)
+    return _weight_distributions(enumerate_submodules(code), supp).get(r, empty)
 
 
 def generalized_enumerator(code: Code, supp: Support, r: int) -> ExpPoly:
@@ -213,19 +214,20 @@ def generalized_enumerator(code: Code, supp: Support, r: int) -> ExpPoly:
 
     The minimum w with A^(j)_w != 0 over j >= r recovers the r-th
     generalized weight; that consistency is asserted here against the
-    submodule oracle ``code_gen_weights_dbar``.
+    subcode oracle ``least_weights``, on the same one enumeration.
     """
     lam = length_lambda(code)
     if not 0 <= r <= lam:
         raise ValueError(f"r = {r} outside [0, {lam}]")
     wt_top = supp.ambient_weight()
-    dists = _weight_distributions(code, supp)
+    subcodes = enumerate_submodules(code)
+    dists = _weight_distributions(subcodes, supp)
     poly = ExpPoly(2, (((wt_top - w, w), a) for w, a in enumerate(dists[r])), ("x", "y"))
     if r >= 1:
         least = min(
             w for j in range(r, lam + 1) for w, a in enumerate(dists[j]) if a
         )
-        expected = code_gen_weights_dbar(code, supp, r)
+        expected = least_weights(subcodes, length_lambda, supp.code_weight, lam)[r - 1]
         if least != expected:
             raise AssertionError(
                 f"generalized enumerator inconsistent with d_bar_{r}: "

@@ -13,7 +13,9 @@ import random
 
 import numpy as np
 
+from .code_latroids import code_gen_weights_dbar, code_gen_weights_dr
 from .codes import Code, length_lambda
+from .enumerators import weight_distribution
 from .limits import VECTOR_ENUM_CAP, check_cap
 from .report import Check, Report
 from .rings import Element, Pir, Vector
@@ -180,9 +182,6 @@ def equivalence_invariance_check(code: Code, mat: RingMatrix, supp: Support) -> 
     """Map the code through the isometry and compare the invariants of the
     two sides: both families of generalized weights and the weight
     distribution."""
-    from .code_latroids import code_gen_weights_dbar, code_gen_weights_dr
-    from .enumerators import weight_distribution
-
     image = apply_to_code(mat, code)
     checks = []
 

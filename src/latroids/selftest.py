@@ -21,7 +21,6 @@ from .code_latroids import (
     latroid_weights_equal_code_weights,
     product_matrix_code,
     rank_metric_latroid,
-    rank_weights_equal,
     rect_supp_latroid,
     single_matrix_code,
     sum_rank_latroid,
@@ -73,6 +72,7 @@ from .supports import (
     ChainSupport,
     HammingSupport,
     modular_function_on_rectangulars,
+    split_support,
     support_from_unit_table,
     tau_support,
     validate_modular,
@@ -349,7 +349,7 @@ def criterion_weight_equalities(seed: int) -> Report:
     tall += extra
     checks.append(Check("rank_corpus_at_least_5", len(tall) >= 5, str(len(tall))))
     for name, mc in tall:
-        rep = rank_weights_equal(mc)
+        rep = sum_rank_weights_equal(mc)
         checks.append(Check(f"rank weights {name}", rep.ok, rep.summary() if not rep.ok else ""))
 
     f2 = parse_ring("Z_2")
@@ -413,8 +413,6 @@ def criterion_isometry_fixtures(seed: int) -> Report:
     want_z3 = matrix_from_ints(z6.factor_ring(1), [[2, 0], [0, 2]])
     checks.append(Check("z6_projection_Z2", projs[0] == want_z2, str(projs[0])))
     checks.append(Check("z6_projection_Z3", projs[1] == want_z3, str(projs[1])))
-
-    from .supports import split_support
 
     parts, _ = split_support(supp6)
     for i in (0, 1):

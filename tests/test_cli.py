@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from latroids import lattices
+from latroids import code_latroids, enumerators, lattices
 from latroids.cli import COMMANDS, SCHEMA_VERSION, main
+from latroids.codes import enumerate_submodules
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONFIG_NAMES = ("f2_block", "z4_code", "z6_isometry", "z8_tutte")
@@ -205,10 +206,11 @@ def test_lattice_cap_is_checked_before_the_order_matrix(capsys, tmp_path, monkey
 
 
 def test_weights_r_out_of_range_exits_2(capsys, tmp_path):
-    path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\nr = 7\n")
-    code, out, _ = run_cli(capsys, "--command", "weights", "--config", path)
-    assert code == 2
-    assert json.loads(out)["error"] == "r = 7 outside [1, 2]"
+    for r in (7, 0):
+        path = _write(tmp_path, f"ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\nr = {r}\n")
+        code, out, _ = run_cli(capsys, "--command", "weights", "--config", path)
+        assert code == 2
+        assert json.loads(out)["error"] == f"r = {r} outside [1, 2]"
 
 
 def test_weights_single_r(capsys, tmp_path):
@@ -223,6 +225,30 @@ def test_weights_single_r(capsys, tmp_path):
     assert code == 0
     assert (data["dbar"], data["dmu"], data["latroid"]) == (1, 1, [1, 3])
     assert data["latroid_equals_dbar"] is True
+
+
+def test_weights_non_integer_r_exits_2(capsys, tmp_path):
+    path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\nr = 1.5\n")
+    code, out, err = run_cli(capsys, "--command", "weights", "--config", path)
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(out) == {"error": "r must be an integer, got '1.5'", "kind": "input"}
+
+
+@pytest.mark.parametrize("r", ["", "r = 1\n"], ids=["all r", "one r"])
+def test_weights_enumerates_the_submodules_once_per_oracle(capsys, tmp_path, monkeypatch, r):
+    calls = []
+
+    def counted(code):
+        calls.append(code)
+        return enumerate_submodules(code)
+
+    monkeypatch.setattr(code_latroids, "enumerate_submodules", counted)
+    monkeypatch.setattr(enumerators, "enumerate_submodules", counted)
+    path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\n" + r)
+    code, _, _ = run_cli(capsys, "--command", "weights", "--config", path)
+    assert code == 0
+    assert len(calls) == 2  # d-bar and d-mu; the latroid side reads the lattice
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "directory"])

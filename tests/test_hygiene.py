@@ -17,6 +17,8 @@ can be overridden per call (``limits``).  ``FiniteLattice`` is constructed
 only in ``lattices.py``, in the package and in its tests.  No function of
 the package takes a ``validate`` parameter: constructors only build, and
 checking is for the validators (``validate_latroid``, ``validate_support``).
+No function imports: every import of the package is at module level, since
+none breaks an import cycle.
 """
 
 from __future__ import annotations
@@ -388,3 +390,37 @@ def test_checker_sees_validate_parameters():
         ),
     }
     assert _validate_parameters(trees) == ["a.py: line 1", "a.py: line 3", "a.py: line 4"]
+
+
+def _function_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """Import statements inside a function, method or lambda."""
+    return sorted({
+        f"{module}: line {inner.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_no_function_imports():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    inside = _function_imports(trees)
+    assert not inside, f"imports inside functions: {', '.join(inside)}"
+
+
+def test_checker_sees_function_imports():
+    trees = {
+        "a.py": ast.parse(
+            "import os\n"
+            "def f():\n"
+            "    from .core import axioms_I\n"
+            "    def g():\n"
+            "        import json\n"
+            "class T:\n"
+            "    def m(self):\n"
+            "        import sys\n"
+        ),
+    }
+    assert _function_imports(trees) == ["a.py: line 3", "a.py: line 5", "a.py: line 8"]

@@ -153,6 +153,16 @@ def test_split_reports_the_first_vector_that_does_not_split():
         split_support(s)
 
 
+@pytest.mark.parametrize("support", [
+    z6_paper_support(1), z6_paper_support(2), ChainSupport(Z6, 2), ChainSupport(Z4, 1),
+], ids=["z6 paper n=1", "z6 paper n=2", "chain Z6^2", "chain Z4^1"])
+def test_split_parts_are_modular(support):
+    # The split does not re-check its parts: each is s on R_i^n embedded,
+    # where s's own reductions already lie.
+    parts, _ = split_support(support)
+    assert all(validate_modular(part).ok for part in parts)
+
+
 def test_split_requires_modular():
     with pytest.raises(ValueError, match="modular"):
         split_support(HammingSupport(Z6, 1))
