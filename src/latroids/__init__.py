@@ -15,7 +15,6 @@ from .codes import (
     full_space,
     length_lambda,
     mu,
-    rectangular_closure,
     span,
     span_from_ints,
     zero_code,
@@ -84,14 +83,13 @@ from .lattices import (
     build_lattice,
     chain_support_lattice,
     dual,
-    ideal_lattice,
     interval,
     predicates,
     product,
     subspace_lattice,
     submodule_lattice,
 )
-from .rings import ChainRing, Ideal, Pir, chain_ring, parse_ring, product_ring
+from .rings import ChainRing, Pir, chain_ring, parse_ring, product_ring
 from .supports import (
     ChainSupport,
     HammingSupport,

@@ -115,14 +115,21 @@ def parse_config(path: str) -> dict:
     return out
 
 
+def _integer(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"entry {token!r} is not an integer") from None
+
+
 def parse_entry(ring: Pir, token: str) -> Element:
     """An integer (reduced mod every factor) or colon-joined residues."""
     if ":" in token:
         parts = token.split(":")
         if len(parts) != ring.ell:
             raise InputError(f"entry {token!r} needs {ring.ell} residues")
-        return tuple(int(p) % s for p, s in zip(parts, ring.sizes))
-    return ring.from_int(int(token))
+        return tuple(_integer(p) % s for p, s in zip(parts, ring.sizes))
+    return ring.from_int(_integer(token))
 
 
 def parse_support(ring: Pir, n: int, spec: str) -> Support:
@@ -156,15 +163,18 @@ def _support_from_file(ring: Pir, n: int, path: str) -> Support:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "->" not in line:
-            raise InputError(f"{path}:{lineno}: expected 'v -> s'")
-        left, _, right = line.partition("->")
-        v = tuple(parse_entry(ring, t) for t in left.split())
-        if len(v) != n:
-            raise InputError(f"{path}:{lineno}: vector needs {n} entries")
-        if v in table:
-            raise InputError(f"{path}:{lineno}: vector {v} already given on line {linenos[v]}")
-        table[v], linenos[v] = tuple(int(t) for t in right.split()), lineno
+        try:
+            if "->" not in line:
+                raise InputError("expected 'v -> s'")
+            left, _, right = line.partition("->")
+            v = tuple(parse_entry(ring, t) for t in left.split())
+            if len(v) != n:
+                raise InputError(f"vector needs {n} entries")
+            if v in table:
+                raise InputError(f"vector {v} already given on line {linenos[v]}")
+            table[v], linenos[v] = tuple(_integer(t) for t in right.split()), lineno
+        except InputError as e:
+            raise InputError(f"{path}:{lineno}: {e}") from None
     return TableSupport(ring, n, table)
 
 
@@ -237,8 +247,6 @@ def jsonable(value):
         return [jsonable(v) for v in value]
     if isinstance(value, (frozenset, set)):
         return sorted(jsonable(v) for v in value)
-    if hasattr(value, "exponents"):
-        return list(value.exponents)
     if isinstance(value, Code):
         return sorted(jsonable(v) for v in value.codewords)
     return value

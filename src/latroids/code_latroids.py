@@ -1,5 +1,6 @@
-"""Latroids attached to codes: submodule-lattice latroids, chain-support
-latroids on grids, rectangular-support latroids, block matroids, rank-metric
+"""Latroids attached to codes: submodule-lattice latroids, chain-support and
+rectangular-support latroids (both on the grid of chain-support levels,
+which is the lattice of rectangular modules), block matroids, rank-metric
 and sum-rank latroids, and the generalized weights of codes.  Every
 generalized weight is computed by brute force through the one subcode
 oracle ``least_weights``: the least weight over the subcodes whose length,
@@ -21,24 +22,23 @@ from .codes import (
     enumerate_submodules,
     full_space,
     length_lambda,
-    rectangular_closure,
     rref,
     span_from_ints,
 )
 from .core import Latroid, collapse_scalars, generalized_weight
 from .lattices import (
+    _dominated,
     _members,
     _subspaces,
     boolean_lattice,
     chain_support_lattice,
     product as product_lattice,
-    rectangular_lattice,
     submodule_lattice,
 )
 from .limits import SPAN_CAP, check_cap
 from .report import Check, Report
 from .rings import Pir, chain_ring, intlog
-from .supports import ChainSupport, HammingSupport, Support, rect_support, validate_modular
+from .supports import ChainSupport, HammingSupport, Support, rectangular_supports
 
 
 # -- latroids on submodule lattices ------------------------------------------
@@ -64,18 +64,6 @@ def latroid_from_code(code: Code) -> Latroid:
 # -- chain-support latroids ----------------------------------------------------
 
 
-def _dominated_counts(levels: np.ndarray, top) -> np.ndarray:
-    """counts[g] = the number of rows of ``levels`` that lie below g in every
-    coordinate, for each g of the grid 0..top: a histogram of the rows on
-    the grid, then a prefix sum along each axis.  Memory is the grid itself,
-    whatever the number of rows."""
-    counts = np.zeros([t + 1 for t in top], dtype=np.int64)
-    np.add.at(counts, tuple(levels.T), 1)
-    for axis in range(counts.ndim):
-        np.cumsum(counts, axis=axis, out=counts)
-    return counts
-
-
 def chain_support_latroid(code: Code) -> Latroid:
     """The latroid on the grid of rectangular support vectors.
 
@@ -84,10 +72,10 @@ def chain_support_latroid(code: Code) -> Latroid:
     the tuple of per-factor values, one coordinate per CRT factor.
 
     |M_s n C| is the number of codewords with support <= s, so the supports
-    are evaluated once and ``_dominated_counts`` gives that number for every
-    s at once.  Over a product ring, factor j counts the distinct
-    projections of the codewords onto its digit columns against s_j, the
-    support coordinates of factor j.  This is lambda_j(M_s n C): the
+    are evaluated once and ``_dominated`` counts them for every s at once.
+    Over a product ring, factor j counts the distinct projections of the
+    codewords onto its digit columns against s_j, the support coordinates
+    of factor j.  This is lambda_j(M_s n C): the
     idempotents of R_1 x ... x R_l exist whatever the factor sizes, so
     every submodule is the product of its projections, and the projection
     of M_s n C is C_j n M_{s_j}.
@@ -100,7 +88,7 @@ def chain_support_latroid(code: Code) -> Latroid:
     rank, length = [], []
     for j, f in enumerate(ring.factors):
         _, first = np.unique(digits[:, j::ell], axis=0, return_index=True)
-        counts = _dominated_counts(levels[first, j::ell], [f.k] * n)
+        counts = _dominated(levels[first, j::ell], 1, [f.k] * n, np.add)
         sizes = grid[:, j::ell].sum(axis=1).tolist()
         inside = counts[tuple(grid[:, j::ell].T)].tolist()
         rank.append([s - intlog(f.p, c) for s, c in zip(sizes, inside)])
@@ -112,8 +100,9 @@ def chain_support_latroid(code: Code) -> Latroid:
 
 
 def rect_supp_latroid(code: Code, supp: Support) -> Latroid:
-    """rho(M) = supp(M) - supp(M ^ K) on the lattice of rectangular modules,
-    where K is the rectangular closure of the code.
+    """rho(M) = supp(M) - supp(M ^ K) on the lattice of rectangular modules
+    (``chain_support_lattice``), where K is the rectangular closure of the
+    code: the point ``ChainSupport.of_set`` of its codewords.
 
     M ^ K is the lattice meet with the closure; taking instead the smallest
     rectangular module containing M n C breaks monotonicity and is not a
@@ -121,16 +110,14 @@ def rect_supp_latroid(code: Code, supp: Support) -> Latroid:
     """
     if not supp.is_standard:
         raise ValueError("rectangular-support latroids need a standard support")
-    if not validate_modular(supp).ok:
+    if not supp.is_modular:
         raise ValueError("rectangular-support latroids need a modular support")
-    lattice = rectangular_lattice(code.ring, code.n)
-    supp_of = [rect_support(supp, m) for m in lattice.labels]
-    closure = lattice.index[rectangular_closure(code)]
-    rank = tuple(
-        tuple(x - y for x, y in zip(supp_of[i], supp_of[lattice.meet[i, closure]]))
-        for i in range(lattice.size)
-    )
-    return Latroid(lattice, rank, tuple(supp_of), supp.u)
+    lattice = chain_support_lattice(code.ring, code.n)
+    supp_of = rectangular_supports(supp)
+    closure = lattice.index[ChainSupport(code.ring, code.n).of_set(code.codewords)]
+    rank = supp_of - supp_of[lattice.meet[:, closure]]
+    rank, length = (tuple(map(tuple, a.tolist())) for a in (rank, supp_of))
+    return Latroid(lattice, rank, length, supp.u)
 
 
 # -- block matroids ---------------------------------------------------------------
@@ -145,7 +132,7 @@ def _require_field(ring: Pir) -> int:
 def block_matroid(code: Code) -> Latroid:
     """The classical matroid of a block code over a field, as a latroid on
     the boolean lattice: rho(S) = |S| - dim{c : supp(c) in S}, with the
-    subcode sizes from ``_dominated_counts`` of the 0/1 Hamming supports.
+    subcode sizes counted by ``_dominated`` on the 0/1 Hamming supports.
 
     Its circuits are the minimal supports of nonzero codewords, so two
     coordinates that carry a weight-2 codeword are parallel."""
@@ -153,7 +140,7 @@ def block_matroid(code: Code) -> Latroid:
     lattice = boolean_lattice(code.n)
     levels = HammingSupport(code.ring, code.n).of_digits(code.ring.encode(code.codewords, code.n))
     rows = _members(lattice.labels, range(code.n)).astype(np.int64)
-    inside = _dominated_counts(levels, [1] * code.n)[tuple(rows.T)].tolist()
+    inside = _dominated(levels, 1, [1] * code.n, np.add)[tuple(rows.T)].tolist()
     rank = tuple((len(s) - intlog(q, c),) for s, c in zip(lattice.labels, inside))
     return Latroid(lattice, rank, tuple((len(s),) for s in lattice.labels), 1)
 

@@ -1,5 +1,7 @@
 """Linear codes over product rings: materialized codeword sets, the module
-invariants lambda / mu / M, submodule enumeration, and rectangular closures.
+invariants lambda / mu / M, and submodule enumeration.  A code's
+rectangular closure is the point ``ChainSupport.of_set`` of its words in
+``lattices.chain_support_lattice``.
 
 Codes are kept as full codeword sets in a canonical sorted order; every
 downstream computation here is exhaustive, so set equality is the only
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limits import SPAN_CAP, SUBMODULE_CAP, check_cap
-from .rings import Ideal, Pir, Vector, intlog, is_prime
+from .rings import Pir, Vector, intlog, is_prime
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,32 +288,3 @@ def irredundant_generating_sizes(code: Code) -> set[int]:
                 sizes.add(size)
                 break
     return sizes
-
-
-# -- rectangular modules -----------------------------------------------------
-
-
-def rectangular_closure(code: Code) -> tuple[Ideal, ...]:
-    """The smallest rectangular module I_1 x ... x I_n containing the code:
-    coordinate i carries the ideal generated by the i-th entries."""
-    ring = code.ring
-    return tuple(
-        ring.ideal_generated_by([c[i] for c in code.codewords])
-        for i in range(code.n)
-    )
-
-
-def rect_leq(ring: Pir, a: tuple[Ideal, ...], b: tuple[Ideal, ...]) -> bool:
-    return all(ring.ideal_leq(x, y) for x, y in zip(a, b, strict=True))
-
-
-def rect_contains(ring: Pir, rect: tuple[Ideal, ...], v: Vector) -> bool:
-    return all(ring.ideal_contains(I, a) for I, a in zip(rect, v, strict=True))
-
-
-def rect_members(ring: Pir, rect: tuple[Ideal, ...]):
-    return itertools.product(*(ring.ideal_members(I) for I in rect))
-
-
-def all_rectangular_modules(ring: Pir, n: int):
-    return itertools.product(tuple(ring.all_ideals()), repeat=n)

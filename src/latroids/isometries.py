@@ -13,13 +13,13 @@ import random
 
 import numpy as np
 
-from .code_latroids import code_gen_weights_dbar, code_gen_weights_dr
-from .codes import Code, length_lambda
+from .code_latroids import least_weights
+from .codes import Code, big_m, enumerate_submodules, length_lambda
 from .enumerators import weight_distribution
 from .limits import VECTOR_ENUM_CAP, check_cap
 from .report import Check, Report
 from .rings import Element, Pir, Vector
-from .supports import ChainSupport, Support, split_support, validate_modular
+from .supports import Support, split_support
 
 RingMatrix = tuple[tuple[Element, ...], ...]
 
@@ -83,8 +83,7 @@ def decompose_chain_isometry(mat: RingMatrix, supp: Support):
     ring = supp.ring
     if ring.ell != 1:
         raise ValueError("the D*P decomposition is for chain rings")
-    # A ChainSupport is standard modular by construction; others are scanned.
-    if not supp.is_standard or not (isinstance(supp, ChainSupport) or validate_modular(supp).ok):
+    if not supp.is_standard or not supp.is_modular:
         raise ValueError("decomposition needs a standard modular support")
     if not is_isometry(mat, supp):
         raise ValueError("matrix is not an isometry for the given support")
@@ -157,7 +156,6 @@ def pir_isometry_projections(mat: RingMatrix, supp: Support):
     parts, _ = split_support(supp)
     out = []
     for i, part in enumerate(parts):
-        sub = ring.factor_ring(i)
         m_i = tuple(tuple((entry[i],) for entry in row) for row in mat)
         if not is_isometry(m_i, part):
             raise AssertionError(f"projection to factor {i} is not an isometry")
@@ -189,11 +187,12 @@ def equivalence_invariance_check(code: Code, mat: RingMatrix, supp: Support) -> 
     checks.append(Check("lambda_equal", lam1 == lam2, f"{lam1} vs {lam2}"))
 
     if lam1 == lam2 and lam1 > 0:
-        d1 = code_gen_weights_dbar(code, supp)
-        d2 = code_gen_weights_dbar(image, supp)
+        subs1, subs2 = enumerate_submodules(code), enumerate_submodules(image)
+        d1 = least_weights(subs1, length_lambda, supp.code_weight, lam1)
+        d2 = least_weights(subs2, length_lambda, supp.code_weight, lam2)
         checks.append(Check("dbar_equal", d1 == d2, f"{d1} vs {d2}"))
-        m1 = code_gen_weights_dr(code, supp)
-        m2 = code_gen_weights_dr(image, supp)
+        m1 = least_weights(subs1, big_m, supp.code_weight, big_m(code))
+        m2 = least_weights(subs2, big_m, supp.code_weight, big_m(image))
         checks.append(Check("dmu_equal", m1 == m2, f"{m1} vs {m2}"))
 
     w1 = weight_distribution(code, supp)

@@ -3,7 +3,9 @@ CRT products of chain rings.
 
 Elements of a product ring are tuples of residues, one per factor, with
 coordinate i reduced modulo p_i^{k_i}.  Vectors are tuples of elements.
-All arithmetic is exact.
+All arithmetic is exact.  The ideal (p^e) of Z_{p^k} holds the elements of
+valuation >= e, so the rectangular modules of R^n are the points of the
+grid of chain levels k - e (``lattices.chain_support_lattice``).
 
 The exhaustive scans of R^n use one array encoding instead: a vector is a
 row of n * ell residue digits (moduli ``sizes`` tiled n times), and the
@@ -87,13 +89,6 @@ class ChainRing:
 
     def __str__(self):
         return f"Z_{self.size}" if self.k == 1 or self.p**self.k < 10 else f"Z_{{{self.p}^{self.k}}}"
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """The ideal (p_1^{e_1}) x ... x (p_l^{e_l}) of a product ring."""
-
-    exponents: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -245,39 +240,6 @@ class Pir:
     def space(self, n: int) -> np.ndarray:
         """All of R^n as digits; row i is the vector of index i."""
         return np.arange(self.size**n)[:, None] // self.radix(n) % self.mods(n)
-
-    # -- ideals ------------------------------------------------------------
-
-    def all_ideals(self):
-        return (
-            Ideal(es)
-            for es in itertools.product(*(range(f.k + 1) for f in self.factors))
-        )
-
-    def ideal_contains(self, I: Ideal, a: Element) -> bool:
-        return all(v >= e for v, e in zip(self.valuations(a), I.exponents))
-
-    def ideal_leq(self, I: Ideal, J: Ideal) -> bool:
-        """Containment I <= J as subsets."""
-        return all(e >= f for e, f in zip(I.exponents, J.exponents))
-
-    def ideal_size(self, I: Ideal) -> int:
-        return math.prod(f.p ** (f.k - e) for f, e in zip(self.factors, I.exponents))
-
-    def ideal_members(self, I: Ideal):
-        per_factor = []
-        for f, e in zip(self.factors, I.exponents):
-            g = f.p**e
-            per_factor.append(tuple(range(0, f.size, g)) if e < f.k else (0,))
-        return itertools.product(*per_factor)
-
-    def ideal_generated_by(self, elements) -> Ideal:
-        """Smallest ideal containing the given ring elements."""
-        exps = [f.k for f in self.factors]
-        for a in elements:
-            for i, v in enumerate(self.valuations(a)):
-                exps[i] = min(exps[i], v)
-        return Ideal(tuple(exps))
 
     def __str__(self):
         return " x ".join(str(f) for f in self.factors)

@@ -19,7 +19,11 @@ chain-support and block latroids, the enumerators) read that array.
 
 Constructors only build.  Whether a support meets the axioms is for
 ``validate_support`` and ``validate_modular`` to report, and they keep
-nothing on the support.
+nothing on the support.  Guards ask ``is_standard`` and ``is_modular``; a
+``ChainSupport`` is both by construction, other supports scan each time.
+``rectangular_supports`` gives supp(M_g) for every rectangular module
+M_g = {v : ChainSupport(v) <= g} of R^n, a point of the grid
+``lattices.chain_support_lattice``.
 
 The validators work on the same encoding: row i of every array is the
 vector of index i, sums and multiples are array arithmetic plus
@@ -32,9 +36,9 @@ import math
 
 import numpy as np
 
-from .codes import Code, code_intersection, code_sum, rect_members
-from .core import scan_rows, sleq
-from .lattices import rectangular_lattice
+from .codes import Code, code_intersection, code_sum
+from .core import scan_rows
+from .lattices import _dominated, chain_support_lattice
 from .limits import VECTOR_ENUM_CAP, check_cap
 from .report import Check, Report
 from .rings import Pir, Vector
@@ -60,6 +64,11 @@ class Support:
     @property
     def is_standard(self) -> bool:
         return False
+
+    @property
+    def is_modular(self) -> bool:
+        """Scanned: ``validate_modular`` on R^n (capped)."""
+        return validate_modular(self).ok
 
     def of_digits(self, digits: np.ndarray) -> np.ndarray:
         """supp(v) for each row of a (rows, n * ell) digit array, as an
@@ -149,6 +158,11 @@ class ChainSupport(Support):
 
     @property
     def is_standard(self) -> bool:
+        return True
+
+    @property
+    def is_modular(self) -> bool:
+        """By construction: where w's valuation is at most v's, a multiple of w cancels v."""
         return True
 
     def ambient_support(self) -> SupportVec:
@@ -320,7 +334,7 @@ def validate_modular(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
 # -- CRT splitting ------------------------------------------------------------
 
 
-def split_support(s: Support, cap: int = VECTOR_ENUM_CAP):
+def split_support(s: Support):
     """Split a modular support into per-factor supports.
 
     Returns (parts, permutation): parts[i] is a support on R_i^n, and
@@ -333,7 +347,8 @@ def split_support(s: Support, cap: int = VECTOR_ENUM_CAP):
     r_i w, so every reduction s's modularity provides lies inside part i.
     """
     ring, n, ell = s.ring, s.n, s.ring.ell
-    if not validate_modular(s, cap=cap).ok:
+    check_cap(ring.size**n, VECTOR_ENUM_CAP, f"enumerating {ring}^{n}")
+    if not s.is_modular:
         raise ValueError("only modular supports are guaranteed to split")
     digits, vals = ring.space(n), s.values()
     # The rows that vanish outside factor i: R_i^n embedded in R^n.
@@ -366,35 +381,35 @@ def split_support(s: Support, cap: int = VECTOR_ENUM_CAP):
 # -- supports as functions on rectangular modules ------------------------------
 
 
-def rect_support(s: Support, rect) -> SupportVec:
-    """Set support of a rectangular module I_1 x ... x I_n."""
-    return s.of_set(rect_members(s.ring, rect))
+def rectangular_supports(s: Support) -> np.ndarray:
+    """supp(M_g), the maximum of supp(v) over v with ChainSupport(v) <= g, for
+    each g of ``chain_support_lattice(s.ring, s.n)`` in order: (N, u) int64."""
+    ring, n = s.ring, s.n
+    check_cap(ring.size**n, VECTOR_ENUM_CAP, f"enumerating {ring}^{n}")
+    digits, chain = ring.space(n), ChainSupport(ring, n)
+    levels, values = chain.of_digits(digits), s.of_digits(digits)
+    return _dominated(levels, values, chain.ambient_support(), np.maximum).reshape(-1, s.u)
 
 
 def modular_function_on_rectangulars(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
     """Check, over all pairs of rectangular modules, that the set support is
     a modular and strictly increasing function (sums and intersections of
     rectangular modules are again rectangular: the joins and meets of
-    ``rectangular_lattice``)."""
-    ideals = math.prod(f.k + 1 for f in s.ring.factors)
-    check_cap(ideals ** (2 * s.n), cap, "rectangular module pairs")
-    lat = rectangular_lattice(s.ring, s.n)
-    rects = lat.labels
-    supp = [rect_support(s, r) for r in rects]
-
-    def non_modular():
-        for a, b in lat.pairs():
-            lhs = tuple(x + y for x, y in zip(supp[a], supp[b]))
-            rhs = tuple(x + y for x, y in zip(supp[lat.join[a, b]], supp[lat.meet[a, b]]))
-            if lhs != rhs:
-                yield f"M1={rects[a]}, M2={rects[b]}: {sum(supp[a])}+{sum(supp[b])} != {rhs}"
-
+    ``chain_support_lattice``)."""
+    levels = math.prod(f.k + 1 for f in s.ring.factors)
+    check_cap(levels ** (2 * s.n), cap, "rectangular module pairs")
+    lat = chain_support_lattice(s.ring, s.n)
+    rects, supp = lat.labels, rectangular_supports(s)
+    rhs = supp[lat.join] + supp[lat.meet]
+    below = (supp[:, None] <= supp).all(axis=2) & (supp[:, None] != supp).any(axis=2)
     return Report.from_checks([
-        Check.from_witnesses("modular_function", non_modular()),
+        Check.from_witnesses("modular_function", (
+            f"M1={rects[a]}, M2={rects[b]}: "
+            f"{supp[a].sum()}+{supp[b].sum()} != {tuple(rhs[a, b].tolist())}"
+            for a, b in np.argwhere((supp[:, None] + supp != rhs).any(axis=2)).tolist()
+        )),
         Check.from_witnesses("strictly_increasing", (
-            f"M1={rects[a]} < M2={rects[b]}"
-            for a, b in lat.comparable_pairs()
-            if not (sleq(supp[a], supp[b]) and supp[a] != supp[b])
+            f"M1={rects[a]} < M2={rects[b]}" for a, b in lat.comparable_pairs() if not below[a, b]
         )),
     ])
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from latroids import code_latroids, enumerators, lattices
+from latroids import code_latroids, enumerators, isometries, lattices
 from latroids.cli import COMMANDS, SCHEMA_VERSION, main
 from latroids.codes import enumerate_submodules
 
@@ -251,6 +251,63 @@ def test_weights_enumerates_the_submodules_once_per_oracle(capsys, tmp_path, mon
     assert len(calls) == 2  # d-bar and d-mu; the latroid side reads the lattice
 
 
+def test_isometry_enumerates_the_submodules_once_per_side(capsys, monkeypatch):
+    calls = []
+
+    def counted(code):
+        calls.append(code)
+        return enumerate_submodules(code)
+
+    for module in (code_latroids, enumerators, isometries):
+        monkeypatch.setattr(module, "enumerate_submodules", counted)
+    config = str(CONFIGS / "z6_isometry.cfg")
+    code, _, _ = run_cli(capsys, "--command", "isometry", "--config", config)
+    assert code == 0
+    assert len(calls) == 2  # the code and its image, each read for d-bar and d-mu
+
+
+NOT_INTEGERS = {
+    "gen": ("weights", "gen = 1 x\n", "entry 'x' is not an integer"),
+    "mat": ("isometry", "gen = 1 2\nmat = 0 y\nmat = 1 0\n", "entry 'y' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INTEGERS))
+def test_non_integer_entry_exits_2(capsys, tmp_path, case):
+    command, rows, error = NOT_INTEGERS[case]
+    path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\n" + rows)
+    code, out, err = run_cli(capsys, "--command", command, "--config", path)
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(out) == {"error": error, "kind": "input"}
+
+
+def test_rect_lattice_is_the_chain_support_grid(capsys, tmp_path):
+    path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\nlattice = rect\ngen = 1 2\n")
+    code, out, err = run_cli(capsys, "--command", "latroid", "--config", path)
+    assert code == 0
+    assert "Traceback" not in err
+    data = json.loads(out)
+    assert data["lattice_size"] == 9 and data["scalar_dim"] == 2
+    assert data["report"]["ok"] is True
+    elements, grid = data["elements"], [(a, b) for a in range(3) for b in range(3)]
+    assert [e["label"] for e in elements] == [str(g) for g in grid]
+    # M_g = (2^(2-g_1)) x (2^(2-g_2)) has supp g; the code's closure is (2, 1)
+    assert [tuple(e["length"]) for e in elements] == grid
+    ranks = {g: tuple(e["rank"]) for g, e in zip(grid, elements)}
+    assert (ranks[2, 2], ranks[2, 1], ranks[1, 2]) == ((0, 1), (0, 0), (0, 1))
+
+
+def test_rect_lattice_needs_a_modular_support(capsys, tmp_path):
+    path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = hamming\nlattice = rect\ngen = 1 2\n")
+    code, out, err = run_cli(capsys, "--command", "latroid", "--config", path)
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(out) == {
+        "error": "rectangular-support latroids need a modular support", "kind": "input",
+    }
+
+
 @pytest.mark.parametrize("target", ["missing/x.json", "directory"])
 def test_unwritable_out_exits_2_and_leaves_no_file(capsys, tmp_path, target):
     (tmp_path / "directory").mkdir()
@@ -336,6 +393,18 @@ def test_table_with_a_repeated_vector_exits_2(capsys, tmp_path):
     assert code == 2
     assert json.loads(out) == {
         "error": f"{tmp_path / 'support.tbl'}:5: vector ((0,),) already given on line 1",
+        "kind": "input",
+    }
+
+
+@pytest.mark.parametrize("line,token", [("1 -> a", "a"), ("x -> 1", "x")])
+def test_table_with_a_non_integer_entry_exits_2(capsys, tmp_path, line, token):
+    path = _table_problem(tmp_path, "0 -> 0\n" + line + "\n2 -> 1\n3 -> 2\n")
+    code, out, err = run_cli(capsys, "--command", "weights", "--config", path)
+    assert code == 2
+    assert "Traceback" not in err
+    assert json.loads(out) == {
+        "error": f"{tmp_path / 'support.tbl'}:2: entry {token!r} is not an integer",
         "kind": "input",
     }
 

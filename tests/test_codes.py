@@ -12,14 +12,13 @@ from latroids.codes import (
     irredundant_generating_sizes,
     length_lambda,
     mu,
-    rect_leq,
-    rectangular_closure,
     span,
     span_from_ints,
     zero_code,
 )
 from latroids.errors import CapExceededError
 from latroids.rings import parse_ring
+from latroids.supports import ChainSupport
 
 Z4 = parse_ring("Z_4")
 Z8 = parse_ring("Z_8")
@@ -160,25 +159,36 @@ def test_generating_sizes_nonempty_up_to_big_m():
         assert set(range(1, big_m(code) + 1)) <= sizes
 
 
+def rectangular_closure(code):
+    """The closure as a chain-support point: level k - e for the ideal (p^e)."""
+    return ChainSupport(code.ring, code.n).of_set(code.codewords)
+
+
 def test_rectangular_closure_examples():
-    ring = Z4
-    c = span_from_ints(ring, 2, [[1, 2]])
-    closed = rectangular_closure(c)
-    assert [i.exponents for i in closed] == [(0,), (1,)]
-    assert [i.exponents for i in rectangular_closure(zero_code(ring, 2))] == [(2,), (2,)]
-    c2 = span_from_ints(ring, 2, [[2, 0]])
-    assert [i.exponents for i in rectangular_closure(c2)] == [(1,), (2,)]
+    # (1) x (2), (0) x (0) and (2) x (0) in Z_4^2, at levels 2 - e
+    assert rectangular_closure(span_from_ints(Z4, 2, [[1, 2]])) == (2, 1)
+    assert rectangular_closure(zero_code(Z4, 2)) == (0, 0)
+    assert rectangular_closure(span_from_ints(Z4, 2, [[2, 0]])) == (1, 0)
 
 
 def test_rectangular_closure_is_minimal():
-    from latroids.codes import all_rectangular_modules, rect_contains
-
-    ring = Z4
-    c = span_from_ints(ring, 2, [[1, 2]])
-    closed = rectangular_closure(c)
-    for rect in all_rectangular_modules(ring, 2):
-        if all(rect_contains(ring, rect, w) for w in c.codewords):
-            assert rect_leq(ring, closed, rect)
+    # M_g holds the code exactly when g lies above the closure; membership of
+    # the ideal (p^e), e = k - g, is read off the valuations
+    for code in (
+        span_from_ints(Z4, 2, [[1, 2]]),
+        span_from_ints(Z8, 2, [[2, 4]]),
+        span_from_ints(parse_ring("Z_2 x Z_9"), 2, [[3, 6]]),
+    ):
+        ring, closed = code.ring, rectangular_closure(code)
+        tops = [f.k for _ in range(code.n) for f in ring.factors]
+        for g in itertools.product(*(range(k + 1) for k in tops)):
+            exps = [k - x for k, x in zip(tops, g)]
+            inside = all(
+                v >= e
+                for w in code.codewords
+                for v, e in zip([v for a in w for v in ring.valuations(a)], exps)
+            )
+            assert inside == all(c <= x for c, x in zip(closed, g))
 
 
 def test_code_equality_ignores_generators():

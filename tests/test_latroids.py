@@ -42,8 +42,8 @@ from latroids.errors import NotGradedError, ReconstructionError
 from latroids.lattices import (
     boolean_lattice,
     build_lattice,
+    dual,
     grid_lattice,
-    ideal_lattice,
     is_modular_lattice,
     subspace_lattice,
 )
@@ -144,21 +144,20 @@ def test_validate_rejects_negative_top():
 
 
 def test_z8_ideal_latroids():
-    # the chain of ideals of Z_8 with length |I| - 1 and two different ranks
+    # the chain of ideals (2^e) of Z_8, labelled (e,), with length |I| - 1
+    # and two different ranks
     z8 = parse_ring("Z_8")
-    lat = ideal_lattice(z8)
-    sizes = {lab: z8.ideal_size(lab) for lab in lat.labels}
+    lat = dual(grid_lattice([3]))
+    sizes = {
+        (e,): sum(1 for a in z8.elements() if z8.valuations(a)[0] >= e) for e in range(4)
+    }
     halves = Latroid.from_functions(lat, lambda i: sizes[i] // 2, lambda i: sizes[i] - 1)
-    lengths = Latroid.from_functions(
-        lat,
-        lambda i: sum(f.k - e for f, e in zip(z8.factors, i.exponents)),
-        lambda i: sizes[i] - 1,
-    )
+    lengths = Latroid.from_functions(lat, lambda i: 3 - i[0], lambda i: sizes[i] - 1)
     assert validate_latroid(halves).ok
     assert validate_latroid(lengths).ok
     # same independents, different top rank (4 against 3)
     assert independents(halves) == independents(lengths)
-    assert {lat.labels[i].exponents for i in independents(halves)} == {(3,), (2,)}
+    assert {lat.labels[i] for i in independents(halves)} == {(3,), (2,)}
     assert halves.rank[lat.top] == (4,)
     assert lengths.rank[lat.top] == (3,)
 

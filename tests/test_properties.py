@@ -8,10 +8,16 @@ which keeps every submodule enumeration below a few hundred codewords.
 
 The chain-support latroid and the block matroid are compared with
 reference constructions that evaluate one support per (label, codeword)
-pair.
+pair.  The rectangular-support latroid and the modular-function check are
+compared with references that list the rectangular modules by the exponents
+of their ideals and their members by valuations.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +29,7 @@ from latroids.code_latroids import (
     block_matroid,
     chain_support_latroid,
     latroid_weights_equal_code_weights,
+    rect_supp_latroid,
 )
 from latroids.codes import Code, span, zero_code
 from latroids.core import Latroid, dual_latroid, sleq, validate_latroid
@@ -35,7 +42,15 @@ from latroids.enumerators import (
 )
 from latroids.lattices import boolean_lattice, chain_support_lattice
 from latroids.rings import intlog, parse_ring
-from latroids.supports import ChainSupport, HammingSupport
+from latroids.supports import (
+    ChainSupport,
+    HammingSupport,
+    ProductSupport,
+    TableSupport,
+    modular_function_on_rectangulars,
+    rectangular_supports,
+    validate_modular,
+)
 
 RINGS = (
     "Z_2", "Z_3", "Z_4", "Z_5", "Z_7", "Z_8", "Z_9",
@@ -145,3 +160,105 @@ def test_code_latroids_and_enumerators_evaluate_supports_in_one_batch(monkeypatc
     assert inclusion_exclusion_check(code).ok
     block_matroid(span(f3, 4, [((1,), (2,), (0,), (1,))]))
     assert calls == []
+
+
+# -- rectangular modules ---------------------------------------------------------
+
+RECT_RINGS = ("Z_2", "Z_4", "Z_8", "Z_9", "Z_2 x Z_3", "Z_4 x Z_3", "Z_2 x Z_2")
+
+
+@functools.cache
+def reference_rectangular_modules(ring, n):
+    """The rectangular modules (p_1^e_1) x ... of R^n, keyed by their
+    exponents (coordinate-major), each with the list of its members: the
+    vectors whose valuations reach the exponents."""
+    ks = [f.k for _ in range(n) for f in ring.factors]
+    space = list(ring.vectors(n))
+    valuations = {v: [t for a in v for t in ring.valuations(a)] for v in space}
+    return ks, {
+        e: [v for v in space if all(t >= x for t, x in zip(valuations[v], e))]
+        for e in itertools.product(*(range(k + 1) for k in ks))
+    }
+
+
+def reference_rect_supports(supp):
+    """supp(M) for every rectangular module M, keyed by exponents: the
+    maximum over the members of M."""
+    ks, modules = reference_rectangular_modules(supp.ring, supp.n)
+    values = {v: supp(v) for v in modules[(0,) * len(ks)]}
+    return ks, {e: tuple(map(max, zip(*(values[v] for v in vs)))) for e, vs in modules.items()}
+
+
+def reference_rect_latroid(code, supp):
+    """(rank, length) keyed by the level label k - e: rho(M) = supp(M) -
+    supp(M ^ K), where K takes at each coordinate the least valuation of the
+    codewords' entries (the ideal they generate) and the meet of ideals
+    takes the larger exponent."""
+    ks, supp_of = reference_rect_supports(supp)
+    words = [[x for a in w for x in code.ring.valuations(a)] for w in code.codewords]
+    closure = [min(column) for column in zip(*words)]
+    out = {}
+    for e, s in supp_of.items():
+        meet = supp_of[tuple(map(max, e, closure))]
+        out[tuple(k - x for k, x in zip(ks, e))] = (tuple(a - b for a, b in zip(s, meet)), s)
+    return out
+
+
+def reference_modular_function_verdicts(supp):
+    """The two verdicts of ``modular_function_on_rectangulars``: supp(A) +
+    supp(B) = supp(A + B) + supp(A n B) for all pairs (sums take the smaller
+    exponents, intersections the larger), and supp strictly increasing."""
+    _, supp_of = reference_rect_supports(supp)
+
+    def plus(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    pairs = list(itertools.product(supp_of, repeat=2))
+    return {
+        "modular_function": all(
+            plus(supp_of[a], supp_of[b])
+            == plus(supp_of[tuple(map(min, a, b))], supp_of[tuple(map(max, a, b))])
+            for a, b in pairs
+        ),
+        "strictly_increasing": all(
+            sleq(supp_of[a], supp_of[b]) and supp_of[a] != supp_of[b]
+            for a, b in pairs
+            if a != b and all(x >= y for x, y in zip(a, b))
+        ),
+    }
+
+
+@pytest.mark.parametrize("ring_name", RECT_RINGS)
+@settings(derandomize=True, max_examples=4, deadline=None, database=None)
+@given(data=st.data())
+def test_rect_latroid_of_random_code_matches_reference(ring_name, data):
+    code = data.draw(codes(parse_ring(ring_name)))
+    ring, n = code.ring, code.n
+    product = ProductSupport(ring, [
+        ChainSupport(ring, 1) if i % 2 else HammingSupport(ring, 1) for i in range(n)
+    ])
+    # Arbitrary values, not a support: the set support of M is the maximum
+    # over its members whatever the function, and for a standard support
+    # the maximum is already attained at the top chain level of M.
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    values = {v: (rng.randrange(4), rng.randrange(4)) for v in ring.vectors(n)}
+    table = TableSupport(ring, n, values)
+    ks, reference = reference_rect_supports(table)
+    got = rectangular_supports(table).tolist()
+    labels = chain_support_lattice(ring, n).labels
+    assert {lab: tuple(row) for lab, row in zip(labels, got)} == {
+        tuple(k - x for k, x in zip(ks, e)): s for e, s in reference.items()
+    }
+    for supp in (ChainSupport(ring, n), HammingSupport(ring, n), product, table):
+        verdicts = {c.name: c.ok for c in modular_function_on_rectangulars(supp).checks}
+        assert verdicts == reference_modular_function_verdicts(supp)
+        if not (supp.is_standard and validate_modular(supp).ok):
+            with pytest.raises(ValueError, match="need a (standard|modular) support"):
+                rect_supp_latroid(code, supp)
+            continue
+        lt = rect_supp_latroid(code, supp)
+        got = {lab: (lt.rank[i], lt.length[i]) for i, lab in enumerate(lt.lattice.labels)}
+        assert got == reference_rect_latroid(code, supp)
+        assert lt.lattice == chain_support_lattice(ring, n)
+        report = validate_latroid(lt)
+        assert report.ok, report.summary()

@@ -2,8 +2,11 @@ import itertools
 import math
 
 import pytest
+from test_lattices import ideals
 
+from latroids.lattices import is_complemented_lattice
 from latroids.rings import ChainRing, Pir, chain_ring, intlog, parse_ring, product_ring
+from latroids.supports import ChainSupport
 
 
 def test_parse_ring_forms():
@@ -66,11 +69,17 @@ def test_every_element_is_unit_times_alpha_power(p, k):
 
 
 def test_ideal_sizes_and_heights():
+    # (p^e) holds the p^(k-e) elements of valuation >= e, which are those of
+    # chain-support level <= k - e; p^e generates it
     ring = parse_ring("Z_8")
     cr = ring.factors[0]
+    chain = ChainSupport(ring, 1)
     for e in range(cr.k + 1):
-        ideal = ring.ideal_generated_by([(pow(cr.p, e, cr.size) if e < cr.k else 0,)])
-        assert ring.ideal_size(ideal) == cr.p ** (cr.k - e)
+        members = [a for a in ring.elements() if ring.valuations(a)[0] >= e]
+        assert len(members) == cr.p ** (cr.k - e)
+        assert members == [a for a in ring.elements() if chain((a,))[0] <= cr.k - e]
+        generator = ((cr.p**e % cr.size,),)
+        assert chain.of_set([generator]) == chain.of_set([(a,) for a in members]) == (cr.k - e,)
 
 
 @pytest.mark.parametrize(
@@ -101,19 +110,18 @@ def test_element_shape_checked():
 
 
 def test_ideal_lattice_shapes():
-    from latroids.lattices import ideal_lattice, is_complemented_lattice
-
-    chain = ideal_lattice(parse_ring("Z_8"))
+    chain = ideals(parse_ring("Z_8"))
     assert chain.size == 4
     assert not is_complemented_lattice(chain)
-    # containment chain: heights 0..3
+    # containment chain: heights 0..3, (1) on top
     assert chain.is_graded and chain.hgt(chain.top) == 3
+    assert chain.labels[chain.top] == ((0,),)
 
-    grid = ideal_lattice(parse_ring("Z_2 x Z_3"))
+    grid = ideals(parse_ring("Z_2 x Z_3"))
     assert grid.size == 4
     assert grid.is_graded and grid.hgt(grid.top) == 2
 
-    two = ideal_lattice(parse_ring("Z_2"))
+    two = ideals(parse_ring("Z_2"))
     assert two.size == 2
 
 

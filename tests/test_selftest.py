@@ -4,7 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from latroids import (
+    cli,
+    code_latroids,
+    codes,
+    enumerators,
+    isometries,
+    lattices,
+    selftest,
+    supports,
+)
 from latroids.selftest import CRITERIA
+
+MODULES = (cli, code_latroids, codes, enumerators, isometries, lattices, selftest, supports)
 
 # Number of checks each criterion reports on the seed-0 corpora.
 CHECK_COUNTS = {1: 30, 2: 7, 3: 31, 4: 91, 5: 43, 6: 22, 7: 10, 8: 6, 9: 282, 10: 32}
@@ -19,3 +31,37 @@ def test_criterion_passes(criterion):
 
 def test_every_criterion_is_counted():
     assert sorted(c.number for c in CRITERIA) == sorted(CHECK_COUNTS)
+
+
+def counted_everywhere(monkeypatch, function):
+    """Count the calls of ``function`` through every ``latroids`` module that
+    holds it (the package imports by name), with the selftest corpora
+    uncached so that building them counts too."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for module in MODULES:
+        if getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    for value in vars(selftest).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    return calls
+
+
+def test_run_all_validates_modularity_eight_times(monkeypatch):
+    # criterion 8 validates four supports; criterion 7 splits the paper's Z_6
+    # support twice and decomposes along its two parts; ChainSupports (the
+    # rect latroid, the product-ring enumerators) are modular by construction
+    calls = counted_everywhere(monkeypatch, supports.validate_modular)
+    assert all(report.ok for _, _, report in selftest.run_all(0))
+    assert len(calls) == 8
+
+
+def test_isometry_criterion_enumerates_each_side_once(monkeypatch):
+    calls = counted_everywhere(monkeypatch, codes.enumerate_submodules)
+    assert next(c for c in CRITERIA if c.number == 7).run(0).ok
+    assert len(calls) == 8  # 4 invariance checks, the code and its image

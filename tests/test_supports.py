@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
-from latroids.codes import enumerate_submodules, full_space, span_from_ints
+from latroids import supports
+from latroids.codes import Code, enumerate_submodules, full_space, span_from_ints
 from latroids.core import sleq
+from latroids.errors import CapExceededError
 from latroids.report import Check, Report
 from latroids.rings import parse_ring
 from latroids.supports import (
@@ -168,6 +171,48 @@ def test_split_requires_modular():
         split_support(HammingSupport(Z6, 1))
 
 
+def test_split_checks_the_cap_before_enumerating():
+    with pytest.raises(CapExceededError, match=r"enumerating Z_2 x Z_3\^7"):
+        split_support(ChainSupport(Z6, 7))
+
+
+MODULARITY_FIXTURES = {
+    "chain Z4^1": ChainSupport(Z4, 1),
+    "chain Z8^1": ChainSupport(Z8, 1),
+    "chain Z9^1": ChainSupport(Z9, 1),
+    "chain Z4^2": ChainSupport(Z4, 2),
+    "chain Z6^2": ChainSupport(Z6, 2),
+    "hamming F3^2": HammingSupport(F3, 2),
+    "hamming Z4^2": HammingSupport(Z4, 2),
+    "hamming Z6^1": HammingSupport(Z6, 1),
+    "tau F2^2": tau_support(F2, 2),
+    "tau F3^2": tau_support(F3, 2),
+    "z6 paper n=1": z6_paper_support(1),
+    "z6 paper n=2": z6_paper_support(2),
+    "lee Z4^1": support_from_unit_table(Z4, 1, LEE_TABLE),
+    "product Z4^2": ProductSupport(Z4, [ChainSupport(Z4, 1), HammingSupport(Z4, 1)]),
+    "non-splitting Z2xZ2": TableSupport(parse_ring("Z_2 x Z_2"), 1, {
+        ((0, 0),): (0, 0), ((0, 1),): (0, 1), ((1, 0),): (1, 0), ((1, 1),): (1, 2),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULARITY_FIXTURES))
+def test_is_modular_agrees_with_validate_modular(name):
+    s = MODULARITY_FIXTURES[name]
+    assert s.is_modular == validate_modular(s).ok
+
+
+def test_chain_support_is_modular_without_a_scan(monkeypatch):
+    def no_scan(s, cap=None):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(supports, "validate_modular", no_scan)
+    assert ChainSupport(parse_ring("Z_2 x Z_9"), 5).is_modular
+    with pytest.raises(AssertionError, match="scanned"):
+        HammingSupport(F3, 1).is_modular
+
+
 def test_standard_detection():
     assert ChainSupport(Z4, 2).is_standard
     assert not tau_support(F2, 2).is_standard
@@ -181,12 +226,11 @@ def test_support_lattice_laws(ring, n):
     # the join half holds for arbitrary submodules, the meet half does not
     # (0 x (2) against <(2,2)> in Z_4^2 breaks it), because only rectangular
     # modules contain axis vectors attaining their coordinatewise suprema
-    from latroids.codes import Code, all_rectangular_modules, rect_members
-
     s = ChainSupport(ring, n)
-    rect_codes = [
-        Code(ring, n, (), frozenset(rect_members(ring, r)))
-        for r in all_rectangular_modules(ring, n)
+    space = list(ring.vectors(n))
+    rect_codes = [  # M_g: the vectors whose chain-support levels lie below g
+        Code(ring, n, (), frozenset(v for v in space if sleq(s(v), g)))
+        for g in itertools.product(*(range(k + 1) for k in s.ambient_support()))
     ]
     assert module_support_lattice_check(s, rect_codes).ok
 
