@@ -515,7 +515,9 @@ def main(argv=None) -> int:
         "--cap",
         type=int,
         default=VECTOR_ENUM_CAP,
-        help="override the exhaustive-enumeration cap (acknowledges the cost)",
+        help="cap on |R|^n for the span of the code, the support validators and "
+        "the isometry check (acknowledges the cost); the other caps are the "
+        "constants of latroids.limits",
     )
     args = parser.parse_args(argv)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limits import SPAN_CAP, SUBMODULE_CAP, check_cap
+from .limits import LATTICE_CAP, SPAN_CAP, SUBMODULE_CAP, check_cap
 from .rings import Pir, Vector, intlog, is_prime
 
 
@@ -104,9 +104,8 @@ def zero_code(ring: Pir, n: int) -> Code:
     return span(ring, n, [])
 
 
-def full_space(ring: Pir, n: int, cap: int = SPAN_CAP) -> Code:
-    gens = [ring.basis_vector(n, i) for i in range(n)]
-    return span(ring, n, gens, cap=cap)
+def full_space(ring: Pir, n: int) -> Code:
+    return span(ring, n, [ring.basis_vector(n, i) for i in range(n)])
 
 
 def cyclic_code(ring: Pir, v: Vector) -> Code:
@@ -191,7 +190,7 @@ def _row_locator(digits: np.ndarray, mods: np.ndarray):
     return locate
 
 
-def enumerate_submodules(code: Code, cap: int = SUBMODULE_CAP) -> list[Code]:
+def enumerate_submodules(code: Code) -> list[Code]:
     """All submodules of the code, in a deterministic order.
 
     Every submodule is a join of cyclic submodules, so closing the set of
@@ -199,9 +198,11 @@ def enumerate_submodules(code: Code, cap: int = SUBMODULE_CAP) -> list[Code]:
     submodule already inside a submodule adds nothing and is skipped.
     Codewords are numbered by their position in the sorted code, and the
     sums and multiples of codeword digits are located among them by
-    ``_row_locator``.
+    ``_row_locator``.  The count of submodules found is checked against
+    ``LATTICE_CAP`` as each one is found, since they are the elements of
+    the submodule lattice.
     """
-    check_cap(len(code), cap, "submodule enumeration")
+    check_cap(len(code), SUBMODULE_CAP, "submodule enumeration")
     ring, n = code.ring, code.n
     words = code.sorted_words()
     digits = ring.encode(words, n)
@@ -213,8 +214,9 @@ def enumerate_submodules(code: Code, cap: int = SUBMODULE_CAP) -> list[Code]:
         add[i] = positions(w + digits)
     multiples = positions(np.tile(ring.space(1), n)[:, None] * digits)
     cyclics = {frozenset(col) for col in multiples.T.tolist()}
+    check_cap(len(cyclics), LATTICE_CAP, "submodule count")
     found = set(cyclics)
-    frontier = set(cyclics)
+    frontier = cyclics
     while frontier:
         new = set()
         for a in frontier:
@@ -224,8 +226,9 @@ def enumerate_submodules(code: Code, cap: int = SUBMODULE_CAP) -> list[Code]:
                     continue
                 s = frozenset(np.unique(add[np.ix_(ia, sorted(b))]).tolist())
                 if s not in found:
+                    found.add(s)
                     new.add(s)
-        found |= new
+                    check_cap(len(found), LATTICE_CAP, "submodule count")
         frontier = new
 
     subs = sorted(found, key=lambda s: (len(s), sorted(s)))

@@ -75,76 +75,46 @@ def decompose_chain_isometry(mat: RingMatrix, supp: Support):
     """Write a chain-ring isometry as D * P with D diagonal invertible and
     P a permutation matrix.
 
-    Columns are processed by increasing per-coordinate support weight (the
-    order the inductive argument peels them); each column must hold exactly
-    one invertible entry among the unused rows and zeros elsewhere, or the
-    input was no isometry of a standard modular support.
+    An isometry of a standard modular support is monomial: one nonzero
+    entry in every row and column, each a unit.  P is the pattern of the
+    nonzero entries and D holds each row's entry on its diagonal, both
+    unique for a monomial matrix; the matrix is monomial exactly when P is
+    a permutation matrix and D is invertible, and fails an assertion
+    otherwise.
     """
-    ring = supp.ring
+    ring, n = supp.ring, supp.n
     if ring.ell != 1:
         raise ValueError("the D*P decomposition is for chain rings")
     if not supp.is_standard or not supp.is_modular:
         raise ValueError("decomposition needs a standard modular support")
     if not is_isometry(mat, supp):
         raise ValueError("matrix is not an isometry for the given support")
-
-    n = len(mat)
-    order = sorted(range(n), key=lambda i: (supp.weight(ring.basis_vector(n, i)), i))
-    remaining = set(range(n))
-    row_of_col = {}
-    diag = {}
-    for j in order:
-        units = [r for r in remaining if ring.is_unit(mat[r][j])]
-        if len(units) != 1:
-            raise AssertionError(
-                f"column {j} has {len(units)} invertible entries among unused rows; "
-                "an isometry of a standard modular support must be monomial"
-            )
-        r0 = units[0]
-        for r in remaining:
-            if r != r0 and mat[r][j] != ring.zero:
-                raise AssertionError(
-                    f"column {j} is not zero at row {r}; "
-                    "an isometry of a standard modular support must be monomial"
-                )
-        row_of_col[j] = r0
-        diag[r0] = mat[r0][j]
-        remaining.remove(r0)
-
+    pattern = _as_array(ring, mat, n).any(axis=2)
+    P = tuple(tuple(ring.one if x else ring.zero for x in row) for row in pattern.tolist())
     D = tuple(
-        tuple(diag[i] if i == j else ring.zero for j in range(n)) for i in range(n)
-    )
-    P = tuple(
-        tuple(ring.one if row_of_col.get(j) == i else ring.zero for j in range(n))
+        tuple(mat[i][int(pattern[i].argmax())] if i == j else ring.zero for j in range(n))
         for i in range(n)
     )
-    if matmul(ring, D, P) != mat:
-        raise AssertionError("decomposition does not reproduce the matrix")
+    if not (is_permutation_matrix(ring, P) and is_diagonal_invertible(ring, D)):
+        raise AssertionError("an isometry of a standard modular support must be monomial")
     return D, P
 
 
 def is_permutation_matrix(ring: Pir, mat: RingMatrix) -> bool:
-    n = len(mat)
-    for row in mat:
-        if sum(1 for x in row if x == ring.one) != 1:
-            return False
-        if any(x not in (ring.zero, ring.one) for x in row):
-            return False
-    return all(
-        sum(1 for i in range(n) if mat[i][j] == ring.one) == 1 for j in range(n)
+    entries = _as_array(ring, mat, len(mat))
+    ones = (entries == 1).all(axis=2)
+    return bool(
+        (ones == entries.any(axis=2)).all()
+        and (ones.sum(axis=0) == 1).all()
+        and (ones.sum(axis=1) == 1).all()
     )
 
 
 def is_diagonal_invertible(ring: Pir, mat: RingMatrix) -> bool:
-    n = len(mat)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if not ring.is_unit(mat[i][j]):
-                    return False
-            elif mat[i][j] != ring.zero:
-                return False
-    return True
+    entries = _as_array(ring, mat, len(mat))
+    units = (entries % [f.p for f in ring.factors] != 0).all(axis=2)
+    diagonal = np.eye(len(mat), dtype=bool)
+    return bool((units == diagonal).all() and (entries.any(axis=2) == diagonal).all())
 
 
 def pir_isometry_projections(mat: RingMatrix, supp: Support):

@@ -394,16 +394,17 @@ def _dominated(levels: np.ndarray, values: np.ndarray, top, ufunc) -> np.ndarray
     return out
 
 
-def subspace_lattice(q: int, n: int, cap: int = 256) -> FiniteLattice:
+def subspace_lattice(q: int, n: int) -> FiniteLattice:
     """All subspaces of F_q^n, labelled by rref bases, ordered by inclusion."""
-    return _subspaces(q, n, cap)[0]
+    return _subspaces(q, n)[0]
 
 
-def _subspaces(q: int, n: int, cap: int = 256) -> tuple[FiniteLattice, np.ndarray]:
+def _subspaces(q: int, n: int) -> tuple[FiniteLattice, np.ndarray]:
     """The subspace lattice of F_q^n, sorted by (dim, rref basis), and its
     membership matrix: row i marks the vectors of subspace i, indexed as in
-    ``Pir.space``.  The subspaces are the submodules of F_q^n."""
-    check_cap(q**n, cap, f"enumerating F_{q}^{n}")
+    ``Pir.space``.  The subspaces are the submodules of F_q^n, so F_q^n is
+    checked against the cap of their enumeration before it is spanned."""
+    check_cap(q**n, SUBMODULE_CAP, f"enumerating F_{q}^{n}")
     if not is_prime(q):
         raise ValueError(f"only prime fields are supported, got q = {q}")
     space = full_space(chain_ring(q, 1), n)
@@ -414,8 +415,8 @@ def _subspaces(q: int, n: int, cap: int = 256) -> tuple[FiniteLattice, np.ndarra
     return build_lattice([bases[i] for i in order], _membership_order(members)), members
 
 
-def submodule_lattice(code: Code, cap: int = SUBMODULE_CAP) -> FiniteLattice:
+def submodule_lattice(code: Code) -> FiniteLattice:
     """All submodules of the given code, ordered by inclusion."""
-    subs = enumerate_submodules(code, cap=cap)
+    subs = enumerate_submodules(code)
     members = _members([s.codewords for s in subs], code.sorted_words())
     return build_lattice(subs, _membership_order(members))

@@ -199,9 +199,9 @@ class Pir:
     def vector_from_ints(self, entries) -> Vector:
         return tuple(self.from_int(int(x)) for x in entries)
 
-    def vectors(self, n: int, cap: int = VECTOR_ENUM_CAP):
+    def vectors(self, n: int):
         """All of R^n in lexicographic order; capped."""
-        check_cap(self.size**n, cap, f"enumerating {self}^{n}")
+        check_cap(self.size**n, VECTOR_ENUM_CAP, f"enumerating {self}^{n}")
         return itertools.product(self.elements(), repeat=n)
 
     def project_vector(self, v: Vector, i: int) -> Vector:

@@ -105,11 +105,11 @@ class Support:
     def ambient_weight(self) -> int:
         return sum(self.ambient_support())
 
-    def same_values(self, other: "Support", cap: int = VECTOR_ENUM_CAP) -> bool:
+    def same_values(self, other: "Support") -> bool:
         """Pointwise equality on the full (capped) domain."""
         if (self.ring, self.n, self.u) != (other.ring, other.n, other.u):
             return False
-        check_cap(self.ring.size**self.n, cap, f"enumerating {self.ring}^{self.n}")
+        check_cap(self.ring.size**self.n, VECTOR_ENUM_CAP, f"enumerating {self.ring}^{self.n}")
         return np.array_equal(self.values(), other.values())
 
 
@@ -391,13 +391,13 @@ def rectangular_supports(s: Support) -> np.ndarray:
     return _dominated(levels, values, chain.ambient_support(), np.maximum).reshape(-1, s.u)
 
 
-def modular_function_on_rectangulars(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
+def modular_function_on_rectangulars(s: Support) -> Report:
     """Check, over all pairs of rectangular modules, that the set support is
     a modular and strictly increasing function (sums and intersections of
     rectangular modules are again rectangular: the joins and meets of
     ``chain_support_lattice``)."""
     levels = math.prod(f.k + 1 for f in s.ring.factors)
-    check_cap(levels ** (2 * s.n), cap, "rectangular module pairs")
+    check_cap(levels ** (2 * s.n), VECTOR_ENUM_CAP, "rectangular module pairs")
     lat = chain_support_lattice(s.ring, s.n)
     rects, supp = lat.labels, rectangular_supports(s)
     rhs = supp[lat.join] + supp[lat.meet]

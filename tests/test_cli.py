@@ -205,6 +205,32 @@ def test_lattice_cap_is_checked_before_the_order_matrix(capsys, tmp_path, monkey
     assert json.loads(out) == {"error": "lattice size needs 65536 > cap 4096", "kind": "cap"}
 
 
+def test_submodule_lattice_commands(capsys, tmp_path):
+    path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\nlattice = submodule\ngen = 1 2\n")
+    code, out, err = run_cli(capsys, "--command", "latroid", "--config", path)
+    assert code == 0 and "Traceback" not in err
+    data = json.loads(out)
+    assert data["lattice_size"] == 15 and data["report"]["ok"] is True
+    code, out, err = run_cli(capsys, "--command", "circuits", "--config", path)
+    assert code == 0 and "Traceback" not in err
+    data = json.loads(out)
+    assert (len(data["independents"]), len(data["bases"]), len(data["circuits"])) == (7, 4, 1)
+
+
+def test_submodule_lattice_cap_is_checked_before_spanning_the_ambient_space(
+    capsys, tmp_path, monkeypatch
+):
+    def no_span(ring, n):
+        raise AssertionError(f"spanned {ring}^{n}")
+
+    monkeypatch.setattr(code_latroids, "full_space", no_span)
+    text = "ring = Z_2\nn = 16\nsupport = chain\nlattice = submodule\ngen = " + "1 " * 16 + "\n"
+    code, out, err = run_cli(capsys, "--command", "latroid", "--config", _write(tmp_path, text))
+    assert code == 3
+    assert "Traceback" not in err
+    assert json.loads(out) == {"error": "submodule enumeration needs 65536 > cap 4096", "kind": "cap"}
+
+
 def test_weights_r_out_of_range_exits_2(capsys, tmp_path):
     for r in (7, 0):
         path = _write(tmp_path, f"ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\nr = {r}\n")

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from latroids import code_latroids, codes
+from latroids.code_latroids import latroid_from_code
 from latroids.codes import (
     big_m,
     code_intersection,
@@ -121,9 +123,27 @@ def test_enumerate_submodules_beyond_int64_indices(ring_text, tail):
     ]
 
 
-def test_enumerate_submodules_cap():
-    with pytest.raises(CapExceededError):
-        enumerate_submodules(full_space(F2, 3), cap=4)
+def test_enumerate_submodules_cap(monkeypatch):
+    monkeypatch.setattr(codes, "SUBMODULE_CAP", 4)
+    with pytest.raises(CapExceededError, match="submodule enumeration needs 8 > cap 4"):
+        enumerate_submodules(full_space(F2, 3))
+
+
+def test_enumerate_submodules_counts_each_submodule_against_the_lattice_cap(monkeypatch):
+    # F_2^4 has 16 cyclic subspaces and 67 in all: the 21st found is refused.
+    monkeypatch.setattr(codes, "LATTICE_CAP", 20)
+    with pytest.raises(CapExceededError, match="submodule count needs 21 > cap 20"):
+        enumerate_submodules(full_space(F2, 4))
+
+
+def test_latroid_from_code_checks_the_ambient_space_before_spanning_it(monkeypatch):
+    def no_span(ring, n):
+        raise AssertionError(f"spanned {ring}^{n}")
+
+    monkeypatch.setattr(code_latroids, "full_space", no_span)
+    code = span_from_ints(F2, 16, [[1] * 16])
+    with pytest.raises(CapExceededError, match="submodule enumeration needs 65536 > cap 4096"):
+        latroid_from_code(code)
 
 
 def test_mu_lambda_relation_on_all_submodules():

@@ -12,8 +12,8 @@ excluded) must be taken as an attribute in some module of the package.  Every
 module other than ``__init__`` and ``__main__`` must be imported by some other
 module of the package, so none is left orphaned.  Every defaulted parameter
 of a module-level function is set, by position or by keyword, by some call
-in the package or its tests; ``cap`` parameters are exempt, since every cap
-can be overridden per call (``limits``).  ``FiniteLattice`` is constructed
+in the package or its tests; a ``cap`` no call sets is a constant of
+``limits``, not a parameter.  ``FiniteLattice`` is constructed
 only in ``lattices.py``, in the package and in its tests.  No function of
 the package takes a ``validate`` parameter: constructors only build, and
 checking is for the validators (``validate_latroid``, ``validate_support``).
@@ -233,11 +233,6 @@ def test_checker_sees_orphaned_modules():
     assert _orphaned_modules(trees) == ["c.py", "d.py"]
 
 
-#: Defaulted parameters that may stay unset: every cap can be overridden
-#: per call, by policy (``limits``).
-OVERRIDABLE = {"cap"}
-
-
 def _defaulted_parameters(tree: ast.Module):
     """(function, position or None if keyword-only, parameter, line) for
     each defaulted parameter of a module-level function."""
@@ -281,7 +276,7 @@ def _unset_defaults(modules: dict[str, ast.Module], callers) -> list[str]:
         for fn, pos, param, line in _defaulted_parameters(tree):
             most, keywords = calls.get(fn, (0, set()))
             by_position = pos is not None and most > pos
-            if param in OVERRIDABLE or by_position or param in keywords or None in keywords:
+            if by_position or param in keywords or None in keywords:
                 continue
             unset.append(f"{module}: {fn}({param}) (line {line})")
     return sorted(unset)
@@ -314,6 +309,7 @@ def test_checker_sees_unset_defaulted_parameters():
     ]
     assert _unset_defaults(modules, callers) == [
         "a.py: f(c) (line 1)",
+        "a.py: f(cap) (line 1)",
         "a.py: f(e) (line 1)",
         "a.py: k(z) (line 4)",
     ]

@@ -132,6 +132,23 @@ def test_decompose_chain_isometry_round_trips(name):
             assert matmul(ring, D, P) == mat
 
 
+def test_decomposition_of_a_fixed_z8_isometry():
+    z8 = parse_ring("Z_8")
+    mat = matrix_from_ints(z8, [[0, 3, 0], [0, 0, 5], [7, 0, 0]])
+    D, P = decompose_chain_isometry(mat, ChainSupport(z8, 3))
+    assert D == matrix_from_ints(z8, [[3, 0, 0], [0, 5, 0], [0, 0, 7]])
+    assert P == matrix_from_ints(z8, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+
+
+def test_matrix_tests_read_the_entries():
+    assert is_permutation_matrix(Z6, matrix_from_ints(Z6, [[0, 1], [1, 0]]))
+    assert not is_permutation_matrix(Z6, matrix_from_ints(Z6, [[0, 5], [1, 0]]))
+    assert not is_permutation_matrix(Z6, matrix_from_ints(Z6, [[1, 1], [1, 0]]))
+    assert is_diagonal_invertible(Z6, matrix_from_ints(Z6, [[5, 0], [0, 1]]))
+    assert not is_diagonal_invertible(Z6, matrix_from_ints(Z6, [[5, 0], [0, 3]]))
+    assert not is_diagonal_invertible(Z6, matrix_from_ints(Z6, [[0, 5], [1, 0]]))
+
+
 def test_non_isometry_is_not_decomposed():
     mat = matrix_from_ints(Z4, [[1, 1], [0, 1]])
     assert not is_isometry(mat, ChainSupport(Z4, 2))

@@ -88,7 +88,7 @@ def test_subspace_lattice_counts():
     assert subspace_lattice(2, 2).size == 5
     assert subspace_lattice(3, 2).size == 6
     assert subspace_lattice(2, 3).size == 16
-    for q, n, size in ((2, 5, 374), (3, 4, 212)):
+    for q, n, size in ((2, 5, 374), (3, 4, 212), (7, 3, 116)):
         lat = subspace_lattice(q, n)
         assert lat.size == size
         assert Counter(map(len, lat.labels)) == {r: q_binomial(n, r, q) for r in range(n + 1)}
@@ -101,14 +101,20 @@ def test_subspace_lattice_prime_only():
 
 @pytest.mark.parametrize("q", [4, 6])
 def test_subspace_lattice_rejections_come_before_enumeration(monkeypatch, q):
-    def no_enumeration(code, cap=None):
+    def no_enumeration(code):
         raise AssertionError("enumerated")
 
     monkeypatch.setattr(lattices, "enumerate_submodules", no_enumeration)
     with pytest.raises(ValueError, match="prime"):
         subspace_lattice(q, 2)
-    with pytest.raises(CapExceededError, match="enumerating F_2\\^4"):
-        subspace_lattice(2, 4, cap=15)
+    with pytest.raises(CapExceededError, match="enumerating F_2\\^13"):
+        subspace_lattice(2, 13)
+
+
+def test_subspace_lattice_stops_enumerating_at_the_lattice_cap():
+    # F_2^8 is within the enumeration cap but has 417199 subspaces.
+    with pytest.raises(CapExceededError, match="submodule count needs 4097 > cap 4096"):
+        subspace_lattice(2, 8)
 
 
 def _no_table(*args):
