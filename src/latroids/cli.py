@@ -253,6 +253,16 @@ def jsonable(value):
 
 
 def label_str(label) -> str:
+    """A lattice label as text: a subset, or a submodule as its sorted
+    codewords, in braces; any other label by ``str``.  A codeword is one
+    token: its entries as in ``gen`` lines (a residue, or colon-joined
+    residues over a product ring), run together when every entry is one
+    digit and dot-separated otherwise."""
+    if isinstance(label, Code):
+        ring = label.ring
+        sep = "" if ring.ell == 1 and ring.size <= 10 else "."
+        words = (sep.join(":".join(map(str, a)) for a in w) for w in label.sorted_words())
+        return "{" + ",".join(words) + "}"
     if isinstance(label, frozenset):
         return "{" + ",".join(map(str, sorted(label))) + "}"
     return str(label)

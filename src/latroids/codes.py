@@ -7,10 +7,13 @@ Codes are kept as full codeword sets in a canonical sorted order; every
 downstream computation here is exhaustive, so set equality is the only
 notion of code equality we need.
 
-``enumerate_submodules`` locates sums and multiples of codeword digits
-(the encoding of R^n from ``rings``) in the sorted code.  ``span``,
-``code_sum``, ``Code.scaled`` and ``Code.factor`` stay on ``Pir`` tuple
-arithmetic: they build small sets of tuples, which is what callers hold.
+``enumerate_submodules`` works on the codeword digits (the encoding of R^n
+from ``rings``): a submodule is a membership mask over the sorted words,
+and the masks of the cyclic submodules are closed under sums with one
+cyclic at a time through a table of word differences.  ``full_space``
+decodes the digit space ``Pir.space``.  ``span``, ``code_sum``,
+``Code.scaled`` and ``Code.factor`` stay on ``Pir`` tuple arithmetic: they
+build small sets of tuples, which is what callers hold.
 
 Over a prime field F_p, ``rref`` row-reduces a list of vectors; the reduced
 row echelon basis is the canonical label of the subspace they span (the
@@ -105,7 +108,10 @@ def zero_code(ring: Pir, n: int) -> Code:
 
 
 def full_space(ring: Pir, n: int) -> Code:
-    return span(ring, n, [ring.basis_vector(n, i) for i in range(n)])
+    """R^n, spanned by its standard basis: the rows of ``Pir.space`` decoded."""
+    check_cap(ring.size**n, SPAN_CAP, f"materializing a code in {ring}^{n}")
+    basis = tuple(ring.basis_vector(n, i) for i in range(n))
+    return Code(ring, n, basis, frozenset(ring.decode(ring.space(n))))
 
 
 def cyclic_code(ring: Pir, v: Vector) -> Code:
@@ -190,51 +196,90 @@ def _row_locator(digits: np.ndarray, mods: np.ndarray):
     return locate
 
 
-def enumerate_submodules(code: Code) -> list[Code]:
-    """All submodules of the code, in a deterministic order.
+#: Entries per block of the submodule closure (difference rows located,
+#: multiples located, (mask, cyclic) pairs summed); bounds its temporary
+#: arrays and so peak memory.
+_CLOSE_BLOCK = 1 << 16
 
-    Every submodule is a join of cyclic submodules, so closing the set of
-    cyclic submodules under pairwise sums reaches all of them; a cyclic
-    submodule already inside a submodule adds nothing and is skipped.
-    Codewords are numbered by their position in the sorted code, and the
-    sums and multiples of codeword digits are located among them by
-    ``_row_locator``.  The count of submodules found is checked against
-    ``LATTICE_CAP`` as each one is found, since they are the elements of
-    the submodule lattice.
+
+def enumerate_submodules(code: Code) -> list[Code]:
+    """All submodules of the code, in a deterministic order: by size, then
+    by the sorted positions of their words in the sorted code.
+
+    A submodule is a membership mask over the sorted words.  Every
+    submodule is a join of cyclic submodules, so the masks of the cyclic
+    submodules are closed under a + <g>, one level of new masks (the
+    frontier) at a time.  As <g> is closed under negation, a + <g> is
+    {w_x - y : x in a, y in <g>}, read off the difference table
+    diff[y, x] = pos(w_x - w_y) for a block of (mask, cyclic) pairs at a
+    time; pairs whose mask already holds the cyclic are skipped.  Rows of
+    the table are located (by ``_row_locator``) the first time a cyclic
+    needs them, so a refusal at the cap costs only the rows it used.
+    Masks are deduplicated on their packed bytes, and the count of
+    submodules found is checked against ``LATTICE_CAP`` as each one is
+    found, since they are the elements of the submodule lattice.
     """
     check_cap(len(code), SUBMODULE_CAP, "submodule enumeration")
     ring, n = code.ring, code.n
     words = code.sorted_words()
+    m = len(words)
     digits = ring.encode(words, n)
     positions = _row_locator(digits, ring.mods(n))
+    diff = np.empty((m, m), dtype=np.int32)
+    located = np.zeros(m, dtype=bool)
 
-    # Row by row, so the digit temporary is one row's (m, n * ell), not m times that.
-    add = np.empty((len(words), len(words)), dtype=np.int32)
-    for i, w in enumerate(digits):
-        add[i] = positions(w + digits)
-    multiples = positions(np.tile(ring.space(1), n)[:, None] * digits)
-    cyclics = {frozenset(col) for col in multiples.T.tolist()}
-    check_cap(len(cyclics), LATTICE_CAP, "submodule count")
-    found = set(cyclics)
-    frontier = cyclics
-    while frontier:
-        new = set()
-        for a in frontier:
-            ia = sorted(a)
-            for b in cyclics:
-                if b <= a:
-                    continue
-                s = frozenset(np.unique(add[np.ix_(ia, sorted(b))]).tolist())
-                if s not in found:
-                    found.add(s)
-                    new.add(s)
-                    check_cap(len(found), LATTICE_CAP, "submodule count")
-        frontier = new
+    def locate(ys: np.ndarray) -> None:
+        todo = np.unique(ys[~located[ys]])
+        step = max(1, _CLOSE_BLOCK // digits.size)
+        for start in range(0, len(todo), step):
+            part = todo[start : start + step]
+            diff[part] = positions(digits[None, :] - digits[part, None])
+        located[todo] = True
 
-    subs = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return [
-        Code(ring, code.n, (), frozenset(words[i] for i in s)) for s in subs
-    ]
+    # gens[i]: the positions of r * w for r in R, sorted, one row per cyclic
+    # submodule <w>: each of its words is r * w for |ann(w)| values of r,
+    # so equal submodules give equal rows.
+    scalars = np.tile(ring.space(1), n)[:, None]
+    step = max(1, _CLOSE_BLOCK // scalars.size)
+    cyclics = set()
+    for start in range(0, m, step):
+        multiples = positions(scalars * digits[start : start + step])
+        cyclics.update(map(tuple, np.sort(multiples, axis=0).T.tolist()))
+    gens = np.array(sorted(cyclics))
+    check_cap(len(gens), LATTICE_CAP, "submodule count")
+    cyclic = np.zeros((len(gens), m), dtype=bool)
+    cyclic[np.arange(len(gens))[:, None], gens] = True
+    packed = np.packbits(cyclic, axis=1)
+    row_bytes = np.dtype((np.void, packed.shape[1]))
+    found = set(packed.view(row_bytes).ravel().tolist())
+    frontier = packed[1:]  # gens[0] is the zero submodule, which adds nothing
+
+    masks_per_block = max(1, _CLOSE_BLOCK // gens.size)
+    while len(frontier):
+        new = []
+        for start in range(0, len(frontier), masks_per_block):
+            block = np.unpackbits(frontier[start : start + masks_per_block], axis=1, count=m)
+            block = block.view(bool)
+            pairs = np.argwhere(~block[:, gens].all(axis=2))
+            widest = int(block.sum(axis=1).max()) * gens.shape[1]
+            pairs_per_block = max(1, _CLOSE_BLOCK // (m + widest))
+            for p in range(0, len(pairs), pairs_per_block):
+                a, g = pairs[p : p + pairs_per_block].T
+                locate(gens[g])
+                i, x = np.nonzero(block[a])
+                sums = np.zeros((len(a), m), dtype=bool)
+                sums[i[:, None], diff[gens[g[i]], x[:, None]]] = True
+                for key in np.packbits(sums, axis=1).view(row_bytes).ravel().tolist():
+                    if key not in found:
+                        found.add(key)
+                        new.append(key)
+                        check_cap(len(found), LATTICE_CAP, "submodule count")
+        frontier = np.frombuffer(b"".join(new), dtype=np.uint8).reshape(-1, row_bytes.itemsize)
+
+    masks = (np.unpackbits(np.frombuffer(k, dtype=np.uint8), count=m) for k in found)
+    subs = [np.flatnonzero(mask).tolist() for mask in masks]
+    subs.sort(key=lambda s: (len(s), s))
+    return [Code(ring, n, (), frozenset(words[i] for i in s)) for s in subs]
 
 
 # -- row reduction over F_p -------------------------------------------------

@@ -215,6 +215,13 @@ def test_submodule_lattice_commands(capsys, tmp_path):
     assert code == 0 and "Traceback" not in err
     data = json.loads(out)
     assert (len(data["independents"]), len(data["bases"]), len(data["circuits"])) == (7, 4, 1)
+    # a submodule label is its sorted codewords, one token per word
+    assert data["circuits"] == ["{00,20}"]
+    assert "{00,11,22,33}" in data["bases"]
+    z6 = _write(tmp_path, "ring = Z_2 x Z_3\nn = 2\nsupport = chain\nlattice = submodule\ngen = 1 0\n")
+    code, out, err = run_cli(capsys, "--command", "circuits", "--config", z6)
+    assert code == 0 and "Traceback" not in err
+    assert "{0:0.0:0,1:0.0:0}" in json.loads(out)["circuits"]
 
 
 def test_submodule_lattice_cap_is_checked_before_spanning_the_ambient_space(

@@ -123,6 +123,27 @@ def test_enumerate_submodules_beyond_int64_indices(ring_text, tail):
     ]
 
 
+def test_full_space_is_the_span_of_the_standard_basis():
+    for ring_text, n in (("Z_2", 3), ("Z_4", 2), ("Z_9", 2), ("Z_2 x Z_3", 2), ("Z_2 x Z_2", 2)):
+        ring = parse_ring(ring_text)
+        basis = [ring.basis_vector(n, i) for i in range(n)]
+        full, spanned = full_space(ring, n), span(ring, n, basis)
+        assert full == spanned and full.generators == spanned.generators
+        assert len(full) == ring.size**n
+
+
+def test_full_space_checks_the_span_cap_before_building_words():
+    with pytest.raises(CapExceededError, match="materializing a code in Z_2\\^21 needs 2097152"):
+        full_space(F2, 21)
+
+
+def test_enumerate_submodules_refuses_the_4097th_subspace_of_f2_12():
+    # F_2^12 has 4,096 words and 4,096 cyclic subspaces (the zero space and
+    # 4,095 lines), so the first plane found is one past the lattice cap.
+    with pytest.raises(CapExceededError, match="submodule count needs 4097 > cap 4096"):
+        enumerate_submodules(full_space(F2, 12))
+
+
 def test_enumerate_submodules_cap(monkeypatch):
     monkeypatch.setattr(codes, "SUBMODULE_CAP", 4)
     with pytest.raises(CapExceededError, match="submodule enumeration needs 8 > cap 4"):

@@ -10,7 +10,10 @@ The chain-support latroid and the block matroid are compared with
 reference constructions that evaluate one support per (label, codeword)
 pair.  The rectangular-support latroid and the modular-function check are
 compared with references that list the rectangular modules by the exponents
-of their ideals and their members by valuations.
+of their ideals and their members by valuations.  The submodule enumerator
+is compared with the closure of the cyclic submodules under pairwise sums
+in Python tuple arithmetic, and the submodule-lattice latroid with
+lambda(M) - lambda(M n C) taken by intersecting codeword sets.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from test_supports import BATCH_RINGS, reference_chain_support
 from latroids.code_latroids import (
     block_matroid,
     chain_support_latroid,
+    latroid_from_code,
     latroid_weights_equal_code_weights,
     rect_supp_latroid,
 )
-from latroids.codes import Code, span, zero_code
+from latroids.codes import Code, enumerate_submodules, length_lambda, span, zero_code
 from latroids.core import Latroid, dual_latroid, sleq, validate_latroid
 from latroids.enumerators import (
     enumerator_from_tutte,
@@ -262,3 +266,47 @@ def test_rect_latroid_of_random_code_matches_reference(ring_name, data):
         assert lt.lattice == chain_support_lattice(ring, n)
         report = validate_latroid(lt)
         assert report.ok, report.summary()
+
+
+# -- submodules -----------------------------------------------------------------
+
+SUBMODULE_RINGS = ("Z_2", "Z_3", "Z_4", "Z_8", "Z_9", "Z_2 x Z_3", "Z_2 x Z_4", "Z_2 x Z_2")
+
+
+def reference_submodules(code):
+    """Cyclic submodules closed under pairwise sums, by Python tuple
+    arithmetic: a set of word positions per submodule, sorted by size and
+    then by the sorted positions, as ``enumerate_submodules`` orders them."""
+    ring, words = code.ring, code.sorted_words()
+    pos = {w: i for i, w in enumerate(words)}
+    add = [[pos[ring.vadd(x, y)] for y in words] for x in words]
+    cyclics = {frozenset(pos[ring.vscale(r, w)] for r in ring.elements()) for w in words}
+    found, frontier = set(cyclics), cyclics
+    while frontier:
+        frontier = {
+            frozenset(add[i][j] for i in a for j in b)
+            for a in frontier for b in cyclics if not b <= a
+        } - found
+        found |= frontier
+    return [
+        Code(ring, code.n, (), frozenset(words[i] for i in s))
+        for s in sorted(found, key=lambda s: (len(s), sorted(s)))
+    ]
+
+
+@pytest.mark.parametrize("ring_name", SUBMODULE_RINGS)
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(data=st.data())
+def test_submodules_of_random_code_match_pairwise_sums(ring_name, data):
+    code = data.draw(codes(parse_ring(ring_name)))
+    got = enumerate_submodules(code)
+    assert [s.codewords for s in got] == [s.codewords for s in reference_submodules(code)]
+    ring, n = code.ring, code.n
+    if ring.size**n > 81:
+        return
+    # rho(M) = lambda(M) - lambda(M n C), the intersection taken on words
+    lt = latroid_from_code(code)
+    for i, m in enumerate(lt.lattice.labels):
+        inside = Code(ring, n, (), m.codewords & code.codewords)
+        assert lt.rank[i] == (length_lambda(m) - length_lambda(inside),)
+        assert lt.length[i] == (length_lambda(m),)
