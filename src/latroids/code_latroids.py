@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -58,9 +57,7 @@ def latroid_from_code(code: Code) -> Latroid:
     check_cap(code.ring.size**code.n, SUBMODULE_CAP, "submodule enumeration")
     lattice = submodule_lattice(full_space(code.ring, code.n))
     length = np.array([length_lambda(m) for m in lattice.labels])
-    rank = length - length[lattice.meet[:, lattice.index[code]]]
-    rank, length = (tuple((x,) for x in a.tolist()) for a in (rank, length))
-    return Latroid(lattice, rank, length, 1)
+    return Latroid(lattice, length - length[lattice.meet[:, lattice.index[code]]], length)
 
 
 # -- chain-support latroids ----------------------------------------------------
@@ -87,15 +84,13 @@ def chain_support_latroid(code: Code) -> Latroid:
     grid = np.array(lattice.labels, dtype=np.int64)
     digits = ring.encode(code.codewords, n)
     levels = ChainSupport(ring, n).of_digits(digits)
-    rank, length = [], []
+    length = grid.reshape(len(grid), n, ell).sum(axis=1)
+    rank = length.copy()
     for j, f in enumerate(ring.factors):
         _, first = np.unique(digits[:, j::ell], axis=0, return_index=True)
         counts = _dominated(levels[first, j::ell], 1, [f.k] * n, np.add)
-        sizes = grid[:, j::ell].sum(axis=1).tolist()
-        inside = counts[tuple(grid[:, j::ell].T)].tolist()
-        rank.append([s - intlog(f.p, c) for s, c in zip(sizes, inside)])
-        length.append(sizes)
-    return Latroid(lattice, tuple(zip(*rank)), tuple(zip(*length)), ell)
+        rank[:, j] -= [intlog(f.p, c) for c in counts[tuple(grid[:, j::ell].T)].tolist()]
+    return Latroid(lattice, rank, length)
 
 
 # -- rectangular-support latroids ------------------------------------------------
@@ -117,9 +112,7 @@ def rect_supp_latroid(code: Code, supp: Support) -> Latroid:
     lattice = chain_support_lattice(code.ring, code.n)
     supp_of = rectangular_supports(supp)
     closure = lattice.index[ChainSupport(code.ring, code.n).of_set(code.codewords)]
-    rank = supp_of - supp_of[lattice.meet[:, closure]]
-    rank, length = (tuple(map(tuple, a.tolist())) for a in (rank, supp_of))
-    return Latroid(lattice, rank, length, supp.u)
+    return Latroid(lattice, supp_of - supp_of[lattice.meet[:, closure]], supp_of)
 
 
 # -- block matroids ---------------------------------------------------------------
@@ -143,8 +136,8 @@ def block_matroid(code: Code) -> Latroid:
     levels = HammingSupport(code.ring, code.n).of_digits(code.ring.encode(code.codewords, code.n))
     rows = _members(lattice.labels, range(code.n)).astype(np.int64)
     inside = _dominated(levels, 1, [1] * code.n, np.add)[tuple(rows.T)].tolist()
-    rank = tuple((len(s) - intlog(q, c),) for s, c in zip(lattice.labels, inside))
-    return Latroid(lattice, rank, tuple((len(s),) for s in lattice.labels), 1)
+    length = rows.sum(axis=1)
+    return Latroid(lattice, length - [intlog(q, c) for c in inside], length)
 
 
 # -- matrix codes ------------------------------------------------------------------
@@ -282,45 +275,47 @@ def rank_metric_latroid(mc: MatrixCode) -> Latroid:
 
 
 def tilde_polymatroid(mc: MatrixCode) -> Latroid:
-    """The rational-rank variant rho(V) = (dim C - dim C(V*)) / m with
-    dim as length; a q-polymatroid presented as a latroid."""
+    """The q-polymatroid tilde_rho(V) = (dim C - dim C(V*)) / m of Gorla et
+    al., in its integer presentation: the rank m tilde_rho(V) =
+    dim C - dim C(V*) with the length m dim(V), a (q, m)-polymatroid
+    presented as a latroid.  L1-L5 and P1-P3 are invariant under the
+    positive scale m."""
     m, n = mc.shape
     [(lattice, members, inside)] = _block_subspaces(mc, "row")
     counts = inside.sum(axis=1).tolist()
-    rank = tuple(
-        (Fraction(mc.dim() - intlog(mc.q, counts[p]), m),)
-        for p in _perps(members, mc.q, n)
-    )
-    return Latroid(lattice, rank, tuple((len(b),) for b in lattice.labels), 1)
+    rank = [mc.dim() - intlog(mc.q, counts[p]) for p in _perps(members, mc.q, n)]
+    return Latroid(lattice, rank, [m * len(b) for b in lattice.labels])
 
 
 def qpolymatroid_axioms(lt: Latroid) -> Report:
     """P1: 0 <= rho <= dim, P2: monotone, P3: submodular, with the latroid's
-    length playing the dimension."""
+    length playing the dimension (udim 1); for the (q, m) presentation of
+    ``tilde_polymatroid`` that is m dim, and the axioms scale with it."""
     lat = lt.lattice
+    rank, length = lt.rank[:, 0].tolist(), lt.length[:, 0].tolist()
     return Report.from_checks([
         Check.from_witnesses("P1_bounded_by_dim", (
-            f"rho({lat.labels[i]}) = {lt.rank[i]}"
+            f"rho({lat.labels[i]}) = {(rank[i],)}"
             for i in range(lat.size)
-            if not (0 <= lt.rank[i][0] and lt.rank[i][0] <= lt.length[i][0])
+            if not 0 <= rank[i] <= length[i]
         )),
         Check.from_witnesses("P2_monotone", (
             f"{lat.labels[a]} <= {lat.labels[b]}"
             for a, b in lat.comparable_pairs()
-            if lt.rank[a][0] > lt.rank[b][0]
+            if rank[a] > rank[b]
         )),
         Check.from_witnesses("P3_submodular", (
             f"{lat.labels[a]}, {lat.labels[b]}"
             for a, b in lat.pairs()
-            if lt.rank[lat.join[a, b]][0] + lt.rank[lat.meet[a, b]][0]
-            > lt.rank[a][0] + lt.rank[b][0]
+            if rank[lat.join[a, b]] + rank[lat.meet[a, b]] > rank[a] + rank[b]
         )),
     ])
 
 
 def tilde_relation_check(mc: MatrixCode) -> Report:
     """The two rank-metric latroids carry the same information:
-    tilde_rho(V) = (rho(V*) - m dim(V*) + dim C) / m for every V."""
+    m tilde_rho(V) = rho(V*) - m dim(V*) + dim C for every V, compared in
+    integers on the (q, m) presentation of ``tilde_polymatroid``."""
     m, n = mc.shape
     plain = rank_metric_latroid(mc)
     tilde = tilde_polymatroid(mc)
@@ -330,10 +325,7 @@ def tilde_relation_check(mc: MatrixCode) -> Report:
     def mismatches():
         for i, basis in enumerate(lat.labels):
             j = perp[i]
-            expected = Fraction(
-                plain.rank[j][0] - m * len(lat.labels[j]) + mc.dim(), m
-            )
-            if tilde.rank[i][0] != expected:
+            if tilde.rank[i, 0] != plain.rank[j, 0] - m * len(lat.labels[j]) + mc.dim():
                 yield f"V = {basis}"
 
     return Report.from_checks([Check.from_witnesses("tilde_rank_relation", mismatches())])
@@ -367,8 +359,7 @@ def sum_rank_latroid(mc: MatrixCode, spaces: str = "column") -> Latroid:
         length = (length[:, None] + [m * len(b) for b in lat.labels]).ravel()
         inside = (inside[:, None] & ins).reshape(-1, len(mc))
     counts = inside.sum(axis=1).tolist()
-    rank = tuple((d - intlog(mc.q, c),) for d, c in zip(length.tolist(), counts))
-    return Latroid(lattice, rank, tuple((d,) for d in length.tolist()), 1)
+    return Latroid(lattice, length - [intlog(mc.q, c) for c in counts], length)
 
 
 # -- generalized weights of codes -----------------------------------------------

@@ -1,5 +1,5 @@
 """Latroids: a rank function and a length function on a finite modular
-lattice, with values in Z^u (exact rationals admitted).
+lattice, with values in Z^u.
 
 A triple (rho, len, L) must satisfy
   L1  rho(0) = len(0) = 0
@@ -7,7 +7,8 @@ A triple (rho, len, L) must satisfy
   L3  len is modular
   L4  0 <= rho(M) - rho(L) <= len(M) - len(L) whenever L < M
   L5  rho is submodular
-Scalars are tuples under the product order, so comparisons may leave pairs
+Both functions are read-only int64 tables of shape (N, u), row i for
+lattice element i, compared under the product order, so two values may be
 incomparable; the validators treat that explicitly.
 
 Constructors, here and in ``code_latroids``, only build the rank and length
@@ -41,83 +42,70 @@ from .lattices import (
 )
 from .report import Check, Report
 
-Scalar = tuple  # length-u tuple of int or Fraction
+
+def _table(values, size: int) -> np.ndarray:
+    """``values`` as a read-only int64 (size, u) array; a 1-D table has
+    u = 1.  The dtype is checked before the cast, which would truncate a
+    rational or a float silently."""
+    table = np.asarray(values)
+    if table.size and table.dtype.kind not in "iu":
+        raise ValueError(f"rank and length tables must be integers, got {table.dtype}")
+    if table.ndim == 1:
+        table = table[:, None]
+    if table.ndim != 2 or len(table) != size:
+        raise ValueError("rank/length tables must match the lattice size")
+    table = table.astype(np.int64)
+    table.flags.writeable = False
+    return table
 
 
-def as_scalar(value, udim: int) -> Scalar:
-    if isinstance(value, tuple):
-        if len(value) != udim:
-            raise ValueError(f"scalar {value} does not have {udim} coordinates")
-        return value
-    return (value,) * udim
-
-
-def szero(udim: int) -> Scalar:
-    return (0,) * udim
-
-
-def sadd(a: Scalar, b: Scalar) -> Scalar:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def ssub(a: Scalar, b: Scalar) -> Scalar:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def sleq(a: Scalar, b: Scalar) -> bool:
-    return all(x <= y for x, y in zip(a, b, strict=True))
-
-
-def slt(a: Scalar, b: Scalar) -> bool:
-    return sleq(a, b) and a != b
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Latroid:
-    """Rank and length tables indexed by lattice element."""
+    """Rank and length tables indexed by lattice element: int64 arrays of
+    shape (N, udim).  Equal by value: the lattice and both tables."""
 
     lattice: FiniteLattice
-    rank: tuple[Scalar, ...]
-    length: tuple[Scalar, ...]
-    udim: int
+    rank: np.ndarray
+    length: np.ndarray
 
     def __post_init__(self):
-        n = self.lattice.size
-        if len(self.rank) != n or len(self.length) != n:
-            raise ValueError("rank/length tables must match the lattice size")
+        for name in ("rank", "length"):
+            object.__setattr__(self, name, _table(getattr(self, name), self.lattice.size))
+        if self.rank.shape != self.length.shape:
+            raise ValueError("rank and length tables must share the scalar dimension")
 
     @classmethod
-    def from_functions(cls, lattice: FiniteLattice, rho, length, udim: int = 1) -> "Latroid":
-        rank = tuple(as_scalar(rho(lab), udim) for lab in lattice.labels)
-        leng = tuple(as_scalar(length(lab), udim) for lab in lattice.labels)
-        return cls(lattice, rank, leng, udim)
+    def from_functions(cls, lattice: FiniteLattice, rho, length) -> "Latroid":
+        """Tables of rho and length at each label: ints, or tuples of ints."""
+        return cls(lattice, [rho(lab) for lab in lattice.labels],
+                   [length(lab) for lab in lattice.labels])
 
-    def rho(self, i: int) -> Scalar:
-        return self.rank[i]
+    @property
+    def udim(self) -> int:
+        return self.rank.shape[1]
 
-    def top_rank(self) -> Scalar:
+    def _key(self):
+        return self.lattice, self.rank.shape, self.rank.tobytes(), self.length.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, Latroid) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def top_rank(self) -> np.ndarray:
         return self.rank[self.lattice.top]
 
     def uses_height_length(self) -> bool:
         """True when the length function is the lattice height (udim 1)."""
-        if self.udim != 1 or not self.lattice.is_graded:
-            return False
-        return all(
-            self.length[i] == (self.lattice.hgt(i),) for i in range(self.lattice.size)
-        )
+        return (self.udim == 1 and self.lattice.is_graded
+                and np.array_equal(self.length[:, 0], self.lattice.height))
 
 
 #: Entries per block of rows in the exhaustive scans (validate_latroid, the
 #: pairwise axiom checks, the support validators); bounds their temporary
 #: arrays and so peak memory.
 _SCAN_BLOCK = 1 << 13
-
-
-def _scalar_array(values, udim: int) -> np.ndarray:
-    """Scalars as an (N, udim) object array: int and Fraction stay exact."""
-    out = np.empty((len(values), udim), dtype=object)
-    out[:] = values
-    return out
 
 
 def _strict(lat: FiniteLattice) -> np.ndarray:
@@ -139,14 +127,12 @@ def scan_rows(rows: int, width: int, bad):
 def validate_latroid(lt: Latroid) -> Report:
     """Exhaustively check L1-L5; each check reports its first witness.
 
-    L2-L5 run on object arrays of the scalars, a block of rows at a time;
-    a witness is the first failing pair in row-major order.
+    L2-L5 run on the int64 tables, a block of rows at a time; a witness is
+    the first failing pair in row-major order, its values as tuples.
     """
     lat = lt.lattice
     labels = lat.labels
-    zero = szero(lt.udim)
-    rank = _scalar_array(lt.rank, lt.udim)
-    length = _scalar_array(lt.length, lt.udim)
+    rank, length = lt.rank, lt.length
     strict = _strict(lat)
 
     def le(x, y):
@@ -174,20 +160,24 @@ def validate_latroid(lt: Latroid) -> Report:
         rhs = rank[lat.join[rows]] + rank[lat.meet[rows]]
         return ~le(rhs, lhs)
 
-    ok = lt.rank[lat.bottom] == zero and lt.length[lat.bottom] == zero
+    def value(row):
+        return tuple(row.tolist())
+
+    bottom = lat.bottom
+    ok = not (rank[bottom].any() or length[bottom].any())
     return Report.from_checks([
         Check("L1_zero_at_bottom", ok, "" if ok else
-              f"rho(0)={lt.rank[lat.bottom]}, len(0)={lt.length[lat.bottom]}"),
+              f"rho(0)={value(rank[bottom])}, len(0)={value(length[bottom])}"),
         Check.from_witnesses("L2_length_strictly_increasing", (
-            f"len({labels[a]})={lt.length[a]} !< len({labels[b]})={lt.length[b]}"
+            f"len({labels[a]})={value(length[a])} !< len({labels[b]})={value(length[b])}"
             for a, b in bad_pairs(length_not_increasing)
         )),
         Check.from_witnesses("L3_length_modular", (
             f"{labels[a]}, {labels[b]}" for a, b in bad_pairs(length_not_modular)
         )),
         Check.from_witnesses("L4_rank_bounded_increasing", (
-            f"{labels[a]} < {labels[b]}: drho={ssub(lt.rank[b], lt.rank[a])}, "
-            f"dlen={ssub(lt.length[b], lt.length[a])}"
+            f"{labels[a]} < {labels[b]}: drho={value(rank[b] - rank[a])}, "
+            f"dlen={value(length[b] - length[a])}"
             for a, b in bad_pairs(rank_not_bounded)
         )),
         Check.from_witnesses("L5_rank_submodular", (
@@ -199,36 +189,32 @@ def validate_latroid(lt: Latroid) -> Report:
 # -- constructors ----------------------------------------------------------
 
 
-def _height_length(lat: FiniteLattice, what: str) -> tuple[Scalar, ...]:
+def _height_length(lat: FiniteLattice, what: str) -> np.ndarray:
     """The height function as a udim-1 length; ``what`` names the caller."""
     if not lat.is_graded:
         raise NotGradedError(f"{what} needs a graded lattice")
-    return tuple((h,) for h in lat.height)
+    return np.array(lat.height)
 
 
 def free_latroid(lat: FiniteLattice) -> Latroid:
     """rho = len = the height function of a graded lattice."""
     length = _height_length(lat, "free latroid")
-    return Latroid(lat, length, length, 1)
+    return Latroid(lat, length, length)
 
 
-def uniform_latroid(lat: FiniteLattice, a) -> Latroid:
+def uniform_latroid(lat: FiniteLattice, a: int) -> Latroid:
     """rho(L) = hgt(L) capped at a > 0, with the height as length."""
     length = _height_length(lat, "uniform latroid")
-    a = as_scalar(a, 1)
-    if not slt(szero(1), a):
+    if not a > 0:
         raise ValueError(f"uniform cap must be positive, got {a}")
-    rank = tuple(l if sleq(l, a) else a for l in length)
-    return Latroid(lat, rank, length, 1)
+    return Latroid(lat, np.minimum(length, a), length)
 
 
 def restrict(lt: Latroid, a: int, b: int) -> Latroid:
     """The latroid on [a, b] with both functions shifted to vanish at a."""
     sub = interval(lt.lattice, a, b)
     idx = [lt.lattice.index[lab] for lab in sub.labels]
-    rank = tuple(ssub(lt.rank[i], lt.rank[a]) for i in idx)
-    length = tuple(ssub(lt.length[i], lt.length[a]) for i in idx)
-    return Latroid(sub, rank, length, lt.udim)
+    return Latroid(sub, lt.rank[idx] - lt.rank[a], lt.length[idx] - lt.length[a])
 
 
 def direct_sum(lt1: Latroid, lt2: Latroid) -> Latroid:
@@ -236,51 +222,29 @@ def direct_sum(lt1: Latroid, lt2: Latroid) -> Latroid:
     if lt1.udim != lt2.udim:
         raise ValueError("direct summands must share the scalar dimension")
     lat = product_lattice(lt1.lattice, lt2.lattice)
-    n2 = lt2.lattice.size
-    rank = []
-    length = []
-    for i in range(lt1.lattice.size):
-        for j in range(n2):
-            rank.append(sadd(lt1.rank[i], lt2.rank[j]))
-            length.append(sadd(lt1.length[i], lt2.length[j]))
-    return Latroid(lat, tuple(rank), tuple(length), lt1.udim)
+    # element (i, j) of the product is row i * |L2| + j
+    rank = lt1.rank[:, None] + lt2.rank[None]
+    length = lt1.length[:, None] + lt2.length[None]
+    return Latroid(lat, rank.reshape(lat.size, -1), length.reshape(lat.size, -1))
 
 
 def dual_latroid(lt: Latroid) -> Latroid:
     """Reverse the lattice; len*(L) = len(1) - len(L) and
     rho*(L) = len*(L) - rho(1) + rho(L)."""
-    lat = dual_lattice(lt.lattice)
-    top_len = lt.length[lt.lattice.top]
-    top_rank = lt.rank[lt.lattice.top]
-    length = tuple(ssub(top_len, l) for l in lt.length)
-    rank = tuple(
-        sadd(ssub(length[i], top_rank), lt.rank[i]) for i in range(lat.size)
-    )
-    return Latroid(lat, rank, length, lt.udim)
-
-
-def scale_latroid(lt: Latroid, c: int) -> Latroid:
-    """Multiply rank and length by a positive integer."""
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
-    rank = tuple(tuple(c * x for x in s) for s in lt.rank)
-    length = tuple(tuple(c * x for x in s) for s in lt.length)
-    return Latroid(lt.lattice, rank, length, lt.udim)
+    length = lt.length[lt.lattice.top] - lt.length
+    return Latroid(dual_lattice(lt.lattice), length - lt.top_rank() + lt.rank, length)
 
 
 def collapse_scalars(lt: Latroid) -> Latroid:
     """Sum the scalar coordinates, giving a udim-1 latroid."""
-    rank = tuple((sum(s),) for s in lt.rank)
-    length = tuple((sum(s),) for s in lt.length)
-    return Latroid(lt.lattice, rank, length, 1)
+    return Latroid(lt.lattice, lt.rank.sum(axis=1), lt.length.sum(axis=1))
 
 
 # -- independents / bases / circuits ------------------------------------------
 
 
 def _independent_mask(lt: Latroid) -> np.ndarray:
-    rank = _scalar_array(lt.rank, lt.udim)
-    return (rank == _scalar_array(lt.length, lt.udim)).all(axis=1)
+    return (lt.rank == lt.length).all(axis=1)
 
 
 def independents(lt: Latroid) -> tuple[int, ...]:
@@ -290,8 +254,7 @@ def independents(lt: Latroid) -> tuple[int, ...]:
 
 def bases(lt: Latroid) -> tuple[int, ...]:
     """Independent elements whose length equals the top rank."""
-    top_rank = _scalar_array([lt.top_rank()], lt.udim)
-    full = (_scalar_array(lt.length, lt.udim) == top_rank).all(axis=1)
+    full = (lt.length == lt.top_rank()).all(axis=1)
     return tuple(np.flatnonzero(_independent_mask(lt) & full).tolist())
 
 
@@ -368,8 +331,8 @@ def _unmatched_pairs(lat: FiniteLattice, M: np.ndarray):
         yield l1, l2, int(rows[a]), int(cols[b])
 
 
-def _common_heights(lat: FiniteLattice, M: np.ndarray, what: str) -> tuple:
-    """(h,) for each row of M whose members all have height h."""
+def _common_heights(lat: FiniteLattice, M: np.ndarray, what: str) -> np.ndarray:
+    """The height h shared by the members of each row of M."""
     height = np.asarray(lat.height)
     hi = np.where(M, height, -1).max(axis=1)
     mixed = hi != np.where(M, height, lat.size).min(axis=1)
@@ -379,7 +342,7 @@ def _common_heights(lat: FiniteLattice, M: np.ndarray, what: str) -> tuple:
             f"maximal {what} below {lat.labels[l]} have heights "
             f"{sorted(set(height[M[l]].tolist()))}"
         )
-    return tuple((h,) for h in hi.tolist())
+    return hi
 
 
 def _atom_decompositions(lat: FiniteLattice, x: int):
@@ -534,7 +497,7 @@ def rank_from_independents(lat: FiniteLattice, indep) -> Latroid:
         raise ReconstructionError(f"independent axioms fail: {report.summary()}")
     maxima = _maximal(lat, lat.leq.T & _membership(lat, I))
     rank = _common_heights(lat, maxima, "independents")
-    return Latroid(lat, rank, _height_length(lat, "rank_from_independents"), 1)
+    return Latroid(lat, rank, _height_length(lat, "rank_from_independents"))
 
 
 def rank_from_bases(lat: FiniteLattice, base_set) -> Latroid:
@@ -544,7 +507,7 @@ def rank_from_bases(lat: FiniteLattice, base_set) -> Latroid:
     if not report.ok:
         raise ReconstructionError(f"basis axioms fail: {report.summary()}")
     rank = _common_heights(lat, _meet_maxima(lat, B), "basis meets")
-    return Latroid(lat, rank, _height_length(lat, "rank_from_bases"), 1)
+    return Latroid(lat, rank, _height_length(lat, "rank_from_bases"))
 
 
 def circuit_chain_length(lat: FiniteLattice, circuit_set, l: int) -> int:
@@ -578,10 +541,9 @@ def rank_from_circuits(lat: FiniteLattice, circuit_set) -> Latroid:
     report = axioms_C(lat, C)
     if not report.ok:
         raise ReconstructionError(f"circuit axioms fail: {report.summary()}")
-    rank = tuple(
-        (lat.hgt(l) - circuit_chain_length(lat, C, l),) for l in range(lat.size)
-    )
-    return Latroid(lat, rank, _height_length(lat, "rank_from_circuits"), 1)
+    length = _height_length(lat, "rank_from_circuits")
+    kappa = [circuit_chain_length(lat, C, l) for l in range(lat.size)]
+    return Latroid(lat, length - kappa, length)
 
 
 # -- closure, flats, hyperplanes ----------------------------------------------
@@ -595,9 +557,8 @@ def closure(lt: Latroid, l: int) -> int:
     """
     lat = lt.lattice
     out = lat.bottom
-    for x in range(lat.size):
-        if lt.rank[int(lat.join[l, x])] == lt.rank[l]:
-            out = int(lat.join[out, x])
+    for x in np.flatnonzero((lt.rank[lat.join[l]] == lt.rank[l]).all(axis=1)).tolist():
+        out = int(lat.join[out, x])
     if not lat.leq[l, out]:
         raise AssertionError("closure must dominate its argument")
     return out
@@ -612,13 +573,13 @@ def hyperplanes(lt: Latroid) -> tuple[int, ...]:
     if lt.udim != 1:
         raise ValueError("hyperplanes need a totally ordered scalar (udim 1)")
     want = lt.top_rank()[0] - 1
-    return tuple(l for l in flats(lt) if lt.rank[l][0] == want)
+    return tuple(l for l in flats(lt) if lt.rank[l, 0] == want)
 
 
 # -- generalized weights --------------------------------------------------------
 
 
-def generalized_weight(lt: Latroid, a) -> int:
+def generalized_weight(lt: Latroid, a: int) -> int:
     """d_a: the least len(L) with len(L) - rho(L) >= a; 0 when nothing
     qualifies.  Only for udim 1, where min is unambiguous."""
     if lt.udim != 1:
@@ -626,23 +587,15 @@ def generalized_weight(lt: Latroid, a) -> int:
             "generalized_weight needs a totally ordered scalar; "
             "use minimal_feasible_lengths for udim > 1"
         )
-    a = as_scalar(a, 1)
-    feasible = [
-        lt.length[l][0]
-        for l in range(lt.lattice.size)
-        if sleq(a, ssub(lt.length[l], lt.rank[l]))
-    ]
-    return min(feasible) if feasible else 0
+    feasible = lt.length[lt.length - lt.rank >= a]
+    return int(feasible.min()) if feasible.size else 0
 
 
-def minimal_feasible_lengths(lt: Latroid, a) -> tuple[Scalar, ...]:
-    """The antichain of minimal len(L) values with len(L) - rho(L) >= a."""
-    a = as_scalar(a, lt.udim)
-    feasible = {
-        lt.length[l]
-        for l in range(lt.lattice.size)
-        if sleq(a, ssub(lt.length[l], lt.rank[l]))
-    }
-    return tuple(
-        sorted(s for s in feasible if not any(slt(t, s) for t in feasible))
-    )
+def minimal_feasible_lengths(lt: Latroid, a) -> tuple[tuple[int, ...], ...]:
+    """The antichain of minimal len(L) values with len(L) - rho(L) >= a
+    (an int, or a tuple of udim ints), in lexicographic order."""
+    feasible = np.unique(lt.length[(lt.length - lt.rank >= a).all(axis=1)], axis=0)
+    # below[t, s]: t <= s, so t < s off the diagonal of distinct rows
+    below = (feasible[:, None] <= feasible[None]).all(axis=-1)
+    minimal = ~(below & ~np.eye(len(feasible), dtype=bool)).any(axis=0)
+    return tuple(map(tuple, feasible[minimal].tolist()))

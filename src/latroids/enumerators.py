@@ -264,15 +264,14 @@ def tutte_whitney_Rprime(lt: Latroid) -> ExpPoly:
         + tuple(f"v{i+1}" for i in range(s))
     )
     top_label = lt.lattice.labels[lt.lattice.top]
-    top_rank = lt.top_rank()
+    # the u and v exponents of every element, as rows of Python ints
+    uv = np.hstack([lt.top_rank() - lt.rank, lt.length - lt.rank]).tolist()
     pairs = []
-    for i, m in enumerate(labels):
+    for m, exps in zip(labels, uv):
         tilde = tuple(min(x + 1, t) for x, t in zip(m, top_label))
         zexp = tuple(a - b for a, b in zip(tilde, m))
         comp = tuple(t - x for t, x in zip(top_label, m))
-        uexp = tuple(a - b for a, b in zip(top_rank, lt.rank[i]))
-        vexp = tuple(a - b for a, b in zip(lt.length[i], lt.rank[i]))
-        pairs.append((m + zexp + comp + uexp + vexp, 1))
+        pairs.append((m + zexp + comp + tuple(exps), 1))
     return ExpPoly(3 * g + 2 * s, pairs, names)
 
 

@@ -29,11 +29,12 @@ checks ``LATTICE_CAP`` before it allocates an N x N array.  On a 2-vCPU x86
 machine the 4096-element boolean lattice builds in about 1 s and the 3^7
 grid in 0.04 s, against about 5 s and 1 s through the recurrence.
 
-Scans over all N^2 pairs that evaluate Python scalars (``Fraction`` or
-``int`` in ``core.validate_latroid``) run on numpy object arrays a block
-of rows at a time: one N x N object array per temporary would cost
-megabytes at a few hundred elements, and walking the blocks in order keeps
-the first failing pair in row-major order as the witness.
+Scans over all N^2 pairs (``core.scan_rows``: ``core.validate_latroid``
+on the int64 rank and length tables, the pairwise axiom checks) run a
+block of rows at a time: one N x N x u int64 temporary per comparison
+would cost hundreds of megabytes at a few thousand elements, and walking
+the blocks in order keeps the first failing pair in row-major order as the
+witness.
 """
 
 from __future__ import annotations

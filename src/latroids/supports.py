@@ -20,7 +20,9 @@ chain-support and block latroids, the enumerators) read that array.
 Constructors only build.  Whether a support meets the axioms is for
 ``validate_support`` and ``validate_modular`` to report, and they keep
 nothing on the support.  Guards ask ``is_standard`` and ``is_modular``; a
-``ChainSupport`` is both by construction, other supports scan each time.
+``ChainSupport`` is both by construction.  Other supports detect
+``is_standard`` on each read, and scan for ``is_modular`` once: the
+verdict is kept on the support (a support is not changed once built).
 ``rectangular_supports`` gives supp(M_g) for every rectangular module
 M_g = {v : ChainSupport(v) <= g} of R^n, a point of the grid
 ``lattices.chain_support_lattice``.
@@ -32,6 +34,7 @@ vector of index i, sums and multiples are array arithmetic plus
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -65,9 +68,9 @@ class Support:
     def is_standard(self) -> bool:
         return False
 
-    @property
+    @functools.cached_property
     def is_modular(self) -> bool:
-        """Scanned: ``validate_modular`` on R^n (capped)."""
+        """Scanned once: ``validate_modular`` on R^n (capped)."""
         return validate_modular(self).ok
 
     def of_digits(self, digits: np.ndarray) -> np.ndarray:

@@ -18,7 +18,10 @@ only in ``lattices.py``, in the package and in its tests.  No function of
 the package takes a ``validate`` parameter: constructors only build, and
 checking is for the validators (``validate_latroid``, ``validate_support``).
 No function imports: every import of the package is at module level, since
-none breaks an import cycle.
+none breaks an import cycle.  The public module-level functions that no
+module of the package calls or passes on (only the tests and the
+re-exports of ``__init__`` reach them) are pinned, as a ratchet, to the
+list ``ONLY_TESTS_USE``.
 """
 
 from __future__ import annotations
@@ -193,6 +196,87 @@ def test_checker_sees_unread_private_methods():
         "b.py": ast.parse("def f(s): return s._detect_standard()\n"),
     }
     assert _unread_private_methods(trees) == ["a.py: Poly._add_term (line 4)"]
+
+
+#: Public functions that no module of the package uses.  Each should join a
+#: ``selftest`` criterion or go; remove its entry when it does, and add none.
+ONLY_TESTS_USE = (
+    "code_latroids.qpolymatroid_axioms",
+    "code_latroids.tilde_relation_check",
+    "codes.irredundant_generating_sizes",
+    "codes.mu",
+    "codes.zero_code",
+    "core.hyperplanes",
+    "core.minimal_feasible_lengths",
+    "enumerators.generalized_enumerator",
+    "enumerators.generalized_weight_distribution",
+    "enumerators.tutte_whitney_R",
+    "isometries.apply_matrix",
+    "lattices.atoms_join_check",
+    "lattices.predicates",
+    "rings.product_ring",
+    "supports.module_support_lattice_check",
+)
+
+
+def _public_functions(tree: ast.Module) -> list[str]:
+    return [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names a module reads or takes as an attribute (so calls them, or
+    passes them on), a name imported ``as`` another read as the original.
+    The import statement itself reads nothing."""
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+    return {aliases.get(name, name) for name in _referenced_names(tree)}
+
+
+def _unused_public_functions(trees: dict[str, ast.Module]) -> list[str]:
+    used = set().union(*(_used_names(t) for name, t in trees.items() if name != "__init__"))
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _public_functions(tree)
+        if name not in used
+    )
+
+
+def test_public_functions_unused_in_the_package_are_pinned():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    found = set(_unused_public_functions(trees))
+    new, gone = sorted(found - set(ONLY_TESTS_USE)), sorted(set(ONLY_TESTS_USE) - found)
+    assert not new, f"public functions no package module uses: {', '.join(new)}"
+    assert not gone, f"used or deleted, so unpin from ONLY_TESTS_USE: {', '.join(gone)}"
+
+
+def test_checker_sees_unused_public_functions():
+    trees = {
+        "__init__": ast.parse("from .a import spare\nspare()\n"),
+        "a": ast.parse(
+            "def called(): pass\n"
+            "def passed(): pass\n"
+            "def aliased(): pass\n"
+            "def spare(): pass\n"
+            "def _private(): pass\n"
+            "class Table:\n"
+            "    def method(self): pass\n"
+        ),
+        "b": ast.parse(
+            "from .a import aliased as other, called, passed, spare\n"
+            "called()\nmap(passed, [])\nother()\n"
+        ),
+    }
+    assert _unused_public_functions(trees) == ["a.spare"]
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

@@ -29,12 +29,6 @@ from latroids.core import (
     rank_from_circuits,
     rank_from_independents,
     restrict,
-    sadd,
-    scale_latroid,
-    sleq,
-    slt,
-    ssub,
-    szero,
     uniform_latroid,
     validate_latroid,
 )
@@ -49,6 +43,7 @@ from latroids.lattices import (
 )
 from latroids.report import Check, Report
 from latroids.rings import parse_ring
+from latroids.selftest import latroid_corpus
 
 B3 = boolean_lattice(3)
 B4 = boolean_lattice(4)
@@ -59,6 +54,11 @@ def leq_matrix(labels, leq):
     """The boolean order matrix of a leq callable on the labels."""
     labels = list(labels)
     return np.array([[bool(leq(a, b)) for b in labels] for a in labels], dtype=bool)
+
+
+def rows(table):
+    """A rank or length table as a tuple of per-element tuples."""
+    return tuple(map(tuple, table.tolist()))
 
 
 def valid(lt):
@@ -119,21 +119,21 @@ def test_free_needs_graded_or_length():
 
 def test_uniform_latroid_cap():
     lt = valid(uniform_latroid(B3, 2))
-    assert lt.rank[B3.top] == (2,)
-    assert lt.rank[B3.index[frozenset({0, 1})]] == (2,)
+    assert lt.rank[B3.top].tolist() == [2]
+    assert lt.rank[B3.index[frozenset({0, 1})]].tolist() == [2]
     with pytest.raises(ValueError):
         uniform_latroid(B3, 0)
 
 
 def test_uniform_with_full_cap_is_free():
     lt = valid(uniform_latroid(B3, 3))
-    assert lt.rank == lt.length
+    assert np.array_equal(lt.rank, lt.length)
 
 
 def test_one_element_lattice_free():
     lat = build_lattice([0], np.ones((1, 1), dtype=bool))
     lt = valid(free_latroid(lat))
-    assert lt.rank == ((0,),)
+    assert rows(lt.rank) == ((0,),)
 
 
 def test_validate_rejects_negative_top():
@@ -158,8 +158,8 @@ def test_z8_ideal_latroids():
     # same independents, different top rank (4 against 3)
     assert independents(halves) == independents(lengths)
     assert {lat.labels[i] for i in independents(halves)} == {(3,), (2,)}
-    assert halves.rank[lat.top] == (4,)
-    assert lengths.rank[lat.top] == (3,)
+    assert halves.rank[lat.top].tolist() == [4]
+    assert lengths.rank[lat.top].tolist() == [3]
 
 
 def test_restrict_full_is_identity():
@@ -172,12 +172,12 @@ def test_restrict_shifts_to_zero():
     a = B4.index[frozenset({0})]
     sub = restrict(lt, a, B4.top)
     assert validate_latroid(sub).ok
-    assert sub.rank[sub.lattice.bottom] == (0,)
+    assert sub.rank[sub.lattice.bottom].tolist() == [0]
 
 
 def test_direct_sum_of_free_is_free():
     lt = direct_sum(valid(free_latroid(B3)), valid(free_latroid(boolean_lattice(2))))
-    assert lt.rank == lt.length
+    assert np.array_equal(lt.rank, lt.length)
     assert validate_latroid(lt).ok
 
 
@@ -186,7 +186,7 @@ def test_direct_sum_checks_scalar_dim():
     b = valid(collapse_scalars(valid(direct_sum(a, a))))
     assert b.udim == 1
     with pytest.raises(ValueError):
-        direct_sum(a, Latroid.from_functions(B3, lambda s: (0, 0), lambda s: (len(s), len(s)), udim=2))
+        direct_sum(a, Latroid.from_functions(B3, lambda s: (0, 0), lambda s: (len(s), len(s))))
 
 
 def test_dual_involution_on_random_code_latroids():
@@ -205,15 +205,15 @@ def test_dual_identities():
     lt = valid(uniform_latroid(B4, 2))
     dl = dual_latroid(lt)
     assert validate_latroid(dl).ok
-    top_len = lt.length[B4.top]
+    top_len = lt.length[B4.top].tolist()
     for i in range(B4.size):
-        assert dl.length[i] == tuple(a - b for a, b in zip(top_len, lt.length[i]))
+        assert dl.length[i].tolist() == [a - b for a, b in zip(top_len, lt.length[i].tolist())]
     # interval duality: restrict-then-dualize = dualize-then-restrict-swapped
     a = B4.index[frozenset({0})]
     b = B4.index[frozenset({0, 1, 2})]
     left = valid(dual_latroid(valid(restrict(lt, a, b))))
     right = valid(restrict(dl, b, a))
-    assert left.rank == right.rank and left.length == right.length
+    assert np.array_equal(left.rank, right.rank) and np.array_equal(left.length, right.length)
 
 
 def test_independents_downward_closed_on_corpus():
@@ -294,17 +294,17 @@ def test_reconstructions_check_hypotheses_once(monkeypatch):
 def test_reconstruction_roundtrips_on_corpus():
     for lt in crypto_corpus():
         lat = lt.lattice
-        assert valid(rank_from_independents(lat, independents(lt))).rank == lt.rank
-        assert valid(rank_from_bases(lat, bases(lt))).rank == lt.rank
-        assert valid(rank_from_circuits(lat, circuits(lt))).rank == lt.rank
+        assert np.array_equal(valid(rank_from_independents(lat, independents(lt))).rank, lt.rank)
+        assert np.array_equal(valid(rank_from_bases(lat, bases(lt))).rank, lt.rank)
+        assert np.array_equal(valid(rank_from_circuits(lat, circuits(lt))).rank, lt.rank)
 
 
 def test_reconstructions_agree_pairwise():
     for lt in crypto_corpus():
         lat = lt.lattice
-        a = valid(rank_from_independents(lat, independents(lt))).rank
-        b = valid(rank_from_bases(lat, bases(lt))).rank
-        c = valid(rank_from_circuits(lat, circuits(lt))).rank
+        a = rows(valid(rank_from_independents(lat, independents(lt))).rank)
+        b = rows(valid(rank_from_bases(lat, bases(lt))).rank)
+        c = rows(valid(rank_from_circuits(lat, circuits(lt))).rank)
         assert a == b == c
 
 
@@ -320,7 +320,7 @@ def test_kappa_needs_longest_chain_not_greedy():
     cs = circuits(lt)
     assert len(cs) == 6
     assert circuit_chain_length(B4, cs, B4.top) == 3
-    assert valid(rank_from_circuits(B4, cs)).rank == lt.rank
+    assert np.array_equal(valid(rank_from_circuits(B4, cs)).rank, lt.rank)
 
 
 def test_all_maximal_circuit_chains_have_equal_length():
@@ -367,13 +367,13 @@ def _refinable(lat, inside, seq):
 def test_lemma_atoms_join_under_rank_stability():
     # if joining every atom below L2 keeps the rank, joining L2 keeps it
     for lt in crypto_corpus():
-        lat = lt.lattice
+        lat, rank = lt.lattice, rows(lt.rank)
         for l1, l2 in lat.pairs():
             atoms_below = [a for a in lat.atoms if lat.leq[a, l2]]
             if all(
-                lt.rank[int(lat.join[l1, a])] == lt.rank[l1] for a in atoms_below
+                rank[int(lat.join[l1, a])] == rank[l1] for a in atoms_below
             ):
-                assert lt.rank[int(lat.join[l1, l2])] == lt.rank[l1]
+                assert rank[int(lat.join[l1, l2])] == rank[l1]
 
 
 def test_closure_and_flats():
@@ -413,15 +413,69 @@ def test_block_matroid_closure_matches_elementwise_definition():
     for name, n in (("Z_2", 3), ("Z_3", 2)):
         for code in enumerate_submodules(full_space(parse_ring(name), n)):
             lt = block_matroid(code)
-            lat = lt.lattice
+            lat, rank = lt.lattice, rows(lt.rank)
             for l, s in enumerate(lat.labels):
                 expected = s | {
                     e for e in range(n)
-                    if lt.rank[lat.index[s | {e}]] == lt.rank[l]
+                    if rank[lat.index[s | {e}]] == rank[l]
                 }
                 assert lat.labels[closure(lt, l)] == expected
                 cases += 1
     assert cases == 152
+
+
+# -- the table contract ------------------------------------------------------------
+
+
+def core_constructions(lat):
+    """One latroid from each constructor of ``core`` on a boolean lattice."""
+    lt = uniform_latroid(lat, 2)
+    pair = Latroid.from_functions(lat, lambda s: (min(len(s), 1), 0), lambda s: (len(s), len(s)))
+    return [
+        free_latroid(lat), lt, pair, collapse_scalars(pair),
+        restrict(lt, lat.index[frozenset({0})], lat.top), direct_sum(lt, lt), dual_latroid(lt),
+        rank_from_independents(lat, independents(lt)), rank_from_bases(lat, bases(lt)),
+        rank_from_circuits(lat, circuits(lt)),
+    ]
+
+
+def table_corpus(build=latroid_corpus):
+    return [lt for _, lt in build(0)] + core_constructions(boolean_lattice(3))
+
+
+def test_tables_are_read_only_int64():
+    for lt in table_corpus():
+        for table in (lt.rank, lt.length):
+            assert table.dtype == np.int64
+            assert table.shape == (lt.lattice.size, lt.udim)
+            assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(1), 0.5, 1.0])
+def test_non_integer_entries_raise(bad):
+    # checked before the int64 cast, which would truncate them silently
+    good = [len(s) for s in B3.labels]
+    for table in ([bad, *good[1:]], [(bad, 0), *((g, g) for g in good[1:])]):
+        for rank, length in ((table, good), (good, table)):
+            with pytest.raises(ValueError, match="must be integers"):
+                Latroid(B3, rank, length)
+    with pytest.raises(ValueError, match="must be integers"):
+        Latroid.from_functions(B3, lambda s: bad * len(s), len)
+
+
+def test_latroids_built_separately_are_equal_by_value():
+    for lt, again in zip(table_corpus(), table_corpus(latroid_corpus.__wrapped__), strict=True):
+        assert lt is not again
+        assert lt == again and hash(lt) == hash(again)
+        assert len({lt, again}) == 1
+
+
+def test_one_entry_change_breaks_equality():
+    for lt in table_corpus():
+        for field in ("rank", "length"):
+            tables = {"rank": lt.rank.copy(), "length": lt.length.copy()}
+            tables[field][-1, -1] += 1
+            assert lt != Latroid(lt.lattice, **tables)
 
 
 def test_generalized_weight_conventions():
@@ -435,13 +489,21 @@ def test_generalized_weight_conventions():
 
 
 def test_generalized_weight_udim_guard():
-    two = Latroid.from_functions(
-        B3, lambda s: (0, 0), lambda s: (len(s), len(s)), udim=2
-    )
+    two = Latroid.from_functions(B3, lambda s: (0, 0), lambda s: (len(s), len(s)))
     with pytest.raises(ValueError):
         generalized_weight(two, 1)
     fronts = minimal_feasible_lengths(two, (1, 1))
     assert fronts == ((1, 1),)
+
+
+def test_minimal_feasible_lengths_match_pairwise_reference():
+    # the antichain of minimal feasible lengths by a loop over tuples
+    for lt in table_corpus():
+        length, nullity = rows(lt.length), rows(lt.length - lt.rank)
+        for a in itertools.product(range(3), repeat=lt.udim):
+            feasible = {l for l, d in zip(length, nullity) if sleq(a, d)}
+            minimal = sorted(s for s in feasible if not any(slt(t, s) for t in feasible))
+            assert minimal_feasible_lengths(lt, a) == tuple(minimal)
 
 
 def test_weight_monotone_and_strict_step():
@@ -449,9 +511,7 @@ def test_weight_monotone_and_strict_step():
     for lt in crypto_corpus():
         if lt.udim != 1:
             continue
-        nullities = {
-            (lt.length[i][0] - lt.rank[i][0]) for i in range(lt.lattice.size)
-        }
+        nullities = set((lt.length - lt.rank)[:, 0].tolist())
         top_nullity = max(nullities)
         for a in range(1, top_nullity + 1):
             da = generalized_weight(lt, a)
@@ -461,23 +521,37 @@ def test_weight_monotone_and_strict_step():
                 assert db < da
 
 
-def test_scale_latroid():
-    lt = valid(free_latroid(B3))
-    doubled = valid(scale_latroid(lt, 2))
-    assert doubled.length[B3.top] == (6,)
-    with pytest.raises(ValueError):
-        scale_latroid(lt, 0)
+# Scalars as tuples under the product order: the reference's own arithmetic,
+# independent of the int64 tables of ``core``.
+
+
+def sadd(a, b):
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def ssub(a, b):
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def sleq(a, b):
+    return all(x <= y for x, y in zip(a, b, strict=True))
+
+
+def slt(a, b):
+    return sleq(a, b) and a != b
 
 
 def reference_validate(lt):
-    """validate_latroid as a plain loop over pairs, witnesses in row-major
-    order; the array version must give the same report."""
+    """validate_latroid as a plain loop over pairs of tuple scalars,
+    witnesses in row-major order; the array version must give the same
+    report."""
     lat = lt.lattice
-    zero = szero(lt.udim)
+    L, R = rows(lt.length), rows(lt.rank)
+    zero = (0,) * lt.udim
     checks = []
-    ok = lt.rank[lat.bottom] == zero and lt.length[lat.bottom] == zero
+    ok = R[lat.bottom] == zero and L[lat.bottom] == zero
     checks.append(Check("L1_zero_at_bottom", ok, "" if ok else
-                        f"rho(0)={lt.rank[lat.bottom]}, len(0)={lt.length[lat.bottom]}"))
+                        f"rho(0)={R[lat.bottom]}, len(0)={L[lat.bottom]}"))
     strict = [(a, b) for a, b in lat.pairs() if lat.lt(a, b)]
 
     def first(pairs, fails, describe):
@@ -489,7 +563,6 @@ def reference_validate(lt):
     def join_meet_sum(f, a, b):
         return sadd(f[lat.join[a, b]], f[lat.meet[a, b]])
 
-    L, R = lt.length, lt.rank
     scans = [
         ("L2_length_strictly_increasing", strict,
          lambda a, b: not slt(L[a], L[b]),
@@ -511,8 +584,9 @@ def reference_validate(lt):
 
 
 def perturbed_latroids(count, seed):
-    """Capped-height latroids with udim 1 or 2, some halved to Fractions,
-    with up to three entries nudged so that most fail some check."""
+    """Capped-height latroids with udim 1 or 2, scaled by 6 or by 3, with up
+    to three entries nudged by -6, 6 or 2 so that most fail some check (the
+    image under x6 of halved tables nudged by -1, 1 or 1/3)."""
     lats = [boolean_lattice(4), grid_lattice([2, 1, 2]), grid_lattice([3, 3]),
             subspace_lattice(2, 3), subspace_lattice(3, 2)]
     rng = random.Random(seed)
@@ -520,16 +594,16 @@ def perturbed_latroids(count, seed):
         lat = rng.choice(lats)
         u = rng.choice([1, 2])
         cap = rng.randint(1, lat.hgt(lat.top))
-        scale = Fraction(1, 2) if rng.random() < 0.3 else 1
+        scale = 3 if rng.random() < 0.3 else 6
         length = [tuple(scale * lat.hgt(i) * (j + 1) for j in range(u)) for i in range(lat.size)]
         rank = [tuple(min(x, scale * cap * (j + 1)) for j, x in enumerate(l)) for l in length]
         for _ in range(rng.choice([0, 1, 1, 2, 3])):
             table = rng.choice([rank, length])
             i, j = rng.randrange(lat.size), rng.randrange(u)
             entry = list(table[i])
-            entry[j] += rng.choice([-1, 1, Fraction(1, 3)])
+            entry[j] += rng.choice([-6, 6, 2])
             table[i] = tuple(entry)
-        yield Latroid(lat, tuple(rank), tuple(length), u)
+        yield Latroid(lat, rank, length)
 
 
 @pytest.mark.parametrize("block", [None, 40])

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_supports import BATCH_RINGS, reference_chain_support
+from test_supports import BATCH_RINGS, reference_chain_support, sleq
 
 from latroids.code_latroids import (
     block_matroid,
@@ -36,7 +36,7 @@ from latroids.code_latroids import (
     rect_supp_latroid,
 )
 from latroids.codes import Code, enumerate_submodules, length_lambda, span, zero_code
-from latroids.core import Latroid, dual_latroid, sleq, validate_latroid
+from latroids.core import Latroid, dual_latroid, validate_latroid
 from latroids.enumerators import (
     enumerator_from_tutte,
     inclusion_exclusion_check,
@@ -78,7 +78,7 @@ def reference_chain_support_latroid(code):
     def length(label):
         return tuple(sum(label[j::ell]) for j in range(ell))
 
-    return Latroid.from_functions(chain_support_lattice(ring, code.n), rho, length, udim=ell)
+    return Latroid.from_functions(chain_support_lattice(ring, code.n), rho, length)
 
 
 def reference_block_matroid(code):
@@ -261,7 +261,10 @@ def test_rect_latroid_of_random_code_matches_reference(ring_name, data):
                 rect_supp_latroid(code, supp)
             continue
         lt = rect_supp_latroid(code, supp)
-        got = {lab: (lt.rank[i], lt.length[i]) for i, lab in enumerate(lt.lattice.labels)}
+        got = {
+            lab: (tuple(lt.rank[i].tolist()), tuple(lt.length[i].tolist()))
+            for i, lab in enumerate(lt.lattice.labels)
+        }
         assert got == reference_rect_latroid(code, supp)
         assert lt.lattice == chain_support_lattice(ring, n)
         report = validate_latroid(lt)
@@ -308,5 +311,5 @@ def test_submodules_of_random_code_match_pairwise_sums(ring_name, data):
     lt = latroid_from_code(code)
     for i, m in enumerate(lt.lattice.labels):
         inside = Code(ring, n, (), m.codewords & code.codewords)
-        assert lt.rank[i] == (length_lambda(m) - length_lambda(inside),)
-        assert lt.length[i] == (length_lambda(m),)
+        assert lt.rank[i].tolist() == [length_lambda(m) - length_lambda(inside)]
+        assert lt.length[i].tolist() == [length_lambda(m)]

@@ -1,5 +1,6 @@
 """Subspace lattices of F_q^n and the rank-metric, tilde and sum-rank
-latroids built on them, against reference loops over rref bases: span
+latroids built on them (the tilde q-polymatroid in its integer (q, m)
+presentation), against reference loops over rref bases: span
 membership by row reduction, subspaces grown one vector at a time, and the
 orthogonal complement by scanning F_q^n.  The library orders subspaces and
 counts subcodes from membership matrices instead."""
@@ -7,10 +8,10 @@ counts subcodes from membership matrices instead."""
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_latroids import rows
 from test_weights import MATRIX_CODES
 
 from latroids.code_latroids import (
@@ -127,14 +128,15 @@ def test_rank_metric_and_tilde_match_reference(name, mc):
     bases = reference_all_subspaces(mc.q, n)
     plain = rank_metric_latroid(mc)
     assert plain.lattice.labels == tuple(bases)
-    assert list(zip(plain.rank, plain.length)) == reference_sum_rank(mc, "row")
+    assert list(zip(rows(plain.rank), rows(plain.length))) == reference_sum_rank(mc, "row")
     tilde = tilde_polymatroid(mc)
     assert tilde.lattice.labels == tuple(bases)
     perps = [reference_orthogonal_complement(b, mc.q, n) for b in bases]
-    assert tilde.rank == tuple(
-        (Fraction(mc.dim() - reference_subcode_dim(mc, [perp]), m),) for perp in perps
+    # m tilde_rho(V) = dim C - dim C(V*), with m dim(V) as length
+    assert rows(tilde.rank) == tuple(
+        (mc.dim() - reference_subcode_dim(mc, [perp]),) for perp in perps
     )
-    assert tilde.length == tuple((len(b),) for b in bases)
+    assert rows(tilde.length) == tuple((m * len(b),) for b in bases)
 
 
 @pytest.mark.parametrize("name, mc", MATRIX_CODES, ids=[name for name, _ in MATRIX_CODES])
@@ -145,4 +147,4 @@ def test_sum_rank_matches_reference(name, mc, spaces):
             sum_rank_latroid(mc, spaces=spaces)
         return
     lt = sum_rank_latroid(mc, spaces=spaces)
-    assert list(zip(lt.rank, lt.length)) == reference_sum_rank(mc, spaces)
+    assert list(zip(rows(lt.rank), rows(lt.length))) == reference_sum_rank(mc, spaces)

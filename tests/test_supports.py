@@ -5,7 +5,6 @@ import pytest
 
 from latroids import supports
 from latroids.codes import Code, enumerate_submodules, full_space, span_from_ints
-from latroids.core import sleq
 from latroids.errors import CapExceededError
 from latroids.report import Check, Report
 from latroids.rings import parse_ring
@@ -31,6 +30,11 @@ F2 = parse_ring("Z_2")
 F3 = parse_ring("Z_3")
 
 LEE_TABLE = {(0,): (0,), (1,): (1,), (2,): (2,), (3,): (1,)}
+
+
+def sleq(a, b):
+    """a <= b in the product order on tuples."""
+    return all(x <= y for x, y in zip(a, b, strict=True))
 
 
 def z6_paper_support(n):
@@ -201,6 +205,21 @@ MODULARITY_FIXTURES = {
 def test_is_modular_agrees_with_validate_modular(name):
     s = MODULARITY_FIXTURES[name]
     assert s.is_modular == validate_modular(s).ok
+
+
+def test_is_modular_scans_once(monkeypatch):
+    calls = []
+
+    def counted(s, cap=None):
+        calls.append(s)
+        return validate_modular(s)
+
+    monkeypatch.setattr(supports, "validate_modular", counted)
+    s = z6_paper_support(1).parts[0]
+    assert isinstance(s, TableSupport)
+    verdicts = [s.is_modular, s.is_modular]
+    assert calls == [s]
+    assert verdicts == [validate_modular(s).ok] * 2
 
 
 def test_chain_support_is_modular_without_a_scan(monkeypatch):

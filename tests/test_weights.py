@@ -198,9 +198,9 @@ def test_rank_metric_corpus_gives_q_polymatroids(name, mc):
 def test_qpolymatroid_axioms_report_first_witness():
     lt = rank_metric_latroid(rank_metric_code_corpus()[0][1])
     lat = lt.lattice
-    rank = list(lt.rank)
-    rank[lat.top] = (-1,)
-    rep = qpolymatroid_axioms(Latroid(lat, tuple(rank), lt.length, 1))
+    rank = lt.rank.copy()
+    rank[lat.top] = -1
+    rep = qpolymatroid_axioms(Latroid(lat, rank, lt.length))
     assert [c.ok for c in rep.checks] == [False, False, True]
     assert rep.checks[0].detail == f"rho({lat.labels[lat.top]}) = (-1,)"
 
@@ -255,14 +255,15 @@ def reference_R(lt: Latroid) -> ExpPoly:
         tuple(f"x{i+1}" for i in range(g)) + tuple(f"y{i+1}" for i in range(g))
         + tuple(f"u{i+1}" for i in range(s)) + tuple(f"v{i+1}" for i in range(s))
     )
-    top, top_rank = labels[lt.lattice.top], lt.top_rank()
+    rank, length = lt.rank.tolist(), lt.length.tolist()
+    top, top_rank = labels[lt.lattice.top], rank[lt.lattice.top]
     poly = ExpPoly.zero(2 * g + 2 * s, names)
     for i, m in enumerate(labels):
         poly = poly + ExpPoly.monomial(
             m
             + tuple(t - x for t, x in zip(top, m))
-            + tuple(a - b for a, b in zip(top_rank, lt.rank[i]))
-            + tuple(a - b for a, b in zip(lt.length[i], lt.rank[i])),
+            + tuple(a - b for a, b in zip(top_rank, rank[i]))
+            + tuple(a - b for a, b in zip(length[i], rank[i])),
             1,
             names,
         )
