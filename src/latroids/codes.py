@@ -13,7 +13,10 @@ and the masks of the cyclic submodules are closed under sums with one
 cyclic at a time through a table of word differences.  ``full_space``
 decodes the digit space ``Pir.space``.  ``span``, ``code_sum``,
 ``Code.scaled`` and ``Code.factor`` stay on ``Pir`` tuple arithmetic: they
-build small sets of tuples, which is what callers hold.
+build small sets of tuples, which is what callers hold.  ``span`` takes the
+distinct multiples of each generator once and adds each of them to every
+word found so far.  The composition length lambda(C) is read off |C|
+alone (``length_lambda``), with no projection onto the CRT factors.
 
 Over a prime field F_p, ``rref`` row-reduces a list of vectors; the reduced
 row echelon basis is the canonical label of the subspace they span (the
@@ -94,7 +97,8 @@ def span(ring: Pir, n: int, generators, cap: int = SPAN_CAP) -> Code:
     for g in generators:
         if len(g) != n:
             raise ValueError(f"generator {g} does not have length {n}")
-        words = {ring.vadd(w, ring.vscale(r, g)) for w in words for r in ring.elements()}
+        multiples = {ring.vscale(r, g) for r in ring.elements()}
+        words = {ring.vadd(w, m) for w in words for m in multiples}
         check_cap(len(words), cap, "codeword materialization")
     return Code(ring, n, generators, frozenset(words))
 
@@ -134,13 +138,19 @@ def code_intersection(a: Code, b: Code) -> Code:
 def length_lambda(code: Code) -> int:
     """Composition length of the code as a module over its ring.
 
-    Computed factor by factor from |C_i| = p_i^{lambda_i}; a non-integer
-    logarithm signals that the input set is not a submodule.
+    Every composition factor of a module over a product of rings Z_{p^k}
+    is a residue field F_p, so lambda(C) is Omega(|C|), the number of prime
+    factors of |C| counted with multiplicity; this holds also when factors
+    share a prime (Z_2 x Z_4).  A prime of |C| outside the ring signals
+    that the input set is not a submodule.
     """
-    total = 0
-    for i, f in enumerate(code.ring.factors):
-        size = len(code.factor(i))
-        total += intlog(f.p, size)
+    size, total = len(code), 0
+    for p in {f.p for f in code.ring.factors}:
+        while size % p == 0:
+            size //= p
+            total += 1
+    if size != 1:
+        raise ValueError(f"{len(code)} is not a product of the primes of {code.ring}")
     return total
 
 

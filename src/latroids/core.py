@@ -36,8 +36,6 @@ from .lattices import (
     FiniteLattice,
     dual as dual_lattice,
     interval,
-    is_complemented_lattice,
-    is_modular_lattice,
     product as product_lattice,
 )
 from .report import Check, Report
@@ -212,8 +210,9 @@ def uniform_latroid(lat: FiniteLattice, a: int) -> Latroid:
 
 def restrict(lt: Latroid, a: int, b: int) -> Latroid:
     """The latroid on [a, b] with both functions shifted to vanish at a."""
-    sub = interval(lt.lattice, a, b)
-    idx = [lt.lattice.index[lab] for lab in sub.labels]
+    lat = lt.lattice
+    sub = interval(lat, a, b)
+    idx = np.flatnonzero(lat.leq[a] & lat.leq[:, b])  # the elements ``interval`` keeps
     return Latroid(sub, lt.rank[idx] - lt.rank[a], lt.length[idx] - lt.length[a])
 
 
@@ -273,7 +272,7 @@ _CRYPTO_HINT = "choose lattice=block or a field-case chain-support grid"
 def _require_crypto_hypotheses(lat: FiniteLattice) -> None:
     if not lat.is_graded:
         raise NotGradedError(f"cryptomorphisms need a graded lattice; {_CRYPTO_HINT}")
-    if not (is_complemented_lattice(lat) and is_modular_lattice(lat)):
+    if not (lat.is_complemented and lat.is_modular):
         raise ValueError(
             f"cryptomorphisms need a complemented modular lattice; {_CRYPTO_HINT}"
         )

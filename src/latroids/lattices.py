@@ -22,7 +22,13 @@ outside b, one exact float32 product ``members @ ~members.T == 0``.
 Lattices built from lattices keep their tables.  A product's order, join
 and meet are componentwise and a cover changes one coordinate by a cover
 (Davey and Priestley, ch. 2); ``dual`` transposes and swaps join with meet;
-``interval`` slices.  Grids are products of chains, each chain built once;
+``interval`` slices.  A lattice grades itself (a breadth-first search
+along covers), indexes its labels, finds its atoms and answers
+``is_modular_lattice``/``is_complemented_lattice`` on the first read of
+``height``, ``index``, ``atoms``, ``is_modular`` or ``is_complemented``,
+and keeps the answer: the many intervals and duals that ``core.restrict``
+and ``core.dual_latroid`` build are mostly only validated, which never
+reads them.  Grids are products of chains, each chain built once;
 boolean lattices are renumbered grids of 2-chains; and the rectangular
 modules of R^n form the grid of chain-support levels.  Every builder
 checks ``LATTICE_CAP`` before it allocates an N x N array.  On a 2-vCPU x86
@@ -56,17 +62,42 @@ from .rings import Pir, chain_ring, is_prime
 class FiniteLattice:
     """A finite lattice on indexed, hashable labels, held as tables: ``leq``
     and ``covers`` (bool), ``join`` and ``meet`` (int32 indices).  It trusts
-    them; ``build_lattice`` is what checks an order from outside."""
+    them; ``build_lattice`` is what checks an order from outside.
+
+    Building one stores the tables and finds the bottom and top; the
+    cached properties below are computed on first read and kept."""
 
     def __init__(self, labels, leq, covers, join, meet):
         self.labels = tuple(labels)
         self.size = len(self.labels)
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.leq, self.covers, self.join, self.meet = leq, covers, join, meet
         self.bottom = int(np.flatnonzero(leq.all(axis=1))[0])
         self.top = int(np.flatnonzero(leq.all(axis=0))[0])
-        self.atoms = tuple(int(i) for i in np.flatnonzero(covers[self.bottom]))
-        self.height = _height_if_graded(covers, self.bottom)
+
+    @functools.cached_property
+    def height(self):
+        """The height of each element as a tuple, or None if not graded."""
+        return _height_if_graded(self.covers, self.bottom)
+
+    @functools.cached_property
+    def index(self) -> dict:
+        """The position of each label."""
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+    @functools.cached_property
+    def atoms(self) -> tuple[int, ...]:
+        """The elements that cover the bottom."""
+        return tuple(np.flatnonzero(self.covers[self.bottom]).tolist())
+
+    @functools.cached_property
+    def is_modular(self) -> bool:
+        """Answered once: ``is_modular_lattice``."""
+        return is_modular_lattice(self)
+
+    @functools.cached_property
+    def is_complemented(self) -> bool:
+        """Answered once: ``is_complemented_lattice``."""
+        return is_complemented_lattice(self)
 
     # -- basics -------------------------------------------------------------
 
@@ -258,9 +289,9 @@ def is_relatively_complemented_lattice(lat: FiniteLattice) -> bool:
 def predicates(lat: FiniteLattice) -> LatticeFlags:
     return LatticeFlags(
         is_graded=lat.is_graded,
-        is_modular=is_modular_lattice(lat),
+        is_modular=lat.is_modular,
         is_distributive=is_distributive_lattice(lat),
-        is_complemented=is_complemented_lattice(lat),
+        is_complemented=lat.is_complemented,
         is_relatively_complemented=is_relatively_complemented_lattice(lat),
     )
 

@@ -67,7 +67,7 @@ from .isometries import (
     pir_isometry_projections,
     random_monomial_isometry,
 )
-from .lattices import boolean_lattice, is_complemented_lattice, is_modular_lattice, subspace_lattice
+from .lattices import boolean_lattice, subspace_lattice
 from .report import Check, Report
 from .rings import Pir, parse_ring
 from .supports import (
@@ -295,8 +295,8 @@ def _crypto_eligible(lt: Latroid) -> bool:
     lat = lt.lattice
     return (
         lt.uses_height_length()
-        and is_complemented_lattice(lat)
-        and is_modular_lattice(lat)
+        and lat.is_complemented
+        and lat.is_modular
     )
 
 

@@ -480,3 +480,21 @@ def test_bad_support_spec_exits_2(capsys, tmp_path, case, command):
     assert "Traceback" not in err
     data = json.loads(out)
     assert data["kind"] == "input" and data["error"].startswith(error)
+
+
+@pytest.mark.parametrize("command", ["axioms", "crypto-roundtrip"])
+def test_axiom_commands_check_the_lattice_once(capsys, monkeypatch, command):
+    # the three axiom systems (or reconstructions) read the verdicts the
+    # lattice keeps
+    calls = []
+    for function in (lattices.is_modular_lattice, lattices.is_complemented_lattice):
+
+        def counted(lat, function=function):
+            calls.append(function.__name__)
+            return function(lat)
+
+        monkeypatch.setattr(lattices, function.__name__, counted)
+    config = str(CONFIGS / "f2_block.cfg")
+    code, _, _ = run_cli(capsys, "--command", command, "--config", config)
+    assert code == 0
+    assert sorted(calls) == ["is_complemented_lattice", "is_modular_lattice"]

@@ -5,6 +5,7 @@ import pytest
 from latroids import code_latroids, codes
 from latroids.code_latroids import latroid_from_code
 from latroids.codes import (
+    Code,
     big_m,
     code_intersection,
     code_sum,
@@ -55,6 +56,14 @@ def test_lambda_examples():
     assert length_lambda(span_from_ints(Z4, 2, [[1, 2]])) == 2
     assert length_lambda(zero_code(Z4, 2)) == 0
     assert length_lambda(span_from_ints(Z8, 1, [[2]])) == 2
+    z2z4 = parse_ring("Z_2 x Z_4")
+    assert length_lambda(span(z2z4, 1, [((1, 1),)])) == 3  # Z_2 x Z_4 has length 1 + 2
+
+
+def test_lambda_rejects_a_size_with_a_prime_outside_the_ring():
+    words = frozenset([((0,),), ((1,),), ((2,),)])
+    with pytest.raises(ValueError, match="3 is not a product of the primes"):
+        length_lambda(Code(Z4, 1, (), words))
 
 
 def test_mu_examples():

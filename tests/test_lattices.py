@@ -470,3 +470,67 @@ def test_dual_and_interval_tables_match_recurrence():
         for lo, hi in ((lat.bottom, lat.top), (a, lat.top), (lat.bottom, lat.size // 2),
                        (a, int(lat.join[a, lat.size // 2]))):
             assert_tables_match_recurrence(interval(lat, lo, hi))
+
+
+def eager_values(lat):
+    """Height, atoms and label index from the order matrix alone: covers
+    are the strict pairs with nothing between them, and the lattice is
+    graded when the shortest and the longest cover chain from the bottom
+    to each element have the same length, its height."""
+    strict = lat.leq & ~np.eye(lat.size, dtype=bool)
+    covers = strict & ~(strict.astype(int) @ strict.astype(int) > 0)
+    shortest, longest = {lat.bottom: 0}, {lat.bottom: 0}
+    for x in np.argsort(lat.leq.sum(axis=0), kind="stable").tolist():
+        below = np.flatnonzero(covers[:, x]).tolist()
+        if below:
+            shortest[x] = 1 + min(shortest[z] for z in below)
+            longest[x] = 1 + max(longest[z] for z in below)
+    graded = shortest == longest
+    height = tuple(shortest[x] for x in range(lat.size)) if graded else None
+    atoms = tuple(np.flatnonzero(covers[lat.bottom]).tolist())
+    return height, atoms, {lab: lat.labels.index(lab) for lab in lat.labels}
+
+
+def assert_lazy_values_are_eager(lat):
+    assert (lat.height, lat.atoms, lat.index) == eager_values(lat)
+
+
+def test_lazy_values_on_corpus_duals_and_intervals():
+    lats = {id(lt.lattice): lt.lattice for _, lt in latroid_corpus(0)}
+    for lat in lats.values():
+        assert_lazy_values_are_eager(lat)
+        assert_lazy_values_are_eager(dual(lat))
+        for x in range(lat.size):
+            assert_lazy_values_are_eager(interval(lat, lat.bottom, x))
+            assert_lazy_values_are_eager(interval(lat, x, lat.top))
+
+
+def test_lazy_values_on_builders():
+    for lat in (boolean_lattice(4), grid_lattice([2, 1, 3]), subspace_lattice(2, 3)):
+        assert_lazy_values_are_eager(lat)
+        assert lat.is_graded
+
+
+def test_lazy_values_on_a_graded_interval_of_a_non_graded_lattice():
+    n5 = five_element("N5")
+    assert_lazy_values_are_eager(n5)
+    assert not n5.is_graded
+    top = interval(n5, n5.index["a"], n5.top)
+    assert_lazy_values_are_eager(top)
+    assert top.labels == ("a", "b", "1") and top.height == (0, 1, 2)
+
+
+def test_lazy_values_are_computed_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(covers, bottom):
+        calls.append(len(covers))
+        return height_if_graded(covers, bottom)
+
+    height_if_graded = lattices._height_if_graded
+    monkeypatch.setattr(lattices, "_height_if_graded", counted)
+    lat = boolean_lattice(3)
+    sub = interval(dual(lat), lat.top, lat.bottom)
+    assert calls == []
+    assert sub.height == sub.height == tuple(3 - len(lab) for lab in sub.labels)
+    assert calls == [8]

@@ -107,6 +107,16 @@ def codes(draw, ring):
     return span(ring, n, generators)
 
 
+@pytest.mark.parametrize("ring_name", ("Z_4", "Z_9", "Z_2 x Z_3", "Z_2 x Z_4", "Z_2 x Z_2"))
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(data=st.data())
+def test_length_lambda_is_the_sum_over_factors(ring_name, data):
+    # lambda(C) = Omega(|C|) against log_p |C_i| summed over the projections
+    code = data.draw(codes(parse_ring(ring_name)))
+    by_factor = sum(intlog(f.p, len(code.factor(i))) for i, f in enumerate(code.ring.factors))
+    assert length_lambda(code) == by_factor
+
+
 @pytest.mark.parametrize("ring_name", RINGS)
 @settings(derandomize=True, max_examples=12, deadline=None, database=None)
 @given(data=st.data())

@@ -66,3 +66,12 @@ def test_isometry_criterion_enumerates_each_side_once(monkeypatch):
     calls = counted_everywhere(monkeypatch, codes.enumerate_submodules)
     assert next(c for c in CRITERIA if c.number == 7).run(0).ok
     assert len(calls) == 8  # 4 invariance checks, the code and its image
+
+
+def test_run_all_grades_29_lattices(monkeypatch):
+    # a ratchet: of the lattices run_all(0) builds, only those whose height
+    # is read are graded (the latroid corpus and the crypto checks); the
+    # intervals and duals of criterion 9 mostly are not
+    calls = counted_everywhere(monkeypatch, lattices._height_if_graded)
+    assert all(report.ok for _, _, report in selftest.run_all(0))
+    assert len(calls) == 29
