@@ -568,9 +568,9 @@ def main(argv=None) -> int:
 
 
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
-    """Write the report to stdout, or atomically to the file ``out``; an
-    OSError from the file leaves no temporary file behind."""
-    payload = jsonable(payload)
+    """Write the report, already plain JSON values, to stdout, or atomically
+    to the file ``out``; an OSError from the file leaves no temporary file
+    behind."""
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:

@@ -87,7 +87,11 @@ def chain_support_latroid(code: Code) -> Latroid:
     length = grid.reshape(len(grid), n, ell).sum(axis=1)
     rank = length.copy()
     for j, f in enumerate(ring.factors):
-        _, first = np.unique(digits[:, j::ell], axis=0, return_index=True)
+        # one codeword per distinct projection: the rows in lexicographic
+        # order, kept where they differ from the row before
+        order = np.lexsort(digits[:, j::ell].T[::-1])
+        rows = digits[order, j::ell]
+        first = order[np.append(True, (rows[1:] != rows[:-1]).any(axis=1))]
         counts = _dominated(levels[first, j::ell], 1, [f.k] * n, np.add)
         rank[:, j] -= [intlog(f.p, c) for c in counts[tuple(grid[:, j::ell].T)].tolist()]
     return Latroid(lattice, rank, length)

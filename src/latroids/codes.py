@@ -10,8 +10,11 @@ notion of code equality we need.
 ``enumerate_submodules`` works on the codeword digits (the encoding of R^n
 from ``rings``): a submodule is a membership mask over the sorted words,
 and the masks of the cyclic submodules are closed under sums with one
-cyclic at a time through a table of word differences.  ``full_space``
-decodes the digit space ``Pir.space``.  ``span``, ``code_sum``,
+cyclic at a time through a table of word differences.  Distinct rows
+and keys are found by sorting and masking equal neighbours, and sets of
+positions by a mark array, never by numpy's ``unique``: numpy 2 imports
+``numpy.ma`` on its first call, 10-20 ms that every process would pay.
+``full_space`` decodes the digit space ``Pir.space``.  ``span``, ``code_sum``,
 ``Code.scaled`` and ``Code.factor`` stay on ``Pir`` tuple arithmetic: they
 build small sets of tuples, which is what callers hold.  ``span`` takes the
 distinct multiples of each generator once and adds each of them to every
@@ -181,9 +184,10 @@ def big_m(code: Code) -> int:
 def _row_locator(digits: np.ndarray, mods: np.ndarray):
     """Locates rows (maybe unreduced) among ``digits``, distinct reduced rows
     in sorted order.  Runs of digits fold into int64 keys by mixed radix; before
-    a run could overflow, keys become their ranks among those of ``digits``,
-    which keep the order and stay below len(digits).  (``Pir.index`` is one
-    run: it overflows once R^n has 2**63 vectors, as a small code's may.)"""
+    a run could overflow, keys become their ranks among the distinct keys of
+    ``digits``, which keep the order and stay below len(digits).
+    (``Pir.index`` is one run: it overflows once R^n has 2**63 vectors, as a
+    small code's may.)"""
     cuts, bound = [0], 1
     for j, mod in enumerate(mods.tolist()):
         if bound * mod >= 2**63:
@@ -198,7 +202,8 @@ def _row_locator(digits: np.ndarray, mods: np.ndarray):
             run = mods[start:stop]
             key = key * run.prod() + rows[..., start:stop] % run @ (run.prod() // np.cumprod(run))
             if build:
-                levels.append(np.unique(key))
+                keys = np.sort(key)
+                levels.append(keys[np.append(True, keys[1:] != keys[:-1])])
             key = np.searchsorted(levels[i], key)
         return key
 
@@ -239,7 +244,9 @@ def enumerate_submodules(code: Code) -> list[Code]:
     located = np.zeros(m, dtype=bool)
 
     def locate(ys: np.ndarray) -> None:
-        todo = np.unique(ys[~located[ys]])
+        wanted = np.zeros(m, dtype=bool)
+        wanted[ys] = True
+        todo = np.flatnonzero(wanted & ~located)
         step = max(1, _CLOSE_BLOCK // digits.size)
         for start in range(0, len(todo), step):
             part = todo[start : start + step]

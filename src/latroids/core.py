@@ -593,7 +593,11 @@ def generalized_weight(lt: Latroid, a: int) -> int:
 def minimal_feasible_lengths(lt: Latroid, a) -> tuple[tuple[int, ...], ...]:
     """The antichain of minimal len(L) values with len(L) - rho(L) >= a
     (an int, or a tuple of udim ints), in lexicographic order."""
-    feasible = np.unique(lt.length[(lt.length - lt.rank >= a).all(axis=1)], axis=0)
+    feasible = lt.length[(lt.length - lt.rank >= a).all(axis=1)]
+    feasible = feasible[np.lexsort(feasible.T[::-1])]
+    distinct = np.ones(len(feasible), dtype=bool)  # no rows when nothing is feasible
+    distinct[1:] = (feasible[1:] != feasible[:-1]).any(axis=1)
+    feasible = feasible[distinct]
     # below[t, s]: t <= s, so t < s off the diagonal of distinct rows
     below = (feasible[:, None] <= feasible[None]).all(axis=-1)
     minimal = ~(below & ~np.eye(len(feasible), dtype=bool)).any(axis=0)

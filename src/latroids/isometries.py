@@ -68,7 +68,9 @@ def is_isometry(mat: RingMatrix, supp: Support, cap: int = VECTOR_ENUM_CAP) -> b
     check_cap(ring.size**n, cap, "isometry verification")
     image = ring.index(_act(ring, entries, ring.space(n)), n)
     weight = supp.values().sum(axis=1)
-    return bool((weight[image] == weight).all()) and len(np.unique(image)) == len(image)
+    hit = np.zeros(len(image), dtype=bool)
+    hit[image] = True
+    return bool((weight[image] == weight).all() and hit.all())
 
 
 def decompose_chain_isometry(mat: RingMatrix, supp: Support):

@@ -431,11 +431,19 @@ def subspace_lattice(q: int, n: int) -> FiniteLattice:
     return _subspaces(q, n)[0]
 
 
+@functools.cache
 def _subspaces(q: int, n: int) -> tuple[FiniteLattice, np.ndarray]:
     """The subspace lattice of F_q^n, sorted by (dim, rref basis), and its
-    membership matrix: row i marks the vectors of subspace i, indexed as in
-    ``Pir.space``.  The subspaces are the submodules of F_q^n, so F_q^n is
-    checked against the cap of their enumeration before it is spanned."""
+    read-only membership matrix: row i marks the vectors of subspace i,
+    indexed as in ``Pir.space``.  The subspaces are the submodules of F_q^n,
+    so F_q^n is checked against the cap of their enumeration before it is
+    spanned.
+
+    Built once for each (q, n) and shared, as ``_chain`` is: the rank-metric
+    latroids of one F_q^n all sit on it.  An entry lives as long as the
+    process, and the caps bound it: the largest, F_7^4 (3652 subspaces),
+    holds about 133 MB of tables, F_2^6 (2825) about 80 MB; ``selftest``
+    keeps 5 entries, none past F_2^3."""
     check_cap(q**n, SUBMODULE_CAP, f"enumerating F_{q}^{n}")
     if not is_prime(q):
         raise ValueError(f"only prime fields are supported, got q = {q}")
@@ -444,6 +452,7 @@ def _subspaces(q: int, n: int) -> tuple[FiniteLattice, np.ndarray]:
     bases = [rref([[a for (a,) in w] for w in s.codewords], q) for s in subs]
     order = sorted(range(len(subs)), key=lambda i: (len(bases[i]), bases[i]))
     members = _members([subs[i].codewords for i in order], space.sorted_words())
+    members.flags.writeable = False
     return build_lattice([bases[i] for i in order], _membership_order(members)), members
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -498,3 +501,32 @@ def test_axiom_commands_check_the_lattice_once(capsys, monkeypatch, command):
     code, _, _ = run_cli(capsys, "--command", command, "--config", config)
     assert code == 0
     assert sorted(calls) == ["is_complemented_lattice", "is_modular_lattice"]
+
+
+# Runs every command in one interpreter and prints whether numpy.ma was
+# imported: numpy 2.x's np.unique imports it on its first call, 10-20 ms
+# that a CLI process would pay for nothing.
+FRESH_RUN = """
+import contextlib, io, sys
+from latroids.cli import COMMANDS, main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["--command", "selftest", "--seed", "0"])]
+    for config in sys.argv[1:]:
+        for command in COMMANDS:
+            if command != "selftest":
+                codes.append(main(["--command", command, "--config", config]))
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma():
+    configs = [str(CONFIGS / f"{name}.cfg") for name in CONFIG_NAMES]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, *configs],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    codes = [0] + [
+        REJECTED.get((command, name), 0) for name in CONFIG_NAMES for command in CONFIG_COMMANDS
+    ]
+    assert run.stdout == f"{codes} False\n"

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from latroids import code_latroids, codes
@@ -125,7 +126,17 @@ def test_enumerate_submodules_beyond_int64_indices(ring_text, tail):
     ]
     ambient = size ** (2 + tail)
     assert ambient >= 2**63
-    long_subs = enumerate_submodules(span_from_ints(ring, 2 + tail, rows, cap=ambient))
+    long_code = span_from_ints(ring, 2 + tail, rows, cap=ambient)
+    # the locator's cut path: unreduced rows, repeats included, are found at
+    # their positions among the sorted words, as np.unique ranks them
+    digits = ring.encode(long_code.sorted_words(), 2 + tail)
+    rng = np.random.default_rng(0)
+    sample = digits[rng.integers(len(digits), size=3 * len(digits))]
+    _, rank = np.unique(np.concatenate([digits, sample]), axis=0, return_inverse=True)
+    unreduced = sample + ring.mods(2 + tail) * rng.integers(0, 3, size=sample.shape)
+    locate = codes._row_locator(digits, ring.mods(2 + tail))
+    assert locate(unreduced).tolist() == rank.ravel()[len(digits):].tolist()
+    long_subs = enumerate_submodules(long_code)
     short_subs = enumerate_submodules(full_space(ring, 2))
     assert [{w[:2] for w in s.codewords} for s in long_subs] == [
         set(s.codewords) for s in short_subs

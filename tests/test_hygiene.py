@@ -504,3 +504,46 @@ def test_checker_sees_function_imports():
         ),
     }
     assert _function_imports(trees) == ["a.py: line 3", "a.py: line 5", "a.py: line 8"]
+
+
+def _unique_uses(trees: dict[str, ast.Module]) -> list[str]:
+    """``np.unique`` / ``numpy.unique`` read, or ``unique`` imported from numpy."""
+    return sorted({
+        f"{module}: line {node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "unique"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "numpy"
+            and any(alias.name == "unique" for alias in node.names)
+        )
+    })
+
+
+def test_no_np_unique():
+    # numpy 2.x's np.unique imports numpy.ma on its first call in a process,
+    # 10-20 ms that every CLI call would pay; sorting and masking adjacent
+    # differences, or a mark array, does the same work without it
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    uses = _unique_uses(trees)
+    assert not uses, f"np.unique used: {', '.join(uses)}"
+
+
+def test_checker_sees_np_unique():
+    trees = {
+        "a.py": ast.parse(
+            "import numpy as np\n"
+            "from numpy import unique\n"
+            "def f(x):\n"
+            "    return np.unique(x), numpy.unique(x, axis=0)\n"
+            "g = np.unique\n"
+            "h = np.sort\n"
+        ),
+    }
+    assert _unique_uses(trees) == ["a.py: line 2", "a.py: line 4", "a.py: line 5"]

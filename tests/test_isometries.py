@@ -4,6 +4,7 @@ Z_2 x Z_3, and the shape check every matrix argument goes through."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -110,6 +111,11 @@ def test_is_isometry_checks_bijectivity_where_weights_cannot():
     verdicts = [is_isometry(matrix_from_ints(Z4, [[x]]), flat) for x in range(4)]
     assert verdicts == [False, True, False, True]
     assert verdicts == [reference_is_isometry(matrix_from_ints(Z4, [[x]]), flat) for x in range(4)]
+    flat = TableSupport(Z4, 2, {v: (0,) for v in itertools.product(Z4.elements(), repeat=2)})
+    mats = ([[1, 1], [1, 1]], [[0, 1], [1, 0]], [[2, 0], [0, 1]], [[1, 2], [0, 3]])
+    verdicts = [is_isometry(matrix_from_ints(Z4, m), flat) for m in mats]
+    assert verdicts == [False, True, False, True]
+    assert verdicts == [reference_is_isometry(matrix_from_ints(Z4, m), flat) for m in mats]
 
 
 def test_reference_matmul_is_matrix_product():

@@ -508,6 +508,19 @@ def test_minimal_feasible_lengths_match_pairwise_reference():
             assert minimal_feasible_lengths(lt, a) == tuple(minimal)
 
 
+def test_minimal_feasible_lengths_of_repeated_rows_and_of_nothing():
+    # B3's 8 length rows take 4 values; np.unique is the oracle for the
+    # distinct feasible rows, and a nullity nothing reaches gives ()
+    lt = Latroid.from_functions(B3, lambda s: (0, 0), lambda s: (len(s), len(s) % 2))
+    for a in itertools.product(range(5), repeat=2):
+        feasible = np.unique(lt.length[(lt.length - lt.rank >= a).all(axis=1)], axis=0)
+        rows = [tuple(r) for r in feasible.tolist()]
+        minimal = tuple(s for s in rows if not any(slt(t, s) for t in rows))
+        assert minimal_feasible_lengths(lt, a) == minimal
+    assert minimal_feasible_lengths(lt, (1, 0)) == ((1, 1), (2, 0))
+    assert minimal_feasible_lengths(lt, (4, 0)) == ()
+
+
 def test_weight_monotone_and_strict_step():
     # d_b <= d_a for b <= a; strict when some element attains nullity b
     for lt in crypto_corpus():

@@ -22,6 +22,7 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,14 @@ from latroids.code_latroids import (
     latroid_weights_equal_code_weights,
     rect_supp_latroid,
 )
-from latroids.codes import Code, enumerate_submodules, length_lambda, span, zero_code
+from latroids.codes import (
+    Code,
+    enumerate_submodules,
+    full_space,
+    length_lambda,
+    span,
+    zero_code,
+)
 from latroids.core import Latroid, dual_latroid, validate_latroid
 from latroids.enumerators import (
     enumerator_from_tutte,
@@ -142,6 +150,36 @@ def test_chain_support_latroid_of_random_code(ring_name, data):
 
     rep = latroid_weights_equal_code_weights(code)
     assert rep.ok, rep.summary()
+
+
+def unique_projection_ranks(code):
+    """rho(s) factor by factor, lambda_j(M_s n C) from the distinct
+    projections of the words below s as ``np.unique`` finds them."""
+    ring, n, ell = code.ring, code.n, code.ring.ell
+    digits = ring.encode(code.codewords, n)
+    levels = ChainSupport(ring, n).of_digits(digits)
+    ranks = []
+    for label in chain_support_lattice(ring, n).labels:
+        below = digits[(levels <= label).all(axis=1)]
+        ranks.append([
+            sum(label[j::ell]) - intlog(f.p, len(np.unique(below[:, j::ell], axis=0)))
+            for j, f in enumerate(ring.factors)
+        ])
+    return ranks
+
+
+@pytest.mark.parametrize("ring_name", ("Z_2 x Z_4", "Z_2 x Z_3"))
+def test_chain_support_latroid_where_words_share_projections(ring_name):
+    # up to |R_2|^n words per projection onto R_1, and |R_1|^n onto R_2
+    ring = parse_ring(ring_name)
+    two = ring.sizes[1]
+    for code in (
+        full_space(ring, 2),
+        span(ring, 3, [((1, 1), (0, 2), (1, 0)), ((0, 2), (1, 0), (0, 1))]),
+        span(ring, 3, [((1, 0), (1, 0), (0, 0)), ((0, two - 1), (0, 1), (0, 1))]),
+    ):
+        assert chain_support_latroid(code).rank.tolist() == unique_projection_ranks(code)
+        assert all(len(code.factor(j)) < len(code) for j in (0, 1))
 
 
 @pytest.mark.parametrize("ring_name", BATCH_RINGS)

@@ -148,3 +148,12 @@ def test_sum_rank_matches_reference(name, mc, spaces):
         return
     lt = sum_rank_latroid(mc, spaces=spaces)
     assert list(zip(rows(lt.rank), rows(lt.length))) == reference_sum_rank(mc, spaces)
+
+
+def test_subspace_lattices_are_built_once_and_read_only():
+    lat, members = _subspaces(2, 3)
+    again, same = _subspaces(2, 3)
+    assert again is lat and same is members
+    assert not members.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        members[0, 0] = True
