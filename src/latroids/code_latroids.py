@@ -19,20 +19,19 @@ from .codes import (
     Code,
     big_m,
     enumerate_submodules,
-    full_space,
     length_lambda,
     rref,
     span_from_ints,
 )
 from .core import Latroid, collapse_scalars, generalized_weight
 from .lattices import (
+    _ambient_submodules,
     _dominated,
     _members,
     _subspaces,
     boolean_lattice,
     chain_support_lattice,
     product as product_lattice,
-    submodule_lattice,
 )
 from .limits import SPAN_CAP, SUBMODULE_CAP, check_cap
 from .report import Check, Report
@@ -51,11 +50,13 @@ def latroid_from_code(code: Code) -> Latroid:
     rank is read off the meet column of C, as ``rect_supp_latroid`` does.
     lambda is strictly increasing and modular on every submodule lattice,
     so the table is built as is; ``validate_latroid`` checks L1-L5 on it.
-    R^n is checked against the cap of the submodule enumeration before it
-    is built.
+    R^n is checked against the cap of the submodule enumeration before its
+    lattice is built.  That lattice is kept for the last few (ring, n)
+    (``lattices._ambient_submodules``), so the latroids of several codes in
+    one R^n share it.
     """
     check_cap(code.ring.size**code.n, SUBMODULE_CAP, "submodule enumeration")
-    lattice = submodule_lattice(full_space(code.ring, code.n))
+    lattice = _ambient_submodules(code.ring, code.n)
     length = np.array([length_lambda(m) for m in lattice.labels])
     return Latroid(lattice, length - length[lattice.meet[:, lattice.index[code]]], length)
 
@@ -389,16 +390,14 @@ def least_weights(subcodes, invariant, weight, top: int) -> list[int]:
 def code_gen_weights_dbar(code: Code, supp: Support) -> list[int]:
     """Length-based generalized weights: the least wt(D) over submodules D
     with lambda(D) >= r, for r = 1..lambda(C).  Brute force over all
-    submodules."""
-    return least_weights(
-        enumerate_submodules(code), length_lambda, supp.code_weight, length_lambda(code)
-    )
+    submodules (``Code.submodules``, enumerated once per code)."""
+    return least_weights(code.submodules, length_lambda, supp.code_weight, length_lambda(code))
 
 
 def code_gen_weights_dr(code: Code, supp: Support) -> list[int]:
     """Generator-based generalized weights: the least wt(D) over submodules
     D with M(D) >= r, for r = 1..M(C)."""
-    return least_weights(enumerate_submodules(code), big_m, supp.code_weight, big_m(code))
+    return least_weights(code.submodules, big_m, supp.code_weight, big_m(code))
 
 
 def _latroid_weights(lt: Latroid, top: int) -> list[int]:

@@ -14,12 +14,15 @@ cyclic at a time through a table of word differences.  Distinct rows
 and keys are found by sorting and masking equal neighbours, and sets of
 positions by a mark array, never by numpy's ``unique``: numpy 2 imports
 ``numpy.ma`` on its first call, 10-20 ms that every process would pay.
-``full_space`` decodes the digit space ``Pir.space``.  ``span``, ``code_sum``,
-``Code.scaled`` and ``Code.factor`` stay on ``Pir`` tuple arithmetic: they
-build small sets of tuples, which is what callers hold.  ``span`` takes the
-distinct multiples of each generator once and adds each of them to every
-word found so far.  The composition length lambda(C) is read off |C|
-alone (``length_lambda``), with no projection onto the CRT factors.
+A code enumerates its submodules on the first read of ``Code.submodules``
+and keeps them, so the weight oracles, the generalized enumerators and the
+isometry check of one code share one enumeration.  ``full_space`` decodes
+the digit space ``Pir.space``.  ``span``, ``code_sum``, ``Code.scaled`` and
+``Code.factor`` stay on ``Pir`` tuple arithmetic: they build small sets of
+tuples, which is what callers hold.  ``span`` takes the distinct multiples
+of each generator once and adds each of them to every word found so far.
+The composition length lambda(C) is read off |C| alone
+(``length_lambda``), with no projection onto the CRT factors.
 
 Over a prime field F_p, ``rref`` row-reduces a list of vectors; the reduced
 row echelon basis is the canonical label of the subspace they span (the
@@ -29,6 +32,7 @@ labels of ``lattices.subspace_lattice``), and its length is the dimension
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -80,6 +84,12 @@ class Code:
 
     def is_zero(self) -> bool:
         return len(self.codewords) == 1
+
+    @functools.cached_property
+    def submodules(self) -> tuple["Code", ...]:
+        """All submodules, enumerated on first read and kept: the weight
+        oracles and enumerators of one code share one list."""
+        return tuple(enumerate_submodules(self))
 
     def factor(self, i: int) -> "Code":
         """The projection onto the i-th CRT factor, as a code over R_i."""

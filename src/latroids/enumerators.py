@@ -23,7 +23,7 @@ from operator import add, sub
 import numpy as np
 
 from .code_latroids import chain_support_latroid, least_weights
-from .codes import Code, enumerate_submodules, length_lambda
+from .codes import Code, length_lambda
 from .core import Latroid
 from .limits import LATTICE_CAP, check_cap
 from .report import Check, Report
@@ -192,7 +192,7 @@ def weight_distribution(code: Code, supp: Support) -> list[int]:
     return np.bincount(weights, minlength=supp.ambient_weight() + 1).tolist()
 
 
-def _weight_distributions(subcodes: list[Code], supp: Support) -> dict[int, list[int]]:
+def _weight_distributions(subcodes: tuple[Code, ...], supp: Support) -> dict[int, list[int]]:
     """A^(j)_w for every length j of a submodule, from the list of all
     submodules."""
     out: dict[int, list[int]] = {}
@@ -205,7 +205,7 @@ def _weight_distributions(subcodes: list[Code], supp: Support) -> dict[int, list
 def generalized_weight_distribution(code: Code, supp: Support, r: int) -> list[int]:
     """A^(r)_w = number of submodules with lambda = r and wt = w."""
     empty = [0] * (supp.ambient_weight() + 1)
-    return _weight_distributions(enumerate_submodules(code), supp).get(r, empty)
+    return _weight_distributions(code.submodules, supp).get(r, empty)
 
 
 def generalized_enumerator(code: Code, supp: Support, r: int) -> ExpPoly:
@@ -220,7 +220,7 @@ def generalized_enumerator(code: Code, supp: Support, r: int) -> ExpPoly:
     if not 0 <= r <= lam:
         raise ValueError(f"r = {r} outside [0, {lam}]")
     wt_top = supp.ambient_weight()
-    subcodes = enumerate_submodules(code)
+    subcodes = code.submodules
     dists = _weight_distributions(subcodes, supp)
     poly = ExpPoly(2, (((wt_top - w, w), a) for w, a in enumerate(dists[r])), ("x", "y"))
     if r >= 1:

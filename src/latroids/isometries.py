@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from .code_latroids import least_weights
-from .codes import Code, big_m, enumerate_submodules, length_lambda
+from .codes import Code, big_m, length_lambda
 from .enumerators import weight_distribution
 from .limits import VECTOR_ENUM_CAP, check_cap
 from .report import Check, Report
@@ -159,7 +159,7 @@ def equivalence_invariance_check(code: Code, mat: RingMatrix, supp: Support) -> 
     checks.append(Check("lambda_equal", lam1 == lam2, f"{lam1} vs {lam2}"))
 
     if lam1 == lam2 and lam1 > 0:
-        subs1, subs2 = enumerate_submodules(code), enumerate_submodules(image)
+        subs1, subs2 = code.submodules, image.submodules
         d1 = least_weights(subs1, length_lambda, supp.code_weight, lam1)
         d2 = least_weights(subs2, length_lambda, supp.code_weight, lam2)
         checks.append(Check("dbar_equal", d1 == d2, f"{d1} vs {d2}"))

@@ -35,6 +35,20 @@ checks ``LATTICE_CAP`` before it allocates an N x N array.  On a 2-vCPU x86
 machine the 4096-element boolean lattice builds in about 1 s and the 3^7
 grid in 0.04 s, against about 5 s and 1 s through the recurrence.
 
+The lattices a latroid sits on depend on the ambient module R^n, never on
+the code.  The chains (``_chain``) and the subspace lattices of F_q^n
+(``_subspaces``) are built once per process for each key, whose count the
+caps bound.  ``boolean_lattice(n)`` and the submodule lattice of R^n
+(``_ambient_submodules``), on which the block matroids and the
+submodule-lattice latroids sit, keep the last ``_AMBIENT_KEPT`` keys each,
+so that several latroids or commands on one R^n in a row build it once.
+At the 4096-element cap the tables of one lattice (two N x N bool, two
+N x N int32) hold about 168 MB, so these two keep at most about 670 MB of
+tables, plus the labels.  ``grid_lattice``, ``chain_support_lattice`` and
+``submodule_lattice`` of a code are built on every call.  Every
+``FiniteLattice`` holds read-only views of its tables, so no caller can
+change a shared one, and the arrays a caller hands in stay writable.
+
 Scans over all N^2 pairs (``core.scan_rows``: ``core.validate_latroid``
 on the int64 rank and length tables, the pairwise axiom checks) run a
 block of rows at a time: one N x N x u int64 temporary per comparison
@@ -58,19 +72,23 @@ from .limits import LATTICE_CAP, SUBMODULE_CAP, check_cap
 from .report import Check, Report
 from .rings import Pir, chain_ring, is_prime
 
+# How many keys ``boolean_lattice`` and ``_ambient_submodules`` keep each.
+_AMBIENT_KEPT = 2
+
 
 class FiniteLattice:
     """A finite lattice on indexed, hashable labels, held as tables: ``leq``
     and ``covers`` (bool), ``join`` and ``meet`` (int32 indices).  It trusts
     them; ``build_lattice`` is what checks an order from outside.
 
-    Building one stores the tables and finds the bottom and top; the
+    Building one stores read-only views of the tables (the ambient
+    lattices are shared by every caller) and finds the bottom and top; the
     cached properties below are computed on first read and kept."""
 
     def __init__(self, labels, leq, covers, join, meet):
         self.labels = tuple(labels)
         self.size = len(self.labels)
-        self.leq, self.covers, self.join, self.meet = leq, covers, join, meet
+        self.leq, self.covers, self.join, self.meet = map(_read_only, (leq, covers, join, meet))
         self.bottom = int(np.flatnonzero(leq.all(axis=1))[0])
         self.top = int(np.flatnonzero(leq.all(axis=0))[0])
 
@@ -218,6 +236,14 @@ def _height_if_graded(covers: np.ndarray, bottom: int):
         frontier = np.flatnonzero(above)
         height[frontier] = level
     return tuple(height.tolist())
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """A view of ``table`` that cannot be written through; ``table`` itself
+    stays as it was."""
+    view = table.view()
+    view.flags.writeable = False
+    return view
 
 
 def _check_size(size: int) -> None:
@@ -368,21 +394,25 @@ def _product_table(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
 
 @functools.cache
 def _chain(top: int) -> FiniteLattice:
-    """The chain 0 < 1 < ... < top, built once for each length and shared:
-    no code writes into a lattice's tables."""
+    """The chain 0 < 1 < ... < top, built once for each length and shared,
+    as ``_subspaces`` is: its tables are read-only."""
     _check_size(top + 1)
     return build_lattice(range(top + 1), np.triu(np.ones((top + 1, top + 1), dtype=bool)))
 
 
 def grid_lattice(ranges) -> FiniteLattice:
     """Integer vectors 0 <= v[i] <= ranges[i] under the product order: the
-    product of chains, labelled by the vectors."""
+    product of chains, labelled by the vectors.  Not kept: the cached
+    ``boolean_lattice`` would otherwise keep its unrenumbered grid too."""
     return product(*(_chain(r) for r in ranges))
 
 
+@functools.lru_cache(maxsize=_AMBIENT_KEPT)
 def boolean_lattice(n: int) -> FiniteLattice:
     """Subsets of {0..n-1} ordered by inclusion, numbered by size and then
-    in ``combinations`` order: the grid {0,1}^n renumbered."""
+    in ``combinations`` order: the grid {0,1}^n renumbered.  Kept for the
+    last ``_AMBIENT_KEPT`` lengths: the block matroids of length n all sit
+    on it."""
     subsets = [c for size in range(n + 1) for c in itertools.combinations(range(n), size)]
     idx = np.array([sum(1 << (n - 1 - i) for i in c) for c in subsets], dtype=np.intp)
     return _renumbered(grid_lattice([1] * n), idx, map(frozenset, subsets))
@@ -461,3 +491,11 @@ def submodule_lattice(code: Code) -> FiniteLattice:
     subs = enumerate_submodules(code)
     members = _members([s.codewords for s in subs], code.sorted_words())
     return build_lattice(subs, _membership_order(members))
+
+
+@functools.lru_cache(maxsize=_AMBIENT_KEPT)
+def _ambient_submodules(ring: Pir, n: int) -> FiniteLattice:
+    """The submodule lattice of R^n, kept for the last ``_AMBIENT_KEPT``
+    (ring, n): the submodule-lattice latroids of codes in R^n all sit on
+    it.  The caller checks R^n against the cap of the enumeration first."""
+    return submodule_lattice(full_space(ring, n))

@@ -9,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_lattices import clear_lattice_caches
 
-from latroids import code_latroids, enumerators, isometries, lattices
+from latroids import codes, lattices
 from latroids.cli import COMMANDS, SCHEMA_VERSION, main
 from latroids.codes import enumerate_submodules
 
@@ -233,7 +234,7 @@ def test_submodule_lattice_cap_is_checked_before_spanning_the_ambient_space(
     def no_span(ring, n):
         raise AssertionError(f"spanned {ring}^{n}")
 
-    monkeypatch.setattr(code_latroids, "full_space", no_span)
+    monkeypatch.setattr(lattices, "full_space", no_span)
     text = "ring = Z_2\nn = 16\nsupport = chain\nlattice = submodule\ngen = " + "1 " * 16 + "\n"
     code, out, err = run_cli(capsys, "--command", "latroid", "--config", _write(tmp_path, text))
     assert code == 3
@@ -272,19 +273,18 @@ def test_weights_non_integer_r_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("r", ["", "r = 1\n"], ids=["all r", "one r"])
-def test_weights_enumerates_the_submodules_once_per_oracle(capsys, tmp_path, monkeypatch, r):
+def test_weights_enumerates_the_submodules_once(capsys, tmp_path, monkeypatch, r):
     calls = []
 
     def counted(code):
         calls.append(code)
         return enumerate_submodules(code)
 
-    monkeypatch.setattr(code_latroids, "enumerate_submodules", counted)
-    monkeypatch.setattr(enumerators, "enumerate_submodules", counted)
+    monkeypatch.setattr(codes, "enumerate_submodules", counted)
     path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\n" + r)
     code, _, _ = run_cli(capsys, "--command", "weights", "--config", path)
     assert code == 0
-    assert len(calls) == 2  # d-bar and d-mu; the latroid side reads the lattice
+    assert len(calls) == 1  # d-bar and d-mu read Code.submodules; the latroid reads the lattice
 
 
 def test_isometry_enumerates_the_submodules_once_per_side(capsys, monkeypatch):
@@ -294,8 +294,7 @@ def test_isometry_enumerates_the_submodules_once_per_side(capsys, monkeypatch):
         calls.append(code)
         return enumerate_submodules(code)
 
-    for module in (code_latroids, enumerators, isometries):
-        monkeypatch.setattr(module, "enumerate_submodules", counted)
+    monkeypatch.setattr(codes, "enumerate_submodules", counted)
     config = str(CONFIGS / "z6_isometry.cfg")
     code, _, _ = run_cli(capsys, "--command", "isometry", "--config", config)
     assert code == 0
@@ -488,7 +487,8 @@ def test_bad_support_spec_exits_2(capsys, tmp_path, case, command):
 @pytest.mark.parametrize("command", ["axioms", "crypto-roundtrip"])
 def test_axiom_commands_check_the_lattice_once(capsys, monkeypatch, command):
     # the three axiom systems (or reconstructions) read the verdicts the
-    # lattice keeps
+    # lattice keeps; the shared boolean lattice starts without them
+    clear_lattice_caches()
     calls = []
     for function in (lattices.is_modular_lattice, lattices.is_complemented_lattice):
 

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from test_lattices import clear_lattice_caches
 
-from latroids import code_latroids, codes
+from latroids import codes, lattices
 from latroids.code_latroids import latroid_from_code
 from latroids.codes import (
     Code,
@@ -181,10 +182,25 @@ def test_latroid_from_code_checks_the_ambient_space_before_spanning_it(monkeypat
     def no_span(ring, n):
         raise AssertionError(f"spanned {ring}^{n}")
 
-    monkeypatch.setattr(code_latroids, "full_space", no_span)
+    clear_lattice_caches()
+    monkeypatch.setattr(lattices, "full_space", no_span)
     code = span_from_ints(F2, 16, [[1] * 16])
     with pytest.raises(CapExceededError, match="submodule enumeration needs 65536 > cap 4096"):
         latroid_from_code(code)
+    assert lattices._ambient_submodules.cache_info().currsize == 0
+
+
+def test_latroids_of_one_ambient_space_share_its_lattice():
+    clear_lattice_caches()
+    codes_of_z4_2 = [span_from_ints(Z4, 2, [[1, 2]]), span_from_ints(Z4, 2, [[2, 0], [0, 2]])]
+    shared = [latroid_from_code(code) for code in codes_of_z4_2]
+    assert shared[0].lattice is shared[1].lattice
+    for code, lt in zip(codes_of_z4_2, shared):
+        clear_lattice_caches()
+        fresh = latroid_from_code(code)
+        assert fresh.lattice is not lt.lattice and fresh.lattice == lt.lattice
+        assert np.array_equal(fresh.rank, lt.rank)
+        assert np.array_equal(fresh.length, lt.length)
 
 
 def test_mu_lambda_relation_on_all_submodules():

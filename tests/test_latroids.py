@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_lattices import clear_lattice_caches
 
 from latroids import core, lattices
 from latroids.codes import full_space, span_from_ints
@@ -277,7 +278,9 @@ def test_axioms_require_hypotheses():
 
 
 def test_reconstructions_check_hypotheses_once(monkeypatch):
-    # the three reconstructions share the lattice's kept verdicts
+    # the three reconstructions share the lattice's kept verdicts; the
+    # shared boolean lattice starts without them
+    clear_lattice_caches()
     calls = []
 
     def counted(lat):

@@ -31,6 +31,15 @@ from latroids.rings import parse_ring
 from latroids.selftest import latroid_corpus
 
 
+def clear_lattice_caches():
+    """Empty every cache of ``latroids.lattices`` (the chains, the ambient
+    lattices, the subspace lattices), so that a test counting what a
+    lattice computes sees it built, whichever tests ran before."""
+    for value in vars(lattices).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 def leq_matrix(labels, leq):
     """The boolean order matrix of a leq callable on the labels."""
     labels = list(labels)
@@ -181,6 +190,49 @@ def test_interval_and_dual():
     mid = b3.index[frozenset({0})]
     sub = interval(b3, mid, b3.top)
     assert sub.size == 4  # supersets of {0}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: divisor_lattice(12),
+    lambda: product(chain(2), chain(3)),
+    lambda: boolean_lattice(3),
+    lambda: dual(divisor_lattice(12)),
+    lambda: interval(divisor_lattice(12), 0, 4),
+], ids=["build_lattice", "product", "boolean_lattice", "dual", "interval"])
+def test_lattice_tables_are_read_only(make):
+    lat = make()
+    for table in (lat.leq, lat.covers, lat.join, lat.meet):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = table[0, 0]
+
+
+def test_lattice_keeps_the_callers_arrays_writable():
+    leq = leq_matrix(range(3), lambda a, b: a <= b)
+    lat = build_lattice(range(3), leq)
+    leq[0, 0] = True
+    assert leq.flags.writeable and not lat.leq.flags.writeable
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lattices._chain(3),
+    lambda: boolean_lattice(3),
+    lambda: lattices._ambient_submodules(parse_ring("Z_4"), 2),
+    lambda: subspace_lattice(2, 3),
+], ids=["chain", "boolean", "ambient_submodules", "subspaces"])
+def test_ambient_lattices_are_built_once(build):
+    assert build() is build()
+
+
+def test_kept_ambient_lattices_are_bounded():
+    clear_lattice_caches()
+    first = boolean_lattice(1)
+    for n in range(2, lattices._AMBIENT_KEPT + 3):
+        boolean_lattice(n)
+    assert boolean_lattice.cache_info().currsize == lattices._AMBIENT_KEPT
+    assert boolean_lattice(1) is not first and boolean_lattice(1) == first
+    for ring in ("Z_2", "Z_3", "Z_4", "Z_5"):
+        lattices._ambient_submodules(parse_ring(ring), 1)
+    assert lattices._ambient_submodules.cache_info().currsize == lattices._AMBIENT_KEPT
 
 
 def test_product_of_chains_is_grid():

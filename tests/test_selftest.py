@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from test_lattices import clear_lattice_caches
 
 from latroids import (
     cli,
@@ -36,7 +37,7 @@ def test_every_criterion_is_counted():
 def counted_everywhere(monkeypatch, function):
     """Count the calls of ``function`` through every ``latroids`` module that
     holds it (the package imports by name), with the selftest corpora and
-    the shared subspace lattices uncached so that building them counts too,
+    the shared lattices uncached so that building them counts too,
     whichever tests ran before."""
     calls = []
 
@@ -50,7 +51,7 @@ def counted_everywhere(monkeypatch, function):
     for value in vars(selftest).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
-    lattices._subspaces.cache_clear()
+    clear_lattice_caches()
     return calls
 
 
@@ -70,11 +71,11 @@ def test_isometry_criterion_enumerates_each_side_once(monkeypatch):
     assert len(calls) == 8  # 4 invariance checks, the code and its image
 
 
-def test_run_all_grades_25_lattices(monkeypatch):
+def test_run_all_grades_18_lattices(monkeypatch):
     # a ratchet: of the lattices run_all(0) builds, only those whose height
     # is read are graded (the latroid corpus and the crypto checks); the
-    # intervals and duals of criterion 9 mostly are not, and each subspace
-    # lattice is built, so graded, once
+    # intervals and duals of criterion 9 mostly are not, and the kept
+    # boolean, submodule and subspace lattices are built, so graded, once
     calls = counted_everywhere(monkeypatch, lattices._height_if_graded)
     assert all(report.ok for _, _, report in selftest.run_all(0))
-    assert len(calls) == 25
+    assert len(calls) == 18

@@ -29,7 +29,7 @@ from latroids.code_latroids import (
 from latroids.cli import _entry
 from latroids.codes import enumerate_submodules, length_lambda, span_from_ints, zero_code
 from latroids.core import Latroid
-from latroids import code_latroids, enumerators
+from latroids import codes, enumerators
 from latroids.enumerators import (
     ExpPoly,
     enumerator_from_tutte,
@@ -231,9 +231,9 @@ def test_generalized_enumerator_enumerates_once(monkeypatch):
         calls.append(code)
         return enumerate_submodules(code)
 
-    monkeypatch.setattr(code_latroids, "enumerate_submodules", counted)
-    monkeypatch.setattr(enumerators, "enumerate_submodules", counted)
-    generalized_enumerator(Z4_12, ChainSupport(Z4, 2), 2)
+    monkeypatch.setattr(codes, "enumerate_submodules", counted)
+    # a new code: Z4_12 keeps the submodules other tests enumerated
+    generalized_enumerator(span_from_ints(Z4, 2, [[1, 2]]), ChainSupport(Z4, 2), 2)
     assert len(calls) == 1
 
 
