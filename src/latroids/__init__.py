@@ -65,7 +65,6 @@ from .enumerators import (
     homogeneous_enumerator,
     pir_tutte_corollary,
     refined_enumerator,
-    tutte_whitney_R,
     tutte_whitney_Rprime,
     weight_distribution,
 )

@@ -419,9 +419,9 @@ def cmd_enumerator(cfg, cap):
 
 def cmd_tutte(cfg, cap):
     ring, n, code, supp = load_problem(cfg, cap)
+    direct = refined_enumerator(code, ChainSupport(ring, n))
     if ring.ell != 1:
-        rep = pir_tutte_corollary(code)
-        direct = refined_enumerator(code, ChainSupport(ring, n))
+        rep = pir_tutte_corollary(code, direct)
         data = {
             "refined_rendered": direct.render(),
             "factorization": rep.to_dict(),
@@ -430,7 +430,6 @@ def cmd_tutte(cfg, cap):
     rprime = tutte_whitney_Rprime(chain_support_latroid(code))
     rgf = rprime_z_to_one(rprime, n)
     via_tutte = enumerator_from_rprime(rprime, n, ring.factors[0].residue_field_size)
-    direct = refined_enumerator(code, ChainSupport(ring, n))
     same = via_tutte == direct
     data = {
         "rank_generating_function": rgf.to_json_dict(),

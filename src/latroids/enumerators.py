@@ -1,16 +1,15 @@
 """Exact multivariate polynomials with integer-vector exponents, weight
-enumerators, and the weighted Tutte-Whitney rank generating functions R and
-R' of a latroid on a grid lattice.
+enumerators, and the weighted Tutte-Whitney rank generating function R' of a
+latroid on a grid lattice.
 
 The refined weight enumerator of a code can be read off from R' of its
 chain-support latroid.  The substitution z -> (y - x)/y never happens as a
-rational function: the closed form multiplies each term by (y - x)^e and
-drops e from the matching y exponent, so everything stays an integer
-polynomial (the denominator cancels exactly).  The power (y - x)^e is
-expanded with binomial coefficients, so each R' term lists its monomials
-x^(B+K) y^(T-B-K), 0 <= K <= e, directly.  Those lists, like the terms of
-every other polynomial here, are collected once, by the ``ExpPoly``
-constructor, which adds up repeated exponents and drops zero sums.
+rational function: each R' term x^B z^e y^(T-B) becomes x^B (y - x)^e
+y^(T-B-e), an integer polynomial.  Summed over the grid that is Moebius
+inversion on a product of chains, one difference along each grid axis
+(``_grid_differences``, which ``inclusion_exclusion_check`` shares).
+Polynomials are collected once, by the ``ExpPoly`` constructor, which adds
+up repeated exponents and drops zero sums.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from operator import add, sub
+from operator import add
 
 import numpy as np
 
@@ -239,14 +238,14 @@ def generalized_enumerator(code: Code, supp: Support, r: int) -> ExpPoly:
 # -- Tutte-Whitney rank generating functions -----------------------------------
 
 
-def _grid_labels(lt: Latroid):
+def _grid_labels(lt: Latroid) -> np.ndarray:
     labels = lt.lattice.labels
     if not all(
         isinstance(lab, tuple) and all(isinstance(x, int) for x in lab)
         for lab in labels
     ):
         raise ValueError("Tutte-Whitney sums need integer-vector lattice labels")
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def tutte_whitney_Rprime(lt: Latroid) -> ExpPoly:
@@ -254,61 +253,60 @@ def tutte_whitney_Rprime(lt: Latroid) -> ExpPoly:
     x^M z^(M~ - M) y^(1_L - M) u^(rho(1)-rho(M)) v^(len(M)-rho(M)),
     with M~ = (M + 1) ^ 1_L."""
     labels = _grid_labels(lt)
-    g = len(labels[0])
-    s = lt.udim
-    names = (
-        tuple(f"x{i+1}" for i in range(g))
-        + tuple(f"z{i+1}" for i in range(g))
-        + tuple(f"y{i+1}" for i in range(g))
-        + tuple(f"u{i+1}" for i in range(s))
-        + tuple(f"v{i+1}" for i in range(s))
-    )
-    top_label = lt.lattice.labels[lt.lattice.top]
-    # the u and v exponents of every element, as rows of Python ints
-    uv = np.hstack([lt.top_rank() - lt.rank, lt.length - lt.rank]).tolist()
-    pairs = []
-    for m, exps in zip(labels, uv):
-        tilde = tuple(min(x + 1, t) for x, t in zip(m, top_label))
-        zexp = tuple(a - b for a, b in zip(tilde, m))
-        comp = tuple(t - x for t, x in zip(top_label, m))
-        pairs.append((m + zexp + comp + tuple(exps), 1))
-    return ExpPoly(3 * g + 2 * s, pairs, names)
+    g, s = labels.shape[1], lt.udim
+    names = tuple(f"{v}{i+1}" for v, k in zip("xzyuv", (g, g, g, s, s)) for i in range(k))
+    top = labels[lt.lattice.top]
+    exps = np.hstack([labels, np.minimum(labels + 1, top) - labels, top - labels,
+                      lt.top_rank() - lt.rank, lt.length - lt.rank])
+    return ExpPoly(3 * g + 2 * s, ((e, 1) for e in exps.tolist()), names)
 
 
 def rprime_z_to_one(rp: ExpPoly, g: int) -> ExpPoly:
-    """R from R' of a latroid on a g-dimensional grid by the substitution
-    z = 1."""
+    """R = sum over lattice elements M of
+    x^M y^(1_L - M) u^(rho(1)-rho(M)) v^(len(M)-rho(M)), from R' of a
+    latroid on a g-dimensional grid by the substitution z = 1."""
     targets = [*range(g), *[None] * g, *range(g, rp.nvars - g)]
     return rp.remap(targets, rp.nvars - g, rp.names[:g] + rp.names[2 * g :])
 
 
-def tutte_whitney_R(lt: Latroid) -> ExpPoly:
-    """R = sum over lattice elements M of
-    x^M y^(1_L - M) u^(rho(1)-rho(M)) v^(len(M)-rho(M)): R' at z = 1."""
-    return rprime_z_to_one(tutte_whitney_Rprime(lt), len(_grid_labels(lt)[0]))
+def _grid_differences(f: np.ndarray) -> np.ndarray:
+    """Moebius inversion on a product of chains: one difference along each
+    axis, so entry A becomes the alternating sum over the 0/1 steps B <= A."""
+    for axis in range(f.ndim):
+        f = np.diff(f, axis=axis, prepend=0)
+    return f
 
 
 def enumerator_from_rprime(rp: ExpPoly, g: int, p: int) -> ExpPoly:
-    """Turn R' of a chain-support latroid (udim 1) into the refined weight
-    enumerator.
+    """Turn R' of a chain-support latroid (udim 1) on a g-dimensional grid
+    into the refined weight enumerator.
 
-    Each R' term x^B z^e y^(T-B) u^a v^b contributes
-    p^b * x^B * (y - x)^e * y^(T-B-e): substituting the residue field size
-    into the length-minus-rank slot counts the codewords supported inside B,
-    and the binomial factor performs the inclusion-exclusion that isolates
-    exact supports.  Expanded binomially, that is
-    sum over 0 <= K <= e of p^b * prod_i (-1)^(K_i) C(e_i, K_i) *
-    x^(B+K) y^(T-B-K).
+    R' must have one term x^B z^e y^(T-B) u^a v^b per grid point 0 <= B <= T,
+    with e = (B < T); anything else is refused, so a wrong z or y fails here.
+    Each term gives p^b x^B (y - x)^e y^(T-B-e): p^b counts the codewords
+    supported inside B, and (y - x)^e, one difference per axis of the grid
+    f[B] = coeff * p^b, leaves those of support exactly A at x^A y^(T-A).
+    The grid holds Python ints (object dtype), so the counts are exact.
     """
-    pairs = []
-    for exps, coeff in rp.terms.items():
-        b, zexp, yexp = exps[:g], exps[g : 2 * g], exps[2 * g : 3 * g]
-        scale = coeff * p ** exps[3 * g + 1]
-        ks = itertools.product(*(range(e + 1) for e in zexp))
-        signed = [[(-1) ** k * math.comb(e, k) for k in range(e + 1)] for e in zexp]
-        for k, c in zip(ks, map(math.prod, itertools.product(*signed))):
-            pairs.append((tuple(map(add, b, k)) + tuple(map(sub, yexp, k)), scale * c))
-    return ExpPoly(2 * g, pairs, _xy_names(g))
+    if rp.nvars != 3 * g + 2:
+        raise ValueError(
+            f"R' on a {g}-dimensional grid has {3 * g + 2} variables, not {rp.nvars}")
+    exps = np.array(list(rp.terms), dtype=np.int64).reshape(len(rp.terms), rp.nvars)
+    b, zexp, yexp = exps[:, :g], exps[:, g : 2 * g], exps[:, 2 * g : 3 * g]
+    top = (b + yexp).max(axis=0, initial=0)
+    if (b + yexp != top).any():
+        raise ValueError("R' y-exponents are not T - B for one top T")
+    if (zexp != (b < top)).any():
+        raise ValueError("R' z-exponents are not the 0/1 vector B < T")
+    shape = tuple((top + 1).tolist())
+    if len(b) != math.prod(shape) or np.bincount(np.ravel_multi_index(b.T, shape)).max() > 1:
+        raise ValueError(f"R' does not have one term per point B of a grid of shape {shape}")
+    f = np.zeros(shape, dtype=object)
+    f[tuple(b.T)] = [c * p**v for c, v in zip(rp.terms.values(), exps[:, 3 * g + 1].tolist())]
+    f = _grid_differences(f)
+    a = np.argwhere(f)
+    xy = np.hstack([a, top - a]).tolist()
+    return ExpPoly(2 * g, zip(xy, f[tuple(a.T)].tolist()), _xy_names(g))
 
 
 def enumerator_from_tutte(code: Code) -> ExpPoly:
@@ -353,15 +351,14 @@ def enumerator_product(code: Code, supp: Support) -> ExpPoly:
     return _embedded_product(polys, groups, supp.u)
 
 
-def pir_tutte_corollary(code: Code) -> Report:
-    """Check that the per-factor R'-derived enumerators multiply to the
-    refined enumerator of a product-ring code under the product chain
-    support."""
+def pir_tutte_corollary(code: Code, direct: ExpPoly) -> Report:
+    """Check that the per-factor R'-derived enumerators multiply to
+    ``direct``, the refined enumerator of a product-ring code under the
+    product chain support (``refined_enumerator`` with ``ChainSupport``)."""
     ring = code.ring
     supp = ChainSupport(ring, code.n)
     polys = (enumerator_from_tutte(code.factor(j)) for j in range(ring.ell))
     prod = _embedded_product(polys, _chain_groups(ring.ell, code.n), supp.u)
-    direct = refined_enumerator(code, supp)
     ok = prod == direct
     detail = "" if ok else f"product {prod.render()} != direct {direct.render()}"
     checks = [Check("factorized_tutte_enumerator", ok, detail)]
@@ -395,9 +392,7 @@ def inclusion_exclusion_check(code: Code) -> Report:
     # One comparison per label, not the prefix sums of chain_support_latroid,
     # so that this route stays independent of that kernel.
     exact = np.array([(levels <= b).all(axis=1).sum() for b in labels], dtype=np.int64)
-    exact = exact.reshape(shape)
-    for axis in range(exact.ndim):
-        exact = np.diff(exact, axis=axis, prepend=0)
+    exact = _grid_differences(exact.reshape(shape))
     return Report.from_checks([Check.from_witnesses("inclusion_exclusion", (
         f"A = {a}: {total} != {counts[a]}"
         for a, total in zip(labels, exact.ravel().tolist())
@@ -409,9 +404,10 @@ def binomial_identity_check(u: int) -> Report:
     """x^B (y-x)^(1-B) = sum over 0/1 vectors A >= B of
     (-1)^{|A|-|B|} x^A y^(1-A), as an identity of polynomials.
 
-    This is the expansion the closed enumerator form rests on; note the
-    left factor is a power of x (a y-power there would already fail at
-    u = 1, B = 1)."""
+    Each per-axis difference of ``enumerator_from_rprime`` is this
+    identity on one axis: x^B (y - x) y^(T-B-1) = x^B y^(T-B) -
+    x^(B+1) y^(T-B-1).  Note the left factor is a power of x (a y-power
+    there would already fail at u = 1, B = 1)."""
     names = _xy_names(u)
 
     def mismatches():

@@ -276,7 +276,8 @@ def criterion_pir_corollary(seed: int) -> Report:
     corpus = z6_product_code_corpus(seed)
     checks.append(Check("corpus_size_at_least_5", len(corpus) >= 5, str(len(corpus))))
     for name, code in corpus:
-        rep = pir_tutte_corollary(code)
+        direct = refined_enumerator(code, ChainSupport(code.ring, code.n))
+        rep = pir_tutte_corollary(code, direct)
         checks.append(Check(f"pir {name}", rep.ok, rep.summary() if not rep.ok else ""))
     return Report.from_checks(checks)
 

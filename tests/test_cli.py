@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from test_lattices import clear_lattice_caches
 
-from latroids import codes, lattices
+from latroids import cli, codes, enumerators, lattices
 from latroids.cli import COMMANDS, SCHEMA_VERSION, main
 from latroids.codes import enumerate_submodules
+from latroids.enumerators import refined_enumerator
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONFIG_NAMES = ("f2_block", "z4_code", "z6_isometry", "z8_tutte")
@@ -132,6 +133,23 @@ def test_tutte_factorization_on_product_ring(capsys):
     assert [c["name"] for c in data["factorization"]["checks"]] == [
         "factorized_tutte_enumerator", "factorized_refined_enumerator",
     ]
+
+
+def test_tutte_on_a_product_ring_enumerates_the_whole_code_once(capsys, monkeypatch):
+    rings = []
+
+    def counted(code, supp):
+        rings.append(code.ring.ell)
+        return refined_enumerator(code, supp)
+
+    monkeypatch.setattr(cli, "refined_enumerator", counted)
+    monkeypatch.setattr(enumerators, "refined_enumerator", counted)
+    config = str(CONFIGS / "z6_isometry.cfg")
+    code, _, _ = run_cli(capsys, "--command", "tutte", "--config", config)
+    assert code == 0
+    # the whole Z_2 x Z_3 code once, shared by the output and the
+    # factorization check, and each factor once for enumerator_product
+    assert sorted(rings) == [1, 1, 2]
 
 
 def _write(tmp_path, text: str) -> str:

@@ -1,12 +1,13 @@
 """The polynomial layer of the enumerators: the one term collector of
-``ExpPoly``, the binomial expansion R' -> refined enumerator on z exponents
-that chain-support latroids never produce, the homogeneous enumerator, and
-the product of the CRT factors' refined enumerators."""
+``ExpPoly``, R' -> refined enumerator against a reference expansion and its
+refusal of anything but a grid R', the homogeneous enumerator, and the
+product of the CRT factors' refined enumerators."""
 
 from __future__ import annotations
 
 import pytest
 
+from latroids.code_latroids import chain_support_latroid
 from latroids.codes import span, zero_code
 from latroids.errors import CapExceededError
 from latroids.enumerators import (
@@ -16,6 +17,7 @@ from latroids.enumerators import (
     homogeneous_enumerator,
     inclusion_exclusion_check,
     refined_enumerator,
+    tutte_whitney_Rprime,
     weight_distribution,
 )
 from latroids.rings import parse_ring
@@ -78,23 +80,50 @@ def reference_from_rprime(rp: ExpPoly, g: int, p: int) -> ExpPoly:
     return out
 
 
-def test_enumerator_from_rprime_expands_z_powers_binomially():
-    # x^0 z^2 y^2 u^0 v^0 -> (y - x)^2
-    rp = ExpPoly(5, [((0, 2, 2, 0, 0), 1)])
-    assert enumerator_from_rprime(rp, 1, 3).render() == "x1^2 - 2*x1*y1 + y1^2"
-    # Layout x1 x2 z1 z2 y1 y2 u v; z exponents up to 3, overlapping
-    # monomials, and a v exponent that scales by p^v.
-    rp = ExpPoly(8, [
-        ((1, 0, 2, 1, 3, 3, 1, 2), 3),
-        ((2, 0, 1, 3, 2, 3, 0, 1), -1),
-        ((0, 1, 3, 0, 4, 2, 2, 0), 2),
-        ((3, 1, 0, 2, 1, 2, 0, 3), 5),
-    ])
-    got = enumerator_from_rprime(rp, 2, 3)
-    want = reference_from_rprime(rp, 2, 3)
+SINGLE_RING = [(name, code) for name, code in tutte_code_corpus(0) if code.ring.ell == 1]
+
+
+@pytest.mark.parametrize("name, code", SINGLE_RING, ids=[name for name, _ in SINGLE_RING])
+def test_enumerator_from_rprime_matches_the_reference_expansion(name, code):
+    rp = tutte_whitney_Rprime(chain_support_latroid(code))
+    p = code.ring.factors[0].residue_field_size
+    got = enumerator_from_rprime(rp, code.n, p)
+    want = reference_from_rprime(rp, code.n, p)
     assert got == want
     assert got.names == want.names
     assert got.render() == want.render()
+
+
+# R' of the chain-support latroid of Z_4^1 itself, layout x z y u v: the
+# grid 0 <= B <= 2 with z = (B < 2), y = 2 - B and v = lambda(C_B) = B.
+GRID_RPRIME = [((0, 1, 2, 0, 0), 1), ((1, 1, 1, 0, 1), 1), ((2, 0, 0, 0, 2), 1)]
+GRID_MISMATCH = r"R' does not have one term per point B of a grid of shape \(3,\)"
+
+
+def test_enumerator_from_rprime_of_z4():
+    # Z_4 has 2 units (x^2), one 2 (x y) and one 0 (y^2)
+    assert enumerator_from_rprime(ExpPoly(5, GRID_RPRIME), 1, 2).render() == "2*x1^2 + x1*y1 + y1^2"
+
+
+def _replaced(i, exps):
+    terms = list(GRID_RPRIME)
+    terms[i] = (exps, 1)
+    return ExpPoly(5, terms)
+
+
+@pytest.mark.parametrize("rp, g, message", [
+    (_replaced(1, (1, 2, 1, 0, 0)), 1, "R' z-exponents are not the 0/1 vector B < T"),
+    (_replaced(1, (1, 1, 2, 0, 0)), 1, "R' y-exponents are not T - B for one top T"),
+    (_replaced(2, (1, 1, 1, 0, 2)), 1, GRID_MISMATCH),
+    (ExpPoly(5, GRID_RPRIME[:2]), 1, GRID_MISMATCH),
+    (ExpPoly(5, GRID_RPRIME), 2, "on a 2-dimensional grid has 8 variables, not 5"),
+    (ExpPoly(6, [(e + (0,), 1) for e, _ in GRID_RPRIME]), 1,
+     "on a 1-dimensional grid has 5 variables, not 6"),
+], ids=["z is 2", "y is not T - B", "repeated B", "missing B", "too few variables",
+        "udim 2"])
+def test_enumerator_from_rprime_refuses_anything_but_a_grid_rprime(rp, g, message):
+    with pytest.raises(ValueError, match=message):
+        enumerator_from_rprime(rp, g, 2)
 
 
 # -- homogeneous enumerator and the factor product ---------------------------------

@@ -210,7 +210,6 @@ ONLY_TESTS_USE = (
     "core.minimal_feasible_lengths",
     "enumerators.generalized_enumerator",
     "enumerators.generalized_weight_distribution",
-    "enumerators.tutte_whitney_R",
     "isometries.apply_matrix",
     "lattices.atoms_join_check",
     "lattices.predicates",

@@ -141,11 +141,11 @@ def test_chain_support_latroid_of_random_code(ring_name, data):
     assert report.ok, report.summary()
     assert dual_latroid(dual) == lt
 
+    direct = refined_enumerator(code, ChainSupport(code.ring, code.n))
     if code.ring.ell == 1:
-        direct = refined_enumerator(code, ChainSupport(code.ring, code.n))
         assert enumerator_from_tutte(code) == direct
     else:
-        rep = pir_tutte_corollary(code)
+        rep = pir_tutte_corollary(code, direct)
         assert rep.ok, rep.summary()
 
     rep = latroid_weights_equal_code_weights(code)

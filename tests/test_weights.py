@@ -10,6 +10,7 @@ import pytest
 
 from latroids.code_latroids import (
     _subcodes,
+    block_matroid,
     block_matroid_weights_equal,
     chain_support_latroid,
     code_gen_weights_dbar,
@@ -38,7 +39,6 @@ from latroids.enumerators import (
     inclusion_exclusion_check,
     refined_enumerator,
     rprime_z_to_one,
-    tutte_whitney_R,
     tutte_whitney_Rprime,
 )
 from latroids.report import Check
@@ -275,11 +275,20 @@ def reference_R(lt: Latroid) -> ExpPoly:
 def test_R_is_rprime_at_z_one(name, code):
     lt = chain_support_latroid(code)
     want = reference_R(lt)
-    got = tutte_whitney_R(lt)
+    got = rprime_z_to_one(tutte_whitney_Rprime(lt), code.n)
     assert got == want
     assert got.names == want.names
     assert got.render() == want.render()
-    assert rprime_z_to_one(tutte_whitney_Rprime(lt), code.n) == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: block_matroid(HAMMING_7_4),
+    lambda: rank_metric_latroid(rank_metric_code_corpus()[0][1]),
+], ids=["block matroid", "rank metric"])
+def test_rprime_refuses_labels_that_are_not_integer_vectors(build):
+    # frozenset labels on the boolean lattice, rref labels on subspaces
+    with pytest.raises(ValueError, match="^Tutte-Whitney sums need integer-vector lattice labels$"):
+        tutte_whitney_Rprime(build())
 
 
 # -- the octacode ------------------------------------------------------------------------
