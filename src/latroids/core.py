@@ -18,10 +18,17 @@ that fail their axiom system (``ReconstructionError``): those sets come
 from the caller, so that check is a guard, not a validation of the result.
 
 The axiom systems (``axioms_I/B/C``) and the rank reconstructions run on
-boolean arrays from ``leq``, ``join``, ``meet`` and membership masks: I4,
-B3 and the reconstructions share the maximal candidates below each element
-(``_maximal``) and ``_unmatched_pairs``; the other pairwise checks go
-through ``scan_rows``.  Witnesses come in ascending index, row-major order.
+boolean arrays from ``leq``, ``join``, ``meet`` and membership masks.  I4
+and B3 build the maximal candidates below each element once (``_maximal``),
+and the reconstructions read their ranks from that same matrix.  The pair
+scan ``_unmatched_pairs`` tests each pair against the maximal elements of
+D_j, the elements below its join j that dominate no candidate of j: D_j is
+a down-set, so m1 v m2 lies in it exactly when m1 and m2 lie below one of
+them.  That is one N^3 product, one N^2 step per upper cover, and one
+small batched product per down-set size, its temporaries bounded by
+``_SCAN_BLOCK`` entries or one join's |down(j)|^2.  The other pairwise
+checks go through ``scan_rows``.  Witnesses come in ascending index,
+row-major order.
 """
 
 from __future__ import annotations
@@ -298,31 +305,66 @@ def _meet_maxima(lat: FiniteLattice, B) -> np.ndarray:
     return _maximal(lat, cand)
 
 
+def _padded_indices(mask: np.ndarray) -> np.ndarray:
+    """idx[i]: the columns where row i of ``mask`` is true, ascending, then
+    the padding index ``mask.shape[1]``, as wide as the fullest row."""
+    count = mask.sum(axis=1)
+    idx = np.full((len(mask), int(count.max(initial=0))), mask.shape[1])
+    rows, cols = np.nonzero(mask)
+    idx[rows, np.arange(len(rows)) - (np.cumsum(count) - count)[rows]] = cols
+    return idx
+
+
 def _unmatched_pairs(lat: FiniteLattice, M: np.ndarray):
     """(l1, l2, m1, m2) for each failing pair (l1, l2), in row-major order:
     some m1 in M(l1) and m2 in M(l2) have no m3 in M(l1 v l2) below
     m1 v m2, and (m1, m2) is the first such pair in row-major order.
 
-    ``reach[l, t]`` says some m3 in M(l) lies below t.  A pair with join j
-    lies in the down-set of j, and so do its maxima and their joins, so
-    pairs are grouped by j: on down(j), (l1, l2) fails exactly where
-    M @ ~reach[j, join] @ M.T is nonzero (the products count nonnegative
-    integers, so a float32 sum is positive exactly when a term is).  Cost:
-    one N^3 product for ``reach``, then per j a |down(j)|^2 gather and two
-    products of 2 |down(j)|^3 flops; on the boolean lattice of n-sets
-    that is 4 * 9^n flops in all, about N^3.17.  The temporaries of one j
-    hold |down(j)|^2 <= N^2 entries, the size of the lattice's own tables.
+    ``reach[l, t]`` says some m3 in M(l) lies below t.  For j = l1 v l2 let
+    D_j be the c <= j with ``reach[j, c]`` false.  Then (l1, l2) fails
+    exactly when some maximal c of D_j has ``reach[l1, c]`` and
+    ``reach[l2, c]``.  Proof: ``reach[j]`` is an up-set, so D_j is a
+    down-set, and m1 v m2 <= j lies in it exactly when m1 and m2 both lie
+    below one maximal c of D_j.  Such m1 in M(l1) and m2 in M(l2) exist
+    exactly when ``reach[l1, c]`` and ``reach[l2, c]`` hold.
+
+    So pairs are grouped by their join j: on down(j), (l1, l2) fails where
+    R R^T is nonzero and l1 v l2 = j, for R = ``reach[down(j), max D_j]``
+    (the product counts nonnegative integers, so a float32 sum is positive
+    exactly when a term is).  The j with one d = |down(j)| go together:
+    each max D_j is padded to the group's widest with an all-false column,
+    and a chunk of the group is one batched gather and one batched product.
+    c is maximal in the down-set D_j exactly when no upper cover of c is in
+    D_j, one N^2 step per upper cover.  Cost: one N^3 product for
+    ``reach``, that maximality step, then sum_j d_j^2 |max D_j| for the
+    pair products; on the [12,6] block matroid |max D_j| <= 37 where d_j
+    reaches 4096.  Besides N^2 masks like the lattice's own tables, a chunk
+    holds about ``_SCAN_BLOCK`` entries, or one j's d_j^2.
     """
     n = lat.size
-    mf = M.astype(np.float32)
-    reach = (mf @ lat.leq.astype(np.float32)) > 0
+    reach = np.zeros((n, n + 1), dtype=bool)  # column n is the padding
+    reach[:, :n] = (M.astype(np.float32) @ lat.leq.astype(np.float32)) > 0
+    free = np.zeros((n + 1, n), dtype=bool)  # free[c, j]: c in D_j; row n pads
+    free[:n] = lat.leq & ~reach[:, :n].T
+    tops = free[:n].copy()
+    for up in _padded_indices(lat.covers).T:
+        tops &= ~free[up]
+    size, width = lat.leq.sum(axis=0), tops.sum(axis=0)
+    maxima = _padded_indices(tops.T)  # maxima[j]: max D_j, then padding
     fail = np.zeros((n, n), dtype=bool)
-    for j in range(n):
-        block = np.ix_(*[np.flatnonzero(lat.leq[:, j])] * 2)
-        joins = lat.join[block]
-        m = mf[block]
-        hits = m @ (~reach[j, joins]).astype(np.float32) @ m.T
-        fail[block] |= (hits > 0) & (joins == j)
+    for d in sorted(set(size[width > 0].tolist())):
+        group = np.flatnonzero((size == d) & (width > 0))
+        downs = np.nonzero(lat.leq[:, group].T)[1].reshape(len(group), d)
+        tops_of = maxima[group, : width[group].max()]
+        step = max(1, _SCAN_BLOCK // (d * d))
+        for start in range(0, len(group), step):
+            j, down, top = (a[start : start + step] for a in (group, downs, tops_of))
+            r = reach[down[:, :, None], top[:, None, :]].astype(np.float32)
+            hit = (r @ r.transpose(0, 2, 1)) > 0
+            hit &= lat.join[down[:, :, None], down[:, None, :]] == j[:, None, None]
+            if hit.any():
+                k, a, b = np.nonzero(hit)
+                fail[down[k, a], down[k, b]] = True
     for l1, l2 in np.argwhere(fail).tolist():
         rows, cols = np.flatnonzero(M[l1]), np.flatnonzero(M[l2])
         above = reach[lat.join[l1, l2], lat.join[np.ix_(rows, cols)]]
@@ -369,8 +411,15 @@ def axioms_I(lat: FiniteLattice, indep) -> Report:
     Each witness is the first failure in ascending index, row-major order
     (I4: the first (L1, L2), then its first (I1, I2)).
     """
+    return _axioms_I(lat, indep)[0]
+
+
+def _axioms_I(lat: FiniteLattice, indep) -> tuple[Report, np.ndarray]:
+    """``axioms_I``'s report, and the maximal independents below each
+    element that its I4 scans."""
     _require_crypto_hypotheses(lat)
     member = _membership(lat, indep)
+    maxima = _maximal(lat, lat.leq.T & member)
     strict_below = _strict(lat).T
     height = np.asarray(lat.height)
     atoms = np.asarray(lat.atoms, dtype=np.intp)
@@ -399,9 +448,9 @@ def axioms_I(lat: FiniteLattice, indep) -> Report:
         )),
         Check.from_witnesses("I4_join_compatible_maxima", (
             f"L1={labels[l1]}, L2={labels[l2]}, I1={labels[i1]}, I2={labels[i2]}"
-            for l1, l2, i1, i2 in _unmatched_pairs(lat, _maximal(lat, lat.leq.T & member))
+            for l1, l2, i1, i2 in _unmatched_pairs(lat, maxima)
         )),
-    ])
+    ]), maxima
 
 
 def axioms_B(lat: FiniteLattice, base_set) -> Report:
@@ -412,8 +461,15 @@ def axioms_B(lat: FiniteLattice, base_set) -> Report:
     meets b ^ L below each element; its witness is the first failing
     (L1, L2) in row-major order.
     """
+    return _axioms_B(lat, base_set)[0]
+
+
+def _axioms_B(lat: FiniteLattice, base_set) -> tuple[Report, np.ndarray]:
+    """``axioms_B``'s report, and the maximal meets b ^ L below each
+    element that its B3 scans."""
     _require_crypto_hypotheses(lat)
     B = sorted(set(base_set))
+    maxima = _meet_maxima(lat, B)
     decomps = {b: list(_atom_decompositions(lat, b)) for b in B}
 
     def failed_exchanges():
@@ -441,9 +497,9 @@ def axioms_B(lat: FiniteLattice, base_set) -> Report:
         Check.from_witnesses("B2_atom_exchange", failed_exchanges()),
         Check.from_witnesses("B3_join_compatible_meets", (
             f"L1={lat.labels[l1]}, L2={lat.labels[l2]}"
-            for l1, l2, _, _ in _unmatched_pairs(lat, _meet_maxima(lat, B))
+            for l1, l2, _, _ in _unmatched_pairs(lat, maxima)
         )),
-    ])
+    ]), maxima
 
 
 def axioms_C(lat: FiniteLattice, circuit_set) -> Report:
@@ -490,22 +546,19 @@ def axioms_C(lat: FiniteLattice, circuit_set) -> Report:
 
 def rank_from_independents(lat: FiniteLattice, indep) -> Latroid:
     """rho(L) = hgt(I) for I maximal independent below L."""
-    I = set(indep)
-    report = axioms_I(lat, I)
+    report, maxima = _axioms_I(lat, indep)
     if not report.ok:
         raise ReconstructionError(f"independent axioms fail: {report.summary()}")
-    maxima = _maximal(lat, lat.leq.T & _membership(lat, I))
     rank = _common_heights(lat, maxima, "independents")
     return Latroid(lat, rank, _height_length(lat, "rank_from_independents"))
 
 
 def rank_from_bases(lat: FiniteLattice, base_set) -> Latroid:
     """rho(L) = hgt(L ^ B) for B with maximal intersection with L."""
-    B = sorted(set(base_set))
-    report = axioms_B(lat, B)
+    report, maxima = _axioms_B(lat, base_set)
     if not report.ok:
         raise ReconstructionError(f"basis axioms fail: {report.summary()}")
-    rank = _common_heights(lat, _meet_maxima(lat, B), "basis meets")
+    rank = _common_heights(lat, maxima, "basis meets")
     return Latroid(lat, rank, _height_length(lat, "rank_from_bases"))
 
 

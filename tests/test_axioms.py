@@ -21,6 +21,9 @@ from latroids.codes import span_from_ints
 from latroids.core import (
     _atom_decompositions,
     _common_heights,
+    _maximal,
+    _meet_maxima,
+    _membership,
     _require_crypto_hypotheses,
     axioms_B,
     axioms_C,
@@ -33,7 +36,13 @@ from latroids.core import (
     rank_from_independents,
 )
 from latroids.errors import ReconstructionError
-from latroids.lattices import boolean_lattice, subspace_lattice
+from latroids.lattices import (
+    boolean_lattice,
+    dual,
+    grid_lattice,
+    interval,
+    subspace_lattice,
+)
 from latroids.report import Check, Report
 from latroids.rings import parse_ring
 from test_latroids import crypto_corpus, rows, valid
@@ -169,6 +178,27 @@ def ref_axioms_C(lat, circuit_set):
         )),
         Check.from_witnesses("C3_elimination", failed_eliminations()),
     ])
+
+
+def reference_unmatched_pairs(lat, M):
+    """``core._unmatched_pairs`` as one round per join j: on down(j), the
+    pairs with join j fail where M @ ~reach[j, join] @ M.T is nonzero.
+    The witness loop is the kernel's."""
+    n = lat.size
+    mf = M.astype(np.float32)
+    reach = (mf @ lat.leq.astype(np.float32)) > 0
+    fail = np.zeros((n, n), dtype=bool)
+    for j in range(n):
+        block = np.ix_(*[np.flatnonzero(lat.leq[:, j])] * 2)
+        joins = lat.join[block]
+        m = mf[block]
+        hits = m @ (~reach[j, joins]).astype(np.float32) @ m.T
+        fail[block] |= (hits > 0) & (joins == j)
+    for l1, l2 in np.argwhere(fail).tolist():
+        rows, cols = np.flatnonzero(M[l1]), np.flatnonzero(M[l2])
+        above = reach[lat.join[l1, l2], lat.join[np.ix_(rows, cols)]]
+        a, b = np.argwhere(~above)[0]
+        yield l1, l2, int(rows[a]), int(cols[b])
 
 
 def ref_rank(lat, maxima_below):
@@ -350,3 +380,91 @@ def test_derived_sets_match_element_loops():
             if i not in indep
             and all(j in indep for j in range(lat.size) if lat.lt(j, i))
         )
+
+
+# -- the pair scan of I4 and B3 --------------------------------------------------
+
+
+def _scan_lattices():
+    grids = [grid_lattice(r) for r in ((2, 3), (1, 2, 2), (3, 3))]
+    return [
+        *(boolean_lattice(n) for n in range(1, 7)),
+        *(subspace_lattice(q, n) for q, n in ((2, 3), (3, 3), (2, 4))),
+        *grids,
+        dual(subspace_lattice(2, 3)),
+        interval(grids[2], 1, grids[2].top),
+    ]
+
+
+def _scan_inputs(lat, rng):
+    """Maxima of random candidate sets and of random base sets, and
+    arbitrary boolean matrices: the pair-scan identity assumes nothing
+    about M.  Last, M with the bottom in every row, so every D_j is empty."""
+    for _ in range(4):
+        member = _membership(lat, rng.sample(range(lat.size), rng.randrange(1, lat.size + 1)))
+        yield _maximal(lat, lat.leq.T & member)
+        yield _meet_maxima(lat, rng.sample(range(lat.size), rng.randrange(1, min(lat.size, 6) + 1)))
+        density = rng.choice((0.05, 0.2, 0.5))
+        yield np.random.default_rng(rng.randrange(1 << 30)).random((lat.size, lat.size)) < density
+    M = np.zeros((lat.size, lat.size), dtype=bool)
+    M[:, lat.bottom] = True
+    yield M
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_unmatched_pairs_match_the_reference_kernel(block, monkeypatch):
+    """Whole yielded lists, not only the first witness that the checks read."""
+    if block is not None:
+        monkeypatch.setattr(core, "_SCAN_BLOCK", block)
+    rng = random.Random(11)
+    cases = failing = 0
+    for lat in _scan_lattices():
+        for M in _scan_inputs(lat, rng):
+            got = list(core._unmatched_pairs(lat, M))
+            assert got == list(reference_unmatched_pairs(lat, M)), (lat.size, M.sum())
+            cases += 1
+            failing += bool(got)
+    assert cases == 14 * 13 and failing >= cases // 3
+
+
+#: A binary [10,5] code [I | A]: its block matroid lives on the 1024
+#: subsets of 10 coordinates.
+CODE_10_5 = [
+    [1, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 1, 1, 1, 0, 0],
+    [0, 0, 1, 0, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 1, 0, 0, 1, 1, 0, 0],
+    [0, 0, 0, 0, 1, 0, 0, 1, 1, 0],
+]
+
+
+def test_pair_scans_on_a_1024_element_block_matroid():
+    lt = block_matroid(span_from_ints(F2, 10, CODE_10_5))
+    lat = lt.lattice
+    I, B = set(independents(lt)), set(bases(lt))
+    assert axioms_I(lat, I).ok and axioms_B(lat, B).ok
+    for M in (
+        _maximal(lat, lat.leq.T & _membership(lat, I - {lat.atoms[0]})),
+        _meet_maxima(lat, sorted(B - {min(B)})),
+    ):
+        got = list(core._unmatched_pairs(lat, M))
+        assert got and got == list(reference_unmatched_pairs(lat, M))
+
+
+def test_reconstructions_build_their_maxima_once(monkeypatch):
+    """rank_from_independents and rank_from_bases read their ranks from
+    the maxima that their axiom check scanned."""
+    built = []
+    real = core._maximal
+
+    def counted(lat, cand):
+        built.append(cand)
+        return real(lat, cand)
+
+    monkeypatch.setattr(core, "_maximal", counted)
+    lt = _latroid("block [7,4] Hamming")
+    lat = lt.lattice
+    assert np.array_equal(rank_from_independents(lat, independents(lt)).rank, lt.rank)
+    assert len(built) == 1
+    assert np.array_equal(rank_from_bases(lat, bases(lt)).rank, lt.rank)
+    assert len(built) == 2
