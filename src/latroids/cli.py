@@ -4,11 +4,18 @@ Problems are described by flat key=value config files (``#`` comments,
 repeated ``gen=`` / ``mat=`` lines for matrix rows); results are emitted as
 JSON or text reports.  Exit codes: 0 success, 1 a checked property failed,
 2 bad input, 3 a size cap was exceeded.
+
+``main`` may be called many times in one process (by tests, by scripts that
+check many codes).  Its argument parser is built once per process, on the
+first call, and never at import.  Each ``cmd_*`` handler returns plain JSON
+values (dicts with str keys, lists, str, int, float, bool, None), so the
+payload goes to ``_emit`` as it is and is serialized once, there.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,7 +63,6 @@ from .isometries import (
     pir_isometry_projections,
 )
 from .limits import VECTOR_ENUM_CAP
-from .report import Report
 from .rings import Element, Pir, parse_ring
 from .selftest import run_all
 from .supports import (
@@ -234,16 +240,12 @@ def build_latroid(cfg: dict, code: Code, supp: Support):
 
 
 def jsonable(value):
-    if isinstance(value, Report):
-        return value.to_dict()
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
+    """Nested tuples and lists (a ring matrix, whose entries are tuples of
+    residues) as nested lists, so that JSON and the text report render them
+    alike; any other value as it is.  Handlers call it on the matrices they
+    return: every other value they return is already plain JSON."""
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, (frozenset, set)):
-        return sorted(jsonable(v) for v in value)
-    if isinstance(value, Code):
-        return sorted(jsonable(v) for v in value.codewords)
     return value
 
 
@@ -504,7 +506,8 @@ def cmd_selftest(cfg, cap, seed: int = 0):
 # -- driver -----------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latroids",
         description="Latroids, weight enumerators, and Tutte-Whitney "
@@ -523,7 +526,16 @@ def main(argv=None) -> int:
         "the isometry check (acknowledges the cost); the other caps are the "
         "constants of latroids.limits",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command and write its report; returns the exit code.
+
+    The parser is built on the first call and reused by every later call in
+    the process.  The handler's data, already plain JSON values, is merged
+    into the payload as it is and serialized once, by ``_emit``."""
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "selftest":
@@ -555,7 +567,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "ok": code == 0,
         }
-        payload.update(jsonable(data))
+        payload.update(data)
 
     try:
         _emit(payload, args.format, args.out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from latroids import cli, codes, enumerators, lattices
 from latroids.cli import COMMANDS, SCHEMA_VERSION, main
 from latroids.codes import enumerate_submodules
 from latroids.enumerators import refined_enumerator
+from latroids.report import Report
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONFIG_NAMES = ("f2_block", "z4_code", "z6_isometry", "z8_tutte")
@@ -548,3 +550,159 @@ def test_no_command_imports_numpy_ma():
         REJECTED.get((command, name), 0) for name in CONFIG_NAMES for command in CONFIG_COMMANDS
     ]
     assert run.stdout == f"{codes} False\n"
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    """The parser cache emptied before the test and again after it, so no
+    parser built under the test's patches outlives it."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for command, name in (("weights", "z4_code"), ("circuits", "z8_tutte"), ("latroid", "f2_block")):
+        code, _, _ = run_cli(capsys, "--command", command, "--config", str(CONFIGS / f"{name}.cfg"))
+        assert code == 0, command
+    assert built == ["latroids"]
+
+
+def test_bad_command_after_a_good_one_still_exits_2(capsys):
+    config = str(CONFIGS / "z8_tutte.cfg")
+    assert run_cli(capsys, "--command", "circuits", "--config", config)[0] == 0
+    with pytest.raises(SystemExit) as exit_:
+        main(["--command", "nonsense", "--config", config])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "--command", "circuits", "--config", config)
+    assert code == 0 and json.loads(out)["circuits"] == ["(1,)"]
+
+
+def test_text_format_does_not_stick_to_the_next_call(capsys):
+    config = str(CONFIGS / "z4_code.cfg")
+    _, text, _ = run_cli(capsys, "--command", "weights", "--config", config, "--format", "text")
+    assert "dbar: [1, 3]" in text.splitlines()
+    _, out, _ = run_cli(capsys, "--command", "weights", "--config", config)
+    assert json.loads(out)["dbar"] == [1, 3]
+
+
+# Counts the argparse parsers constructed while latroids.cli is imported.
+FRESH_IMPORT = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import latroids.cli
+print(len(built), latroids.cli._parser.cache_info().currsize)
+"""
+
+
+def test_import_builds_no_parser():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    assert run.stdout == "0 0\n"
+
+
+# -- handlers return plain JSON values ----------------------------------------------
+
+# Configs beyond the shipped ones, for the handler paths those do not reach:
+# the D * P decomposition of a chain-ring isometry, a monomial isometry over
+# Z_2 x Z_3 (its projections), and a support read from a table file.
+EXTRA_CONFIGS = {
+    "z4_monomial": "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\nmat = 0 3\nmat = 1 0\n",
+    "z6_monomial": "ring = Z_2 x Z_3\nn = 2\nsupport = chain\ngen = 1 1\nmat = 0 5\nmat = 1 0\n",
+    "z4_table": "ring = Z_4\nn = 1\nsupport = table:{table}\ngen = 2\n",
+}
+EXTRA_REJECTED = {
+    ("isometry", "z4_table"), ("axioms", "z4_table"), ("crypto-roundtrip", "z4_table"),
+    ("axioms", "z4_monomial"), ("crypto-roundtrip", "z4_monomial"),
+    ("crypto-roundtrip", "z6_monomial"),
+}
+PLAIN_SCALARS = (str, int, float, bool, type(None))
+
+
+def reference_jsonable(value):
+    """The recursive conversion ``main`` once applied to every payload:
+    reports as dicts, str keys, tuples as lists, sets sorted (its branch for
+    codes is left out: a code fails the plain-value walk first)."""
+    if isinstance(value, Report):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if isinstance(value, (frozenset, set)):
+        return sorted(reference_jsonable(v) for v in value)
+    return value
+
+
+def _non_plain(value, path="data"):
+    """Paths of the values that are not plain JSON: a dict with str keys, a
+    list, or a str, int, float, bool or None, by exact type."""
+    if type(value) is dict:
+        return [
+            bad
+            for key, v in value.items()
+            for bad in ([f"{path} key {key!r}"] if type(key) is not str else [])
+            + _non_plain(v, f"{path}[{key!r}]")
+        ]
+    if type(value) is list:
+        return [bad for i, v in enumerate(value) for bad in _non_plain(v, f"{path}[{i}]")]
+    return [] if type(value) in PLAIN_SCALARS else [f"{path}: {type(value).__name__}"]
+
+
+def _handler_cases(tmp_path):
+    """(command, config name, parsed config) for every pair that exits 0 or 1."""
+    table = tmp_path / "support.tbl"
+    table.write_text(CHAIN_Z4)
+    paths = {name: str(CONFIGS / f"{name}.cfg") for name in CONFIG_NAMES}
+    for name, text in EXTRA_CONFIGS.items():
+        paths[name] = str(tmp_path / f"{name}.cfg")
+        Path(paths[name]).write_text(text.format(table=table))
+    for name, path in paths.items():
+        for command in CONFIG_COMMANDS:
+            if (command, name) not in REJECTED and (command, name) not in EXTRA_REJECTED:
+                yield command, name, cli.parse_config(path)
+
+
+def test_handlers_return_plain_json_values(tmp_path):
+    cases = [
+        (command, name, getattr(cli, "cmd_" + command.replace("-", "_")), cfg)
+        for command, name, cfg in _handler_cases(tmp_path)
+    ]
+    cases.append(("selftest", None, cli.cmd_selftest, {"gen": [], "mat": []}))
+    outputs = {}
+    for command, name, handler, cfg in cases:
+        data, _ = handler(cfg, cli.VECTOR_ENUM_CAP)
+        assert _non_plain(data) == [], (command, name)
+        reference = reference_jsonable(data)
+        assert json.dumps(data, indent=2, sort_keys=True) == json.dumps(
+            reference, indent=2, sort_keys=True
+        ), (command, name)
+        assert cli.render_text(data) == cli.render_text(reference), (command, name)
+        outputs[command, name] = data
+    # the extra configs reach both isometry paths and the table support
+    assert outputs["isometry", "z4_monomial"]["diagonal"] == [[[3], [0]], [[0], [1]]]
+    assert outputs["isometry", "z4_monomial"]["permutation"] == [[[0], [1]], [[1], [0]]]
+    assert [p["matrix"] for p in outputs["isometry", "z6_monomial"]["projections"]] == [
+        [[0, 1], [1, 0]], [[0, 2], [1, 0]],
+    ]
+    assert outputs["weights", "z4_table"] == {"dbar": [1], "dmu": [1]}
