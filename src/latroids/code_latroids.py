@@ -4,7 +4,8 @@ which is the lattice of rectangular modules), block matroids, rank-metric
 and sum-rank latroids, and the generalized weights of codes.  Every
 generalized weight is computed by brute force through the one subcode
 oracle ``least_weights``: the least weight over the subcodes whose length,
-generator count or dimension reaches r.
+generator count or dimension reaches r, read off one array entry per
+subcode.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from .codes import (
     length_lambda,
     rref,
     span_from_ints,
+    submodule_invariants,
 )
 from .core import Latroid, collapse_scalars, generalized_weight
 from .lattices import (
     _ambient_submodules,
     _dominated,
-    _members,
     _subspaces,
     boolean_lattice,
     chain_support_lattice,
@@ -83,7 +84,7 @@ def chain_support_latroid(code: Code) -> Latroid:
     ring, n, ell = code.ring, code.n, code.ring.ell
     lattice = chain_support_lattice(ring, n)
     grid = np.array(lattice.labels, dtype=np.int64)
-    digits = ring.encode(code.codewords, n)
+    digits = code.digits
     levels = ChainSupport(ring, n).of_digits(digits)
     length = grid.reshape(len(grid), n, ell).sum(axis=1)
     rank = length.copy()
@@ -116,7 +117,7 @@ def rect_supp_latroid(code: Code, supp: Support) -> Latroid:
         raise ValueError("rectangular-support latroids need a modular support")
     lattice = chain_support_lattice(code.ring, code.n)
     supp_of = rectangular_supports(supp)
-    closure = lattice.index[ChainSupport(code.ring, code.n).of_set(code.codewords)]
+    closure = lattice.index[ChainSupport(code.ring, code.n).of_set(code)]
     return Latroid(lattice, supp_of - supp_of[lattice.meet[:, closure]], supp_of)
 
 
@@ -138,8 +139,8 @@ def block_matroid(code: Code) -> Latroid:
     coordinates that carry a weight-2 codeword are parallel."""
     q = _require_field(code.ring)
     lattice = boolean_lattice(code.n)
-    levels = HammingSupport(code.ring, code.n).of_digits(code.ring.encode(code.codewords, code.n))
-    rows = _members(lattice.labels, range(code.n)).astype(np.int64)
+    levels = HammingSupport(code.ring, code.n).of_digits(code.digits)
+    rows = np.array([[i in s for i in range(code.n)] for s in lattice.labels], dtype=np.int64)
     inside = _dominated(levels, 1, [1] * code.n, np.add)[tuple(rows.T)].tolist()
     length = rows.sum(axis=1)
     return Latroid(lattice, length - [intlog(q, c) for c in inside], length)
@@ -371,33 +372,39 @@ def sum_rank_latroid(mc: MatrixCode, spaces: str = "column") -> Latroid:
 #
 # ``least_weights`` is the one "minimum over subcodes" oracle.  The length- and
 # generator-based weights under a support, the generalized Hamming weights and
-# the generalized rank and sum-rank weights are each one call of it.
+# the generalized rank and sum-rank weights are each one call of it, on one
+# array entry per subcode.  Over a code, the entries are the array reductions
+# of ``codes.submodule_invariants`` over the submodule masks the code keeps
+# (``Code.submodule_masks``), so no weight query builds a submodule's codeword
+# set; the matrix codes pass the dimensions and row-space weights of their
+# subcodes.
 
 
-def least_weights(subcodes, invariant, weight, top: int) -> list[int]:
-    """The generalized weights d_1, ..., d_top: d_r is the least
-    weight(D) over the subcodes D with invariant(D) >= r."""
-    pairs = [(invariant(d), weight(d)) for d in subcodes]
+def least_weights(invariants: np.ndarray, weights: np.ndarray, top: int) -> list[int]:
+    """The generalized weights d_1, ..., d_top: d_r is the least weights[D]
+    over the subcodes D with invariants[D] >= r."""
     out = []
     for r in range(1, top + 1):
-        feasible = [w for d, w in pairs if d >= r]
-        if not feasible:
+        feasible = weights[invariants >= r]
+        if not feasible.size:
             raise ValueError(f"no subcode reaches r = {r}; enumeration bug?")
-        out.append(min(feasible))
+        out.append(int(feasible.min()))
     return out
 
 
 def code_gen_weights_dbar(code: Code, supp: Support) -> list[int]:
     """Length-based generalized weights: the least wt(D) over submodules D
     with lambda(D) >= r, for r = 1..lambda(C).  Brute force over all
-    submodules (``Code.submodules``, enumerated once per code)."""
-    return least_weights(code.submodules, length_lambda, supp.code_weight, length_lambda(code))
+    submodules (``Code.submodule_masks``, enumerated once per code)."""
+    lengths, _, weights = submodule_invariants(code, supp)
+    return least_weights(lengths, weights, length_lambda(code))
 
 
 def code_gen_weights_dr(code: Code, supp: Support) -> list[int]:
     """Generator-based generalized weights: the least wt(D) over submodules
     D with M(D) >= r, for r = 1..M(C)."""
-    return least_weights(code.submodules, big_m, supp.code_weight, big_m(code))
+    _, generators, weights = submodule_invariants(code, supp)
+    return least_weights(generators, weights, big_m(code))
 
 
 def _latroid_weights(lt: Latroid, top: int) -> list[int]:
@@ -457,12 +464,12 @@ def sum_rank_code_gen_weights(mc: MatrixCode) -> list[int]:
     """Generalized sum-rank weights (equal m_i) by subcode enumeration:
     d_r = min{sum_i dim rowspace_i(D) : D a subcode, dim D >= r}.  With one
     block these are the generalized rank weights."""
-    return least_weights(
-        _subcodes(mc),
-        lambda s: intlog(mc.q, len(s)),
-        lambda s: sum(_rowspace_dim_of_subcode(s, mc.q, i) for i in range(mc.ell)),
-        mc.dim(),
-    )
+    subs = _subcodes(mc)
+    dims = np.array([intlog(mc.q, len(s)) for s in subs])
+    weights = np.array([
+        sum(_rowspace_dim_of_subcode(s, mc.q, i) for i in range(mc.ell)) for s in subs
+    ])
+    return least_weights(dims, weights, mc.dim())
 
 
 def sum_rank_weights_equal(mc: MatrixCode) -> Report:

@@ -7,22 +7,27 @@ Codes are kept as full codeword sets in a canonical sorted order; every
 downstream computation here is exhaustive, so set equality is the only
 notion of code equality we need.
 
-``enumerate_submodules`` works on the codeword digits (the encoding of R^n
-from ``rings``): a submodule is a membership mask over the sorted words,
-and the masks of the cyclic submodules are closed under sums with one
-cyclic at a time through a table of word differences.  Distinct rows
+A code keeps its sorted words as digit rows (``Code.digits``, the encoding
+of R^n from ``rings``), which every array consumer reads.  Its submodules
+are membership masks over those words (``Code.submodule_masks``): the masks
+of the cyclic submodules are closed under sums with one cyclic at a time
+through a table of word differences, on the first read, and kept.  The
+masks are the one thing the subcode oracle reads: ``submodule_invariants``
+gives lambda, M and the support weight of every submodule as array
+reductions, so no weight query builds a submodule's codeword set.
+``enumerate_submodules`` builds those codeword sets from the masks for the
+callers that need ``Code`` labels (the submodule lattices).  Distinct rows
 and keys are found by sorting and masking equal neighbours, and sets of
 positions by a mark array, never by numpy's ``unique``: numpy 2 imports
 ``numpy.ma`` on its first call, 10-20 ms that every process would pay.
-A code enumerates its submodules on the first read of ``Code.submodules``
-and keeps them, so the weight oracles, the generalized enumerators and the
-isometry check of one code share one enumeration.  ``full_space`` decodes
-the digit space ``Pir.space``.  ``span``, ``code_sum``, ``Code.scaled`` and
-``Code.factor`` stay on ``Pir`` tuple arithmetic: they build small sets of
-tuples, which is what callers hold.  ``span`` takes the distinct multiples
-of each generator once and adds each of them to every word found so far.
-The composition length lambda(C) is read off |C| alone
-(``length_lambda``), with no projection onto the CRT factors.
+``full_space`` decodes the digit space ``Pir.space``.  Only ``span``,
+``code_sum`` and ``Code.factor`` stay on ``Pir`` tuple arithmetic: they
+build small sets of tuples, which is what callers hold.  ``span`` takes the
+distinct multiples of each generator once and adds each of them to every
+word found so far; the benchmark harness (``perfbench/tracing.py``) counts
+the ``Pir.add`` and ``Pir.vadd`` calls it makes.  The composition length
+lambda(C) is read off |C| alone (``length_lambda``), with no projection
+onto the CRT factors.
 
 Over a prime field F_p, ``rref`` row-reduces a list of vectors; the reduced
 row echelon basis is the canonical label of the subspace they span (the
@@ -86,20 +91,24 @@ class Code:
         return len(self.codewords) == 1
 
     @functools.cached_property
-    def submodules(self) -> tuple["Code", ...]:
-        """All submodules, enumerated on first read and kept: the weight
-        oracles and enumerators of one code share one list."""
-        return tuple(enumerate_submodules(self))
+    def digits(self) -> np.ndarray:
+        """The sorted words as rows of digits (``Pir.encode``), read-only."""
+        digits = self.ring.encode(self.sorted_words(), self.n)
+        digits.flags.writeable = False
+        return digits
+
+    @functools.cached_property
+    def submodule_masks(self) -> np.ndarray:
+        """The submodules as masks over the sorted words (``_submodule_masks``),
+        enumerated on first read and kept: the weight oracle, the enumerators
+        and the submodule lattice of one code share them."""
+        return _submodule_masks(self)
 
     def factor(self, i: int) -> "Code":
         """The projection onto the i-th CRT factor, as a code over R_i."""
         ring = self.ring.factor_ring(i)
         words = frozenset(self.ring.project_vector(c, i) for c in self.codewords)
         return Code(ring, self.n, (), words)
-
-    def scaled(self, r) -> "Code":
-        words = frozenset(self.ring.vscale(r, c) for c in self.codewords)
-        return Code(self.ring, self.n, (), words)
 
 
 def span(ring: Pir, n: int, generators, cap: int = SPAN_CAP) -> Code:
@@ -167,15 +176,32 @@ def length_lambda(code: Code) -> int:
     return total
 
 
+def _classes(rows: np.ndarray) -> np.ndarray:
+    """The class of each row of a 2-D array: equal rows share one, and the
+    classes are numbered in the sorted order of their rows."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    classes = np.empty(len(rows), dtype=np.int64)
+    classes[order] = np.cumsum(np.append(True, (rows[1:] != rows[:-1]).any(axis=1))) - 1
+    return classes
+
+
+def _factor_classes(code: Code, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each sorted word, the class of its projection onto the i-th CRT
+    factor and the class of p times that projection."""
+    f, ell = code.ring.factors[i], code.ring.ell
+    projections = code.digits[:, i::ell]
+    return _classes(projections), _classes(projections * f.p % f.size)
+
+
 def mu_factor(code: Code, i: int) -> int:
     """Least number of generators of the i-th factor of the code.
 
-    Nakayama: mu(C_i) = log_p(|C_i| / |alpha_i C_i|).
+    Nakayama: mu(C_i) = log_p(|C_i| / |p C_i|), where C_i and p C_i are the
+    distinct projections of the words and of their p-multiples.
     """
-    f = code.ring.factors[i]
-    ci = code.factor(i)
-    alpha_ci = ci.scaled((f.p % f.size,))
-    return intlog(f.p, len(ci) // len(alpha_ci))
+    words, multiples = _factor_classes(code, i)
+    return intlog(code.ring.factors[i].p, (int(words.max()) + 1) // (int(multiples.max()) + 1))
 
 
 def mu(code: Code) -> int:
@@ -227,12 +253,19 @@ def _row_locator(digits: np.ndarray, mods: np.ndarray):
 _CLOSE_BLOCK = 1 << 16
 
 
-def enumerate_submodules(code: Code) -> list[Code]:
-    """All submodules of the code, in a deterministic order: by size, then
-    by the sorted positions of their words in the sorted code.
+def _mask_order(key: bytes) -> tuple[int, int]:
+    """A packed mask's size, then its positions: an earlier one sorts first."""
+    bits = int.from_bytes(key, "big")
+    return bits.bit_count(), -bits
 
-    A submodule is a membership mask over the sorted words.  Every
-    submodule is a join of cyclic submodules, so the masks of the cyclic
+
+def _submodule_masks(code: Code) -> np.ndarray:
+    """All submodules of the code as membership masks over its sorted
+    words: a read-only bool array of shape (submodules, |C|), in a
+    deterministic order: by size, then by the sorted positions of their
+    words in the sorted code.
+
+    Every submodule is a join of cyclic submodules, so the masks of the cyclic
     submodules are closed under a + <g>, one level of new masks (the
     frontier) at a time.  As <g> is closed under negation, a + <g> is
     {w_x - y : x in a, y in <g>}, read off the difference table
@@ -246,9 +279,8 @@ def enumerate_submodules(code: Code) -> list[Code]:
     """
     check_cap(len(code), SUBMODULE_CAP, "submodule enumeration")
     ring, n = code.ring, code.n
-    words = code.sorted_words()
-    m = len(words)
-    digits = ring.encode(words, n)
+    digits = code.digits
+    m = len(digits)
     positions = _row_locator(digits, ring.mods(n))
     diff = np.empty((m, m), dtype=np.int32)
     located = np.zeros(m, dtype=bool)
@@ -303,10 +335,70 @@ def enumerate_submodules(code: Code) -> list[Code]:
                         check_cap(len(found), LATTICE_CAP, "submodule count")
         frontier = np.frombuffer(b"".join(new), dtype=np.uint8).reshape(-1, row_bytes.itemsize)
 
-    masks = (np.unpackbits(np.frombuffer(k, dtype=np.uint8), count=m) for k in found)
-    subs = [np.flatnonzero(mask).tolist() for mask in masks]
-    subs.sort(key=lambda s: (len(s), s))
-    return [Code(ring, n, (), frozenset(words[i] for i in s)) for s in subs]
+    packed = np.frombuffer(b"".join(sorted(found, key=_mask_order)), dtype=np.uint8)
+    masks = np.unpackbits(packed.reshape(len(found), -1), axis=1, count=m).view(bool)
+    masks.flags.writeable = False
+    return masks
+
+
+def enumerate_submodules(code: Code) -> list[Code]:
+    """All submodules of the code as codes, one per row of
+    ``Code.submodule_masks`` and in its order, their words read off one
+    ``np.nonzero`` of the masks."""
+    masks, words = code.submodule_masks, code.sorted_words()
+    columns = np.nonzero(masks)[1].tolist()
+    ends = np.cumsum(masks.sum(axis=1)).tolist()
+    return [
+        Code(code.ring, code.n, (), frozenset(map(words.__getitem__, columns[a:b])))
+        for a, b in zip([0] + ends, ends)
+    ]
+
+
+# -- the subcode oracle's arrays ----------------------------------------------
+
+
+def _log(p: int, powers: np.ndarray) -> np.ndarray:
+    """log_p of each entry, every one a power of p: its place among them."""
+    return np.searchsorted(p ** np.arange(intlog(p, int(powers.max())) + 1), powers)
+
+
+def _distinct(rows: np.ndarray, classes: np.ndarray, count: int) -> np.ndarray:
+    """The number of distinct classes in each of ``count`` rows, from the
+    sorted (row, class) keys of the members that differ from their neighbour."""
+    width = int(classes.max()) + 1
+    keys = np.sort(rows * width + classes)
+    return np.bincount(keys[np.append(True, keys[1:] != keys[:-1])] // width, minlength=count)
+
+
+def submodule_invariants(code: Code, supp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda(D), M(D) and wt(D) under the support, for every submodule D
+    of the code: three int64 arrays, one entry per row of
+    ``Code.submodule_masks``.
+
+    D is the product of its projections D_i onto the CRT factors, so
+    lambda(D) is the sum of log_p |D_i| and M(D) that of log_p(|D_i| /
+    |p D_i|) (``mu_factor``), where |D_i| and |p D_i| count the distinct
+    projections of D's words and of their p-multiples.  wt(D) is the sum of
+    the coordinatewise maximum of supp over D's words, one
+    ``np.maximum.reduceat`` per block of rows: every row holds the zero
+    word, so none is empty.  Rows are taken ``_CLOSE_BLOCK // |C|`` at a
+    time, which bounds the temporaries; everything is exact int64.
+    """
+    masks = code.submodule_masks
+    factors = [(f.p, *_factor_classes(code, i)) for i, f in enumerate(code.ring.factors)]
+    values = supp.of_digits(code.digits)
+    lengths, big, weights = (np.zeros(len(masks), dtype=np.int64) for _ in range(3))
+    step = max(1, _CLOSE_BLOCK // masks.shape[1])
+    for start in range(0, len(masks), step):
+        block, here = masks[start : start + step], slice(start, start + step)
+        rows, words = np.nonzero(block)
+        starts = np.searchsorted(rows, np.arange(len(block)))
+        weights[here] = np.maximum.reduceat(values[words], starts).sum(axis=1)
+        for p, projections, multiples in factors:
+            whole, scaled = (_distinct(rows, c[words], len(block)) for c in (projections, multiples))
+            lengths[here] += _log(p, whole)
+            big[here] += _log(p, whole // scaled)
+    return lengths, big, weights
 
 
 # -- row reduction over F_p -------------------------------------------------

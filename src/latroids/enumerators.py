@@ -22,7 +22,7 @@ from operator import add
 import numpy as np
 
 from .code_latroids import chain_support_latroid, least_weights
-from .codes import Code, length_lambda
+from .codes import Code, length_lambda, submodule_invariants
 from .core import Latroid
 from .limits import LATTICE_CAP, check_cap
 from .report import Check, Report
@@ -174,7 +174,7 @@ def _xy_names(u: int) -> tuple[str, ...]:
 
 def refined_enumerator(code: Code, supp: Support) -> ExpPoly:
     """sum over codewords of x^supp(c) y^(supp(R^n) - supp(c))."""
-    levels = supp.of_digits(code.ring.encode(code.codewords, code.n))
+    levels = supp.of_digits(code.digits)
     exps = np.hstack([levels, np.array(supp.ambient_support()) - levels])
     return ExpPoly(2 * supp.u, ((e, 1) for e in exps.tolist()), _xy_names(supp.u))
 
@@ -187,24 +187,15 @@ def homogeneous_enumerator(code: Code, supp: Support) -> ExpPoly:
 
 def weight_distribution(code: Code, supp: Support) -> list[int]:
     """A_w = number of codewords of weight w, for w = 0..wt(R^n)."""
-    weights = supp.of_digits(code.ring.encode(code.codewords, code.n)).sum(axis=1)
+    weights = supp.of_digits(code.digits).sum(axis=1)
     return np.bincount(weights, minlength=supp.ambient_weight() + 1).tolist()
 
 
-def _weight_distributions(subcodes: tuple[Code, ...], supp: Support) -> dict[int, list[int]]:
-    """A^(j)_w for every length j of a submodule, from the list of all
-    submodules."""
-    out: dict[int, list[int]] = {}
-    for d in subcodes:
-        dist = out.setdefault(length_lambda(d), [0] * (supp.ambient_weight() + 1))
-        dist[supp.code_weight(d)] += 1
-    return out
-
-
 def generalized_weight_distribution(code: Code, supp: Support, r: int) -> list[int]:
-    """A^(r)_w = number of submodules with lambda = r and wt = w."""
-    empty = [0] * (supp.ambient_weight() + 1)
-    return _weight_distributions(code.submodules, supp).get(r, empty)
+    """A^(r)_w = number of submodules with lambda = r and wt = w, counted
+    on the arrays of ``submodule_invariants``."""
+    lengths, _, weights = submodule_invariants(code, supp)
+    return np.bincount(weights[lengths == r], minlength=supp.ambient_weight() + 1).tolist()
 
 
 def generalized_enumerator(code: Code, supp: Support, r: int) -> ExpPoly:
@@ -213,20 +204,19 @@ def generalized_enumerator(code: Code, supp: Support, r: int) -> ExpPoly:
 
     The minimum w with A^(j)_w != 0 over j >= r recovers the r-th
     generalized weight; that consistency is asserted here against the
-    subcode oracle ``least_weights``, on the same one enumeration.
+    subcode oracle ``least_weights``, on the same arrays of
+    ``submodule_invariants``.
     """
     lam = length_lambda(code)
     if not 0 <= r <= lam:
         raise ValueError(f"r = {r} outside [0, {lam}]")
     wt_top = supp.ambient_weight()
-    subcodes = code.submodules
-    dists = _weight_distributions(subcodes, supp)
-    poly = ExpPoly(2, (((wt_top - w, w), a) for w, a in enumerate(dists[r])), ("x", "y"))
+    lengths, _, weights = submodule_invariants(code, supp)
+    dist = np.bincount(weights[lengths == r], minlength=wt_top + 1).tolist()
+    poly = ExpPoly(2, (((wt_top - w, w), a) for w, a in enumerate(dist)), ("x", "y"))
     if r >= 1:
-        least = min(
-            w for j in range(r, lam + 1) for w, a in enumerate(dists[j]) if a
-        )
-        expected = least_weights(subcodes, length_lambda, supp.code_weight, lam)[r - 1]
+        least = int(np.flatnonzero(np.bincount(weights[lengths >= r]))[0])
+        expected = least_weights(lengths, weights, lam)[r - 1]
         if least != expected:
             raise AssertionError(
                 f"generalized enumerator inconsistent with d_bar_{r}: "
@@ -387,7 +377,7 @@ def inclusion_exclusion_check(code: Code) -> Report:
     shape = [k + 1 for k in supp.ambient_support()]
     check_cap(math.prod(shape), LATTICE_CAP, "lattice size")
     labels = list(itertools.product(*map(range, shape)))
-    levels = supp.of_digits(ring.encode(code.codewords, code.n))
+    levels = supp.of_digits(code.digits)
     counts = Counter(map(tuple, levels.tolist()))
     # One comparison per label, not the prefix sums of chain_support_latroid,
     # so that this route stays independent of that kernel.

@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from .code_latroids import least_weights
-from .codes import Code, big_m, length_lambda
+from .codes import Code, big_m, length_lambda, submodule_invariants
 from .enumerators import weight_distribution
 from .limits import VECTOR_ENUM_CAP, check_cap
 from .report import Check, Report
@@ -56,7 +56,7 @@ def matmul(ring: Pir, a: RingMatrix, b: RingMatrix) -> RingMatrix:
 
 def apply_to_code(mat: RingMatrix, code: Code) -> Code:
     ring = code.ring
-    image = _act(ring, _as_array(ring, mat, code.n), ring.encode(code.codewords, code.n))
+    image = _act(ring, _as_array(ring, mat, code.n), code.digits)
     return Code(ring, code.n, (), frozenset(ring.decode(image)))
 
 
@@ -159,12 +159,10 @@ def equivalence_invariance_check(code: Code, mat: RingMatrix, supp: Support) -> 
     checks.append(Check("lambda_equal", lam1 == lam2, f"{lam1} vs {lam2}"))
 
     if lam1 == lam2 and lam1 > 0:
-        subs1, subs2 = code.submodules, image.submodules
-        d1 = least_weights(subs1, length_lambda, supp.code_weight, lam1)
-        d2 = least_weights(subs2, length_lambda, supp.code_weight, lam2)
+        (l1, g1, w1), (l2, g2, w2) = (submodule_invariants(c, supp) for c in (code, image))
+        d1, d2 = least_weights(l1, w1, lam1), least_weights(l2, w2, lam2)
         checks.append(Check("dbar_equal", d1 == d2, f"{d1} vs {d2}"))
-        m1 = least_weights(subs1, big_m, supp.code_weight, big_m(code))
-        m2 = least_weights(subs2, big_m, supp.code_weight, big_m(image))
+        m1, m2 = least_weights(g1, w1, big_m(code)), least_weights(g2, w2, big_m(image))
         checks.append(Check("dmu_equal", m1 == m2, f"{m1} vs {m2}"))
 
     w1 = weight_distribution(code, supp)

@@ -16,8 +16,9 @@ the poset has that meet exactly when this element lies above all the
 others.  Each x is one vectorized row, so the cost is O(N^2 * degree)
 element operations plus the O(N^3) product in BLAS; joins are the same
 recurrence on the reversed order.  Subspace and submodule lattices get
-their order from a membership matrix: a <= b when no member of a lies
-outside b, one exact float32 product ``members @ ~members.T == 0``.
+their order from a membership matrix, the submodule masks the code keeps
+(``Code.submodule_masks``): a <= b when no member of a lies outside b, one
+exact float32 product ``members @ ~members.T == 0``.
 
 Lattices built from lattices keep their tables.  A product's order, join
 and meet are componentwise and a cover changes one coordinate by a cover
@@ -418,15 +419,6 @@ def boolean_lattice(n: int) -> FiniteLattice:
     return _renumbered(grid_lattice([1] * n), idx, map(frozenset, subsets))
 
 
-def _members(sets, ground) -> np.ndarray:
-    """members[i, j]: the j-th point of ``ground`` lies in sets[i]."""
-    column = {x: j for j, x in enumerate(ground)}
-    members = np.zeros((len(sets), len(column)), dtype=bool)
-    for i, s in enumerate(sets):
-        members[i, [column[x] for x in s]] = True
-    return members
-
-
 def _membership_order(members: np.ndarray) -> np.ndarray:
     """leq[a, b]: no member of a lies outside b.  The float32 product counts
     those members exactly, as there are fewer than 2**24 points; the size
@@ -481,16 +473,15 @@ def _subspaces(q: int, n: int) -> tuple[FiniteLattice, np.ndarray]:
     subs = enumerate_submodules(space)
     bases = [rref([[a for (a,) in w] for w in s.codewords], q) for s in subs]
     order = sorted(range(len(subs)), key=lambda i: (len(bases[i]), bases[i]))
-    members = _members([subs[i].codewords for i in order], space.sorted_words())
+    members = space.submodule_masks[order]
     members.flags.writeable = False
     return build_lattice([bases[i] for i in order], _membership_order(members)), members
 
 
 def submodule_lattice(code: Code) -> FiniteLattice:
-    """All submodules of the given code, ordered by inclusion."""
-    subs = enumerate_submodules(code)
-    members = _members([s.codewords for s in subs], code.sorted_words())
-    return build_lattice(subs, _membership_order(members))
+    """All submodules of the given code, ordered by inclusion, which is read
+    off the code's submodule masks."""
+    return build_lattice(enumerate_submodules(code), _membership_order(code.submodule_masks))
 
 
 @functools.lru_cache(maxsize=_AMBIENT_KEPT)

@@ -17,6 +17,7 @@ and code sums build, where converting to arrays would cost more than it saves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -103,15 +104,16 @@ class Pir:
 
     # -- basic structure ---------------------------------------------------
 
-    @property
+    # kept on first read, outside the fields: the tuple arithmetic reads them
+    @functools.cached_property
     def ell(self) -> int:
         return len(self.factors)
 
-    @property
+    @functools.cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(f.size for f in self.factors)
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return math.prod(self.sizes)
 

@@ -84,18 +84,19 @@ class Support:
         return self.of_digits(self.ring.space(self.n))
 
     def of_set(self, vectors) -> SupportVec:
-        """Coordinatewise maximum over a set of vectors (zero when empty)."""
-        rows = self.of_digits(self.ring.encode(vectors, self.n))
-        return tuple(rows.max(axis=0, initial=0).tolist())
+        """Coordinatewise maximum over a set of vectors, or over the words
+        of a code (its digits), zero when empty."""
+        digits = vectors.digits if isinstance(vectors, Code) else self.ring.encode(vectors, self.n)
+        return tuple(self.of_digits(digits).max(axis=0, initial=0).tolist())
 
     def weight(self, v: Vector) -> int:
         return sum(self(v))
 
     def code_weight(self, code: Code) -> int:
-        return sum(self.of_set(code.codewords))
+        return sum(self.of_set(code))
 
     def min_max_weight(self, code: Code) -> tuple[int, int]:
-        weights = self.of_digits(self.ring.encode(code.codewords, self.n)).sum(axis=1)
+        weights = self.of_digits(code.digits).sum(axis=1)
         nonzero = weights[weights > 0]
         if not nonzero.size:
             raise ValueError("minimum weight of the zero code is undefined")

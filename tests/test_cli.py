@@ -14,7 +14,7 @@ from test_lattices import clear_lattice_caches
 
 from latroids import cli, codes, enumerators, lattices
 from latroids.cli import COMMANDS, SCHEMA_VERSION, main
-from latroids.codes import enumerate_submodules
+from latroids.codes import _submodule_masks
 from latroids.enumerators import refined_enumerator
 from latroids.report import Report
 
@@ -298,13 +298,13 @@ def test_weights_enumerates_the_submodules_once(capsys, tmp_path, monkeypatch, r
 
     def counted(code):
         calls.append(code)
-        return enumerate_submodules(code)
+        return _submodule_masks(code)
 
-    monkeypatch.setattr(codes, "enumerate_submodules", counted)
+    monkeypatch.setattr(codes, "_submodule_masks", counted)
     path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\n" + r)
     code, _, _ = run_cli(capsys, "--command", "weights", "--config", path)
     assert code == 0
-    assert len(calls) == 1  # d-bar and d-mu read Code.submodules; the latroid reads the lattice
+    assert len(calls) == 1  # d-bar and d-mu read Code.submodule_masks; the latroid reads the grid
 
 
 def test_isometry_enumerates_the_submodules_once_per_side(capsys, monkeypatch):
@@ -312,13 +312,27 @@ def test_isometry_enumerates_the_submodules_once_per_side(capsys, monkeypatch):
 
     def counted(code):
         calls.append(code)
-        return enumerate_submodules(code)
+        return _submodule_masks(code)
 
-    monkeypatch.setattr(codes, "enumerate_submodules", counted)
+    monkeypatch.setattr(codes, "_submodule_masks", counted)
     config = str(CONFIGS / "z6_isometry.cfg")
     code, _, _ = run_cli(capsys, "--command", "isometry", "--config", config)
     assert code == 0
     assert len(calls) == 2  # the code and its image, each read for d-bar and d-mu
+
+
+def test_weights_builds_no_submodule_code(capsys, monkeypatch):
+    built = []
+    init = codes.Code.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(codes.Code, "__init__", counted)
+    code, _, _ = run_cli(capsys, "--command", "weights", "--config", str(CONFIGS / "z4_code.cfg"))
+    assert code == 0
+    assert len(built) == 1  # the span of the config's generator; no submodule is a Code
 
 
 NOT_INTEGERS = {

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from test_lattices import clear_lattice_caches
+from test_weights import reference_big_m, scaled
 
 from latroids import codes, lattices
 from latroids.code_latroids import latroid_from_code
@@ -66,6 +67,29 @@ def test_lambda_rejects_a_size_with_a_prime_outside_the_ring():
     words = frozenset([((0,),), ((1,),), ((2,),)])
     with pytest.raises(ValueError, match="3 is not a product of the primes"):
         length_lambda(Code(Z4, 1, (), words))
+
+
+@pytest.mark.parametrize("ring_name, n", [
+    ("Z_4", 2), ("Z_8", 1), ("Z_9", 2), ("Z_2 x Z_3", 2), ("Z_2 x Z_4", 2), ("Z_4 x Z_2", 1),
+])
+def test_big_m_on_digits_matches_the_tuple_reference(ring_name, n):
+    for sub in enumerate_submodules(full_space(parse_ring(ring_name), n)):
+        assert big_m(sub) == reference_big_m(sub)
+
+
+def test_digits_and_masks_are_kept_read_only():
+    code = span_from_ints(Z4, 2, [[1, 2], [0, 2]])
+    assert code.digits.tolist() == code.ring.encode(code.sorted_words(), 2).tolist()
+    assert code.digits is code.digits and code.submodule_masks is code.submodule_masks
+    masks = code.submodule_masks
+    assert masks.dtype == bool and masks.shape == (8, 8)
+    assert [set(np.flatnonzero(row).tolist()) for row in masks] == [
+        {i for i, w in enumerate(code.sorted_words()) if w in sub.codewords}
+        for sub in enumerate_submodules(code)
+    ]
+    for array in (code.digits, masks):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
 
 
 def test_mu_examples():
@@ -211,7 +235,7 @@ def test_mu_lambda_relation_on_all_submodules():
         alpha = (p % ring.factors[0].size,)
         for sub in enumerate_submodules(ambient):
             assert mu(sub) <= length_lambda(sub)
-            killed = sub.scaled(alpha)
+            killed = scaled(sub, alpha)
             assert (mu(sub) == length_lambda(sub)) == (len(killed) == 1)
 
 

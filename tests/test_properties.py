@@ -13,7 +13,9 @@ compared with references that list the rectangular modules by the exponents
 of their ideals and their members by valuations.  The submodule enumerator
 is compared with the closure of the cyclic submodules under pairwise sums
 in Python tuple arithmetic, and the submodule-lattice latroid with
-lambda(M) - lambda(M n C) taken by intersecting codeword sets.
+lambda(M) - lambda(M n C) taken by intersecting codeword sets.  The subcode
+oracle's arrays (lambda, M and wt of every submodule, read off the masks)
+are compared with each submodule taken as a code, M by tuple arithmetic.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_supports import BATCH_RINGS, reference_chain_support, sleq
+from test_weights import check_oracle_against_references
 
 from latroids.code_latroids import (
     block_matroid,
@@ -343,6 +346,14 @@ def reference_submodules(code):
         Code(ring, code.n, (), frozenset(words[i] for i in s))
         for s in sorted(found, key=lambda s: (len(s), sorted(s)))
     ]
+
+
+@pytest.mark.parametrize("ring_name", ("Z_4", "Z_9", "Z_2 x Z_3", "Z_2 x Z_4", "Z_4 x Z_2"))
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(data=st.data())
+def test_oracle_of_random_code_matches_each_submodule(ring_name, data):
+    # lambda, M and wt from the masks against each submodule as a code
+    check_oracle_against_references(data.draw(codes(parse_ring(ring_name))))
 
 
 @pytest.mark.parametrize("ring_name", SUBMODULE_RINGS)

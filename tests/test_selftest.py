@@ -66,7 +66,7 @@ def test_run_all_validates_modularity_seven_times(monkeypatch):
 
 
 def test_isometry_criterion_enumerates_each_side_once(monkeypatch):
-    calls = counted_everywhere(monkeypatch, codes.enumerate_submodules)
+    calls = counted_everywhere(monkeypatch, codes._submodule_masks)
     assert next(c for c in CRITERIA if c.number == 7).run(0).ok
     assert len(calls) == 8  # 4 invariance checks, the code and its image
 

@@ -4,8 +4,10 @@ enumerators, and the witness idiom the validators share."""
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from latroids.code_latroids import (
@@ -28,7 +30,15 @@ from latroids.code_latroids import (
     weights_equal_report,
 )
 from latroids.cli import _entry
-from latroids.codes import enumerate_submodules, length_lambda, span_from_ints, zero_code
+from latroids.codes import (
+    Code,
+    enumerate_submodules,
+    length_lambda,
+    span,
+    span_from_ints,
+    submodule_invariants,
+    zero_code,
+)
 from latroids.core import Latroid
 from latroids import codes, enumerators
 from latroids.enumerators import (
@@ -43,8 +53,18 @@ from latroids.enumerators import (
 )
 from latroids.report import Check
 from latroids.rings import intlog, parse_ring
-from latroids.selftest import rank_metric_code_corpus, tutte_code_corpus, two_block_sum_rank_code
-from latroids.supports import ChainSupport, HammingSupport
+from latroids.selftest import (
+    rank_metric_code_corpus,
+    tutte_code_corpus,
+    two_block_sum_rank_code,
+    z6_product_code_corpus,
+)
+from latroids.supports import (
+    ChainSupport,
+    HammingSupport,
+    TableSupport,
+    support_from_unit_table,
+)
 
 F2 = parse_ring("Z_2")
 Z4 = parse_ring("Z_4")
@@ -225,16 +245,98 @@ def test_generalized_enumerator_rejects_r_out_of_range():
 
 
 def test_generalized_enumerator_enumerates_once(monkeypatch):
-    calls = []
+    calls, masks = [], codes._submodule_masks
 
     def counted(code):
         calls.append(code)
-        return enumerate_submodules(code)
+        return masks(code)
 
-    monkeypatch.setattr(codes, "enumerate_submodules", counted)
-    # a new code: Z4_12 keeps the submodules other tests enumerated
+    monkeypatch.setattr(codes, "_submodule_masks", counted)
+    # a new code: Z4_12 keeps the masks other tests enumerated
     generalized_enumerator(span_from_ints(Z4, 2, [[1, 2]]), ChainSupport(Z4, 2), 2)
     assert len(calls) == 1
+
+
+# -- the subcode oracle's arrays against each submodule as a code ---------------
+
+
+def scaled(code, r):
+    """r C by tuple arithmetic, the reference for the digit forms."""
+    return Code(code.ring, code.n, (), frozenset(code.ring.vscale(r, c) for c in code.codewords))
+
+
+def reference_big_m(code):
+    """M(C) by tuple arithmetic: mu(C_i) = log_p(|C_i| / |p C_i|) from the
+    projected and scaled codeword sets, summed over the CRT factors."""
+    return sum(
+        intlog(f.p, len(code.factor(i)) // len(scaled(code.factor(i), (f.p % f.size,))))
+        for i, f in enumerate(code.ring.factors)
+    )
+
+
+def oracle_supports(ring, n):
+    """Chain, Hamming, product and table supports on R^n.  The product and
+    table values are seeded: the oracle reads any support, valid or not."""
+    rng = random.Random(n)
+    unit = {a: (rng.randrange(3), rng.randrange(2)) for a in ring.elements()}
+    table = {v: (rng.randrange(4), rng.randrange(3)) for v in ring.vectors(n)}
+    return [
+        ChainSupport(ring, n),
+        HammingSupport(ring, n),
+        support_from_unit_table(ring, n, unit),
+        TableSupport(ring, n, table),
+    ]
+
+
+def reference_least_weights(subs, invariant, weight, top):
+    return [min(weight(d) for d in subs if invariant(d) >= r) for r in range(1, top + 1)]
+
+
+def check_oracle_against_references(code):
+    """lambda, M and wt of every submodule, the d-bar and d-mu lists and the
+    generalized weight distributions, each against the per-``Code`` form."""
+    subs = enumerate_submodules(code)
+    lam, m = length_lambda(code), reference_big_m(code)
+    for supp in oracle_supports(code.ring, code.n):
+        lengths, generators, weights = submodule_invariants(code, supp)
+        assert {a.dtype for a in (lengths, generators, weights)} == {np.dtype(np.int64)}
+        assert lengths.tolist() == [length_lambda(d) for d in subs]
+        assert generators.tolist() == [reference_big_m(d) for d in subs]
+        assert weights.tolist() == [supp.code_weight(d) for d in subs]
+        assert code_gen_weights_dbar(code, supp) == reference_least_weights(
+            subs, length_lambda, supp.code_weight, lam
+        )
+        assert code_gen_weights_dr(code, supp) == reference_least_weights(
+            subs, reference_big_m, supp.code_weight, m
+        )
+        for r in range(lam + 1):
+            expected = [0] * (supp.ambient_weight() + 1)
+            for d in subs:
+                if length_lambda(d) == r:
+                    expected[supp.code_weight(d)] += 1
+            assert generalized_weight_distribution(code, supp, r) == expected
+
+
+ORACLE_CORPUS = tutte_code_corpus(0) + z6_product_code_corpus(0)
+
+
+@pytest.mark.parametrize("code", [c for _, c in ORACLE_CORPUS], ids=[n for n, _ in ORACLE_CORPUS])
+def test_oracle_matches_each_submodule_on_the_corpora(code):
+    check_oracle_against_references(code)
+
+
+def test_oracle_is_blocked_without_changing_its_results(monkeypatch):
+    # one mask row per block, and one entry per block of the enumeration
+    ring = parse_ring("Z_2 x Z_4")
+    gens = [((1, 1), (0, 2)), ((0, 2), (1, 0))]
+    supp = ChainSupport(ring, 2)
+    code = span(ring, 2, gens)
+    masks, arrays = code.submodule_masks, submodule_invariants(code, supp)
+    monkeypatch.setattr(codes, "_CLOSE_BLOCK", 1)
+    fresh = span(ring, 2, gens)  # the masks are kept on the code
+    assert np.array_equal(fresh.submodule_masks, masks)
+    for got, expected in zip(submodule_invariants(fresh, supp), arrays, strict=True):
+        assert np.array_equal(got, expected)
 
 
 def test_generalized_enumerator_of_z4_code():
