@@ -6,12 +6,14 @@ generalized weight is computed by brute force through the one subcode
 oracle ``least_weights``: the least weight over the subcodes whose length,
 generator count or dimension reaches r, read off one array entry per
 subcode.
+A matrix code is a ``Code`` over F_q plus its block shapes (``MatrixCode``),
+so its constructions read the code's digit rows cut into blocks and its rank
+weights read the code's submodule masks, as every other code's do.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,6 @@ import numpy as np
 from .codes import (
     Code,
     big_m,
-    enumerate_submodules,
     length_lambda,
     rref,
     span_from_ints,
@@ -149,24 +150,23 @@ def block_matroid(code: Code) -> Latroid:
 # -- matrix codes ------------------------------------------------------------------
 
 
-Matrix = tuple[tuple[int, ...], ...]
-
-
 @dataclass(frozen=True)
 class MatrixCode:
-    """An F_q-linear code of block matrix tuples.
+    """An F_q-linear code of tuples of block matrices.
 
-    ``blocks`` lists the (rows, cols) shape of each block; codewords are
-    tuples of matrices, one per block.  A single-block instance models an
-    ordinary rank-metric code in F_q^{m x n}.
+    ``blocks`` lists the (rows, cols) shape of each block.  ``code`` is the
+    code over Z_q of length sum m_i n_i that holds the entries of each word,
+    block by block and row by row; ``block_digits`` cuts its sorted words
+    back into blocks.  A single-block instance models an ordinary
+    rank-metric code in F_q^{m x n}.
     """
 
     q: int
     blocks: tuple[tuple[int, int], ...]
-    codewords: frozenset[tuple[Matrix, ...]]
+    code: Code
 
     def __len__(self):
-        return len(self.codewords)
+        return len(self.code)
 
     @property
     def ell(self) -> int:
@@ -179,7 +179,24 @@ class MatrixCode:
         return self.blocks[0]
 
     def dim(self) -> int:
-        return intlog(self.q, len(self.codewords))
+        return intlog(self.q, len(self.code))
+
+    def block_digits(self) -> list[np.ndarray]:
+        """One (|C|, m_i, n_i) array per block: block i of each sorted word
+        of ``code``, in the order of ``Code.digits``."""
+        cuts = np.cumsum([0] + [m * n for m, n in self.blocks]).tolist()
+        return [
+            self.code.digits[:, a:b].reshape(-1, m, n)
+            for a, b, (m, n) in zip(cuts, cuts[1:], self.blocks)
+        ]
+
+
+def _matrix_span(q: int, blocks, rows) -> MatrixCode:
+    """The F_q-span of rows of entries (``MatrixCode.code`` order), q prime."""
+    check_cap(q ** len(rows), SPAN_CAP, "matrix code span")
+    # The span never enumerates the ambient space, so its size caps nothing.
+    length = sum(m * n for m, n in blocks)
+    return MatrixCode(q, blocks, span_from_ints(chain_ring(q, 1), length, rows, cap=q**length))
 
 
 def matrix_code(q: int, blocks, generators) -> MatrixCode:
@@ -187,16 +204,11 @@ def matrix_code(q: int, blocks, generators) -> MatrixCode:
     blocks = tuple((int(m), int(n)) for m, n in blocks)
     rows = []
     for word in generators:
-        word = tuple(tuple(tuple(int(x) % q for x in row) for row in mat) for mat in word)
         for mat, (m, n) in zip(word, blocks, strict=True):
             if len(mat) != m or any(len(r) != n for r in mat):
                 raise ValueError(f"block {mat} does not have shape {m}x{n}")
-        rows.append(_entries(word))
-    check_cap(q ** len(rows), SPAN_CAP, "matrix code span")
-    # The span never enumerates the ambient space, so its size caps nothing.
-    length = sum(m * n for m, n in blocks)
-    code = span_from_ints(chain_ring(q, 1), length, rows, cap=q**length)
-    return MatrixCode(q, blocks, frozenset(_block_word(blocks, c) for c in code.codewords))
+        rows.append([x for mat in word for row in mat for x in row])
+    return _matrix_span(q, blocks, rows)
 
 
 def single_matrix_code(q: int, m: int, n: int, generators) -> MatrixCode:
@@ -204,34 +216,18 @@ def single_matrix_code(q: int, m: int, n: int, generators) -> MatrixCode:
 
 
 def product_matrix_code(*factors: MatrixCode) -> MatrixCode:
-    """The direct product of matrix codes, one block group per factor."""
+    """The direct product of matrix codes, one block group per factor: the
+    span of each factor's generator rows, padded with zeros."""
     q = factors[0].q
     if any(f.q != q for f in factors):
         raise ValueError("factors must share the field")
-    blocks = tuple(b for f in factors for b in f.blocks)
-    words = frozenset(
-        tuple(itertools.chain.from_iterable(ws))
-        for ws in itertools.product(*(f.codewords for f in factors))
-    )
-    return MatrixCode(q, blocks, words)
-
-
-def _entries(word) -> tuple[int, ...]:
-    """The entries of a tuple of block matrices, block by block, row by row."""
-    return tuple(x for mat in word for row in mat for x in row)
-
-
-def _block_word(blocks, v) -> tuple[Matrix, ...]:
-    """A vector over Z_q cut back into block matrices (undoes _entries)."""
-    entries = iter(a for (a,) in v)
-    return tuple(tuple(tuple(next(entries) for _ in range(n)) for _ in range(m)) for m, n in blocks)
-
-
-def _as_code(mc: MatrixCode) -> Code:
-    """The matrix code as a code over Z_q of length sum m_i n_i."""
-    ring = chain_ring(mc.q, 1)
-    words = frozenset(ring.vector_from_ints(_entries(w)) for w in mc.codewords)
-    return Code(ring, sum(m * n for m, n in mc.blocks), (), words)
+    length = sum(f.code.n for f in factors)
+    rows, start = [], 0
+    for f in factors:
+        gens = f.code.ring.encode(f.code.generators, f.code.n)
+        rows += np.pad(gens, ((0, 0), (start, length - start - f.code.n))).tolist()
+        start += f.code.n
+    return _matrix_span(q, tuple(b for f in factors for b in f.blocks), rows)
 
 
 # -- rank-metric latroids ------------------------------------------------------------
@@ -239,19 +235,17 @@ def _as_code(mc: MatrixCode) -> Code:
 # A subspace V of F_q^n is held as a row of the membership matrix from
 # ``lattices._subspaces``: members[V, j] says whether the j-th vector of F_q^n
 # (in the order of ``Pir.space``) lies in V.  Each row (or column) of a
-# codeword's block is likewise held as its index j in F_q^n, so a codeword
-# lies in the subcode of V exactly when members[V, j] holds for every one of
-# its row indices, and the subcode sizes are one boolean reduction.
+# codeword's block (``MatrixCode.block_digits``) is likewise held as its index
+# j in F_q^n, so a codeword lies in the subcode of V exactly when members[V, j]
+# holds for all its row indices, and the subcode sizes are one boolean reduction.
 
 
 def _block_subspaces(mc: MatrixCode, spaces: str):
     """Per block: the subspace lattice of the row (``spaces="row"``) or
     column spaces, its membership matrix, and inside[V, w], true when every
     row (column) of word w's block lies in V."""
-    words = list(mc.codewords)
     out = []
-    for b in range(mc.ell):
-        mats = np.array([w[b] for w in words], dtype=np.int64)
+    for mats in mc.block_digits():
         if spaces == "column":
             mats = mats.transpose(0, 2, 1)
         d = mats.shape[2]
@@ -376,8 +370,9 @@ def sum_rank_latroid(mc: MatrixCode, spaces: str = "column") -> Latroid:
 # array entry per subcode.  Over a code, the entries are the array reductions
 # of ``codes.submodule_invariants`` over the submodule masks the code keeps
 # (``Code.submodule_masks``), so no weight query builds a submodule's codeword
-# set; the matrix codes pass the dimensions and row-space weights of their
-# subcodes.
+# set.  A matrix code reads the same masks of its ``code``: the dimension of
+# each subcode and the sum of its block row-space dimensions, one ``rref`` of
+# the block rows of its words per block.
 
 
 def least_weights(invariants: np.ndarray, weights: np.ndarray, top: int) -> list[int]:
@@ -448,26 +443,18 @@ def latroid_weights_equal_code_weights(code: Code) -> Report:
 # -- rank-metric generalized weights ------------------------------------------------
 
 
-def _subcodes(mc: MatrixCode) -> list[frozenset]:
-    """All F_q-subspaces of the code, as sets of block-matrix words."""
-    return [
-        frozenset(_block_word(mc.blocks, c) for c in d.codewords)
-        for d in enumerate_submodules(_as_code(mc))
-    ]
-
-
-def _rowspace_dim_of_subcode(sub, q: int, block: int) -> int:
-    return len(rref([row for word in sub for row in word[block]], q))
-
-
 def sum_rank_code_gen_weights(mc: MatrixCode) -> list[int]:
     """Generalized sum-rank weights (equal m_i) by subcode enumeration:
     d_r = min{sum_i dim rowspace_i(D) : D a subcode, dim D >= r}.  With one
-    block these are the generalized rank weights."""
-    subs = _subcodes(mc)
-    dims = np.array([intlog(mc.q, len(s)) for s in subs])
+    block these are the generalized rank weights.  D runs over the rows of
+    ``Code.submodule_masks``, and dim rowspace_i(D) is the length of the
+    ``rref`` of D's block-i rows: F_q^{n_i} is never enumerated."""
+    masks = mc.code.submodule_masks
+    blocks = mc.block_digits()
+    dims = np.array([intlog(mc.q, size) for size in masks.sum(axis=1).tolist()])
     weights = np.array([
-        sum(_rowspace_dim_of_subcode(s, mc.q, i) for i in range(mc.ell)) for s in subs
+        sum(len(rref(b[mask].reshape(-1, b.shape[2]).tolist(), mc.q)) for b in blocks)
+        for mask in masks
     ])
     return least_weights(dims, weights, mc.dim())
 

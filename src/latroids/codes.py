@@ -15,19 +15,20 @@ through a table of word differences, on the first read, and kept.  The
 masks are the one thing the subcode oracle reads: ``submodule_invariants``
 gives lambda, M and the support weight of every submodule as array
 reductions, so no weight query builds a submodule's codeword set.
-``enumerate_submodules`` builds those codeword sets from the masks for the
-callers that need ``Code`` labels (the submodule lattices).  Distinct rows
+``enumerate_submodules`` builds those codeword sets for the one caller that
+needs ``Code`` labels, ``lattices.submodule_lattice``; the subspace lattices
+label each mask by the ``rref`` of the rows it marks.  Distinct rows
 and keys are found by sorting and masking equal neighbours, and sets of
 positions by a mark array, never by numpy's ``unique``: numpy 2 imports
 ``numpy.ma`` on its first call, 10-20 ms that every process would pay.
-``full_space`` decodes the digit space ``Pir.space``.  Only ``span``,
-``code_sum`` and ``Code.factor`` stay on ``Pir`` tuple arithmetic: they
-build small sets of tuples, which is what callers hold.  ``span`` takes the
-distinct multiples of each generator once and adds each of them to every
-word found so far; the benchmark harness (``perfbench/tracing.py``) counts
-the ``Pir.add`` and ``Pir.vadd`` calls it makes.  The composition length
-lambda(C) is read off |C| alone (``length_lambda``), with no projection
-onto the CRT factors.
+``full_space`` decodes the digit space ``Pir.space``, and ``Code.factor``
+the digit columns of one CRT factor.  Only ``span`` and ``code_sum`` stay
+on ``Pir`` tuple arithmetic: they build small sets of tuples, which is what
+callers hold.  ``span`` takes the distinct multiples of each generator once
+and adds each of them to every word found so far; the benchmark harness
+(``perfbench/tracing.py``) counts the ``Pir.add`` and ``Pir.vadd`` calls it
+makes.  The composition length lambda(C) is read off |C| alone
+(``length_lambda``), with no projection onto the CRT factors.
 
 Over a prime field F_p, ``rref`` row-reduces a list of vectors; the reduced
 row echelon basis is the canonical label of the subspace they span (the
@@ -107,8 +108,7 @@ class Code:
     def factor(self, i: int) -> "Code":
         """The projection onto the i-th CRT factor, as a code over R_i."""
         ring = self.ring.factor_ring(i)
-        words = frozenset(self.ring.project_vector(c, i) for c in self.codewords)
-        return Code(ring, self.n, (), words)
+        return Code(ring, self.n, (), frozenset(ring.decode(self.digits[:, i :: self.ring.ell])))
 
 
 def span(ring: Pir, n: int, generators, cap: int = SPAN_CAP) -> Code:

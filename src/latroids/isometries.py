@@ -18,7 +18,7 @@ from .codes import Code, big_m, length_lambda, submodule_invariants
 from .enumerators import weight_distribution
 from .limits import VECTOR_ENUM_CAP, check_cap
 from .report import Check, Report
-from .rings import Element, Pir, Vector
+from .rings import Element, Pir
 from .supports import Support, split_support
 
 RingMatrix = tuple[tuple[Element, ...], ...]
@@ -39,13 +39,6 @@ def _act(ring: Pir, entries: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """The matrix applied to every row of a digit array of R^n."""
     v = digits.reshape(len(digits), len(entries), ring.ell)
     return (np.einsum("ijf,vjf->vif", entries, v) % ring.sizes).reshape(len(v), -1)
-
-
-def apply_matrix(ring: Pir, mat: RingMatrix, v: Vector) -> Vector:
-    n = len(mat)
-    if len(v) != n:
-        raise ValueError(f"vector length {len(v)} != matrix size {n}")
-    return ring.decode(_act(ring, _as_array(ring, mat, n), ring.encode([v], n)))[0]
 
 
 def matmul(ring: Pir, a: RingMatrix, b: RingMatrix) -> RingMatrix:

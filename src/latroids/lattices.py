@@ -457,9 +457,9 @@ def subspace_lattice(q: int, n: int) -> FiniteLattice:
 def _subspaces(q: int, n: int) -> tuple[FiniteLattice, np.ndarray]:
     """The subspace lattice of F_q^n, sorted by (dim, rref basis), and its
     read-only membership matrix: row i marks the vectors of subspace i,
-    indexed as in ``Pir.space``.  The subspaces are the submodules of F_q^n,
-    so F_q^n is checked against the cap of their enumeration before it is
-    spanned.
+    indexed as in ``Pir.space``.  The subspaces are the submodule masks of
+    F_q^n, each labelled by the ``rref`` of the digit rows it marks, so F_q^n
+    is checked against the cap of their enumeration before it is spanned.
 
     Built once for each (q, n) and shared, as ``_chain`` is: the rank-metric
     latroids of one F_q^n all sit on it.  An entry lives as long as the
@@ -470,10 +470,10 @@ def _subspaces(q: int, n: int) -> tuple[FiniteLattice, np.ndarray]:
     if not is_prime(q):
         raise ValueError(f"only prime fields are supported, got q = {q}")
     space = full_space(chain_ring(q, 1), n)
-    subs = enumerate_submodules(space)
-    bases = [rref([[a for (a,) in w] for w in s.codewords], q) for s in subs]
-    order = sorted(range(len(subs)), key=lambda i: (len(bases[i]), bases[i]))
-    members = space.submodule_masks[order]
+    masks = space.submodule_masks
+    bases = [rref(space.digits[row].tolist(), q) for row in masks]
+    order = sorted(range(len(bases)), key=lambda i: (len(bases[i]), bases[i]))
+    members = masks[order]
     members.flags.writeable = False
     return build_lattice([bases[i] for i in order], _membership_order(members)), members
 

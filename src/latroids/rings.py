@@ -206,11 +206,6 @@ class Pir:
         check_cap(self.size**n, VECTOR_ENUM_CAP, f"enumerating {self}^{n}")
         return itertools.product(self.elements(), repeat=n)
 
-    def project_vector(self, v: Vector, i: int) -> Vector:
-        """Image of v under the projection onto the i-th factor, as a
-        vector over the one-factor ring."""
-        return tuple((a[i],) for a in v)
-
     # -- R^n as digit arrays ---------------------------------------------------
 
     def mods(self, n: int) -> np.ndarray:

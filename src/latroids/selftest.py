@@ -22,12 +22,14 @@ from .code_latroids import (
     latroid_from_code,
     latroid_weights_equal_code_weights,
     product_matrix_code,
+    qpolymatroid_axioms,
     rank_metric_latroid,
     rect_supp_latroid,
     single_matrix_code,
     sum_rank_latroid,
     sum_rank_weights_equal,
     tilde_polymatroid,
+    tilde_relation_check,
     code_gen_weights_dbar,
 )
 from .codes import Code, cyclic_code, full_space, length_lambda, span_from_ints
@@ -67,7 +69,7 @@ from .isometries import (
     pir_isometry_projections,
     random_monomial_isometry,
 )
-from .lattices import boolean_lattice, subspace_lattice
+from .lattices import atoms_join_check, boolean_lattice, subspace_lattice
 from .report import Check, Report
 from .rings import Pir, parse_ring
 from .supports import (
@@ -305,7 +307,9 @@ def criterion_crypto_roundtrips(seed: int) -> Report:
     """On corpus latroids matching the cryptomorphism hypotheses
     (complemented modular lattice, height as length): the derived
     independents / bases / circuits satisfy their axiom systems and each
-    reconstructs the original rank exactly."""
+    reconstructs the original rank exactly.  The I3 and B2 atom exchanges
+    assume that every element is the join of the atoms below it, so
+    ``atoms_join_check`` is part of the I- and B-axiom checks."""
     checks = []
     eligible = [(name, lt) for name, lt in latroid_corpus(seed) if _crypto_eligible(lt)]
     checks.append(
@@ -314,9 +318,10 @@ def criterion_crypto_roundtrips(seed: int) -> Report:
     for name, lt in eligible:
         lat = lt.lattice
         I, B, C = independents(lt), bases(lt), circuits(lt)
+        atoms = atoms_join_check(lat).checks
         for tag, rep in (
-            ("I-axioms", axioms_I(lat, I)),
-            ("B-axioms", axioms_B(lat, B)),
+            ("I-axioms", Report.from_checks(axioms_I(lat, I).checks + atoms)),
+            ("B-axioms", Report.from_checks(axioms_B(lat, B).checks + atoms)),
             ("C-axioms", axioms_C(lat, C)),
         ):
             checks.append(Check(f"{name} {tag}", rep.ok, rep.summary() if not rep.ok else ""))
@@ -331,12 +336,16 @@ def criterion_crypto_roundtrips(seed: int) -> Report:
 
 
 def criterion_weight_equalities(seed: int) -> Report:
+    """The rank corpus check also asks that each rank code's q-polymatroid
+    (Gorla et al.) and rank-metric latroid satisfy P1-P3 and the tilde
+    relation: the q-polymatroid determines the generalized rank weights."""
     checks = []
     for name, code in tutte_code_corpus(seed):
         rep = latroid_weights_equal_code_weights(code)
         checks.append(Check(f"chain weights {name}", rep.ok, rep.summary() if not rep.ok else ""))
 
-    tall = [(name, mc) for name, mc in rank_metric_code_corpus() if mc.shape[0] > mc.shape[1]]
+    rank_codes = rank_metric_code_corpus()
+    tall = [(name, mc) for name, mc in rank_codes if mc.shape[0] > mc.shape[1]]
     extra = [
         ("F_2 3x1 <E11>", single_matrix_code(2, 3, 1, [((1,), (0,), (0,))])),
         ("F_3 2x1 <E11>", single_matrix_code(3, 2, 1, [((1,), (0,))])),
@@ -349,7 +358,14 @@ def criterion_weight_equalities(seed: int) -> Report:
         ),
     ]
     tall += extra
-    checks.append(Check("rank_corpus_at_least_5", len(tall) >= 5, str(len(tall))))
+    polymatroids = [(name, rep) for name, mc in rank_codes for rep in (
+        qpolymatroid_axioms(tilde_polymatroid(mc)),
+        qpolymatroid_axioms(rank_metric_latroid(mc)),
+        tilde_relation_check(mc),
+    )]
+    bad = next((f"{name}: {rep.summary()}" for name, rep in polymatroids if not rep.ok), "")
+    ok = len(tall) >= 5 and not bad
+    checks.append(Check("rank_corpus_q_polymatroids", ok, bad or str(len(tall))))
     for name, mc in tall:
         rep = sum_rank_weights_equal(mc)
         checks.append(Check(f"rank weights {name}", rep.ok, rep.summary() if not rep.ok else ""))

@@ -201,8 +201,6 @@ def test_checker_sees_unread_private_methods():
 #: Public functions that no module of the package uses.  Each should join a
 #: ``selftest`` criterion or go; remove its entry when it does, and add none.
 ONLY_TESTS_USE = (
-    "code_latroids.qpolymatroid_axioms",
-    "code_latroids.tilde_relation_check",
     "codes.irredundant_generating_sizes",
     "codes.mu",
     "codes.zero_code",
@@ -210,8 +208,6 @@ ONLY_TESTS_USE = (
     "core.minimal_feasible_lengths",
     "enumerators.generalized_enumerator",
     "enumerators.generalized_weight_distribution",
-    "isometries.apply_matrix",
-    "lattices.atoms_join_check",
     "lattices.predicates",
     "rings.product_ring",
     "supports.module_support_lattice_check",

@@ -11,7 +11,6 @@ import pytest
 
 from latroids.codes import span_from_ints
 from latroids.isometries import (
-    apply_matrix,
     apply_to_code,
     decompose_chain_isometry,
     is_diagonal_invertible,
@@ -96,8 +95,6 @@ def test_matrix_action_matches_reference_loops(name, n):
             verdicts.add(got)
         other = rng.choice(mats)
         assert matmul(ring, mat, other) == reference_matmul(ring, mat, other)
-        v = tuple(rng.choice(list(ring.elements())) for _ in range(n))
-        assert apply_matrix(ring, mat, v) == reference_apply(ring, mat, v)
         code = span_from_ints(ring, n, [[rng.randrange(ring.size) for _ in range(n)]])
         image = apply_to_code(mat, code)
         assert image.codewords == {reference_apply(ring, mat, c) for c in code.codewords}
@@ -194,7 +191,3 @@ def test_matrix_that_is_not_n_by_n_is_rejected(rows):
         with pytest.raises(ValueError, match="not 2x2"):
             call()
 
-
-def test_apply_matrix_checks_vector_length():
-    with pytest.raises(ValueError, match="vector length"):
-        apply_matrix(Z4, matrix_from_ints(Z4, [[1, 0], [0, 1]]), Z4.vector_from_ints([1]))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_weights import q_binomial
 
-from latroids import lattices
+from latroids import codes, lattices
 from latroids.codes import full_space, span_from_ints
 from latroids.errors import CapExceededError, NotALatticeError, NotGradedError
 from latroids.lattices import (
@@ -113,7 +113,7 @@ def test_subspace_lattice_rejections_come_before_enumeration(monkeypatch, q):
     def no_enumeration(code):
         raise AssertionError("enumerated")
 
-    monkeypatch.setattr(lattices, "enumerate_submodules", no_enumeration)
+    monkeypatch.setattr(codes, "_submodule_masks", no_enumeration)
     with pytest.raises(ValueError, match="prime"):
         subspace_lattice(q, 2)
     with pytest.raises(CapExceededError, match="enumerating F_2\\^13"):

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 from test_latroids import rows
-from test_weights import MATRIX_CODES
+from test_weights import MATRIX_CODES, block_words
 
 from latroids.code_latroids import (
     _perps,
@@ -79,7 +79,7 @@ def reference_subcode_dim(mc, bases, spaces="row"):
         vectors = mat if spaces == "row" else zip(*mat)
         return all(reference_in_span(basis, v, mc.q) for v in vectors)
 
-    words = [w for w in mc.codewords if all(map(inside, w, bases))]
+    words = [w for w in block_words(mc.blocks, mc.code) if all(map(inside, w, bases))]
     return intlog(mc.q, len(words))
 
 

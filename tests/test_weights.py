@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from latroids.code_latroids import (
-    _subcodes,
     block_matroid,
     block_matroid_weights_equal,
     chain_support_latroid,
@@ -34,6 +33,7 @@ from latroids.codes import (
     Code,
     enumerate_submodules,
     length_lambda,
+    rref,
     span,
     span_from_ints,
     submodule_invariants,
@@ -147,29 +147,110 @@ MATRIX_CODES = list(rank_metric_code_corpus()) + [
 ]
 
 
+def block_words(blocks, code: Code) -> frozenset:
+    """The words of a code over Z_q cut into tuples of block matrices, the
+    entries of each block row by row."""
+    words = set()
+    for v in code.codewords:
+        entries = iter(a for (a,) in v)
+        words.add(tuple(
+            tuple(tuple(next(entries) for _ in range(n)) for _ in range(m)) for m, n in blocks
+        ))
+    return frozenset(words)
+
+
+def reference_sum_rank_weights(mc) -> list[int]:
+    """d_r as the least sum of block row-space dimensions over the subcodes
+    of dimension >= r, each subcode a set of block-matrix words and each
+    row space the ``rref`` of the block rows of its words."""
+    subs = [block_words(mc.blocks, d) for d in enumerate_submodules(mc.code)]
+    dims = [intlog(mc.q, len(s)) for s in subs]
+    weights = [
+        sum(len(rref([row for word in s for row in word[i]], mc.q)) for i in range(mc.ell))
+        for s in subs
+    ]
+    return [min(w for d, w in zip(dims, weights) if d >= r) for r in range(1, mc.dim() + 1)]
+
+
+#: 8 x 8 binary matrices: the code lives in F_2^64, past int64 indices, and
+#: the subspace lattice of F_2^8 is past the lattice cap.
+LONG_MATRIX_CODE = single_matrix_code(2, 8, 8, [
+    [[(i * j + k) % 2 for j in range(8)] for i in range(8)] for k in range(2)
+] + [[[int(i == j) for j in range(8)] for i in range(8)]])
+
+#: One 1 x 20 binary block: F_2^20 is past the vector cap.
+WIDE_MATRIX_CODE = single_matrix_code(2, 1, 20, [
+    [[int(j % 3 == 0) for j in range(20)]],
+    [[int(j < 7) for j in range(20)]],
+    [[int(j % 2) for j in range(20)]],
+])
+
+
+def random_matrix_codes(count: int) -> list:
+    """Seeded codes over F_2 and F_3 with one or two blocks of up to 3 x 3,
+    some of them zero: 0-3 generators over F_2, 0-2 over F_3."""
+    out = []
+    for i in range(count):
+        rng = random.Random(i)
+        q = (2, 3)[i % 2]
+        blocks = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(1 + i // 2 % 2)]
+        gens = [
+            [[[rng.randrange(q) for _ in range(n)] for _ in range(m)] for m, n in blocks]
+            for _ in range(rng.randint(0, 5 - q))
+        ]
+        out.append(matrix_code(q, blocks, gens))
+    return out
+
+
 @pytest.mark.parametrize("name, mc", MATRIX_CODES, ids=[name for name, _ in MATRIX_CODES])
 def test_matrix_code_subcodes_are_counted_by_gaussian_binomials(name, mc):
     k = mc.dim()
-    subs = _subcodes(mc)
+    subs = enumerate_submodules(mc.code)
     assert len(set(subs)) == len(subs)
-    assert all(s <= mc.codewords for s in subs)
+    assert all(s <= mc.code for s in subs)
     by_dim = Counter(intlog(mc.q, len(s)) for s in subs)
     assert by_dim == {r: q_binomial(k, r, mc.q) for r in range(k + 1)}
 
 
 def test_long_matrix_code_subcodes():
-    # 8 x 8 binary matrices: the code lives in F_2^64, past int64 indices.
-    gens = [
-        [[(i * j + k) % 2 for j in range(8)] for i in range(8)]
-        for k in range(2)
-    ] + [[[int(i == j) for j in range(8)] for i in range(8)]]
-    mc = single_matrix_code(2, 8, 8, gens)
+    mc = LONG_MATRIX_CODE
     k = mc.dim()
-    subs = _subcodes(mc)
+    subs = enumerate_submodules(mc.code)
     assert Counter(intlog(2, len(s)) for s in subs) == {
         r: q_binomial(k, r, 2) for r in range(k + 1)
     }
     assert sum_rank_code_gen_weights(mc)[-1] == 8
+
+
+ORACLE_MATRIX_CODES = MATRIX_CODES + [("8x8 F_2", LONG_MATRIX_CODE), ("1x20 F_2", WIDE_MATRIX_CODE)]
+
+
+@pytest.mark.parametrize("name, mc", ORACLE_MATRIX_CODES, ids=[n for n, _ in ORACLE_MATRIX_CODES])
+def test_sum_rank_weights_match_the_reference(name, mc):
+    assert sum_rank_code_gen_weights(mc) == reference_sum_rank_weights(mc)
+
+
+def test_wide_block_rank_weights_are_the_dimensions():
+    # a 1 x n block's row space is the span of the words themselves
+    assert sum_rank_code_gen_weights(WIDE_MATRIX_CODE) == [1, 2, 3]
+
+
+def test_sum_rank_weights_match_the_reference_on_random_codes():
+    codes = random_matrix_codes(120)
+    assert {mc.q for mc in codes} == {2, 3} and {mc.ell for mc in codes} == {1, 2}
+    assert any(mc.dim() == 0 for mc in codes)
+    for i, mc in enumerate(codes):
+        assert sum_rank_code_gen_weights(mc) == reference_sum_rank_weights(mc), (i, mc.blocks)
+
+
+def test_matrix_code_entries_are_block_by_block_and_row_by_row():
+    mc = matrix_code(3, [(2, 1), (1, 2)], [(((1,), (2,)), ((0, 4),))])
+    assert block_words(mc.blocks, mc.code) == {
+        (((c,), (2 * c % 3,)), ((0, c),)) for c in range(3)
+    }
+    assert [b.tolist() for b in mc.block_digits()] == [
+        [[[c], [2 * c % 3]] for c in range(3)], [[[0, c]] for c in range(3)],
+    ]
 
 
 def test_product_matrix_code_is_the_direct_product():
@@ -177,7 +258,7 @@ def test_product_matrix_code_is_the_direct_product():
     b = single_matrix_code(3, 3, 2, [[(1, 0), (0, 1), (0, 0)], [(0, 1), (0, 0), (1, 0)]])
     p = product_matrix_code(a, b)
     assert p.blocks == a.blocks + b.blocks
-    assert p.codewords == {x + y for x in a.codewords for y in b.codewords}
+    assert p.code.codewords == {x + y for x in a.code.codewords for y in b.code.codewords}
 
 
 def test_q_binomial():
