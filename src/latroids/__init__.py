@@ -58,6 +58,7 @@ from .core import (
     validate_latroid,
 )
 from .enumerators import (
+    CountTable,
     ExpPoly,
     enumerator_from_tutte,
     enumerator_product,

@@ -47,7 +47,7 @@ from .core import (
     validate_latroid,
 )
 from .enumerators import (
-    enumerator_from_rprime,
+    enumerator_from_tutte,
     homogeneous_enumerator,
     pir_tutte_corollary,
     refined_enumerator,
@@ -408,7 +408,7 @@ def cmd_weights(cfg, cap):
 
 def cmd_enumerator(cfg, cap):
     ring, n, code, supp = load_problem(cfg, cap)
-    refined = refined_enumerator(code, supp)
+    refined = refined_enumerator(code, supp).poly()
     homog = homogeneous_enumerator(code, supp)
     data = {
         "refined": refined.to_json_dict(),
@@ -425,20 +425,21 @@ def cmd_tutte(cfg, cap):
     if ring.ell != 1:
         rep = pir_tutte_corollary(code, direct)
         data = {
-            "refined_rendered": direct.render(),
+            "refined_rendered": direct.poly().render(),
             "factorization": rep.to_dict(),
         }
         return data, 0 if rep.ok else 1
-    rprime = tutte_whitney_Rprime(chain_support_latroid(code))
+    lt = chain_support_latroid(code)
+    rprime = tutte_whitney_Rprime(lt)
     rgf = rprime_z_to_one(rprime, n)
-    via_tutte = enumerator_from_rprime(rprime, n, ring.factors[0].residue_field_size)
+    via_tutte = enumerator_from_tutte(lt, ring.factors[0].p)
     same = via_tutte == direct
     data = {
         "rank_generating_function": rgf.to_json_dict(),
         "rank_generating_function_rendered": rgf.render(),
         "rprime_rendered": rprime.render(),
-        "enumerator_from_tutte": via_tutte.render(),
-        "refined_rendered": direct.render(),
+        "enumerator_from_tutte": via_tutte.poly().render(),
+        "refined_rendered": direct.poly().render(),
         "identity_holds": same,
     }
     return data, 0 if same else 1

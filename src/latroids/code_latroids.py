@@ -26,7 +26,7 @@ from .codes import (
     span_from_ints,
     submodule_invariants,
 )
-from .core import Latroid, collapse_scalars, generalized_weight
+from .core import Latroid, _strict, collapse_scalars, generalized_weight, scan_rows
 from .lattices import (
     _ambient_submodules,
     _dominated,
@@ -290,35 +290,40 @@ def tilde_polymatroid(mc: MatrixCode) -> Latroid:
 def qpolymatroid_axioms(lt: Latroid) -> Report:
     """P1: 0 <= rho <= dim, P2: monotone, P3: submodular, with the latroid's
     length playing the dimension (udim 1); for the (q, m) presentation of
-    ``tilde_polymatroid`` that is m dim, and the axioms scale with it."""
+    ``tilde_polymatroid`` that is m dim, and the axioms scale with it.  P2
+    and P3 scan the pairs a block of rows at a time, in row-major order."""
     lat = lt.lattice
-    rank, length = lt.rank[:, 0].tolist(), lt.length[:, 0].tolist()
+    labels, rank, length = lat.labels, lt.rank[:, 0], lt.length[:, 0]
+    strict = _strict(lat)
+
+    def pairs(bad):
+        return scan_rows(lat.size, lat.size, bad)
+
     return Report.from_checks([
         Check.from_witnesses("P1_bounded_by_dim", (
-            f"rho({lat.labels[i]}) = {(rank[i],)}"
-            for i in range(lat.size)
-            if not 0 <= rank[i] <= length[i]
+            f"rho({labels[i]}) = {(r,)}"
+            for i, (r, d) in enumerate(zip(rank.tolist(), length.tolist()))
+            if not 0 <= r <= d
         )),
         Check.from_witnesses("P2_monotone", (
-            f"{lat.labels[a]} <= {lat.labels[b]}"
-            for a, b in lat.comparable_pairs()
-            if rank[a] > rank[b]
+            f"{labels[a]} <= {labels[b]}"
+            for a, b in pairs(lambda rows: strict[rows] & (rank[rows, None] > rank[None]))
         )),
         Check.from_witnesses("P3_submodular", (
-            f"{lat.labels[a]}, {lat.labels[b]}"
-            for a, b in lat.pairs()
-            if rank[lat.join[a, b]] + rank[lat.meet[a, b]] > rank[a] + rank[b]
+            f"{labels[a]}, {labels[b]}"
+            for a, b in pairs(lambda rows: rank[lat.join[rows]] + rank[lat.meet[rows]]
+                              > rank[rows, None] + rank[None])
         )),
     ])
 
 
-def tilde_relation_check(mc: MatrixCode) -> Report:
-    """The two rank-metric latroids carry the same information:
-    m tilde_rho(V) = rho(V*) - m dim(V*) + dim C for every V, compared in
-    integers on the (q, m) presentation of ``tilde_polymatroid``."""
+def tilde_relation_check(mc: MatrixCode, plain: Latroid, tilde: Latroid) -> Report:
+    """The two rank-metric latroids of ``mc``, ``plain`` =
+    ``rank_metric_latroid(mc)`` and ``tilde`` = ``tilde_polymatroid(mc)``,
+    carry the same information: m tilde_rho(V) = rho(V*) - m dim(V*) + dim C
+    for every V, compared in integers on the (q, m) presentation of
+    ``tilde_polymatroid``."""
     m, n = mc.shape
-    plain = rank_metric_latroid(mc)
-    tilde = tilde_polymatroid(mc)
     lat = plain.lattice
     perp = _perps(_subspaces(mc.q, n)[1], mc.q, n)
 

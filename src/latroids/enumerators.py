@@ -1,15 +1,16 @@
-"""Exact multivariate polynomials with integer-vector exponents, weight
-enumerators, and the weighted Tutte-Whitney rank generating function R' of a
-latroid on a grid lattice.
+"""Weight enumerators as count tables on the support grid, R' of a latroid
+on a grid lattice, and ``ExpPoly``, the exact polynomials both print as.
 
-The refined weight enumerator of a code can be read off from R' of its
-chain-support latroid.  The substitution z -> (y - x)/y never happens as a
-rational function: each R' term x^B z^e y^(T-B) becomes x^B (y - x)^e
-y^(T-B-e), an integer polynomial.  Summed over the grid that is Moebius
-inversion on a product of chains, one difference along each grid axis
-(``_grid_differences``, which ``inclusion_exclusion_check`` shares).
-Polynomials are collected once, by the ``ExpPoly`` constructor, which adds
-up repeated exponents and drops zero sums.
+A refined enumerator is a ``CountTable``: the codewords' distinct supports
+as int64 rows and how many codewords have each.  The direct route groups
+the support rows; the latroid route writes |C_B| = p^(len - rho) of the
+chain-support latroid on the grid and takes one difference per grid axis
+(``_grid_differences``, Moebius inversion on a product of chains, shared
+with ``inclusion_exclusion_check``).  That is R' under z -> (y - x)/y,
+whose one-axis step ``binomial_identity_check`` checks as polynomials.
+Counts are at most |C| <= ``SPAN_CAP``, so int64 is exact.  ``ExpPoly`` is
+built only where a result is printed: ``CountTable.poly``, R' and R, and
+the binomial identity.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from operator import add
 
 import numpy as np
 
 from .code_latroids import chain_support_latroid, least_weights
-from .codes import Code, length_lambda, submodule_invariants
+from .codes import Code, _classes, length_lambda, submodule_invariants
 from .core import Latroid
 from .limits import LATTICE_CAP, check_cap
 from .report import Check, Report
@@ -59,10 +61,6 @@ class ExpPoly:
         return cls(nvars, (), names)
 
     @classmethod
-    def constant(cls, c: int, nvars: int, names=None) -> "ExpPoly":
-        return cls(nvars, [((0,) * nvars, c)], names)
-
-    @classmethod
     def monomial(cls, exps, coeff: int = 1, names=None) -> "ExpPoly":
         exps = tuple(exps)
         return cls(len(exps), [(exps, coeff)], names)
@@ -81,9 +79,6 @@ class ExpPoly:
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         return self._like([*self.terms.items(), *other.terms.items()])
@@ -169,20 +164,44 @@ def _xy_names(u: int) -> tuple[str, ...]:
     return tuple(f"x{i+1}" for i in range(u)) + tuple(f"y{i+1}" for i in range(u))
 
 
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """A refined enumerator: counts[i] > 0 codewords have support
+    points[i], the points distinct int64 rows in lexicographic order, and
+    top the support of R^n.  ``poly`` prints it as
+    sum_i counts[i] x^points[i] y^(top - points[i])."""
+
+    points: np.ndarray
+    counts: np.ndarray
+    top: tuple[int, ...]
+
+    def __eq__(self, other):
+        return (isinstance(other, CountTable) and self.top == other.top
+                and np.array_equal(self.points, other.points)
+                and np.array_equal(self.counts, other.counts))
+
+    def poly(self) -> ExpPoly:
+        xy = np.hstack([self.points, self.top - self.points]).tolist()
+        return ExpPoly(2 * len(self.top), zip(xy, self.counts.tolist()), _xy_names(len(self.top)))
+
+
 # -- weight enumerators -----------------------------------------------------
 
 
-def refined_enumerator(code: Code, supp: Support) -> ExpPoly:
-    """sum over codewords of x^supp(c) y^(supp(R^n) - supp(c))."""
+def refined_enumerator(code: Code, supp: Support) -> CountTable:
+    """sum over codewords of x^supp(c) y^(supp(R^n) - supp(c)), as a table."""
     levels = supp.of_digits(code.digits)
-    exps = np.hstack([levels, np.array(supp.ambient_support()) - levels])
-    return ExpPoly(2 * supp.u, ((e, 1) for e in exps.tolist()), _xy_names(supp.u))
+    classes = _classes(levels)
+    points = np.empty((int(classes.max()) + 1, supp.u), dtype=np.int64)
+    points[classes] = levels
+    return CountTable(points, np.bincount(classes), supp.ambient_support())
 
 
 def homogeneous_enumerator(code: Code, supp: Support) -> ExpPoly:
-    """The refined enumerator with every x_i set to x and y_i to y."""
-    u = supp.u
-    return refined_enumerator(code, supp).remap([0] * u + [1] * u, 2, ("x", "y"))
+    """The refined enumerator with every x_i set to x and y_i to y:
+    sum_w A_w x^w y^(wt(R^n) - w)."""
+    top, dist = supp.ambient_weight(), weight_distribution(code, supp)
+    return ExpPoly(2, (((w, top - w), a) for w, a in enumerate(dist)), ("x", "y"))
 
 
 def weight_distribution(code: Code, supp: Support) -> list[int]:
@@ -267,98 +286,62 @@ def _grid_differences(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def enumerator_from_rprime(rp: ExpPoly, g: int, p: int) -> ExpPoly:
-    """Turn R' of a chain-support latroid (udim 1) on a g-dimensional grid
-    into the refined weight enumerator.
-
-    R' must have one term x^B z^e y^(T-B) u^a v^b per grid point 0 <= B <= T,
-    with e = (B < T); anything else is refused, so a wrong z or y fails here.
-    Each term gives p^b x^B (y - x)^e y^(T-B-e): p^b counts the codewords
-    supported inside B, and (y - x)^e, one difference per axis of the grid
-    f[B] = coeff * p^b, leaves those of support exactly A at x^A y^(T-A).
-    The grid holds Python ints (object dtype), so the counts are exact.
-    """
-    if rp.nvars != 3 * g + 2:
-        raise ValueError(
-            f"R' on a {g}-dimensional grid has {3 * g + 2} variables, not {rp.nvars}")
-    exps = np.array(list(rp.terms), dtype=np.int64).reshape(len(rp.terms), rp.nvars)
-    b, zexp, yexp = exps[:, :g], exps[:, g : 2 * g], exps[:, 2 * g : 3 * g]
-    top = (b + yexp).max(axis=0, initial=0)
-    if (b + yexp != top).any():
-        raise ValueError("R' y-exponents are not T - B for one top T")
-    if (zexp != (b < top)).any():
-        raise ValueError("R' z-exponents are not the 0/1 vector B < T")
-    shape = tuple((top + 1).tolist())
-    if len(b) != math.prod(shape) or np.bincount(np.ravel_multi_index(b.T, shape)).max() > 1:
-        raise ValueError(f"R' does not have one term per point B of a grid of shape {shape}")
-    f = np.zeros(shape, dtype=object)
-    f[tuple(b.T)] = [c * p**v for c, v in zip(rp.terms.values(), exps[:, 3 * g + 1].tolist())]
+def enumerator_from_tutte(lt: Latroid, p: int) -> CountTable:
+    """The refined weight enumerator of a chain-ring code, read off its
+    chain-support latroid (udim 1) instead of the codewords: grid point B
+    gets |C n M_B| = p^(len(B) - rho(B)), the weight p^b of its R' term
+    x^B z^e y^(T-B) v^b, and ``_grid_differences`` does z -> (y - x)/y."""
+    labels = _grid_labels(lt)
+    [nullity] = (lt.length - lt.rank).T
+    top = labels[lt.lattice.top]
+    f = np.zeros(tuple(top + 1), dtype=np.int64)
+    f[tuple(labels.T)] = p**nullity
     f = _grid_differences(f)
-    a = np.argwhere(f)
-    xy = np.hstack([a, top - a]).tolist()
-    return ExpPoly(2 * g, zip(xy, f[tuple(a.T)].tolist()), _xy_names(g))
-
-
-def enumerator_from_tutte(code: Code) -> ExpPoly:
-    """The refined weight enumerator of a chain-ring code, computed from R'
-    of its chain-support latroid instead of from the codewords."""
-    ring = code.ring
-    if ring.ell != 1:
-        raise ValueError("use pir_tutte_corollary for product rings")
-    rp = tutte_whitney_Rprime(chain_support_latroid(code))
-    return enumerator_from_rprime(rp, code.n, ring.factors[0].residue_field_size)
+    points = np.argwhere(f)
+    return CountTable(points, f[tuple(points.T)], tuple(top.tolist()))
 
 
 # -- products over CRT factors ----------------------------------------------------
 
 
-def _chain_groups(ell: int, n: int) -> list[list[int]]:
-    """Positions of each factor's support coordinates in the coordinate-major
-    chain layout."""
-    return [[i * ell + j for i in range(n)] for j in range(ell)]
+def _product(tables, groups, supp: Support) -> CountTable:
+    """The product of per-factor tables in the layout of ``supp``: factor
+    j's coordinate t lands on coordinate groups[j][t].  The groups are
+    disjoint, so each choice of one point per factor is a distinct point."""
+    points, counts = np.zeros((1, supp.u), dtype=np.int64), np.ones(1, dtype=np.int64)
+    for table, group in zip(tables, groups):
+        a, b = np.divmod(np.arange(len(counts) * len(table.counts)), len(table.counts))
+        points, counts = points[a], counts[a] * table.counts[b]
+        points[:, group] = table.points[b]
+    order = np.lexsort(points.T[::-1])
+    return CountTable(points[order], counts[order], supp.ambient_support())
 
 
-def _embedded_product(polys, groups, u: int) -> ExpPoly:
-    """The product of per-factor polynomials in x and y: factor j's x_t and
-    y_t move onto x_i and y_i of a u-coordinate layout, i = groups[j][t]."""
-    names = _xy_names(u)
-    out = ExpPoly.constant(1, 2 * u, names)
-    for poly, group in zip(polys, groups):
-        out = out * poly.remap([*group, *(u + i for i in group)], 2 * u, names)
-    return out
-
-
-def enumerator_product(code: Code, supp: Support) -> ExpPoly:
-    """The refined enumerator computed as the product of the CRT factors'
-    refined enumerators, expressed in the layout of ``supp``."""
+def enumerator_product(code: Code, supp: Support) -> CountTable:
+    """The refined enumerator as the product of the CRT factors' refined
+    enumerators, their coordinates placed by ``split_support``'s permutation."""
     parts, perm = split_support(supp)
-    groups = []
-    at = 0
-    for part in parts:
-        groups.append([perm[t] for t in range(at, at + part.u)])
-        at += part.u
-    polys = (refined_enumerator(code.factor(j), part) for j, part in enumerate(parts))
-    return _embedded_product(polys, groups, supp.u)
+    tables = [refined_enumerator(code.factor(j), part) for j, part in enumerate(parts)]
+    return _product(tables, np.split(perm, np.cumsum([part.u for part in parts])[:-1]), supp)
 
 
-def pir_tutte_corollary(code: Code, direct: ExpPoly) -> Report:
-    """Check that the per-factor R'-derived enumerators multiply to
-    ``direct``, the refined enumerator of a product-ring code under the
-    product chain support (``refined_enumerator`` with ``ChainSupport``)."""
+def pir_tutte_corollary(code: Code, direct: CountTable) -> Report:
+    """Check that the factors' enumerators read off their chain-support
+    latroids, interleaved on the coordinate-major chain layout, multiply to
+    ``direct``, the refined enumerator of a product-ring code under
+    ``ChainSupport``; and so do the factors' direct refined enumerators."""
     ring = code.ring
     supp = ChainSupport(ring, code.n)
-    polys = (enumerator_from_tutte(code.factor(j)) for j in range(ring.ell))
-    prod = _embedded_product(polys, _chain_groups(ring.ell, code.n), supp.u)
-    ok = prod == direct
-    detail = "" if ok else f"product {prod.render()} != direct {direct.render()}"
-    checks = [Check("factorized_tutte_enumerator", ok, detail)]
-    split_prod = enumerator_product(code, supp)
-    ok2 = split_prod == direct
-    checks.append(
+    tables = (enumerator_from_tutte(chain_support_latroid(code.factor(j)), f.p)
+              for j, f in enumerate(ring.factors))
+    prod = _product(tables, [np.arange(j, supp.u, ring.ell) for j in range(ring.ell)], supp)
+    ok, ok2 = prod == direct, enumerator_product(code, supp) == direct
+    return Report.from_checks([
+        Check("factorized_tutte_enumerator", ok,
+              "" if ok else f"product {prod.poly().render()} != direct {direct.poly().render()}"),
         Check("factorized_refined_enumerator", ok2,
-              "" if ok2 else "per-factor refined product mismatch")
-    )
-    return Report.from_checks(checks)
+              "" if ok2 else "per-factor refined product mismatch"),
+    ])
 
 
 # -- internal identities ------------------------------------------------------------
@@ -394,7 +377,7 @@ def binomial_identity_check(u: int) -> Report:
     """x^B (y-x)^(1-B) = sum over 0/1 vectors A >= B of
     (-1)^{|A|-|B|} x^A y^(1-A), as an identity of polynomials.
 
-    Each per-axis difference of ``enumerator_from_rprime`` is this
+    Each per-axis difference of ``enumerator_from_tutte`` is this
     identity on one axis: x^B (y - x) y^(T-B-1) = x^B y^(T-B) -
     x^(B+1) y^(T-B-1).  Note the left factor is a power of x (a y-power
     there would already fail at u = 1, B = 1)."""

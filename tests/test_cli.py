@@ -15,8 +15,9 @@ from test_lattices import clear_lattice_caches
 from latroids import cli, codes, enumerators, lattices
 from latroids.cli import COMMANDS, SCHEMA_VERSION, main
 from latroids.codes import _submodule_masks
-from latroids.enumerators import refined_enumerator
+from latroids.code_latroids import chain_support_latroid
 from latroids.report import Report
+from latroids.supports import ChainSupport, TableSupport
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONFIG_NAMES = ("f2_block", "z4_code", "z6_isometry", "z8_tutte")
@@ -138,20 +139,34 @@ def test_tutte_factorization_on_product_ring(capsys):
 
 
 def test_tutte_on_a_product_ring_enumerates_the_whole_code_once(capsys, monkeypatch):
-    rings = []
-
-    def counted(code, supp):
-        rings.append(code.ring.ell)
-        return refined_enumerator(code, supp)
-
-    monkeypatch.setattr(cli, "refined_enumerator", counted)
-    monkeypatch.setattr(enumerators, "refined_enumerator", counted)
+    evaluated = []
+    for cls in (ChainSupport, TableSupport):
+        monkeypatch.setattr(cls, "of_digits", lambda self, digits, f=cls.of_digits: (
+            evaluated.append((self.ring.ell, len(digits))) or f(self, digits)))
     config = str(CONFIGS / "z6_isometry.cfg")
     code, _, _ = run_cli(capsys, "--command", "tutte", "--config", config)
     assert code == 0
-    # the whole Z_2 x Z_3 code once, shared by the output and the
-    # factorization check, and each factor once for enumerator_product
-    assert sorted(rings) == [1, 1, 2]
+    # the supports of the 6 words of the whole Z_2 x Z_3 code once, shared
+    # by the output and the factorization check; each factor's 2 and 3
+    # words for its latroid and its refined enumerator
+    assert evaluated.count((2, 6)) == 1
+    assert evaluated.count((1, 2)) == evaluated.count((1, 3)) == 2
+
+
+def test_tutte_on_a_chain_ring_builds_the_latroid_once(capsys, monkeypatch):
+    built = []
+
+    def counted(code):
+        built.append(code)
+        return chain_support_latroid(code)
+
+    monkeypatch.setattr(cli, "chain_support_latroid", counted)
+    monkeypatch.setattr(enumerators, "chain_support_latroid", counted)
+    config = str(CONFIGS / "z8_tutte.cfg")
+    code, out, _ = run_cli(capsys, "--command", "tutte", "--config", config)
+    assert code == 0 and json.loads(out)["identity_holds"]
+    # one latroid for the printed R' and the enumerator read off it
+    assert len(built) == 1
 
 
 def _write(tmp_path, text: str) -> str:

@@ -1,18 +1,21 @@
-"""The polynomial layer of the enumerators: the one term collector of
-``ExpPoly``, R' -> refined enumerator against a reference expansion and its
-refusal of anything but a grid R', the homogeneous enumerator, and the
-product of the CRT factors' refined enumerators."""
+"""The enumerators and the polynomials they print as: the one term
+collector of ``ExpPoly``, the count table read off a chain-support latroid
+against the ``ExpPoly`` expansion of its printed R', the direct table past
+the lattice cap, the homogeneous enumerator, and the product of the CRT
+factors' refined enumerators."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
 from latroids.code_latroids import chain_support_latroid
-from latroids.codes import span, zero_code
+from latroids.codes import full_space, span, span_from_ints, zero_code
 from latroids.errors import CapExceededError
 from latroids.enumerators import (
     ExpPoly,
-    enumerator_from_rprime,
+    enumerator_from_tutte,
     enumerator_product,
     homogeneous_enumerator,
     inclusion_exclusion_check,
@@ -20,6 +23,7 @@ from latroids.enumerators import (
     tutte_whitney_Rprime,
     weight_distribution,
 )
+from latroids.limits import LATTICE_CAP
 from latroids.rings import parse_ring
 from latroids.selftest import tutte_code_corpus, z6_product_code_corpus
 from latroids.supports import ChainSupport, HammingSupport
@@ -31,7 +35,7 @@ def test_constructor_adds_repeated_exponents_and_drops_zero_sums():
     poly = ExpPoly(2, [((1, 0), 2), ([1, 0], 3), ((0, 1), 4), ((0, 1), -4), ((0, 0), 0)])
     assert poly.terms == {(1, 0): 5}
     assert ExpPoly(1, [((2,), 1), ((2,), -1)]).is_zero()
-    assert ExpPoly.constant(0, 3).is_zero()
+    assert ExpPoly(3, [((0, 0, 0), 0)]).is_zero()
 
 
 def test_arithmetic_collects_through_the_constructor():
@@ -80,50 +84,67 @@ def reference_from_rprime(rp: ExpPoly, g: int, p: int) -> ExpPoly:
     return out
 
 
-SINGLE_RING = [(name, code) for name, code in tutte_code_corpus(0) if code.ring.ell == 1]
+Z2Z4 = parse_ring("Z_2 x Z_4")
+PRODUCT_CODES = [
+    ("Z_2xZ_4^2 zero", zero_code(Z2Z4, 2)),
+    ("Z_2xZ_4^2 <((1,1),(0,2))>", span(Z2Z4, 2, [((1, 1), (0, 2))])),
+    ("Z_2xZ_4^2 <((1,2),(1,1)), ((0,1),(1,0))>",
+     span(Z2Z4, 2, [((1, 2), (1, 1)), ((0, 1), (1, 0))])),
+    ("Z_2xZ_4^3 <((1,3),(0,2),(1,1))>", span(Z2Z4, 3, [((1, 3), (0, 2), (1, 1))])),
+    *z6_product_code_corpus(0),
+]
 
 
-@pytest.mark.parametrize("name, code", SINGLE_RING, ids=[name for name, _ in SINGLE_RING])
+def _factor_codes():
+    for name, code in PRODUCT_CODES:
+        for j in range(code.ring.ell):
+            yield f"{name} factor {j}", code.factor(j)
+
+
+REFERENCE_CASES = [
+    *((name, code) for name, code in tutte_code_corpus(0) if code.ring.ell == 1),
+    *_factor_codes(),
+]
+
+
+@pytest.mark.parametrize("name, code", REFERENCE_CASES, ids=[name for name, _ in REFERENCE_CASES])
 def test_enumerator_from_rprime_matches_the_reference_expansion(name, code):
-    rp = tutte_whitney_Rprime(chain_support_latroid(code))
-    p = code.ring.factors[0].residue_field_size
-    got = enumerator_from_rprime(rp, code.n, p)
-    want = reference_from_rprime(rp, code.n, p)
-    assert got == want
-    assert got.names == want.names
-    assert got.render() == want.render()
+    # the table read off the latroid against the ExpPoly expansion of the
+    # R' the CLI prints for the same latroid
+    lt = chain_support_latroid(code)
+    p = code.ring.factors[0].p
+    got = enumerator_from_tutte(lt, p)
+    want = reference_from_rprime(tutte_whitney_Rprime(lt), code.n, p)
+    assert got.poly() == want
+    assert got.poly().names == want.names
+    assert got.poly().render() == want.render()
+    assert got == refined_enumerator(code, ChainSupport(code.ring, code.n))
 
 
 # R' of the chain-support latroid of Z_4^1 itself, layout x z y u v: the
 # grid 0 <= B <= 2 with z = (B < 2), y = 2 - B and v = lambda(C_B) = B.
 GRID_RPRIME = [((0, 1, 2, 0, 0), 1), ((1, 1, 1, 0, 1), 1), ((2, 0, 0, 0, 2), 1)]
-GRID_MISMATCH = r"R' does not have one term per point B of a grid of shape \(3,\)"
 
 
 def test_enumerator_from_rprime_of_z4():
+    lt = chain_support_latroid(full_space(parse_ring("Z_4"), 1))
+    assert tutte_whitney_Rprime(lt) == ExpPoly(5, GRID_RPRIME)
     # Z_4 has 2 units (x^2), one 2 (x y) and one 0 (y^2)
-    assert enumerator_from_rprime(ExpPoly(5, GRID_RPRIME), 1, 2).render() == "2*x1^2 + x1*y1 + y1^2"
+    assert enumerator_from_tutte(lt, 2).poly().render() == "2*x1^2 + x1*y1 + y1^2"
 
 
-def _replaced(i, exps):
-    terms = list(GRID_RPRIME)
-    terms[i] = (exps, 1)
-    return ExpPoly(5, terms)
-
-
-@pytest.mark.parametrize("rp, g, message", [
-    (_replaced(1, (1, 2, 1, 0, 0)), 1, "R' z-exponents are not the 0/1 vector B < T"),
-    (_replaced(1, (1, 1, 2, 0, 0)), 1, "R' y-exponents are not T - B for one top T"),
-    (_replaced(2, (1, 1, 1, 0, 2)), 1, GRID_MISMATCH),
-    (ExpPoly(5, GRID_RPRIME[:2]), 1, GRID_MISMATCH),
-    (ExpPoly(5, GRID_RPRIME), 2, "on a 2-dimensional grid has 8 variables, not 5"),
-    (ExpPoly(6, [(e + (0,), 1) for e, _ in GRID_RPRIME]), 1,
-     "on a 1-dimensional grid has 5 variables, not 6"),
-], ids=["z is 2", "y is not T - B", "repeated B", "missing B", "too few variables",
-        "udim 2"])
-def test_enumerator_from_rprime_refuses_anything_but_a_grid_rprime(rp, g, message):
-    with pytest.raises(ValueError, match=message):
-        enumerator_from_rprime(rp, g, 2)
+def test_refined_enumerator_past_the_lattice_cap_has_one_term_per_support():
+    # the grid of Z_4^9 has 3^9 points, the code 32 words in 20 supports
+    z4 = parse_ring("Z_4")
+    code = span_from_ints(z4, 9, [[1, 2, 0, 3, 1, 0, 2, 2, 1], [0, 2, 2, 0, 0, 2, 0, 2, 2],
+                                  [0, 0, 1, 1, 3, 0, 0, 1, 2]])
+    supp = ChainSupport(z4, 9)
+    assert 3**9 > LATTICE_CAP
+    want = Counter(map(tuple, supp.of_digits(code.digits).tolist()))
+    table = refined_enumerator(code, supp)
+    assert [tuple(pt) for pt in table.points.tolist()] == sorted(want)
+    assert table.counts.tolist() == [want[pt] for pt in sorted(want)]
+    assert table.top == (2,) * 9
 
 
 # -- homogeneous enumerator and the factor product ---------------------------------
@@ -140,24 +161,12 @@ def test_homogeneous_enumerator_matches_weight_distribution(name, code):
         assert got.terms == want
 
 
-Z2Z4 = parse_ring("Z_2 x Z_4")
-PRODUCT_CODES = [
-    ("Z_2xZ_4^2 zero", zero_code(Z2Z4, 2)),
-    ("Z_2xZ_4^2 <((1,1),(0,2))>", span(Z2Z4, 2, [((1, 1), (0, 2))])),
-    ("Z_2xZ_4^2 <((1,2),(1,1)), ((0,1),(1,0))>",
-     span(Z2Z4, 2, [((1, 2), (1, 1)), ((0, 1), (1, 0))])),
-    ("Z_2xZ_4^3 <((1,3),(0,2),(1,1))>", span(Z2Z4, 3, [((1, 3), (0, 2), (1, 1))])),
-    *z6_product_code_corpus(0),
-]
-
-
 @pytest.mark.parametrize("name, code", PRODUCT_CODES, ids=[name for name, _ in PRODUCT_CODES])
 def test_enumerator_product_matches_refined_enumerator(name, code):
     supp = ChainSupport(code.ring, code.n)
     got = enumerator_product(code, supp)
-    want = refined_enumerator(code, supp)
-    assert got == want
-    assert got.names == want.names
+    assert got == refined_enumerator(code, supp)
+    assert got.counts.sum() == len(code)
 
 
 # -- inclusion-exclusion --------------------------------------------------------------

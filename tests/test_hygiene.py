@@ -14,7 +14,8 @@ module of the package, so none is left orphaned.  Every defaulted parameter
 of a module-level function is set, by position or by keyword, by some call
 in the package or its tests; a ``cap`` no call sets is a constant of
 ``limits``, not a parameter.  ``FiniteLattice`` is constructed
-only in ``lattices.py``, in the package and in its tests.  No function of
+only in ``lattices.py``, in the package and in its tests, and ``ExpPoly``
+only in ``enumerators.py``, in the package.  No function of
 the package takes a ``validate`` parameter: constructors only build, and
 checking is for the validators (``validate_latroid``, ``validate_support``).
 No function imports: every import of the package is at module level, since
@@ -394,28 +395,36 @@ def test_checker_sees_unset_defaulted_parameters():
     ]
 
 
-def _outside_lattice_constructions(trees: dict[str, ast.Module]) -> list[str]:
-    """Calls of ``FiniteLattice(...)`` in any module but ``lattices.py``: the
-    constructor trusts its tables, so every order from outside must come in
-    through ``build_lattice``, which checks it."""
+def _outside_constructions(trees: dict[str, ast.Module], cls: str, home: str) -> list[str]:
+    """Calls of ``cls(...)``, by name or as an attribute, in any module but
+    ``home``."""
     return sorted(
         f"{module}: line {node.lineno}"
         for module, tree in trees.items()
-        if module != "src/latroids/lattices.py"
+        if module != home
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and "FiniteLattice" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and cls in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     )
 
 
 def test_lattices_are_constructed_only_in_lattices():
+    # the constructor trusts its tables, so every order from outside must
+    # come in through ``build_lattice``, which checks it
     root = PACKAGE.parents[1]
     trees = {
         str(p.relative_to(root)): ast.parse(p.read_text(), filename=str(p))
         for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
     }
-    outside = _outside_lattice_constructions(trees)
+    outside = _outside_constructions(trees, "FiniteLattice", "src/latroids/lattices.py")
     assert not outside, f"FiniteLattice built outside lattices.py: {', '.join(outside)}"
+
+
+def test_polynomials_are_constructed_only_in_enumerators():
+    # enumerators are count tables; a polynomial is only how one is printed
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    outside = _outside_constructions(trees, "ExpPoly", "enumerators.py")
+    assert not outside, f"ExpPoly built outside enumerators.py: {', '.join(outside)}"
 
 
 def test_checker_sees_outside_lattice_constructions():
@@ -428,7 +437,7 @@ def test_checker_sees_outside_lattice_constructions():
             "c = isinstance(a, FiniteLattice)\n"
         ),
     }
-    assert _outside_lattice_constructions(trees) == [
+    assert _outside_constructions(trees, "FiniteLattice", "src/latroids/lattices.py") == [
         "src/latroids/core.py: line 2",
         "src/latroids/core.py: line 3",
     ]

@@ -146,7 +146,7 @@ def test_chain_support_latroid_of_random_code(ring_name, data):
 
     direct = refined_enumerator(code, ChainSupport(code.ring, code.n))
     if code.ring.ell == 1:
-        assert enumerator_from_tutte(code) == direct
+        assert enumerator_from_tutte(lt, code.ring.factors[0].p) == direct
     else:
         rep = pir_tutte_corollary(code, direct)
         assert rep.ok, rep.summary()

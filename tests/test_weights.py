@@ -23,6 +23,7 @@ from latroids.code_latroids import (
     rank_metric_latroid,
     single_matrix_code,
     sum_rank_code_gen_weights,
+    sum_rank_latroid,
     sum_rank_weights_equal,
     tilde_polymatroid,
     tilde_relation_check,
@@ -40,7 +41,7 @@ from latroids.codes import (
     zero_code,
 )
 from latroids.core import Latroid
-from latroids import codes, enumerators
+from latroids import codes, core, enumerators
 from latroids.enumerators import (
     ExpPoly,
     enumerator_from_tutte,
@@ -51,7 +52,7 @@ from latroids.enumerators import (
     rprime_z_to_one,
     tutte_whitney_Rprime,
 )
-from latroids.report import Check
+from latroids.report import Check, Report
 from latroids.rings import intlog, parse_ring
 from latroids.selftest import (
     rank_metric_code_corpus,
@@ -291,9 +292,63 @@ def test_weights_equal_report_flags_mismatches():
 @pytest.mark.parametrize("name, mc", rank_metric_code_corpus(),
                          ids=[name for name, _ in rank_metric_code_corpus()])
 def test_rank_metric_corpus_gives_q_polymatroids(name, mc):
-    assert qpolymatroid_axioms(tilde_polymatroid(mc)).ok
-    assert qpolymatroid_axioms(rank_metric_latroid(mc)).ok
-    assert tilde_relation_check(mc).ok
+    plain, tilde = rank_metric_latroid(mc), tilde_polymatroid(mc)
+    assert qpolymatroid_axioms(tilde).ok
+    assert qpolymatroid_axioms(plain).ok
+    assert tilde_relation_check(mc, plain, tilde).ok
+
+
+def reference_qpolymatroid_axioms(lt: Latroid) -> Report:
+    """P1-P3 by a Python loop over the elements and over the pairs of the
+    lattice, each check's witness the first in row-major order."""
+    lat = lt.lattice
+    rank, length = lt.rank[:, 0].tolist(), lt.length[:, 0].tolist()
+    return Report.from_checks([
+        Check.from_witnesses("P1_bounded_by_dim", (
+            f"rho({lat.labels[i]}) = {(rank[i],)}"
+            for i in range(lat.size)
+            if not 0 <= rank[i] <= length[i]
+        )),
+        Check.from_witnesses("P2_monotone", (
+            f"{lat.labels[a]} <= {lat.labels[b]}"
+            for a, b in lat.comparable_pairs()
+            if rank[a] > rank[b]
+        )),
+        Check.from_witnesses("P3_submodular", (
+            f"{lat.labels[a]}, {lat.labels[b]}"
+            for a, b in lat.pairs()
+            if rank[lat.join[a, b]] + rank[lat.meet[a, b]] > rank[a] + rank[b]
+        )),
+    ])
+
+
+def qpolymatroid_cases():
+    """The plain and tilde latroids of the one-block matrix codes, the
+    row-space sum-rank latroids of the two-block ones, and seeded
+    perturbations of one rank entry of each."""
+    rng = random.Random(11)
+    for _, mc in MATRIX_CODES:
+        if len(mc.blocks) == 1:
+            latroids = [rank_metric_latroid(mc), tilde_polymatroid(mc)]
+        else:
+            latroids = [sum_rank_latroid(mc, spaces="row")]
+        for lt in latroids:
+            yield lt
+            for _ in range(6):
+                rank = lt.rank.copy()
+                rank[rng.randrange(len(rank)), 0] += rng.choice((-2, -1, 1, 2))
+                yield Latroid(lt.lattice, rank, lt.length)
+
+
+def test_qpolymatroid_axioms_match_the_pair_loop(monkeypatch):
+    # a few rows per block, so the scans cross block boundaries
+    monkeypatch.setattr(core, "_SCAN_BLOCK", 40)
+    failing = Counter()
+    for lt in qpolymatroid_cases():
+        rep = qpolymatroid_axioms(lt)
+        assert rep == reference_qpolymatroid_axioms(lt)
+        failing.update(c.name for c in rep.failures())
+    assert set(failing) == {"P1_bounded_by_dim", "P2_monotone", "P3_submodular"}
 
 
 def test_qpolymatroid_axioms_report_first_witness():
@@ -492,17 +547,18 @@ def test_octacode_lee_distribution_from_chain_support_enumerator():
     # Lee weight depends only on the chain level: a unit (level 2) weighs 1,
     # 2 (level 1) weighs 2, and 0 weighs 0.
     octacode = span_from_ints(Z4, 8, OCTACODE_ROWS)
-    poly = refined_enumerator(octacode, ChainSupport(Z4, 8))
+    table = refined_enumerator(octacode, ChainSupport(Z4, 8))
     lee = Counter()
-    for exps, coeff in poly.terms.items():
-        lee[sum((0, 2, 1)[level] for level in exps[:8])] += coeff
+    for levels, count in zip(table.points.tolist(), table.counts.tolist()):
+        lee[sum((0, 2, 1)[level] for level in levels)] += count
     assert dict(lee) == {0: 1, 6: 112, 8: 30, 10: 112, 16: 1}
 
 
 def test_punctured_octacode_enumerator_from_tutte():
     punctured = span_from_ints(Z4, 7, [row[:7] for row in OCTACODE_ROWS])
     assert len(punctured) == 256
-    assert enumerator_from_tutte(punctured) == refined_enumerator(punctured, ChainSupport(Z4, 7))
+    via_tutte = enumerator_from_tutte(chain_support_latroid(punctured), 2)
+    assert via_tutte == refined_enumerator(punctured, ChainSupport(Z4, 7))
 
 
 def test_punctured_octacode_inclusion_exclusion(monkeypatch):
