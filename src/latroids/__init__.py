@@ -63,7 +63,6 @@ from .enumerators import (
     enumerator_from_tutte,
     enumerator_product,
     generalized_enumerator,
-    homogeneous_enumerator,
     pir_tutte_corollary,
     refined_enumerator,
     tutte_whitney_Rprime,

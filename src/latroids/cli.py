@@ -48,12 +48,10 @@ from .core import (
 )
 from .enumerators import (
     enumerator_from_tutte,
-    homogeneous_enumerator,
     pir_tutte_corollary,
     refined_enumerator,
     rprime_z_to_one,
     tutte_whitney_Rprime,
-    weight_distribution,
 )
 from .errors import CapExceededError
 from .isometries import (
@@ -408,13 +406,13 @@ def cmd_weights(cfg, cap):
 
 def cmd_enumerator(cfg, cap):
     ring, n, code, supp = load_problem(cfg, cap)
-    refined = refined_enumerator(code, supp).poly()
-    homog = homogeneous_enumerator(code, supp)
+    table = refined_enumerator(code, supp)
+    refined = table.poly()
     data = {
         "refined": refined.to_json_dict(),
         "refined_rendered": refined.render(),
-        "homogeneous": homog.render(),
-        "weight_distribution": weight_distribution(code, supp),
+        "homogeneous": table.homogeneous().render(),
+        "weight_distribution": table.weight_distribution(),
     }
     return data, 0
 

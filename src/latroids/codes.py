@@ -14,7 +14,9 @@ of the cyclic submodules are closed under sums with one cyclic at a time
 through a table of word differences, on the first read, and kept.  The
 masks are the one thing the subcode oracle reads: ``submodule_invariants``
 gives lambda, M and the support weight of every submodule as array
-reductions, so no weight query builds a submodule's codeword set.
+reductions, kept on the code for the last support asked, so no weight
+query builds a submodule's codeword set and the queries of one support
+share one pass.
 ``enumerate_submodules`` builds those codeword sets for the one caller that
 needs ``Code`` labels, ``lattices.submodule_lattice``; the subspace lattices
 label each mask by the ``rref`` of the rows it marks.  Distinct rows
@@ -298,7 +300,7 @@ def _submodule_masks(code: Code) -> np.ndarray:
     # gens[i]: the positions of r * w for r in R, sorted, one row per cyclic
     # submodule <w>: each of its words is r * w for |ann(w)| values of r,
     # so equal submodules give equal rows.
-    scalars = np.tile(ring.space(1), n)[:, None]
+    scalars = ring.scalars(n)[:, None]
     step = max(1, _CLOSE_BLOCK // scalars.size)
     cyclics = set()
     for start in range(0, m, step):
@@ -372,8 +374,26 @@ def _distinct(rows: np.ndarray, classes: np.ndarray, count: int) -> np.ndarray:
 
 def submodule_invariants(code: Code, supp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lambda(D), M(D) and wt(D) under the support, for every submodule D
-    of the code: three int64 arrays, one entry per row of
-    ``Code.submodule_masks``.
+    of the code: three read-only int64 arrays, one entry per row of
+    ``Code.submodule_masks`` (``_submodule_invariants``).
+
+    The last result is kept on the code for the support object it was
+    computed for, so the weight oracles of one command share it: a support
+    is not changed once built.  Like the code's cached properties, it lives
+    in the frozen code's ``__dict__``: 24 bytes per submodule, at most
+    96 KiB at ``LATTICE_CAP``.
+    """
+    kept = vars(code).get("_invariants")
+    if kept is None or kept[0] is not supp:
+        arrays = _submodule_invariants(code, supp)
+        for a in arrays:
+            a.flags.writeable = False
+        kept = vars(code)["_invariants"] = (supp, arrays)
+    return kept[1]
+
+
+def _submodule_invariants(code: Code, supp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of ``submodule_invariants``, computed afresh.
 
     D is the product of its projections D_i onto the CRT factors, so
     lambda(D) is the sum of log_p |D_i| and M(D) that of log_p(|D_i| /

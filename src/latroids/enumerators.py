@@ -2,7 +2,9 @@
 on a grid lattice, and ``ExpPoly``, the exact polynomials both print as.
 
 A refined enumerator is a ``CountTable``: the codewords' distinct supports
-as int64 rows and how many codewords have each.  The direct route groups
+as int64 rows and how many codewords have each.  The weight distribution
+and the homogeneous enumerator are sums over it, so one evaluation of the
+codewords' supports gives all three.  The direct route groups
 the support rows; the latroid route writes |C_B| = p^(len - rho) of the
 chain-support latroid on the grid and takes one difference per grid axis
 (``_grid_differences``, Moebius inversion on a product of chains, shared
@@ -184,6 +186,20 @@ class CountTable:
         xy = np.hstack([self.points, self.top - self.points]).tolist()
         return ExpPoly(2 * len(self.top), zip(xy, self.counts.tolist()), _xy_names(len(self.top)))
 
+    def weight_distribution(self) -> list[int]:
+        """A_w, the number of codewords of weight w, for w = 0..wt(R^n):
+        the counts summed by the weight of their point, in int64."""
+        dist = np.zeros(sum(self.top) + 1, dtype=np.int64)
+        np.add.at(dist, self.points.sum(axis=1), self.counts)
+        return dist.tolist()
+
+    def homogeneous(self) -> ExpPoly:
+        """The homogeneous enumerator, every x_i set to x and y_i to y:
+        sum_w A_w x^w y^(wt(R^n) - w)."""
+        top = sum(self.top)
+        dist = self.weight_distribution()
+        return ExpPoly(2, (((w, top - w), a) for w, a in enumerate(dist)), ("x", "y"))
+
 
 # -- weight enumerators -----------------------------------------------------
 
@@ -197,15 +213,10 @@ def refined_enumerator(code: Code, supp: Support) -> CountTable:
     return CountTable(points, np.bincount(classes), supp.ambient_support())
 
 
-def homogeneous_enumerator(code: Code, supp: Support) -> ExpPoly:
-    """The refined enumerator with every x_i set to x and y_i to y:
-    sum_w A_w x^w y^(wt(R^n) - w)."""
-    top, dist = supp.ambient_weight(), weight_distribution(code, supp)
-    return ExpPoly(2, (((w, top - w), a) for w, a in enumerate(dist)), ("x", "y"))
-
-
 def weight_distribution(code: Code, supp: Support) -> list[int]:
-    """A_w = number of codewords of weight w, for w = 0..wt(R^n)."""
+    """A_w = number of codewords of weight w, for w = 0..wt(R^n), counted
+    on the codewords' weights (``CountTable.weight_distribution`` sums a
+    refined table instead)."""
     weights = supp.of_digits(code.digits).sum(axis=1)
     return np.bincount(weights, minlength=supp.ambient_weight() + 1).tolist()
 

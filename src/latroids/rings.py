@@ -13,6 +13,18 @@ mixed-radix number of its digits is its position in the lexicographic
 ``vectors(n)``.  Sums, multiples and matrix actions are ``%`` arithmetic on
 such arrays.  The tuple methods stay for the small sets that ``codes.span``
 and code sums build, where converting to arrays would cost more than it saves.
+
+The tables of that encoding depend only on (ring, n), so each is built on
+its first use, never at import, and kept, read-only, for the key of an
+equal ring: a caller that needs to write into one takes a copy.
+``Pir.mods`` and ``Pir.radix`` (n * ell int64 each) and ``Pir.scalars``
+(|R| rows of n * ell int64: 8 |R| n ell bytes) keep the last
+``_TABLES_KEPT`` keys each.  ``Pir.space`` holds |R|^n rows, 8 |R|^n n ell
+bytes, and as every digit's modulus is at least 2, n * ell <= log2 |R|^n:
+at the ``SPAN_CAP`` of ``codes.full_space``, 2^20 rows, one key holds at
+most 160 MiB.  So it keeps only the last ``_SPACE_KEPT`` keys, at most
+320 MiB at that cap (the CLI's ``--cap`` can raise it for the validators
+and the isometry check).
 """
 
 from __future__ import annotations
@@ -29,6 +41,11 @@ from .limits import VECTOR_ENUM_CAP, check_cap
 
 Element = tuple[int, ...]
 Vector = tuple[Element, ...]
+
+#: How many (ring, n) keys ``Pir.mods``, ``Pir.radix`` and ``Pir.scalars``
+#: keep each, and how many ``Pir.space`` keeps.
+_TABLES_KEPT = 32
+_SPACE_KEPT = 2
 
 
 def is_prime(n: int) -> bool:
@@ -208,17 +225,20 @@ class Pir:
 
     # -- R^n as digit arrays ---------------------------------------------------
 
+    @functools.lru_cache(maxsize=_TABLES_KEPT)
     def mods(self, n: int) -> np.ndarray:
-        """The modulus of each digit of a vector in R^n."""
-        return np.tile(np.array(self.sizes, dtype=np.int64), n)
+        """The modulus of each digit of a vector in R^n; kept, read-only."""
+        return _kept(np.tile(np.array(self.sizes, dtype=np.int64), n))
 
+    @functools.lru_cache(maxsize=_TABLES_KEPT)
     def radix(self, n: int) -> np.ndarray:
         """The place value of each digit: ``digits @ radix`` is the index.
-        Indices are int64, so R^n must have fewer than 2**63 vectors."""
+        Indices are int64, so R^n must have fewer than 2**63 vectors.
+        Kept, read-only."""
         if self.size**n >= 2**63:
             raise OverflowError(f"indices of {self}^{n} do not fit in int64")
         mods = self.mods(n)
-        return mods.prod() // np.cumprod(mods)
+        return _kept(mods.prod() // np.cumprod(mods))
 
     def index(self, digits: np.ndarray, n: int) -> np.ndarray:
         """The indices of digit rows (last axis), reducing every digit first,
@@ -234,12 +254,33 @@ class Pir:
         """Rows of digits back to vectors (tuples of Python ints)."""
         return [tuple(zip(*[iter(row)] * self.ell)) for row in digits.tolist()]
 
+    @functools.lru_cache(maxsize=_SPACE_KEPT)
     def space(self, n: int) -> np.ndarray:
-        """All of R^n as digits; row i is the vector of index i."""
-        return np.arange(self.size**n)[:, None] // self.radix(n) % self.mods(n)
+        """All of R^n as digits; row i is the vector of index i.  Kept,
+        read-only, for the last ``_SPACE_KEPT`` (ring, n) keys: it holds
+        8 |R|^n n ell bytes, at most 160 MiB at 2^20 rows."""
+        return _kept(_space(self, n))
+
+    @functools.lru_cache(maxsize=_TABLES_KEPT)
+    def scalars(self, n: int) -> np.ndarray:
+        """Row i is the scalar of index i (``elements`` order) on every
+        coordinate of R^n, so ``digits * scalars(n)[i]`` multiplies digit
+        rows by it: |R| rows of n * ell digits.  Kept, read-only."""
+        return _kept(np.tile(_space(self, 1), n))
 
     def __str__(self):
         return " x ".join(str(f) for f in self.factors)
+
+
+def _kept(table: np.ndarray) -> np.ndarray:
+    """A table about to be kept, made read-only in place."""
+    table.flags.writeable = False
+    return table
+
+
+def _space(ring: Pir, n: int) -> np.ndarray:
+    """R^n as digits, built afresh: the index of each row in mixed radix."""
+    return np.arange(ring.size**n)[:, None] // ring.radix(n) % ring.mods(n)
 
 
 def chain_ring(p: int, k: int) -> Pir:

@@ -23,6 +23,12 @@ nothing on the support.  Guards ask ``is_standard`` and ``is_modular``; a
 ``ChainSupport`` is both by construction.  Other supports detect
 ``is_standard`` on each read, and scan for ``is_modular`` once: the
 verdict is kept on the support (a support is not changed once built).
+``values()``, the support of every vector of R^n, is computed once per
+support, on its first call, and kept on it, read-only: 8 |R|^n u bytes for
+as long as the support lives.  ``ChainSupport`` reads one level table per
+CRT factor Z_{p^k}, built once per factor and kept, read-only, for the last
+``_LEVELS_KEPT`` factors (8 p^k bytes each), as every command makes new
+chain supports.
 ``rectangular_supports`` gives supp(M_g) for every rectangular module
 M_g = {v : ChainSupport(v) <= g} of R^n, a point of the grid
 ``lattices.chain_support_lattice``.
@@ -44,9 +50,12 @@ from .core import scan_rows
 from .lattices import _dominated, chain_support_lattice
 from .limits import VECTOR_ENUM_CAP, check_cap
 from .report import Check, Report
-from .rings import Pir, Vector
+from .rings import ChainRing, Pir, Vector
 
 SupportVec = tuple[int, ...]
+
+#: How many chain-ring factors' level tables ``ChainSupport`` keeps.
+_LEVELS_KEPT = 16
 
 
 class Support:
@@ -79,9 +88,16 @@ class Support:
         raise NotImplementedError
 
     def values(self) -> np.ndarray:
-        """supp(v) for every v in R^n, row i for the vector of index i.
-        Enumerates R^n; callers check the cap."""
-        return self.of_digits(self.ring.space(self.n))
+        """supp(v) for every v in R^n, row i for the vector of index i:
+        computed on the first call and kept, read-only.  Enumerates R^n;
+        callers check the cap."""
+        return self._values
+
+    @functools.cached_property
+    def _values(self) -> np.ndarray:
+        values = self.of_digits(self.ring.space(self.n))
+        values.flags.writeable = False
+        return values
 
     def of_set(self, vectors) -> SupportVec:
         """Coordinatewise maximum over a set of vectors, or over the words
@@ -156,8 +172,7 @@ class ChainSupport(Support):
         ell = self.ring.ell
         out = np.empty_like(digits)
         for j, f in enumerate(self.ring.factors):
-            level = np.array([f.k - f.valuation(r) for r in range(f.size)], dtype=np.int64)
-            out[:, j::ell] = level[digits[:, j::ell]]
+            out[:, j::ell] = _levels(f)[digits[:, j::ell]]
         return out
 
     @property
@@ -171,6 +186,16 @@ class ChainSupport(Support):
 
     def ambient_support(self) -> SupportVec:
         return tuple(f.k for _ in range(self.n) for f in self.ring.factors)
+
+
+@functools.lru_cache(maxsize=_LEVELS_KEPT)
+def _levels(f: ChainRing) -> np.ndarray:
+    """k - valuation(r) for each residue r of Z_{p^k}, 0 at r = 0: the
+    number of e in 1..k with p^e not dividing r.  Kept, read-only."""
+    residues = np.arange(f.size)
+    levels = sum((residues % f.p**e != 0).astype(np.int64) for e in range(1, f.k + 1))
+    levels.flags.writeable = False
+    return levels
 
 
 class ProductSupport(Support):
@@ -293,8 +318,8 @@ def validate_support(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
                 yield f"supp({v}) = {sv}"
 
     def growing_multiples():
-        for r in ring.elements():
-            image = ring.index(digits * np.tile(r, n), n)
+        for r, scalar in zip(ring.elements(), ring.scalars(n)):
+            image = ring.index(digits * scalar, n)
             for i in np.flatnonzero((vals[image] > vals).any(axis=1)).tolist():
                 yield f"r={r}, v={_vector(ring, digits, i)}"
 
@@ -319,7 +344,7 @@ def validate_modular(s: Support, cap: int = VECTOR_ENUM_CAP) -> Report:
     ring, n = s.ring, s.n
     check_cap(ring.size**n, cap, "modularity validation")
     digits, vals = ring.space(n), s.values()
-    scalars = np.tile(ring.space(1), n)
+    scalars = ring.scalars(n)
 
     def unreduced(rows):
         least = sv = vals[rows, None]  # r = 0 leaves v as it is
@@ -349,8 +374,15 @@ def split_support(s: Support):
     The parts are modular without a check of their own: part i is s on the
     embedded R_i^n, and for v, w there and r in R, r w is the embedding of
     r_i w, so every reduction s's modularity provides lies inside part i.
+
+    A ``ChainSupport`` splits with no pass over R^n: part i is the chain
+    support of R_i^n, on the codomain coordinates i::ell.  Every other
+    support is split by its values on all of R^n, under the cap.
     """
     ring, n, ell = s.ring, s.n, s.ring.ell
+    if isinstance(s, ChainSupport):
+        parts = [ChainSupport(ring.factor_ring(i), n) for i in range(ell)]
+        return parts, tuple(np.arange(s.u).reshape(n, ell).T.ravel().tolist())
     check_cap(ring.size**n, VECTOR_ENUM_CAP, f"enumerating {ring}^{n}")
     if not s.is_modular:
         raise ValueError("only modular supports are guaranteed to split")

@@ -14,10 +14,10 @@ from test_lattices import clear_lattice_caches
 
 from latroids import cli, codes, enumerators, lattices
 from latroids.cli import COMMANDS, SCHEMA_VERSION, main
-from latroids.codes import _submodule_masks
+from latroids.codes import _submodule_invariants, _submodule_masks
 from latroids.code_latroids import chain_support_latroid
 from latroids.report import Report
-from latroids.supports import ChainSupport, TableSupport
+from latroids.supports import ChainSupport, HammingSupport, TableSupport
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONFIG_NAMES = ("f2_block", "z4_code", "z6_isometry", "z8_tutte")
@@ -151,6 +151,29 @@ def test_tutte_on_a_product_ring_enumerates_the_whole_code_once(capsys, monkeypa
     # words for its latroid and its refined enumerator
     assert evaluated.count((2, 6)) == 1
     assert evaluated.count((1, 2)) == evaluated.count((1, 3)) == 2
+
+
+def test_tutte_on_a_long_product_ring_code_answers(capsys, tmp_path):
+    # 6 words in Z_6^7: splitting the chain support enumerates no R^n, so
+    # only the span reads --cap
+    path = _write(tmp_path, "ring = Z_2 x Z_3\nn = 7\nsupport = chain\ngen = 1 2 3 4 5 0 1\n")
+    code, out, err = run_cli(capsys, "--command", "tutte", "--config", path, "--cap", "1000000")
+    assert code == 0, out
+    assert "Traceback" not in err
+    assert json.loads(out)["factorization"]["ok"]
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_enumerator_evaluates_the_supports_once(capsys, monkeypatch, name):
+    evaluated = []
+    for cls in (ChainSupport, HammingSupport):
+        monkeypatch.setattr(cls, "of_digits", lambda self, digits, f=cls.of_digits: (
+            evaluated.append(len(digits)) or f(self, digits)))
+    code, _, _ = run_cli(capsys, "--command", "enumerator", "--config", str(CONFIGS / f"{name}.cfg"))
+    assert code == 0
+    # the refined table, the homogeneous enumerator and the weight
+    # distribution from one evaluation of the codewords' supports
+    assert len(evaluated) == 1
 
 
 def test_tutte_on_a_chain_ring_builds_the_latroid_once(capsys, monkeypatch):
@@ -309,17 +332,23 @@ def test_weights_non_integer_r_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("r", ["", "r = 1\n"], ids=["all r", "one r"])
 def test_weights_enumerates_the_submodules_once(capsys, tmp_path, monkeypatch, r):
-    calls = []
+    calls, derived = [], []
 
     def counted(code):
         calls.append(code)
         return _submodule_masks(code)
 
+    def counted_invariants(code, supp):
+        derived.append(code)
+        return _submodule_invariants(code, supp)
+
     monkeypatch.setattr(codes, "_submodule_masks", counted)
+    monkeypatch.setattr(codes, "_submodule_invariants", counted_invariants)
     path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\n" + r)
     code, _, _ = run_cli(capsys, "--command", "weights", "--config", path)
     assert code == 0
     assert len(calls) == 1  # d-bar and d-mu read Code.submodule_masks; the latroid reads the grid
+    assert len(derived) == 1  # and share one derivation of lambda, M and wt
 
 
 def test_isometry_enumerates_the_submodules_once_per_side(capsys, monkeypatch):

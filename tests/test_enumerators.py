@@ -17,7 +17,6 @@ from latroids.enumerators import (
     ExpPoly,
     enumerator_from_tutte,
     enumerator_product,
-    homogeneous_enumerator,
     inclusion_exclusion_check,
     refined_enumerator,
     tutte_whitney_Rprime,
@@ -155,10 +154,12 @@ def test_refined_enumerator_past_the_lattice_cap_has_one_term_per_support():
 def test_homogeneous_enumerator_matches_weight_distribution(name, code):
     for supp in (ChainSupport(code.ring, code.n), HammingSupport(code.ring, code.n)):
         top = supp.ambient_weight()
-        want = {(w, top - w): a for w, a in enumerate(weight_distribution(code, supp)) if a}
-        got = homogeneous_enumerator(code, supp)
+        dist, table = weight_distribution(code, supp), refined_enumerator(code, supp)
+        want = {(w, top - w): a for w, a in enumerate(dist) if a}
+        got = table.homogeneous()
         assert got.names == ("x", "y")
         assert got.terms == want
+        assert table.weight_distribution() == dist
 
 
 @pytest.mark.parametrize("name, code", PRODUCT_CODES, ids=[name for name, _ in PRODUCT_CODES])

@@ -427,6 +427,13 @@ def test_polynomials_are_constructed_only_in_enumerators():
     assert not outside, f"ExpPoly built outside enumerators.py: {', '.join(outside)}"
 
 
+def test_digit_tables_are_tiled_only_in_rings():
+    # the moduli and scalar rows of R^n come from the tables Pir keeps
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    outside = _outside_constructions(trees, "tile", "rings.py")
+    assert not outside, f"np.tile called outside rings.py: {', '.join(outside)}"
+
+
 def test_checker_sees_outside_lattice_constructions():
     trees = {
         "src/latroids/lattices.py": ast.parse("def dual(l): return FiniteLattice(l.labels, l.leq.T)\n"),

@@ -1,12 +1,18 @@
 import itertools
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from test_lattices import ideals
 
+from latroids import rings
+from latroids.cli import main
 from latroids.lattices import is_complemented_lattice
 from latroids.rings import ChainRing, Pir, chain_ring, intlog, parse_ring, product_ring
 from latroids.supports import ChainSupport
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_parse_ring_forms():
@@ -151,3 +157,62 @@ def test_radix_rejects_spaces_beyond_int64():
         ring.radix(63)
     with pytest.raises(OverflowError):
         parse_ring("Z_3").radix(40)
+
+
+# -- the kept tables of R^n ------------------------------------------------------
+
+#: Z_2 x Z_4 has factor sizes that are not coprime.
+TABLE_RINGS = ("Z_4", "Z_9", "Z_2", "Z_2 x Z_3", "Z_2 x Z_4")
+
+
+def _fresh_tables(ring: Pir, n: int) -> dict:
+    """Every kept table of (ring, n), computed from the definitions."""
+    mods = [s for _ in range(n) for s in ring.sizes]
+    radix = [math.prod(mods[i + 1 :]) for i in range(len(mods))]
+    return {
+        "mods": np.array(mods),
+        "radix": np.array(radix),
+        "space": ring.encode(ring.vectors(n), n),
+        "scalars": ring.encode([(r,) * n for r in ring.elements()], n),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("text", TABLE_RINGS)
+def test_kept_tables_equal_fresh_ones(text, n):
+    # a second, equal ring reads the tables the first one kept
+    for ring in (parse_ring(text), parse_ring(text)):
+        for name, fresh in _fresh_tables(ring, n).items():
+            kept = getattr(ring, name)(n)
+            assert kept.dtype == np.int64 and np.array_equal(kept, fresh), name
+
+
+@pytest.mark.parametrize("text", TABLE_RINGS)
+def test_kept_tables_are_read_only(text):
+    ring = parse_ring(text)
+    for name in ("mods", "radix", "space", "scalars"):
+        table = getattr(ring, name)(2)
+        with pytest.raises(ValueError):
+            table[0] = 1
+        assert getattr(ring, name)(2) is table  # kept, not rebuilt
+
+
+def test_space_keeps_at_most_its_stated_number_of_keys():
+    for text, n in itertools.product(TABLE_RINGS, [1, 2, 3]):
+        parse_ring(text).space(n)
+        assert Pir.space.cache_info().currsize <= rings._SPACE_KEPT
+    for method in (Pir.mods, Pir.radix, Pir.scalars):
+        assert method.cache_info().maxsize == rings._TABLES_KEPT
+
+
+def test_isometry_command_builds_each_space_once(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(rings, "_space", lambda ring, n, f=rings._space: (
+        built.append((str(ring), n)) or f(ring, n)))
+    Pir.space.cache_clear()
+    code = main(["--command", "isometry", "--config", str(CONFIGS / "z6_isometry.cfg")])
+    capsys.readouterr()
+    assert code == 0
+    # R^2 for the isometry check of the whole ring, and each factor's once
+    assert built.count(("Z_2 x Z_3", 2)) == 1
+    assert built.count(("Z_2", 2)) == built.count(("Z_3", 2)) == 1

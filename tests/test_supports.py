@@ -176,8 +176,53 @@ def test_split_requires_modular():
 
 
 def test_split_checks_the_cap_before_enumerating():
+    # a Hamming support is split by its values on all of R^n
     with pytest.raises(CapExceededError, match=r"enumerating Z_2 x Z_3\^7"):
-        split_support(ChainSupport(Z6, 7))
+        split_support(HammingSupport(Z6, 7))
+
+
+def test_chain_support_splits_without_enumerating():
+    parts, perm = split_support(ChainSupport(Z6, 7))  # 6^7 vectors, past the cap
+    assert [(type(p), p.ring, p.n) for p in parts] == [(ChainSupport, F2, 7), (ChainSupport, F3, 7)]
+    assert perm == (*range(0, 14, 2), *range(1, 14, 2))
+
+
+@pytest.mark.parametrize("text, n", [
+    ("Z_2 x Z_3", 1), ("Z_2 x Z_3", 2), ("Z_2 x Z_4", 2), ("Z_2 x Z_4 x Z_3", 1),
+])
+def test_chain_support_splits_like_its_table(text, n):
+    ring = parse_ring(text)
+    chain = ChainSupport(ring, n)
+    table = TableSupport(ring, n, {v: chain(v) for v in ring.vectors(n)})
+    (parts, perm), (table_parts, table_perm) = split_support(chain), split_support(table)
+    assert perm == table_perm
+    for part, table_part in zip(parts, table_parts, strict=True):
+        assert isinstance(part, ChainSupport) and part.same_values(table_part)
+
+
+@pytest.mark.parametrize("text", ["Z_4", "Z_9", "Z_2", "Z_2 x Z_3", "Z_2 x Z_4"])
+def test_kept_support_tables_equal_fresh_ones(text):
+    ring = parse_ring(text)
+    for f in ring.factors:
+        levels = supports._levels(f)
+        assert levels.tolist() == [f.k - f.valuation(r) for r in range(f.size)]
+        with pytest.raises(ValueError):
+            levels[0] = 1
+    assert supports._levels.cache_info().maxsize == supports._LEVELS_KEPT
+    for n in range(1, 5):
+        vectors = list(ring.vectors(n))
+        fresh = {
+            ChainSupport: [[f.k - f.valuation(x) for a in v for f, x in zip(ring.factors, a)]
+                           for v in vectors],
+            HammingSupport: [[int(any(a)) for a in v] for v in vectors],
+        }
+        for cls, want in fresh.items():
+            s = cls(ring, n)
+            values = s.values()
+            assert values.tolist() == want
+            assert s.values() is values  # computed once per support
+            with pytest.raises(ValueError):
+                values[0, 0] = 1
 
 
 MODULARITY_FIXTURES = {
