@@ -521,9 +521,9 @@ def _parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=VECTOR_ENUM_CAP,
-        help="cap on |R|^n for the span of the code, the support validators and "
-        "the isometry check (acknowledges the cost); the other caps are the "
-        "constants of latroids.limits",
+        help="cap on |C| for the span of the code, and on |R|^n for the support "
+        "validators and the isometry check (acknowledges the cost); the other "
+        "caps are the constants of latroids.limits",
     )
     return parser
 

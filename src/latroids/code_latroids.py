@@ -194,9 +194,8 @@ class MatrixCode:
 def _matrix_span(q: int, blocks, rows) -> MatrixCode:
     """The F_q-span of rows of entries (``MatrixCode.code`` order), q prime."""
     check_cap(q ** len(rows), SPAN_CAP, "matrix code span")
-    # The span never enumerates the ambient space, so its size caps nothing.
     length = sum(m * n for m, n in blocks)
-    return MatrixCode(q, blocks, span_from_ints(chain_ring(q, 1), length, rows, cap=q**length))
+    return MatrixCode(q, blocks, span_from_ints(chain_ring(q, 1), length, rows))
 
 
 def matrix_code(q: int, blocks, generators) -> MatrixCode:
@@ -242,29 +241,17 @@ def product_matrix_code(*factors: MatrixCode) -> MatrixCode:
 
 def _block_subspaces(mc: MatrixCode, spaces: str):
     """Per block: the subspace lattice of the row (``spaces="row"``) or
-    column spaces, its membership matrix, and inside[V, w], true when every
-    row (column) of word w's block lies in V."""
+    column spaces and inside[V, w], true when every row (column) of word
+    w's block lies in V."""
     out = []
     for mats in mc.block_digits():
         if spaces == "column":
             mats = mats.transpose(0, 2, 1)
         d = mats.shape[2]
-        lattice, members = _subspaces(mc.q, d)
+        lattice, members, _ = _subspaces(mc.q, d)
         rows = chain_ring(mc.q, 1).index(mats, d)
-        out.append((lattice, members, members[:, rows].all(axis=2)))
+        out.append((lattice, members[:, rows].all(axis=2)))
     return out
-
-
-def _perps(members: np.ndarray, q: int, n: int) -> list[int]:
-    """The index of V^perp for each subspace V of F_q^n.  One product with
-    the nonzero-dot-product matrix of F_q^n counts, for each vector, the
-    members of V it is not orthogonal to; V^perp is found by its
-    membership row."""
-    space = chain_ring(q, 1).space(n)
-    skew = (space @ space.T % q != 0).astype(np.float32)
-    perp_rows = members.astype(np.float32) @ skew == 0
-    row_of = {row.tobytes(): i for i, row in enumerate(members)}
-    return [row_of[row.tobytes()] for row in perp_rows]
 
 
 def rank_metric_latroid(mc: MatrixCode) -> Latroid:
@@ -281,9 +268,9 @@ def tilde_polymatroid(mc: MatrixCode) -> Latroid:
     presented as a latroid.  L1-L5 and P1-P3 are invariant under the
     positive scale m."""
     m, n = mc.shape
-    [(lattice, members, inside)] = _block_subspaces(mc, "row")
+    [(lattice, inside)] = _block_subspaces(mc, "row")
     counts = inside.sum(axis=1).tolist()
-    rank = [mc.dim() - intlog(mc.q, counts[p]) for p in _perps(members, mc.q, n)]
+    rank = [mc.dim() - intlog(mc.q, counts[p]) for p in _subspaces(mc.q, n)[2].tolist()]
     return Latroid(lattice, rank, [m * len(b) for b in lattice.labels])
 
 
@@ -325,7 +312,7 @@ def tilde_relation_check(mc: MatrixCode, plain: Latroid, tilde: Latroid) -> Repo
     ``tilde_polymatroid``."""
     m, n = mc.shape
     lat = plain.lattice
-    perp = _perps(_subspaces(mc.q, n)[1], mc.q, n)
+    perp = _subspaces(mc.q, n)[2].tolist()
 
     def mismatches():
         for i, basis in enumerate(lat.labels):
@@ -357,10 +344,10 @@ def sum_rank_latroid(mc: MatrixCode, spaces: str = "column") -> Latroid:
             "column-space sum-rank latroids need m_i >= n_i in every block"
         )
     parts = _block_subspaces(mc, spaces)
-    lattice = functools.reduce(product_lattice, [lat for lat, _, _ in parts])
+    lattice = functools.reduce(product_lattice, [lat for lat, _ in parts])
     # Element (V_1, ..., V_l) in the row-major order of the product.
     length, inside = np.zeros(1, dtype=np.int64), np.ones((1, len(mc)), dtype=bool)
-    for (m, _), (lat, _, ins) in zip(mc.blocks, parts):
+    for (m, _), (lat, ins) in zip(mc.blocks, parts):
         length = (length[:, None] + [m * len(b) for b in lat.labels]).ravel()
         inside = (inside[:, None] & ins).reshape(-1, len(mc))
     counts = inside.sum(axis=1).tolist()

@@ -114,9 +114,9 @@ class Code:
 
 
 def span(ring: Pir, n: int, generators, cap: int = SPAN_CAP) -> Code:
-    """The R-linear span of the given vectors in R^n."""
+    """The R-linear span of the given vectors in R^n.  It never enumerates
+    R^n, so ``cap`` bounds only |C|, checked after each generator."""
     generators = tuple(tuple(v) for v in generators)
-    check_cap(ring.size**n, cap, f"materializing a code in {ring}^{n}")
     words = {ring.zero_vector(n)}
     for g in generators:
         if len(g) != n:

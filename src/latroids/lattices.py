@@ -15,40 +15,61 @@ before x is the last of the meet(z, y) over the lower covers z of x, and
 the poset has that meet exactly when this element lies above all the
 others.  Each x is one vectorized row, so the cost is O(N^2 * degree)
 element operations plus the O(N^3) product in BLAS; joins are the same
-recurrence on the reversed order.  Subspace and submodule lattices get
-their order from a membership matrix, the submodule masks the code keeps
-(``Code.submodule_masks``): a <= b when no member of a lies outside b, one
-exact float32 product ``members @ ~members.T == 0``.
+recurrence on the reversed order.  In the package only the chains
+(``_chain``) go through it.
+
+The subspace lattices of F_q^n and the submodule lattices of R^n skip that
+check, because their algebra gives the tables (``_closed_family``).  Both
+are families of subsets of R^n closed under intersection, held as
+membership rows over ``Pir.space`` (the submodule masks of R^n,
+``Code.submodule_masks``) packed into 64-bit words.  meet[a, b] is the
+element whose row is the AND of a's and b's: a 64-bit key of the row finds
+it through one bucket table over the sorted keys of the family, and a word
+by word compare confirms it.  a <= b where meet[a, b] = a, and b covers a
+where the composition length also rises by 1.  Over a Frobenius ring,
+C -> C^perp under the standard dot product (one CRT factor at a time) is an
+inclusion-reversing involution with |C| |C^perp| = |R|^n (Wood,
+*Amer. J. Math.* 121, 1999), so join[a, b] = (a^perp ^ b^perp)^perp.  The
+perps come level by level from rows of the nonzero-dot-product table of
+R^n, which only this module builds (``_nonorthogonal``).  Every table is
+checked exactly and a failed check raises.  The cost is O(N^2) word
+operations, a block of rows at a time, with no N x N x N product: on a
+2-vCPU x86 machine the 2825 subspaces of F_2^6 take about 0.55 s from
+scratch (enumeration and rref labels included) at about 120 MB peak RSS,
+against about 2 s and 220 MB through ``build_lattice``.
 
 Lattices built from lattices keep their tables.  A product's order, join
 and meet are componentwise and a cover changes one coordinate by a cover
 (Davey and Priestley, ch. 2); ``dual`` transposes and swaps join with meet;
-``interval`` slices.  A lattice grades itself (a breadth-first search
-along covers), indexes its labels, finds its atoms and answers
-``is_modular_lattice``/``is_complemented_lattice`` on the first read of
-``height``, ``index``, ``atoms``, ``is_modular`` or ``is_complemented``,
-and keeps the answer: the many intervals and duals that ``core.restrict``
-and ``core.dual_latroid`` build are mostly only validated, which never
-reads them.  Grids are products of chains, each chain built once;
-boolean lattices are renumbered grids of 2-chains; and the rectangular
-modules of R^n form the grid of chain-support levels.  Every builder
-checks ``LATTICE_CAP`` before it allocates an N x N array.  On a 2-vCPU x86
-machine the 4096-element boolean lattice builds in about 1 s and the 3^7
-grid in 0.04 s, against about 5 s and 1 s through the recurrence.
+``interval`` slices, and the submodule lattice of a code other than R^n is
+the interval [0, C] of the lattice of R^n.  A lattice grades itself (a
+breadth-first search along covers), indexes its labels, finds its atoms
+and answers ``is_modular_lattice``/``is_complemented_lattice`` on the first
+read of ``height``, ``index``, ``atoms``, ``is_modular`` or
+``is_complemented``, and keeps the answer: the many intervals and duals
+that ``core.restrict`` and ``core.dual_latroid`` build are mostly only
+validated, which never reads them.  Grids are products of chains, each
+chain built once; boolean lattices are renumbered grids of 2-chains; and
+the rectangular modules of R^n form the grid of chain-support levels.
+Every builder checks ``LATTICE_CAP`` before it allocates an N x N array.
+On a 2-vCPU x86 machine the 4096-element boolean lattice builds in about
+1 s and the 3^7 grid in 0.04 s, against about 5 s and 1 s through the
+recurrence.
 
 The lattices a latroid sits on depend on the ambient module R^n, never on
 the code.  The chains (``_chain``) and the subspace lattices of F_q^n
-(``_subspaces``) are built once per process for each key, whose count the
-caps bound.  ``boolean_lattice(n)`` and the submodule lattice of R^n
-(``_ambient_submodules``), on which the block matroids and the
-submodule-lattice latroids sit, keep the last ``_AMBIENT_KEPT`` keys each,
-so that several latroids or commands on one R^n in a row build it once.
-At the 4096-element cap the tables of one lattice (two N x N bool, two
-N x N int32) hold about 168 MB, so these two keep at most about 670 MB of
-tables, plus the labels.  ``grid_lattice``, ``chain_support_lattice`` and
-``submodule_lattice`` of a code are built on every call.  Every
-``FiniteLattice`` holds read-only views of its tables, so no caller can
-change a shared one, and the arrays a caller hands in stay writable.
+(``_subspaces``, with their membership rows and perps) are built once per
+process for each key, whose count the caps bound.  ``boolean_lattice(n)``
+and the submodule lattice of R^n (``_ambient_submodules``), on which the
+block matroids and the submodule-lattice latroids sit, keep the last
+``_AMBIENT_KEPT`` keys each, so that several latroids or commands on one
+R^n in a row build it once.  At the 4096-element cap the tables of one
+lattice (two N x N bool, two N x N int32) hold about 168 MB, so these two
+keep at most about 670 MB of tables, plus the labels.  ``grid_lattice``,
+``chain_support_lattice`` and the submodule lattice of a code other than
+R^n are built on every call.  Every ``FiniteLattice`` holds read-only views
+of its tables, so no caller can change a shared one, and the arrays a
+caller hands in stay writable.
 
 Scans over all N^2 pairs (``core.scan_rows``: ``core.validate_latroid``
 on the int64 rank and length tables, the pairwise axiom checks) run a
@@ -419,15 +440,6 @@ def boolean_lattice(n: int) -> FiniteLattice:
     return _renumbered(grid_lattice([1] * n), idx, map(frozenset, subsets))
 
 
-def _membership_order(members: np.ndarray) -> np.ndarray:
-    """leq[a, b]: no member of a lies outside b.  The float32 product counts
-    those members exactly, as there are fewer than 2**24 points; the size
-    is checked before it allocates its N x N matrix."""
-    _check_size(len(members))
-    inside = members.astype(np.float32)
-    return inside @ (1 - inside).T == 0
-
-
 def chain_support_lattice(ring: Pir, n: int) -> FiniteLattice:
     """The rectangular modules of R^n under containment, as the grid of
     chain-support levels (coordinate-major, as ChainSupport): g is the module
@@ -454,34 +466,48 @@ def subspace_lattice(q: int, n: int) -> FiniteLattice:
 
 
 @functools.cache
-def _subspaces(q: int, n: int) -> tuple[FiniteLattice, np.ndarray]:
-    """The subspace lattice of F_q^n, sorted by (dim, rref basis), and its
-    read-only membership matrix: row i marks the vectors of subspace i,
-    indexed as in ``Pir.space``.  The subspaces are the submodule masks of
-    F_q^n, each labelled by the ``rref`` of the digit rows it marks, so F_q^n
-    is checked against the cap of their enumeration before it is spanned.
+def _subspaces(q: int, n: int) -> tuple[FiniteLattice, np.ndarray, np.ndarray]:
+    """The subspace lattice of F_q^n, sorted by (dim, rref basis), its
+    membership matrix (row i marks the vectors of subspace i, indexed as in
+    ``Pir.space``) and the index of each subspace's orthogonal complement,
+    both read-only.  The subspaces are the submodule masks of F_q^n, each
+    labelled by the ``rref`` of the digit rows it marks, so F_q^n is checked
+    against the cap of their enumeration before it is spanned; the tables
+    come from ``_closed_family``.
 
     Built once for each (q, n) and shared, as ``_chain`` is: the rank-metric
     latroids of one F_q^n all sit on it.  An entry lives as long as the
-    process, and the caps bound it: the largest, F_7^4 (3652 subspaces),
-    holds about 133 MB of tables, F_2^6 (2825) about 80 MB; ``selftest``
-    keeps 5 entries, none past F_2^3."""
+    process, and the caps bound it: N subspaces of q^n vectors keep
+    10 N^2 bytes of tables (two bool, two int32), N q^n bytes of members
+    and 8 N of perps.  The largest, F_7^4 (3652 subspaces), holds about
+    142 MB, F_2^6 (2825) about 80 MB; ``selftest`` keeps 5 entries, none
+    past F_2^3."""
     check_cap(q**n, SUBMODULE_CAP, f"enumerating F_{q}^{n}")
     if not is_prime(q):
         raise ValueError(f"only prime fields are supported, got q = {q}")
-    space = full_space(chain_ring(q, 1), n)
+    ring = chain_ring(q, 1)
+    space = full_space(ring, n)
     masks = space.submodule_masks
     bases = [rref(space.digits[row].tolist(), q) for row in masks]
     order = sorted(range(len(bases)), key=lambda i: (len(bases[i]), bases[i]))
     members = masks[order]
     members.flags.writeable = False
-    return build_lattice([bases[i] for i in order], _membership_order(members)), members
+    lattice, perp = _closed_family(ring, n, [bases[i] for i in order], members)
+    return lattice, members, perp
 
 
 def submodule_lattice(code: Code) -> FiniteLattice:
-    """All submodules of the given code, ordered by inclusion, which is read
-    off the code's submodule masks."""
-    return build_lattice(enumerate_submodules(code), _membership_order(code.submodule_masks))
+    """All submodules of the given code, ordered by inclusion.  Those of
+    R^n come from ``_closed_family`` on the code's submodule masks; those
+    of any other code are the interval [0, C] of that lattice, which
+    ``_ambient_submodules`` keeps, so R^n is checked against the cap of the
+    enumeration first."""
+    ring, n = code.ring, code.n
+    if len(code) < ring.size**n:
+        check_cap(ring.size**n, SUBMODULE_CAP, "submodule enumeration")
+        ambient = _ambient_submodules(ring, n)
+        return interval(ambient, ambient.bottom, ambient.index[code])
+    return _closed_family(ring, n, enumerate_submodules(code), code.submodule_masks)[0]
 
 
 @functools.lru_cache(maxsize=_AMBIENT_KEPT)
@@ -490,3 +516,156 @@ def _ambient_submodules(ring: Pir, n: int) -> FiniteLattice:
     (ring, n): the submodule-lattice latroids of codes in R^n all sit on
     it.  The caller checks R^n against the cap of the enumeration first."""
     return submodule_lattice(full_space(ring, n))
+
+
+# -- lattices closed under intersection and duality --------------------------
+
+#: Words per block of the (row, column, word) temporaries of
+#: ``_closed_family``; bounds its peak memory.
+_WORD_BLOCK = 1 << 18
+
+_GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
+
+def _packed(members: np.ndarray) -> np.ndarray:
+    """Boolean rows (last axis) packed into uint64 words, zero-padded."""
+    packed = np.packbits(members, axis=-1)
+    out = np.zeros(packed.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), dtype=np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view(np.uint64)
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """A 64-bit key of each packed row (last axis): every word plus a
+    constant for its place, through the splitmix64 finalizer, summed
+    mod 2^64.  The finalizer is a bijection, so one-word rows never
+    collide; ``_locator`` checks the family's keys anyway."""
+    z = words + _GOLDEN * np.arange(1, words.shape[-1] + 1, dtype=np.uint64)
+    for shift, factor in ((30, _MIX1), (27, _MIX2)):
+        z ^= z >> np.uint64(shift)
+        z *= factor
+    z ^= z >> np.uint64(31)
+    return z.sum(axis=-1, dtype=np.uint64)
+
+
+def _locator(words: np.ndarray):
+    """find(rows): for packed rows (last axis the words), the element of
+    the family ``words`` whose row each one is, and whether it is exactly
+    that row.  The family's keys are sorted once, and one ``searchsorted``
+    gives the first of them in each bucket of their top bits (two to four
+    buckets per element); a query starts at its bucket and steps on while
+    the key there is smaller, and the row found is compared word by word."""
+    keys = _row_keys(words)
+    order = np.argsort(keys)
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("two membership rows share a key")
+    bits = len(keys).bit_length() + 1
+    shift = np.uint64(64 - bits)
+    starts = np.searchsorted(keys, np.arange(1 << bits, dtype=np.uint64) << shift)
+    keys = np.append(keys, np.uint64(2**64 - 1))
+    order = np.append(order, 0)
+
+    def find(rows: np.ndarray) -> tuple[np.ndarray, bool]:
+        wanted = _row_keys(rows).ravel()
+        pos = starts[wanted >> shift]
+        todo = np.flatnonzero(keys[pos] < wanted)
+        while todo.size:
+            pos[todo] += 1
+            todo = todo[keys[pos[todo]] < wanted[todo]]
+        found = order[pos].reshape(rows.shape[:-1])
+        return found, bool((words[found] == rows).all())
+
+    return find
+
+
+def _composition_lengths(sizes: np.ndarray, ring: Pir) -> np.ndarray:
+    """lambda of a submodule of each size: the number of prime factors of
+    the size, counted with multiplicity (``codes.length_lambda``)."""
+    length, rest = np.zeros(len(sizes), dtype=np.int64), sizes.copy()
+    for p in {f.p for f in ring.factors}:
+        while (hit := rest % p == 0).any():
+            rest[hit] //= p
+            length += hit
+    if (rest != 1).any():
+        raise ValueError(f"a membership row's size is not a product of the primes of {ring}")
+    return length
+
+
+def _nonorthogonal(ring: Pir, n: int, vectors: np.ndarray) -> np.ndarray:
+    """skew[i, y]: the vector of index y of R^n (``Pir.space``) is not
+    orthogonal to the vector of index ``vectors[i]``: in some CRT factor
+    their dot product is nonzero."""
+    space, ell = ring.space(n), ring.ell
+    skew = np.zeros((len(vectors), len(space)), dtype=bool)
+    for j, size in enumerate(ring.sizes):
+        part = space[:, j::ell]
+        skew |= part[vectors] @ part.T % size != 0
+    return skew
+
+
+def _perp_rows(ring: Pir, n: int, members, covers, length) -> np.ndarray:
+    """The packed membership row of V^perp for every element V, level by
+    level: the bottom's is the top's row (all of R^n), and V = U + <x> for
+    any lower cover U of V and any x of V outside U, so V^perp is U^perp
+    cut by the vectors orthogonal to x."""
+    below = covers.argmax(axis=0)
+    outside = (members & ~members[below]).argmax(axis=1)
+    orthogonal = _packed(~_nonorthogonal(ring, n, outside))
+    rows = np.empty_like(orthogonal)
+    rows[length.argmin()] = _packed(members[length.argmax()])
+    for level in range(1, int(length.max()) + 1):
+        at = np.flatnonzero(length == level)
+        rows[at] = rows[below[at]] & orthogonal[at]
+    return rows
+
+
+def _closed_family(ring: Pir, n: int, labels, members: np.ndarray):
+    """The lattice of a family of submodules of R^n closed under
+    intersection and under C -> C^perp, given as membership rows over
+    ``Pir.space`` (``members``, one row per label), and the index of each
+    element's perp (read-only int64).
+
+    meet[a, b] is the element whose row is the AND of a's and b's packed
+    rows, found by ``_locator`` and compared word by word; a <= b exactly
+    when meet[a, b] = a, and b covers a when a <= b and lambda rises by 1.
+    The perps follow by ``_perp_rows``, and join[a, b] = (a^perp ^
+    b^perp)^perp.  Every result is checked exactly, and a failure raises:
+    each AND and perp row is a member row, perp is an involution with
+    |V| |V^perp| = |R|^n, and join >= a, b with |join| |meet| = |a| |b|,
+    so that join is a + b.  The temporaries are taken a block of
+    ``_WORD_BLOCK`` words at a time."""
+    labels = tuple(labels)
+    size = len(labels)
+    _check_size(size)
+    words = _packed(members)
+    find = _locator(words)
+    step = max(1, _WORD_BLOCK // (size * words.shape[1]))
+    blocks = [(start, min(start + step, size)) for start in range(0, size, step)]
+    # meet is symmetric: each block of rows is found from its diagonal on
+    meet = np.empty((size, size), dtype=np.int32)
+    for start, stop in blocks:
+        found, exact = find(words[start:stop, None] & words[None, start:])
+        if not exact:
+            raise NotALatticeError("the membership rows are not closed under intersection")
+        meet[start:stop, start:] = found
+        meet[start:, start:stop] = found.T
+    index = np.arange(size)
+    leq = meet == index[:, None]
+    sizes = members.sum(axis=1)
+    length = _composition_lengths(sizes, ring)
+    covers = leq & (length == length[:, None] + 1)
+    perp, exact = find(_perp_rows(ring, n, members, covers, length))
+    if not (exact and (perp[perp] == index).all() and (sizes * sizes[perp] == ring.size**n).all()):
+        raise ValueError("the membership rows are not closed under a perp of |R|^n / |V| elements")
+    # join is symmetric too, so join >= a for every (a, b) is join >= b
+    join = np.empty_like(meet)
+    for start, stop in blocks:
+        join[start:stop] = above = perp[meet[perp[start:stop]][:, perp]]
+        bounded = np.take_along_axis(leq[start:stop], above, axis=1)
+        modular = sizes[above] * sizes[meet[start:stop]] == sizes[start:stop, None] * sizes
+        if not (bounded & modular).all():
+            raise NotALatticeError("the perp of the meet of the perps is not the join")
+    perp = _read_only(perp)
+    return FiniteLattice(labels, leq, covers, join, meet), perp

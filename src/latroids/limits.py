@@ -3,9 +3,9 @@
 Everything in this package is computed by exhaustive enumeration at desk
 scale.  The caps below keep runaway inputs from looking like hangs; each is
 checked where the work it bounds starts, before that work is done.  The
-CLI's ``--cap`` replaces ``VECTOR_ENUM_CAP`` for the commands' span of the
-code, the support validators and the isometry check; every other cap is
-the constant here.
+CLI's ``--cap`` replaces ``SPAN_CAP`` as the bound on |C| for the commands'
+span of the code, and ``VECTOR_ENUM_CAP`` for the support validators and
+the isometry check; every other cap is the constant here.
 """
 
 from .errors import CapExceededError

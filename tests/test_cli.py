@@ -247,10 +247,13 @@ def test_missing_config_exits_2(capsys):
 
 
 def test_cap_breach_exits_3(capsys, tmp_path):
+    # the span of the 4-word code reads --cap as a bound on |C|
     path = _write(tmp_path, "ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\n")
-    code, out, _ = run_cli(capsys, "--command", "weights", "--config", path, "--cap", "4")
+    code, out, _ = run_cli(capsys, "--command", "weights", "--config", path, "--cap", "3")
     assert code == 3
-    assert json.loads(out)["kind"] == "cap"
+    assert json.loads(out) == {"error": "codeword materialization needs 4 > cap 3", "kind": "cap"}
+    code, _, _ = run_cli(capsys, "--command", "weights", "--config", path, "--cap", "4")
+    assert code == 0
 
 
 def test_lattice_cap_is_checked_before_the_order_matrix(capsys, tmp_path, monkeypatch):

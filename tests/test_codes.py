@@ -51,8 +51,10 @@ def test_span_f2_two_generators():
 
 
 def test_span_cap():
-    with pytest.raises(CapExceededError):
-        span_from_ints(F2, 3, [[1, 0, 0]], cap=4)
+    # the cap bounds |C|: 2 words pass, the 8 words of F_2^3 do not
+    assert len(span_from_ints(F2, 3, [[1, 0, 0]], cap=4)) == 2
+    with pytest.raises(CapExceededError, match="codeword materialization needs 8 > cap 4"):
+        span_from_ints(F2, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], cap=4)
 
 
 def test_lambda_examples():
@@ -175,6 +177,12 @@ def test_full_space_is_the_span_of_the_standard_basis():
         full, spanned = full_space(ring, n), span(ring, n, basis)
         assert full == spanned and full.generators == spanned.generators
         assert len(full) == ring.size**n
+
+
+def test_span_bounds_only_the_code():
+    # Z_2^30 has 2^30 words, past every cap; the span builds 2
+    code = span_from_ints(F2, 30, [[1] * 30])
+    assert len(code) == 2 and code.n == 30
 
 
 def test_full_space_checks_the_span_cap_before_building_words():

@@ -15,7 +15,10 @@ of a module-level function is set, by position or by keyword, by some call
 in the package or its tests; a ``cap`` no call sets is a constant of
 ``limits``, not a parameter.  ``FiniteLattice`` is constructed
 only in ``lattices.py``, in the package and in its tests, and ``ExpPoly``
-only in ``enumerators.py``, in the package.  No function of
+only in ``enumerators.py``, in the package.  In the package,
+``build_lattice`` is called only from ``lattices._chain``, and dot
+products reduced modulo a ring size (``(x @ y) % m``) are taken only in
+``lattices.py``.  No function of
 the package takes a ``validate`` parameter: constructors only build, and
 checking is for the validators (``validate_latroid``, ``validate_support``).
 No function imports: every import of the package is at module level, since
@@ -449,6 +452,61 @@ def test_checker_sees_outside_lattice_constructions():
         "src/latroids/core.py: line 3",
     ]
 
+
+
+def _calling_functions(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """The module-level definitions (or ``<module>``) whose bodies call
+    ``name``, by name or as an attribute."""
+    return sorted({
+        f"{module}: {getattr(node, 'name', '<module>')}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    })
+
+
+def test_build_lattice_is_called_only_from_chain():
+    # subspace and submodule lattices get their tables from their algebra
+    # (``lattices._closed_family``); the generic order check is for orders
+    # from outside and for the chains
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    assert _calling_functions(trees, "build_lattice") == ["lattices.py: _chain"]
+
+
+def _reduced_products(trees: dict[str, ast.Module]) -> list[str]:
+    """Matrix products reduced modulo something, ``(x @ y) % m``: dot
+    products of digit rows over a ring."""
+    return sorted(
+        f"{module}: line {node.lineno}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.MatMult)
+    )
+
+
+def test_dot_product_tables_are_built_only_in_lattices():
+    # the perps of R^n come from one nonzero-dot-product table
+    # (``lattices._nonorthogonal``), kept with the subspace lattices
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    outside = [site for site in _reduced_products(trees) if not site.startswith("lattices.py:")]
+    assert not outside, f"dot products reduced outside lattices.py: {', '.join(outside)}"
+
+
+def test_checker_sees_callers_and_reduced_products():
+    trees = {
+        "a.py": ast.parse(
+            "x = build_lattice(l, o)\n"
+            "def f(s): return s @ s.T % q != 0\n"
+            "def g(d, m, r): return d % m @ r\n"
+            "class C:\n"
+            "    def m(self): return lattices.build_lattice(l, o)\n"
+        ),
+    }
+    assert _calling_functions(trees, "build_lattice") == ["a.py: <module>", "a.py: C"]
+    assert _reduced_products(trees) == ["a.py: line 2"]
 
 def _validate_parameters(trees: dict[str, ast.Module]) -> list[str]:
     """Functions, methods and lambdas that take a parameter named

@@ -132,7 +132,6 @@ def _no_table(*args):
 
 def test_lattice_cap_is_checked_before_any_order_matrix(monkeypatch):
     monkeypatch.setattr(lattices, "_product_table", _no_table)
-    monkeypatch.setattr(lattices, "_membership_order", _no_table)
     too_many = range(lattices.LATTICE_CAP + 1)
     for build in (
         lambda: boolean_lattice(13),

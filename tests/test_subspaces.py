@@ -15,7 +15,6 @@ from test_latroids import rows
 from test_weights import MATRIX_CODES, block_words
 
 from latroids.code_latroids import (
-    _perps,
     rank_metric_latroid,
     sum_rank_latroid,
     tilde_polymatroid,
@@ -107,8 +106,7 @@ def test_subspace_lattice_matches_reference(q, n):
 
 @pytest.mark.parametrize("q, n", SPACES, ids=[f"F_{q}^{n}" for q, n in SPACES])
 def test_perp_is_an_order_reversing_involution(q, n):
-    lat, members = _subspaces(q, n)
-    perp = _perps(members, q, n)
+    lat, _, perp = _subspaces(q, n)
     assert [perp[p] for p in perp] == list(range(lat.size))
     assert np.array_equal(lat.leq, lat.leq[np.ix_(perp, perp)].T)
     assert [lat.labels[p] for p in perp] == [
@@ -151,9 +149,10 @@ def test_sum_rank_matches_reference(name, mc, spaces):
 
 
 def test_subspace_lattices_are_built_once_and_read_only():
-    lat, members = _subspaces(2, 3)
-    again, same = _subspaces(2, 3)
-    assert again is lat and same is members
-    assert not members.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        members[0, 0] = True
+    lat, members, perp = _subspaces(2, 3)
+    again, same, perp_again = _subspaces(2, 3)
+    assert again is lat and same is members and perp_again is perp
+    for table in (members, perp):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]
