@@ -9,17 +9,21 @@ JSON or text reports.  Exit codes: 0 success, 1 a checked property failed,
 check many codes).  Its argument parser is built once per process, on the
 first call, and never at import.  Each ``cmd_*`` handler returns plain JSON
 values (dicts with str keys, lists, str, int, float, bool, None), so the
-payload goes to ``_emit`` as it is and is serialized once, there.
+payload goes to ``_emit`` as it is and is serialized once, there, by
+``_json``: json's C encoder skips every ``indent`` call, so the indented
+report is written by one short exact pass instead.  Lattice labels are read
+from the lattice's kept ``label_texts``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import tempfile
+from json import JSONEncoder
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -247,20 +251,33 @@ def jsonable(value):
     return value
 
 
-def label_str(label) -> str:
-    """A lattice label as text: a subset, or a submodule as its sorted
-    codewords, in braces; any other label by ``str``.  A codeword is one
-    token: its entries as in ``gen`` lines (a residue, or colon-joined
-    residues over a product ring), run together when every entry is one
-    digit and dot-separated otherwise."""
-    if isinstance(label, Code):
-        ring = label.ring
-        sep = "" if ring.ell == 1 and ring.size <= 10 else "."
-        words = (sep.join(":".join(map(str, a)) for a in w) for w in label.sorted_words())
-        return "{" + ",".join(words) + "}"
-    if isinstance(label, frozenset):
-        return "{" + ",".join(map(str, sorted(label))) + "}"
-    return str(label)
+def _json(value, pad: str) -> str:
+    """What the stdlib's ``dumps(value, indent=2, sort_keys=True)`` writes,
+    for plain JSON values with str keys, nested ``pad`` deep: json's C
+    encoder serves only ``indent=None``, so the indented report would go
+    through its pure-Python encoder.  Strings go through json's own escaper,
+    a list of plain ints is one join, and every other scalar (bool, None,
+    float, NaN, inf) is written by the stdlib encoder."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if all(type(v) is int for v in value):
+            items = map(str, value)
+        else:
+            items = [_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return JSONEncoder().encode(value)
 
 
 def render_text(data, indent: str = "") -> str:
@@ -323,12 +340,10 @@ def cmd_latroid(cfg, cap):
         "scalar_dim": lt.udim,
         "report": report.to_dict(),
         "elements": [
-            {
-                "label": label_str(lab),
-                "rank": lt.rank[i].tolist(),
-                "length": lt.length[i].tolist(),
-            }
-            for i, lab in enumerate(lt.lattice.labels)
+            {"label": text, "rank": rank, "length": length}
+            for text, rank, length in zip(
+                lt.lattice.label_texts, lt.rank.tolist(), lt.length.tolist()
+            )
         ],
     }
     return data, 0 if report.ok else 1
@@ -344,10 +359,11 @@ def cmd_axioms(cfg, cap):
         "bases": axioms_B(lat, B),
         "circuits": axioms_C(lat, C),
     }
+    texts = lat.label_texts
     data = {
-        "independents": [label_str(lat.labels[i]) for i in I],
-        "bases": [label_str(lat.labels[i]) for i in B],
-        "circuits": [label_str(lat.labels[i]) for i in C],
+        "independents": [texts[i] for i in I],
+        "bases": [texts[i] for i in B],
+        "circuits": [texts[i] for i in C],
         "reports": {k: r.to_dict() for k, r in reports.items()},
     }
     return data, 0 if all(r.ok for r in reports.values()) else 1
@@ -446,11 +462,11 @@ def cmd_tutte(cfg, cap):
 def cmd_circuits(cfg, cap):
     ring, n, code, supp = load_problem(cfg, cap)
     lt = build_latroid(cfg, code, supp)
-    lat = lt.lattice
+    texts = lt.lattice.label_texts
     data = {
-        "independents": [label_str(lat.labels[i]) for i in independents(lt)],
-        "bases": [label_str(lat.labels[i]) for i in bases(lt)],
-        "circuits": [label_str(lat.labels[i]) for i in circuits(lt)],
+        "independents": [texts[i] for i in independents(lt)],
+        "bases": [texts[i] for i in bases(lt)],
+        "circuits": [texts[i] for i in circuits(lt)],
     }
     return data, 0
 
@@ -582,7 +598,7 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
     to the file ``out``; an OSError from the file leaves no temporary file
     behind."""
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json(payload, "") + "\n"
     else:
         text = render_text(payload) + "\n"
     if out:

@@ -5,7 +5,11 @@ rectangular closure is the point ``ChainSupport.of_set`` of its words in
 
 Codes are kept as full codeword sets in a canonical sorted order; every
 downstream computation here is exhaustive, so set equality is the only
-notion of code equality we need.
+notion of code equality we need.  A code sorts its words once, on the first
+``sorted_words`` call, and keeps the tuple; the submodules that
+``enumerate_submodules`` builds are handed theirs, already sorted, by the
+mask columns, so neither the digit rows nor the label texts of a submodule
+lattice sort a submodule's words again.
 
 A code keeps its sorted words as digit rows (``Code.digits``, the encoding
 of R^n from ``rings``), which every array consumer reads.  Its submodules
@@ -88,6 +92,12 @@ class Code:
         return self.codewords <= other.codewords
 
     def sorted_words(self) -> tuple[Vector, ...]:
+        """The codewords in sorted order, sorted on the first call and kept
+        (``enumerate_submodules`` hands its codes theirs already sorted)."""
+        return self._sorted_words
+
+    @functools.cached_property
+    def _sorted_words(self) -> tuple[Vector, ...]:
         return tuple(sorted(self.codewords))
 
     def is_zero(self) -> bool:
@@ -346,14 +356,19 @@ def _submodule_masks(code: Code) -> np.ndarray:
 def enumerate_submodules(code: Code) -> list[Code]:
     """All submodules of the code as codes, one per row of
     ``Code.submodule_masks`` and in its order, their words read off one
-    ``np.nonzero`` of the masks."""
+    ``np.nonzero`` of the masks.  The columns of a row rise, so each
+    submodule's words come out sorted and are handed to it as its
+    ``sorted_words``."""
     masks, words = code.submodule_masks, code.sorted_words()
     columns = np.nonzero(masks)[1].tolist()
     ends = np.cumsum(masks.sum(axis=1)).tolist()
-    return [
-        Code(code.ring, code.n, (), frozenset(map(words.__getitem__, columns[a:b])))
-        for a, b in zip([0] + ends, ends)
-    ]
+    subs = []
+    for a, b in zip([0] + ends, ends):
+        own = tuple(map(words.__getitem__, columns[a:b]))
+        sub = Code(code.ring, code.n, (), frozenset(own))
+        vars(sub)["_sorted_words"] = own
+        subs.append(sub)
+    return subs
 
 
 # -- the subcode oracle's arrays ----------------------------------------------

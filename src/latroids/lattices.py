@@ -65,11 +65,15 @@ block matroids and the submodule-lattice latroids sit, keep the last
 ``_AMBIENT_KEPT`` keys each, so that several latroids or commands on one
 R^n in a row build it once.  At the 4096-element cap the tables of one
 lattice (two N x N bool, two N x N int32) hold about 168 MB, so these two
-keep at most about 670 MB of tables, plus the labels.  ``grid_lattice``,
-``chain_support_lattice`` and the submodule lattice of a code other than
-R^n are built on every call.  Every ``FiniteLattice`` holds read-only views
-of its tables, so no caller can change a shared one, and the arrays a
-caller hands in stay writable.
+keep at most about 670 MB of tables, plus the labels and their texts.
+``grid_lattice``, ``chain_support_lattice`` and the submodule lattice of a
+code other than R^n are built on every call.  The text of every label (a
+subset or a submodule in braces, each distinct codeword made into text
+once) lives on its lattice, as the cached ``label_texts``: the CLI's
+reports read it there, so a command on a kept R^n after the first formats
+no label, and the texts go when the lattice goes.  Every ``FiniteLattice``
+holds read-only views of its tables, so no caller can change a shared one,
+and the arrays a caller hands in stay writable.
 
 Scans over all N^2 pairs (``core.scan_rows``: ``core.validate_latroid``
 on the int64 rank and length tables, the pairwise axiom checks) run a
@@ -130,6 +134,11 @@ class FiniteLattice:
         return tuple(np.flatnonzero(self.covers[self.bottom]).tolist())
 
     @functools.cached_property
+    def label_texts(self) -> tuple[str, ...]:
+        """The text of each label (``_label_texts``), made on first read."""
+        return _label_texts(self.labels)
+
+    @functools.cached_property
     def is_modular(self) -> bool:
         """Answered once: ``is_modular_lattice``."""
         return is_modular_lattice(self)
@@ -176,6 +185,43 @@ class FiniteLattice:
 
     def __repr__(self):
         return f"FiniteLattice({self.size} elements)"
+
+
+class _WordTexts(dict):
+    """Codeword -> its text under one separator, each made once, on the
+    first lookup."""
+
+    def __init__(self, sep: str):
+        self.sep = sep
+
+    def __missing__(self, word):
+        text = self[word] = _word_text(word, self.sep)
+        return text
+
+
+def _word_text(word, sep: str) -> str:
+    """A codeword as one token: its entries as in ``gen`` lines (a residue,
+    or colon-joined residues over a product ring), joined by ``sep``."""
+    return sep.join(":".join(map(str, a)) for a in word)
+
+
+def _label_texts(labels) -> tuple[str, ...]:
+    """Each label as text: a subset, or a submodule as its sorted codewords,
+    in braces; any other label by ``str``.  A codeword's entries run together
+    when every entry is one digit and are dot-separated otherwise.  Each
+    distinct codeword is made into text once for all the labels."""
+    words = {"": _WordTexts(""), ".": _WordTexts(".")}
+    out = []
+    for label in labels:
+        if isinstance(label, Code):
+            ring = label.ring
+            texts = words["" if ring.ell == 1 and ring.size <= 10 else "."]
+            out.append("{" + ",".join(map(texts.__getitem__, label.sorted_words())) + "}")
+        elif isinstance(label, frozenset):
+            out.append("{" + ",".join(map(str, sorted(label))) + "}")
+        else:
+            out.append(str(label))
+    return tuple(out)
 
 
 def _check_partial_order(leq: np.ndarray, labels) -> np.ndarray:

@@ -616,3 +616,34 @@ def test_checker_sees_np_unique():
         ),
     }
     assert _unique_uses(trees) == ["a.py: line 2", "a.py: line 4", "a.py: line 5"]
+
+
+def _dumps_uses(sources: dict[str, str]) -> list[str]:
+    """Where a module's text names ``json.dumps`` or imports ``dumps``
+    from ``json``."""
+    out = []
+    for name, text in sorted(sources.items()):
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "json.dumps" in line or ("import" in line and "json" in line and "dumps" in line):
+                out.append(f"{name}: line {lineno}")
+    return out
+
+
+def test_no_json_dumps():
+    # the CLI writes every report through ``cli._json``, which equals
+    # json.dumps(indent=2, sort_keys=True) byte for byte and avoids json's
+    # pure-Python indent encoder; lattices make their label texts once
+    # (``FiniteLattice.label_texts``), so no second writer or label
+    # formatter grows beside them
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    uses = _dumps_uses(sources)
+    assert not uses, f"json.dumps used: {', '.join(uses)}"
+
+
+def test_checker_sees_json_dumps():
+    sources = {
+        "a.py": "import json\ntext = json.dumps(x, indent=2)\n",
+        "b.py": "from json import dumps, loads\nfrom json import JSONEncoder\n",
+        "c.py": "from json.encoder import encode_basestring_ascii\n",
+    }
+    assert _dumps_uses(sources) == ["a.py: line 2", "b.py: line 1"]
