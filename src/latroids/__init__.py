@@ -14,10 +14,8 @@ from .codes import (
     enumerate_submodules,
     full_space,
     length_lambda,
-    mu,
     span,
     span_from_ints,
-    zero_code,
 )
 from .code_latroids import (
     MatrixCode,
@@ -41,15 +39,11 @@ from .core import (
     axioms_I,
     bases,
     circuits,
-    closure,
     direct_sum,
     dual_latroid,
-    flats,
     free_latroid,
     generalized_weight,
-    hyperplanes,
     independents,
-    minimal_feasible_lengths,
     rank_from_bases,
     rank_from_circuits,
     rank_from_independents,
@@ -62,7 +56,6 @@ from .enumerators import (
     ExpPoly,
     enumerator_from_tutte,
     enumerator_product,
-    generalized_enumerator,
     pir_tutte_corollary,
     refined_enumerator,
     tutte_whitney_Rprime,
@@ -83,12 +76,11 @@ from .lattices import (
     chain_support_lattice,
     dual,
     interval,
-    predicates,
     product,
     subspace_lattice,
     submodule_lattice,
 )
-from .rings import ChainRing, Pir, chain_ring, parse_ring, product_ring
+from .rings import ChainRing, Pir, chain_ring, parse_ring
 from .supports import (
     ChainSupport,
     HammingSupport,

@@ -20,6 +20,7 @@ import numpy as np
 
 from .codes import (
     Code,
+    _composition_lengths,
     big_m,
     length_lambda,
     rref,
@@ -59,7 +60,7 @@ def latroid_from_code(code: Code) -> Latroid:
     """
     check_cap(code.ring.size**code.n, SUBMODULE_CAP, "submodule enumeration")
     lattice = _ambient_submodules(code.ring, code.n)
-    length = np.array([length_lambda(m) for m in lattice.labels])
+    length = _composition_lengths([len(m) for m in lattice.labels], code.ring)
     return Latroid(lattice, length - length[lattice.meet[:, lattice.index[code]]], length)
 
 

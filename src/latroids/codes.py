@@ -28,13 +28,15 @@ and keys are found by sorting and masking equal neighbours, and sets of
 positions by a mark array, never by numpy's ``unique``: numpy 2 imports
 ``numpy.ma`` on its first call, 10-20 ms that every process would pay.
 ``full_space`` decodes the digit space ``Pir.space``, and ``Code.factor``
-the digit columns of one CRT factor.  Only ``span`` and ``code_sum`` stay
-on ``Pir`` tuple arithmetic: they build small sets of tuples, which is what
-callers hold.  ``span`` takes the distinct multiples of each generator once
-and adds each of them to every word found so far; the benchmark harness
+the digit columns of one CRT factor.  Only ``span`` stays on ``Pir``
+tuple arithmetic: it builds small sets of tuples, which is what callers
+hold.  It takes the distinct multiples of each generator once and adds
+each of them to every word found so far; the benchmark harness
 (``perfbench/tracing.py``) counts the ``Pir.add`` and ``Pir.vadd`` calls it
-makes.  The composition length lambda(C) is read off |C| alone
-(``length_lambda``), with no projection onto the CRT factors.
+makes.  The composition length lambda(C) is read off |C| alone, with no
+projection onto the CRT factors, by one prime count over an array of sizes
+(``_composition_lengths``) that ``length_lambda`` and the submodule
+lattices share.
 
 Over a prime field F_p, ``rref`` row-reduces a list of vectors; the reduced
 row echelon basis is the canonical label of the subspace they span (the
@@ -45,7 +47,6 @@ labels of ``lattices.subspace_lattice``), and its length is the dimension
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,10 +142,6 @@ def span_from_ints(ring: Pir, n: int, rows, cap: int = SPAN_CAP) -> Code:
     return span(ring, n, [ring.vector_from_ints(row) for row in rows], cap=cap)
 
 
-def zero_code(ring: Pir, n: int) -> Code:
-    return span(ring, n, [])
-
-
 def full_space(ring: Pir, n: int) -> Code:
     """R^n, spanned by its standard basis: the rows of ``Pir.space`` decoded."""
     check_cap(ring.size**n, SPAN_CAP, f"materializing a code in {ring}^{n}")
@@ -156,36 +153,36 @@ def cyclic_code(ring: Pir, v: Vector) -> Code:
     return span(ring, len(v), [v])
 
 
-def code_sum(a: Code, b: Code) -> Code:
-    ring = a.ring
-    words = frozenset(ring.vadd(x, y) for x in a.codewords for y in b.codewords)
-    return Code(ring, a.n, (), words)
-
-
-def code_intersection(a: Code, b: Code) -> Code:
-    return Code(a.ring, a.n, (), a.codewords & b.codewords)
-
-
 # -- module invariants -----------------------------------------------------
 
 
-def length_lambda(code: Code) -> int:
-    """Composition length of the code as a module over its ring.
+def _composition_lengths(sizes, ring: Pir) -> np.ndarray:
+    """lambda of a submodule of each size (ints) over the ring.
 
     Every composition factor of a module over a product of rings Z_{p^k}
     is a residue field F_p, so lambda(C) is Omega(|C|), the number of prime
     factors of |C| counted with multiplicity; this holds also when factors
-    share a prime (Z_2 x Z_4).  A prime of |C| outside the ring signals
-    that the input set is not a submodule.
+    share a prime (Z_2 x Z_4).  A prime of a size outside the ring signals
+    that the set is not a submodule.  The count runs on Python ints: on a
+    2-vCPU x86 machine one size takes about 2 us, against 20-50 us for the
+    same count in numpy, and the 2825 sizes of F_2^6's subspaces 1.2 ms.
     """
-    size, total = len(code), 0
-    for p in {f.p for f in code.ring.factors}:
-        while size % p == 0:
-            size //= p
-            total += 1
-    if size != 1:
-        raise ValueError(f"{len(code)} is not a product of the primes of {code.ring}")
-    return total
+    primes, lengths = {f.p for f in ring.factors}, []
+    for size in sizes:
+        rest, total = size, 0
+        for p in primes:
+            while rest % p == 0:
+                rest //= p
+                total += 1
+        if rest != 1:
+            raise ValueError(f"{size} is not a product of the primes of {ring}")
+        lengths.append(total)
+    return np.array(lengths, dtype=np.int64)
+
+
+def length_lambda(code: Code) -> int:
+    """Composition length of the code as a module over its ring."""
+    return int(_composition_lengths([len(code)], code.ring)[0])
 
 
 def _classes(rows: np.ndarray) -> np.ndarray:
@@ -214,11 +211,6 @@ def mu_factor(code: Code, i: int) -> int:
     """
     words, multiples = _factor_classes(code, i)
     return intlog(code.ring.factors[i].p, (int(words.max()) + 1) // (int(multiples.max()) + 1))
-
-
-def mu(code: Code) -> int:
-    """Least number of generators of the code over the product ring."""
-    return max(mu_factor(code, i) for i in range(code.ring.ell))
 
 
 def big_m(code: Code) -> int:
@@ -465,28 +457,3 @@ def rref(rows, p: int) -> tuple[tuple[int, ...], ...]:
         if pivot_row == len(mat):
             break
     return tuple(tuple(r) for r in mat[:pivot_row] if any(r))
-
-
-def irredundant_generating_sizes(code: Code) -> set[int]:
-    """Sizes of inclusion-minimal generating sets of the code.
-
-    Desk-scale oracle used to probe which 'number of generators' values a
-    submodule admits; the search is bounded by M(C), the largest possible
-    irredundant size.
-    """
-    if code.is_zero():
-        return {0}
-    nonzero = [w for w in code.sorted_words() if any(any(a) for a in w)]
-    sizes = set()
-    for size in range(1, big_m(code) + 1):
-        for subset in itertools.combinations(nonzero, size):
-            if len(span(code.ring, code.n, subset)) != len(code):
-                continue
-            if size == 1 or all(
-                len(span(code.ring, code.n, subset[:i] + subset[i + 1 :]))
-                != len(code)
-                for i in range(size)
-            ):
-                sizes.add(size)
-                break
-    return sizes

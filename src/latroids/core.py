@@ -598,36 +598,6 @@ def rank_from_circuits(lat: FiniteLattice, circuit_set) -> Latroid:
     return Latroid(lat, length - kappa, length)
 
 
-# -- closure, flats, hyperplanes ----------------------------------------------
-
-
-def closure(lt: Latroid, l: int) -> int:
-    """cl(L): the join of everything whose join with L keeps the rank.
-
-    On a boolean lattice with the height as length this is the classical
-    matroid closure cl(S) = S + {e : rho(S + e) = rho(S)}.
-    """
-    lat = lt.lattice
-    out = lat.bottom
-    for x in np.flatnonzero((lt.rank[lat.join[l]] == lt.rank[l]).all(axis=1)).tolist():
-        out = int(lat.join[out, x])
-    if not lat.leq[l, out]:
-        raise AssertionError("closure must dominate its argument")
-    return out
-
-
-def flats(lt: Latroid) -> tuple[int, ...]:
-    return tuple(l for l in range(lt.lattice.size) if closure(lt, l) == l)
-
-
-def hyperplanes(lt: Latroid) -> tuple[int, ...]:
-    """Flats of rank exactly one below the top rank (udim 1)."""
-    if lt.udim != 1:
-        raise ValueError("hyperplanes need a totally ordered scalar (udim 1)")
-    want = lt.top_rank()[0] - 1
-    return tuple(l for l in flats(lt) if lt.rank[l, 0] == want)
-
-
 # -- generalized weights --------------------------------------------------------
 
 
@@ -635,23 +605,6 @@ def generalized_weight(lt: Latroid, a: int) -> int:
     """d_a: the least len(L) with len(L) - rho(L) >= a; 0 when nothing
     qualifies.  Only for udim 1, where min is unambiguous."""
     if lt.udim != 1:
-        raise ValueError(
-            "generalized_weight needs a totally ordered scalar; "
-            "use minimal_feasible_lengths for udim > 1"
-        )
+        raise ValueError("generalized_weight needs a totally ordered scalar (udim 1)")
     feasible = lt.length[lt.length - lt.rank >= a]
     return int(feasible.min()) if feasible.size else 0
-
-
-def minimal_feasible_lengths(lt: Latroid, a) -> tuple[tuple[int, ...], ...]:
-    """The antichain of minimal len(L) values with len(L) - rho(L) >= a
-    (an int, or a tuple of udim ints), in lexicographic order."""
-    feasible = lt.length[(lt.length - lt.rank >= a).all(axis=1)]
-    feasible = feasible[np.lexsort(feasible.T[::-1])]
-    distinct = np.ones(len(feasible), dtype=bool)  # no rows when nothing is feasible
-    distinct[1:] = (feasible[1:] != feasible[:-1]).any(axis=1)
-    feasible = feasible[distinct]
-    # below[t, s]: t <= s, so t < s off the diagonal of distinct rows
-    below = (feasible[:, None] <= feasible[None]).all(axis=-1)
-    minimal = ~(below & ~np.eye(len(feasible), dtype=bool)).any(axis=0)
-    return tuple(map(tuple, feasible[minimal].tolist()))

@@ -25,8 +25,8 @@ from operator import add
 
 import numpy as np
 
-from .code_latroids import chain_support_latroid, least_weights
-from .codes import Code, _classes, length_lambda, submodule_invariants
+from .code_latroids import chain_support_latroid
+from .codes import Code, _classes, submodule_invariants
 from .core import Latroid
 from .limits import LATTICE_CAP, check_cap
 from .report import Check, Report
@@ -226,33 +226,6 @@ def generalized_weight_distribution(code: Code, supp: Support, r: int) -> list[i
     on the arrays of ``submodule_invariants``."""
     lengths, _, weights = submodule_invariants(code, supp)
     return np.bincount(weights[lengths == r], minlength=supp.ambient_weight() + 1).tolist()
-
-
-def generalized_enumerator(code: Code, supp: Support, r: int) -> ExpPoly:
-    """The r-th generalized weight enumerator
-    sum_w A^(r)_w x^(wt(R^n)-w) y^w, for 0 <= r <= lambda(C).
-
-    The minimum w with A^(j)_w != 0 over j >= r recovers the r-th
-    generalized weight; that consistency is asserted here against the
-    subcode oracle ``least_weights``, on the same arrays of
-    ``submodule_invariants``.
-    """
-    lam = length_lambda(code)
-    if not 0 <= r <= lam:
-        raise ValueError(f"r = {r} outside [0, {lam}]")
-    wt_top = supp.ambient_weight()
-    lengths, _, weights = submodule_invariants(code, supp)
-    dist = np.bincount(weights[lengths == r], minlength=wt_top + 1).tolist()
-    poly = ExpPoly(2, (((wt_top - w, w), a) for w, a in enumerate(dist)), ("x", "y"))
-    if r >= 1:
-        least = int(np.flatnonzero(np.bincount(weights[lengths >= r]))[0])
-        expected = least_weights(lengths, weights, lam)[r - 1]
-        if least != expected:
-            raise AssertionError(
-                f"generalized enumerator inconsistent with d_bar_{r}: "
-                f"{least} != {expected}"
-            )
-    return poly
 
 
 # -- Tutte-Whitney rank generating functions -----------------------------------

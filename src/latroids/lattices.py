@@ -1,5 +1,6 @@
-"""Explicit finite lattices: order/join/meet tables, structural predicates,
-constructions (interval, dual, product), and concrete builders.
+"""Explicit finite lattices: order/join/meet tables, the modular and
+complemented predicates, constructions (interval, dual, product), and
+concrete builders.
 
 Lattices are fully materialized with O(N^2) tables; element labels are
 domain objects (subsets, support vectors, rref bases, codes) so that
@@ -88,11 +89,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Code, enumerate_submodules, full_space, rref
+from .codes import Code, _composition_lengths, enumerate_submodules, full_space, rref
 from .errors import NotALatticeError, NotGradedError
 from .limits import LATTICE_CAP, SUBMODULE_CAP, check_cap
 from .report import Check, Report
@@ -334,15 +334,6 @@ def build_lattice(labels, leq: np.ndarray) -> FiniteLattice:
 # -- structural predicates ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeFlags:
-    is_graded: bool
-    is_modular: bool
-    is_distributive: bool
-    is_complemented: bool
-    is_relatively_complemented: bool
-
-
 def is_modular_lattice(lat: FiniteLattice) -> bool:
     """Birkhoff: a lattice of finite length is modular exactly when it is
     graded and h(x) + h(y) = h(x v y) + h(x ^ y) for all x, y."""
@@ -352,42 +343,9 @@ def is_modular_lattice(lat: FiniteLattice) -> bool:
     return bool((h[:, None] + h == h[lat.join] + h[lat.meet]).all())
 
 
-def is_distributive_lattice(lat: FiniteLattice) -> bool:
-    n = lat.size
-    for l3 in range(n):
-        lhs = lat.meet[np.arange(n)[:, None], lat.join[:, l3][None, :]]
-        rhs = lat.join[lat.meet, lat.meet[:, l3][:, None]]
-        if (lhs != rhs).any():
-            return False
-    return True
-
-
 def is_complemented_lattice(lat: FiniteLattice) -> bool:
     ok = (lat.meet == lat.bottom) & (lat.join == lat.top)
     return bool(ok.any(axis=1).all())
-
-
-def is_relatively_complemented_lattice(lat: FiniteLattice) -> bool:
-    for a, b in lat.pairs():
-        if not lat.leq[a, b]:
-            continue
-        interval_idx = np.flatnonzero(lat.leq[a] & lat.leq[:, b])
-        m = lat.meet[np.ix_(interval_idx, interval_idx)]
-        j = lat.join[np.ix_(interval_idx, interval_idx)]
-        has = ((m == a) & (j == b)).any(axis=1)
-        if not has.all():
-            return False
-    return True
-
-
-def predicates(lat: FiniteLattice) -> LatticeFlags:
-    return LatticeFlags(
-        is_graded=lat.is_graded,
-        is_modular=lat.is_modular,
-        is_distributive=is_distributive_lattice(lat),
-        is_complemented=lat.is_complemented,
-        is_relatively_complemented=is_relatively_complemented_lattice(lat),
-    )
 
 
 def atoms_join_check(lat: FiniteLattice) -> Report:
@@ -626,19 +584,6 @@ def _locator(words: np.ndarray):
     return find
 
 
-def _composition_lengths(sizes: np.ndarray, ring: Pir) -> np.ndarray:
-    """lambda of a submodule of each size: the number of prime factors of
-    the size, counted with multiplicity (``codes.length_lambda``)."""
-    length, rest = np.zeros(len(sizes), dtype=np.int64), sizes.copy()
-    for p in {f.p for f in ring.factors}:
-        while (hit := rest % p == 0).any():
-            rest[hit] //= p
-            length += hit
-    if (rest != 1).any():
-        raise ValueError(f"a membership row's size is not a product of the primes of {ring}")
-    return length
-
-
 def _nonorthogonal(ring: Pir, n: int, vectors: np.ndarray) -> np.ndarray:
     """skew[i, y]: the vector of index y of R^n (``Pir.space``) is not
     orthogonal to the vector of index ``vectors[i]``: in some CRT factor
@@ -700,7 +645,7 @@ def _closed_family(ring: Pir, n: int, labels, members: np.ndarray):
     index = np.arange(size)
     leq = meet == index[:, None]
     sizes = members.sum(axis=1)
-    length = _composition_lengths(sizes, ring)
+    length = _composition_lengths(sizes.tolist(), ring)
     covers = leq & (length == length[:, None] + 1)
     perp, exact = find(_perp_rows(ring, n, members, covers, length))
     if not (exact and (perp[perp] == index).all() and (sizes * sizes[perp] == ring.size**n).all()):

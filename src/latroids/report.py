@@ -24,6 +24,11 @@ class Check:
         witness = next(iter(witnesses), None)
         return cls(name, witness is None, witness or "")
 
+    @classmethod
+    def from_report(cls, name: str, report: Report) -> Check:
+        """Pass or fail as ``report`` does, with its summary on a failure."""
+        return cls(name, report.ok, "" if report.ok else report.summary())
+
 
 @dataclass(frozen=True)
 class Report:

@@ -287,10 +287,6 @@ def chain_ring(p: int, k: int) -> Pir:
     return Pir((ChainRing(p, k),))
 
 
-def product_ring(*pk_pairs) -> Pir:
-    return Pir(tuple(ChainRing(p, k) for p, k in pk_pairs))
-
-
 _FACTOR_RE = re.compile(r"^Z_?\{?(\d+)(?:\^(\d+))?\}?$")
 
 

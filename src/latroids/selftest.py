@@ -281,16 +281,14 @@ def criterion_pir_corollary(seed: int) -> Report:
     checks.append(Check("corpus_size_at_least_5", len(corpus) >= 5, str(len(corpus))))
     for name, code in corpus:
         direct = refined_enumerator(code, ChainSupport(code.ring, code.n))
-        rep = pir_tutte_corollary(code, direct)
-        checks.append(Check(f"pir {name}", rep.ok, rep.summary() if not rep.ok else ""))
+        checks.append(Check.from_report(f"pir {name}", pir_tutte_corollary(code, direct)))
     return Report.from_checks(checks)
 
 
 def criterion_latroid_axioms(seed: int) -> Report:
     checks = []
     for name, lt in latroid_corpus(seed):
-        rep = validate_latroid(lt)
-        checks.append(Check(name, rep.ok, rep.summary() if not rep.ok else ""))
+        checks.append(Check.from_report(name, validate_latroid(lt)))
     return Report.from_checks(checks)
 
 
@@ -326,7 +324,7 @@ def criterion_crypto_roundtrips(seed: int) -> Report:
             ("B-axioms", Report.from_checks(axioms_B(lat, B).checks + atoms)),
             ("C-axioms", axioms_C(lat, C)),
         ):
-            checks.append(Check(f"{name} {tag}", rep.ok, rep.summary() if not rep.ok else ""))
+            checks.append(Check.from_report(f"{name} {tag}", rep))
         for tag, rebuilt in (
             ("rank_from_independents", rank_from_independents(lat, I)),
             ("rank_from_bases", rank_from_bases(lat, B)),
@@ -344,7 +342,7 @@ def criterion_weight_equalities(seed: int) -> Report:
     checks = []
     for name, code in tutte_code_corpus(seed):
         rep = latroid_weights_equal_code_weights(code)
-        checks.append(Check(f"chain weights {name}", rep.ok, rep.summary() if not rep.ok else ""))
+        checks.append(Check.from_report(f"chain weights {name}", rep))
 
     rank_codes = rank_metric_code_corpus()
     tall = [(name, mc) for name, mc in rank_codes if mc.shape[0] > mc.shape[1]]
@@ -370,8 +368,7 @@ def criterion_weight_equalities(seed: int) -> Report:
     ok = len(tall) >= 5 and not bad
     checks.append(Check("rank_corpus_q_polymatroids", ok, bad or str(len(tall))))
     for name, mc in tall:
-        rep = sum_rank_weights_equal(mc)
-        checks.append(Check(f"rank weights {name}", rep.ok, rep.summary() if not rep.ok else ""))
+        checks.append(Check.from_report(f"rank weights {name}", sum_rank_weights_equal(mc)))
 
     f2 = parse_ring("Z_2")
     block_codes = [
@@ -384,8 +381,7 @@ def criterion_weight_equalities(seed: int) -> Report:
     ]
     checks.append(Check("block_corpus_at_least_5", len(block_codes) >= 5, str(len(block_codes))))
     for name, code in block_codes:
-        rep = block_matroid_weights_equal(code)
-        checks.append(Check(f"block weights {name}", rep.ok, rep.summary() if not rep.ok else ""))
+        checks.append(Check.from_report(f"block weights {name}", block_matroid_weights_equal(code)))
 
     srep = sum_rank_weights_equal(
         product_matrix_code(
@@ -393,7 +389,7 @@ def criterion_weight_equalities(seed: int) -> Report:
             single_matrix_code(3, 3, 2, [[(1, 0), (0, 1), (0, 0)], [(0, 1), (0, 0), (1, 0)]]),
         )
     )
-    checks.append(Check("sum-rank weights equal m=3", srep.ok, srep.summary() if not srep.ok else ""))
+    checks.append(Check.from_report("sum-rank weights equal m=3", srep))
     return Report.from_checks(checks)
 
 
@@ -536,8 +532,7 @@ def criterion_duality(seed: int) -> Report:
     for name, lt in corpus:
         dl = dual_latroid(lt)
         checks.append(Check(f"involution {name}", dual_latroid(dl) == lt, ""))
-        rep = validate_latroid(dl)
-        checks.append(Check(f"dual valid {name}", rep.ok, rep.summary() if not rep.ok else ""))
+        checks.append(Check.from_report(f"dual valid {name}", validate_latroid(dl)))
         length_ok = np.array_equal(dl.length, lt.length[lt.lattice.top] - lt.length)
         checks.append(Check(f"dual length complement {name}", length_ok, ""))
 
@@ -550,10 +545,7 @@ def criterion_duality(seed: int) -> Report:
         for a, b in pairs:
             sub = restrict(lt, a, b)
             rep = validate_latroid(sub)
-            checks.append(
-                Check(f"restrict [{a},{b}] valid {name}", rep.ok,
-                      rep.summary() if not rep.ok else "")
-            )
+            checks.append(Check.from_report(f"restrict [{a},{b}] valid {name}", rep))
             left = dual_latroid(sub)
             right = restrict(dl, b, a)
             same = (np.array_equal(left.rank, right.rank)
@@ -563,8 +555,7 @@ def criterion_duality(seed: int) -> Report:
     small = [lt for _, lt in corpus if lt.lattice.size <= 9 and lt.udim == 1]
     for i in range(min(3, len(small) - 1)):
         ds = direct_sum(small[i], small[i + 1])
-        rep = validate_latroid(ds)
-        checks.append(Check(f"direct sum #{i} valid", rep.ok, rep.summary() if not rep.ok else ""))
+        checks.append(Check.from_report(f"direct sum #{i} valid", validate_latroid(ds)))
     return Report.from_checks(checks)
 
 
@@ -573,11 +564,9 @@ def criterion_internal_identities(seed: int) -> Report:
     for name, code in tutte_code_corpus(seed):
         if code.ring.ell != 1:
             continue
-        rep = inclusion_exclusion_check(code)
-        checks.append(Check(f"incl-excl {name}", rep.ok, rep.summary() if not rep.ok else ""))
+        checks.append(Check.from_report(f"incl-excl {name}", inclusion_exclusion_check(code)))
     for u in (1, 2, 3):
-        rep = binomial_identity_check(u)
-        checks.append(Check(f"binomial u={u}", rep.ok, rep.summary() if not rep.ok else ""))
+        checks.append(Check.from_report(f"binomial u={u}", binomial_identity_check(u)))
     return Report.from_checks(checks)
 
 

@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from .codes import Code, code_intersection, code_sum
+from .codes import Code
 from .core import scan_rows
 from .lattices import _dominated, chain_support_lattice
 from .limits import VECTOR_ENUM_CAP, check_cap
@@ -446,26 +446,5 @@ def modular_function_on_rectangulars(s: Support) -> Report:
         )),
         Check.from_witnesses("strictly_increasing", (
             f"M1={rects[a]} < M2={rects[b]}" for a, b in lat.comparable_pairs() if not below[a, b]
-        )),
-    ])
-
-
-def module_support_lattice_check(s: Support, modules: list[Code]) -> Report:
-    """Check supp(M1+M2) = supp(M1) v supp(M2) and supp(M1 cap M2) =
-    supp(M1) ^ supp(M2) over all pairs of the given modules."""
-    supp = {m.codewords: s.of_set(m.codewords) for m in modules}
-    pairs = [(a, b, supp[a.codewords], supp[b.codewords]) for a in modules for b in modules]
-    return Report.from_checks([
-        Check.from_witnesses("support_of_sum_is_join", (
-            f"{sorted(a.codewords)} + {sorted(b.codewords)}"
-            for a, b, sa, sb in pairs
-            if s.of_set(code_sum(a, b).codewords)
-            != tuple(max(x, y) for x, y in zip(sa, sb))
-        )),
-        Check.from_witnesses("support_of_intersection_is_meet", (
-            f"{sorted(a.codewords)} cap {sorted(b.codewords)}"
-            for a, b, sa, sb in pairs
-            if s.of_set(code_intersection(a, b).codewords)
-            != tuple(min(x, y) for x, y in zip(sa, sb))
         )),
     ])

@@ -10,17 +10,13 @@ from latroids.code_latroids import latroid_from_code
 from latroids.codes import (
     Code,
     big_m,
-    code_intersection,
-    code_sum,
     cyclic_code,
     enumerate_submodules,
     full_space,
-    irredundant_generating_sizes,
     length_lambda,
-    mu,
+    mu_factor,
     span,
     span_from_ints,
-    zero_code,
 )
 from latroids.errors import CapExceededError
 from latroids.rings import parse_ring
@@ -59,7 +55,7 @@ def test_span_cap():
 
 def test_lambda_examples():
     assert length_lambda(span_from_ints(Z4, 2, [[1, 2]])) == 2
-    assert length_lambda(zero_code(Z4, 2)) == 0
+    assert length_lambda(span(Z4, 2, [])) == 0
     assert length_lambda(span_from_ints(Z8, 1, [[2]])) == 2
     z2z4 = parse_ring("Z_2 x Z_4")
     assert length_lambda(span(z2z4, 1, [((1, 1),)])) == 3  # Z_2 x Z_4 has length 1 + 2
@@ -95,17 +91,17 @@ def test_digits_and_masks_are_kept_read_only():
 
 
 def test_mu_examples():
-    assert mu(span_from_ints(Z4, 2, [[1, 2]])) == 1
-    assert mu(zero_code(Z4, 2)) == 0
-    assert big_m(zero_code(Z4, 2)) == 0
-    assert mu(full_space(Z4, 2)) == 2
+    # over a chain ring M(C) is the least number of generators
+    assert big_m(span_from_ints(Z4, 2, [[1, 2]])) == 1
+    assert big_m(span(Z4, 2, [])) == 0
+    assert big_m(full_space(Z4, 2)) == 2
 
 
 def test_big_m_splits_over_factors():
     z6 = parse_ring("Z_2 x Z_3")
     c = span_from_ints(z6, 1, [[1]])
     assert big_m(c) == 2  # one generator needed in each factor
-    assert mu(c) == 1
+    assert [mu_factor(c, i) for i in range(c.ring.ell)] == [1, 1]
 
 
 def test_cardinality_is_power_of_residue_field():
@@ -126,7 +122,7 @@ def test_enumerate_submodules_z4_12():
 
 
 def test_enumerate_submodules_zero_and_plane():
-    assert len(enumerate_submodules(zero_code(Z4, 2))) == 1
+    assert len(enumerate_submodules(span(Z4, 2, []))) == 1
     assert len(enumerate_submodules(full_space(F2, 2))) == 5
 
 
@@ -135,8 +131,8 @@ def test_enumerate_submodules_closed_under_sum_and_intersection():
     subs = enumerate_submodules(c)
     keys = {s.codewords for s in subs}
     for a, b in itertools.combinations(subs, 2):
-        assert code_sum(a, b).codewords in keys
-        assert code_intersection(a, b).codewords in keys
+        assert frozenset(Z4.vadd(x, y) for x in a.codewords for y in b.codewords) in keys
+        assert a.codewords & b.codewords in keys
 
 
 @pytest.mark.parametrize("ring_text, tail", [("Z_2", 62), ("Z_3", 39), ("Z_4", 38)])
@@ -236,24 +232,46 @@ def test_latroids_of_one_ambient_space_share_its_lattice():
 
 
 def test_mu_lambda_relation_on_all_submodules():
-    # mu <= lambda with equality exactly when alpha * C = 0
+    # mu = M over a chain ring; mu <= lambda with equality exactly when alpha * C = 0
     for ambient in (full_space(Z4, 2), full_space(Z8, 1)):
         ring = ambient.ring
         p = ring.factors[0].p
         alpha = (p % ring.factors[0].size,)
         for sub in enumerate_submodules(ambient):
-            assert mu(sub) <= length_lambda(sub)
+            assert big_m(sub) <= length_lambda(sub)
             killed = scaled(sub, alpha)
-            assert (mu(sub) == length_lambda(sub)) == (len(killed) == 1)
+            assert (big_m(sub) == length_lambda(sub)) == (len(killed) == 1)
+
+
+def irredundant_generating_sizes(code):
+    """Sizes of the inclusion-minimal generating sets of the code, by a
+    search over subsets of its nonzero words up to a size of M(C)."""
+    if code.is_zero():
+        return {0}
+    nonzero = [w for w in code.sorted_words() if any(any(a) for a in w)]
+    spans = lambda words: len(span(code.ring, code.n, words)) == len(code)
+    sizes = set()
+    for size in range(1, big_m(code) + 1):
+        for subset in itertools.combinations(nonzero, size):
+            if spans(subset) and all(
+                not spans(subset[:i] + subset[i + 1 :]) for i in range(size)
+            ):
+                sizes.add(size)
+                break
+    return sizes
 
 
 def test_irredundant_sizes_cover_mu_to_bigm():
-    # the generator-count range of a product-ring module
+    # the generator-count range of a product-ring module runs from
+    # max_i mu(C_i) to M(C) = sum_i mu(C_i)
     z6 = parse_ring("Z_2 x Z_3")
     whole = span_from_ints(z6, 1, [[1]])
     assert irredundant_generating_sizes(whole) == {1, 2}
     c = span_from_ints(Z4, 2, [[1, 2]])
     assert irredundant_generating_sizes(c) == {1}
+    for code in (whole, c, span_from_ints(z6, 2, [[1, 0], [0, 1]])):
+        factors = [mu_factor(code, i) for i in range(code.ring.ell)]
+        assert irredundant_generating_sizes(code) == set(range(max(factors), big_m(code) + 1))
 
 
 def test_generating_sizes_nonempty_up_to_big_m():
@@ -276,7 +294,7 @@ def rectangular_closure(code):
 def test_rectangular_closure_examples():
     # (1) x (2), (0) x (0) and (2) x (0) in Z_4^2, at levels 2 - e
     assert rectangular_closure(span_from_ints(Z4, 2, [[1, 2]])) == (2, 1)
-    assert rectangular_closure(zero_code(Z4, 2)) == (0, 0)
+    assert rectangular_closure(span(Z4, 2, [])) == (0, 0)
     assert rectangular_closure(span_from_ints(Z4, 2, [[2, 0]])) == (1, 0)
 
 

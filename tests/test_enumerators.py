@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 from latroids.code_latroids import chain_support_latroid
-from latroids.codes import full_space, span, span_from_ints, zero_code
+from latroids.codes import full_space, span, span_from_ints
 from latroids.errors import CapExceededError
 from latroids.enumerators import (
     ExpPoly,
@@ -85,7 +85,7 @@ def reference_from_rprime(rp: ExpPoly, g: int, p: int) -> ExpPoly:
 
 Z2Z4 = parse_ring("Z_2 x Z_4")
 PRODUCT_CODES = [
-    ("Z_2xZ_4^2 zero", zero_code(Z2Z4, 2)),
+    ("Z_2xZ_4^2 zero", span(Z2Z4, 2, [])),
     ("Z_2xZ_4^2 <((1,1),(0,2))>", span(Z2Z4, 2, [((1, 1), (0, 2))])),
     ("Z_2xZ_4^2 <((1,2),(1,1)), ((0,1),(1,0))>",
      span(Z2Z4, 2, [((1, 2), (1, 1)), ((0, 1), (1, 0))])),
@@ -176,5 +176,5 @@ def test_enumerator_product_matches_refined_enumerator(name, code):
 def test_inclusion_exclusion_check_refuses_a_grid_over_the_lattice_cap():
     z4 = parse_ring("Z_4")
     with pytest.raises(CapExceededError, match="lattice size needs 6561 > cap 4096"):
-        inclusion_exclusion_check(zero_code(z4, 8))
-    assert inclusion_exclusion_check(zero_code(z4, 3)).ok
+        inclusion_exclusion_check(span(z4, 8, []))
+    assert inclusion_exclusion_check(span(z4, 3, [])).ok

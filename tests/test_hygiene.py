@@ -22,10 +22,13 @@ products reduced modulo a ring size (``(x @ y) % m``) are taken only in
 the package takes a ``validate`` parameter: constructors only build, and
 checking is for the validators (``validate_latroid``, ``validate_support``).
 No function imports: every import of the package is at module level, since
-none breaks an import cycle.  The public module-level functions that no
-module of the package calls or passes on (only the tests and the
-re-exports of ``__init__`` reach them) are pinned, as a ratchet, to the
-list ``ONLY_TESTS_USE``.
+none breaks an import cycle.  The public module-level functions that only
+the tests and the re-exports of ``__init__`` reach are pinned, as a
+ratchet, to the list ``ONLY_TESTS_USE``: a function counts as reached only
+through a read outside the bodies of such functions, resolved through the
+module that defines it or an import from there, so a chain of them is
+pinned whole.  The public methods that no module of the package takes as
+an attribute are pinned the same way, to ``ONLY_TESTS_CALL``.
 """
 
 from __future__ import annotations
@@ -202,59 +205,84 @@ def test_checker_sees_unread_private_methods():
     assert _unread_private_methods(trees) == ["a.py: Poly._add_term (line 4)"]
 
 
-#: Public functions that no module of the package uses.  Each should join a
-#: ``selftest`` criterion or go; remove its entry when it does, and add none.
+#: Public functions that no module of the package uses, or uses only inside
+#: the bodies of such functions.  Each should join a ``selftest`` criterion
+#: or go; remove its entry when it does, and add none.
+#: ``generalized_weight_distribution`` counts A^(r)_w directly off the
+#: submodule arrays: it is the reference that the generalized enumerators
+#: of the chain-support latroid (ROADMAP items 4 and 15) are to be checked
+#: against.
 ONLY_TESTS_USE = (
-    "codes.irredundant_generating_sizes",
-    "codes.mu",
-    "codes.zero_code",
-    "core.hyperplanes",
-    "core.minimal_feasible_lengths",
-    "enumerators.generalized_enumerator",
     "enumerators.generalized_weight_distribution",
-    "lattices.predicates",
-    "rings.product_ring",
-    "supports.module_support_lattice_check",
 )
 
 
-def _public_functions(tree: ast.Module) -> list[str]:
-    return [
-        node.name for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not node.name.startswith("_")
-    ]
-
-
-def _used_names(tree: ast.Module) -> set[str]:
-    """Names a module reads or takes as an attribute (so calls them, or
-    passes them on), a name imported ``as`` another read as the original.
-    The import statement itself reads nothing."""
-    aliases = {
-        alias.asname: alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if alias.asname
+def _definitions(tree: ast.Module, module: str) -> dict[str, tuple[str, str]]:
+    """The (module, name) of the package definition each name of a module
+    is bound to: its own module-level definitions, and ``from .m import f
+    as g`` binds g to (m, f)."""
+    out = {
+        node.name: (module, node.name)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     }
-    return {aliases.get(name, name) for name in _referenced_names(tree)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                out[alias.asname or alias.name] = (node.module, alias.name)
+    return out
 
 
-def _unused_public_functions(trees: dict[str, ast.Module]) -> list[str]:
-    used = set().union(*(_used_names(t) for name, t in trees.items() if name != "__init__"))
-    return sorted(
-        f"{module}.{name}"
+def _references(tree: ast.Module, module: str):
+    """(owner, target) for each read of a package definition: the
+    module-level function whose body holds the read (None outside any
+    function) and the (module, name) that the read resolves to.  A name
+    resolves through the module's own definitions and imports, so a local
+    variable that shares a name with a function of another module is no
+    read of it (the package imports only by name)."""
+    bound = _definitions(tree, module)
+    for stmt in tree.body:
+        is_function = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        owner = (module, stmt.name) if is_function else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in bound:
+                yield owner, bound[node.id]
+
+
+def _test_only_functions(trees: dict[str, ast.Module]) -> list[str]:
+    """The public module-level functions that only tests reach: no module
+    but ``__init__`` reads them, or every read sits in the body of a
+    function that only tests reach (or of the function itself), taken
+    until nothing changes."""
+    functions = {
+        (module, node.name)
         for module, tree in trees.items()
-        for name in _public_functions(tree)
-        if name not in used
-    )
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    references = [
+        ref
+        for module, tree in trees.items()
+        if module != "__init__"
+        for ref in _references(tree, module)
+    ]
+    test_only: set = set()
+    while True:
+        reached = {
+            target for owner, target in references
+            if owner is None or (owner not in test_only and owner != target)
+        }
+        if functions - reached == test_only:
+            break
+        test_only = functions - reached
+    return sorted(f"{module}.{name}" for module, name in test_only if not name.startswith("_"))
 
 
 def test_public_functions_unused_in_the_package_are_pinned():
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
-    found = set(_unused_public_functions(trees))
+    found = set(_test_only_functions(trees))
     new, gone = sorted(found - set(ONLY_TESTS_USE)), sorted(set(ONLY_TESTS_USE) - found)
-    assert not new, f"public functions no package module uses: {', '.join(new)}"
+    assert not new, f"public functions only tests reach: {', '.join(new)}"
     assert not gone, f"used or deleted, so unpin from ONLY_TESTS_USE: {', '.join(gone)}"
 
 
@@ -275,7 +303,105 @@ def test_checker_sees_unused_public_functions():
             "called()\nmap(passed, [])\nother()\n"
         ),
     }
-    assert _unused_public_functions(trees) == ["a.spare"]
+    assert _test_only_functions(trees) == ["a.spare"]
+
+
+def test_checker_follows_chains_of_test_only_functions():
+    # top calls middle, middle calls bottom and itself, and nothing calls
+    # top: all three only tests reach.  ``kept`` is read at module level
+    # and ``held`` by a method; the local ``bottom`` and the attribute
+    # ``x.bottom`` of that method are no reads of ``a.bottom``.
+    trees = {
+        "__init__": ast.parse("from .b import top\ntop()\n"),
+        "a": ast.parse(
+            "def bottom(): pass\n"
+            "def middle(): return bottom() or middle()\n"
+            "def kept(): pass\n"
+            "def held(): pass\n"
+            "def twice(): pass\n"
+        ),
+        "b": ast.parse(
+            "from .a import middle, twice\n"
+            "def top(): return middle() + twice()\n"
+            "def _helper(): return twice()\n"
+            "VALUE = _helper()\n"
+        ),
+        "c": ast.parse(
+            "from .a import held, kept\n"
+            "TABLE = {'k': kept}\n"
+            "class T:\n"
+            "    def m(self, x):\n"
+            "        bottom = held()\n"
+            "        return bottom + x.bottom\n"
+        ),
+    }
+    assert _test_only_functions(trees) == ["a.bottom", "a.middle", "b.top"]
+
+
+#: Public methods (not dunders) that no module of the package takes as an
+#: attribute; only tests call them.  Add none.  ``Support.code_weight`` is
+#: the reference weight of ``test_weights.check_oracle_against_references``,
+#: ``Latroid.from_functions`` builds test fixtures, and ``Pir.to_int`` is
+#: kept for ROADMAP item 7.
+ONLY_TESTS_CALL = (
+    "ChainRing.residue_field_size",
+    "Code.is_zero",
+    "ExpPoly.is_zero",
+    "ExpPoly.total",
+    "FiniteLattice.lt",
+    "FiniteLattice.pairs",
+    "Latroid.from_functions",
+    "Pir.neg",
+    "Pir.to_int",
+    "Pir.valuations",
+    "Support.code_weight",
+    "Support.min_max_weight",
+    "Support.same_values",
+    "Support.weight",
+)
+
+
+def _untaken_public_methods(trees: dict[str, ast.Module]) -> list[str]:
+    attrs = {
+        node.attr
+        for t in trees.values()
+        for node in ast.walk(t)
+        if isinstance(node, ast.Attribute)
+    }
+    return sorted(
+        f"{node.name}.{item.name}"
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+        and item.name not in attrs
+    )
+
+
+def test_public_methods_no_module_takes_are_pinned():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    found = set(_untaken_public_methods(trees))
+    new, gone = sorted(found - set(ONLY_TESTS_CALL)), sorted(set(ONLY_TESTS_CALL) - found)
+    assert not new, f"public methods no package module takes: {', '.join(new)}"
+    assert not gone, f"taken or deleted, so unpin from ONLY_TESTS_CALL: {', '.join(gone)}"
+
+
+def test_checker_sees_untaken_public_methods():
+    trees = {
+        "a": ast.parse(
+            "class Poly:\n"
+            "    def __add__(self, other): pass\n"
+            "    def _like(self): pass\n"
+            "    def total(self): return self._like()\n"
+            "    def render(self): pass\n"
+            "    @property\n"
+            "    def degree(self): pass\n"
+            "def f(p): return p.render(), p.degree\n"
+        ),
+    }
+    assert _untaken_public_methods(trees) == ["Poly.total"]
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:

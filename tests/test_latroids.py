@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -16,16 +15,12 @@ from latroids.core import (
     bases,
     circuit_chain_length,
     circuits,
-    closure,
     collapse_scalars,
     direct_sum,
     dual_latroid,
-    flats,
     free_latroid,
     generalized_weight,
-    hyperplanes,
     independents,
-    minimal_feasible_lengths,
     rank_from_bases,
     rank_from_circuits,
     rank_from_independents,
@@ -381,6 +376,22 @@ def test_lemma_atoms_join_under_rank_stability():
                 assert rank[int(lat.join[l1, l2])] == rank[l1]
 
 
+def closure(lt, l):
+    """cl(L): the join of every x whose join with L keeps the rank, read off
+    the join and rank tables.  On a boolean lattice with the height as length
+    this is the matroid closure cl(S) = S + {e : rho(S + e) = rho(S)}."""
+    lat = lt.lattice
+    out = lat.bottom
+    for x in np.flatnonzero((lt.rank[lat.join[l]] == lt.rank[l]).all(axis=1)).tolist():
+        out = int(lat.join[out, x])
+    assert lat.leq[l, out]
+    return out
+
+
+def flats(lt):
+    return tuple(l for l in range(lt.lattice.size) if closure(lt, l) == l)
+
+
 def test_closure_and_flats():
     free = valid(free_latroid(B3))
     assert all(closure(free, l) == l for l in range(B3.size))
@@ -390,7 +401,8 @@ def test_closure_and_flats():
     one = B3.index[frozenset({0})]
     assert closure(lt, one) == B3.top
     assert set(flats(lt)) == {B3.bottom, B3.top}
-    assert hyperplanes(lt) == (B3.bottom,)
+    # its one hyperplane, the flats of rank top - 1, is the empty set
+    assert [l for l in flats(lt) if lt.rank[l, 0] == lt.top_rank()[0] - 1] == [B3.bottom]
 
 
 def test_closure_on_block_matroid():
@@ -410,7 +422,8 @@ def test_closure_on_block_matroid():
 
 
 def test_block_matroid_closure_matches_elementwise_definition():
-    # cl(S) = S + {e : rho(S + e) = rho(S)} on every subset of every subcode
+    # the closure from the join table equals S + {e : rho(S + e) = rho(S)},
+    # from the labels, on every subset of every subcode
     from latroids.code_latroids import block_matroid
     from latroids.codes import enumerate_submodules
 
@@ -497,31 +510,6 @@ def test_generalized_weight_udim_guard():
     two = Latroid.from_functions(B3, lambda s: (0, 0), lambda s: (len(s), len(s)))
     with pytest.raises(ValueError):
         generalized_weight(two, 1)
-    fronts = minimal_feasible_lengths(two, (1, 1))
-    assert fronts == ((1, 1),)
-
-
-def test_minimal_feasible_lengths_match_pairwise_reference():
-    # the antichain of minimal feasible lengths by a loop over tuples
-    for lt in table_corpus():
-        length, nullity = rows(lt.length), rows(lt.length - lt.rank)
-        for a in itertools.product(range(3), repeat=lt.udim):
-            feasible = {l for l, d in zip(length, nullity) if sleq(a, d)}
-            minimal = sorted(s for s in feasible if not any(slt(t, s) for t in feasible))
-            assert minimal_feasible_lengths(lt, a) == tuple(minimal)
-
-
-def test_minimal_feasible_lengths_of_repeated_rows_and_of_nothing():
-    # B3's 8 length rows take 4 values; np.unique is the oracle for the
-    # distinct feasible rows, and a nullity nothing reaches gives ()
-    lt = Latroid.from_functions(B3, lambda s: (0, 0), lambda s: (len(s), len(s) % 2))
-    for a in itertools.product(range(5), repeat=2):
-        feasible = np.unique(lt.length[(lt.length - lt.rank >= a).all(axis=1)], axis=0)
-        rows = [tuple(r) for r in feasible.tolist()]
-        minimal = tuple(s for s in rows if not any(slt(t, s) for t in rows))
-        assert minimal_feasible_lengths(lt, a) == minimal
-    assert minimal_feasible_lengths(lt, (1, 0)) == ((1, 1), (2, 0))
-    assert minimal_feasible_lengths(lt, (4, 0)) == ()
 
 
 def test_weight_monotone_and_strict_step():

@@ -19,10 +19,7 @@ from latroids.lattices import (
     grid_lattice,
     interval,
     is_complemented_lattice,
-    is_distributive_lattice,
     is_modular_lattice,
-    is_relatively_complemented_lattice,
-    predicates,
     product,
     submodule_lattice,
     subspace_lattice,
@@ -84,9 +81,8 @@ def test_boolean_lattice_basics():
     assert b3.size == 8
     assert b3.is_graded
     assert all(b3.hgt(i) == len(b3.labels[i]) for i in range(8))
-    flags = predicates(b3)
-    assert flags.is_modular and flags.is_distributive
-    assert flags.is_complemented and flags.is_relatively_complemented
+    assert b3.is_modular and distributive_law_loop(b3)
+    assert b3.is_complemented
 
 
 def test_boolean_lattice_zero():
@@ -144,10 +140,9 @@ def test_lattice_cap_is_checked_before_any_order_matrix(monkeypatch):
 
 
 def test_subspace_lattice_f2_3_flags():
-    flags = predicates(subspace_lattice(2, 3))
-    assert flags.is_modular and flags.is_complemented
-    assert not flags.is_distributive
-    assert flags.is_relatively_complemented
+    lat = subspace_lattice(2, 3)
+    assert lat.is_modular and lat.is_complemented
+    assert not distributive_law_loop(lat)
 
 
 def test_chain_not_complemented():
@@ -158,7 +153,7 @@ def test_chain_not_complemented():
 
 def test_divisor_lattice_distributive():
     divs = divisor_lattice(12)
-    assert is_distributive_lattice(divs)
+    assert distributive_law_loop(divs)
     assert is_modular_lattice(divs)
 
 
@@ -238,7 +233,7 @@ def test_product_of_chains_is_grid():
     p = product(chain(2), chain(2))
     assert p.size == 4
     assert p.is_graded and p.hgt(p.top) == 2
-    assert is_distributive_lattice(p)
+    assert distributive_law_loop(p)
 
 
 def test_grid_and_chain_support_lattice():
@@ -291,6 +286,18 @@ def modular_law_loop(lat):
     return True
 
 
+def distributive_law_loop(lat):
+    """The distributive law x ^ (y v z) = (x ^ y) v (x ^ z) over all
+    triples, one gather of N^2 entries per z."""
+    idx = np.arange(lat.size)
+    for z in range(lat.size):
+        lhs = lat.meet[idx[:, None], lat.join[:, z][None, :]]
+        rhs = lat.join[lat.meet, lat.meet[:, z][:, None]]
+        if (lhs != rhs).any():
+            return False
+    return True
+
+
 def partition_lattice(n):
     """Set partitions of {0..n-1} under refinement."""
     parts = [[]]
@@ -338,15 +345,25 @@ def test_modular_check_matches_modular_law_loop():
     assert pi4.is_graded and not verdicts[2]
 
 
+def relatively_complemented_loop(lat):
+    """Every interval [a, b] is complemented, each built as its own lattice."""
+    return all(
+        is_complemented_lattice(interval(lat, a, b))
+        for a in range(lat.size)
+        for b in range(lat.size)
+        if lat.leq[a, b]
+    )
+
+
 def test_distributive_implies_modular_on_corpus():
-    for lat in corpus():
-        if is_distributive_lattice(lat):
-            assert is_modular_lattice(lat)
+    distributive = [lat for lat in corpus() if distributive_law_loop(lat)]
+    assert len(distributive) == 7
+    assert all(is_modular_lattice(lat) for lat in distributive)
 
 
 def test_atoms_below_joins_in_distributive_lattices():
     for lat in corpus():
-        if not is_distributive_lattice(lat):
+        if not distributive_law_loop(lat):
             continue
         for a in lat.atoms:
             for l1, l2 in lat.pairs():
@@ -355,9 +372,11 @@ def test_atoms_below_joins_in_distributive_lattices():
 
 
 def test_complemented_modular_implies_relatively_complemented():
-    for lat in corpus():
-        if is_complemented_lattice(lat) and is_modular_lattice(lat):
-            assert is_relatively_complemented_lattice(lat)
+    both = [lat for lat in corpus() if is_complemented_lattice(lat) and is_modular_lattice(lat)]
+    assert len(both) == 6
+    assert all(relatively_complemented_loop(lat) for lat in both)
+    # a chain of three is modular but not complemented, nor relatively so
+    assert not relatively_complemented_loop(chain(3))
 
 
 def test_height_errors_when_not_graded():

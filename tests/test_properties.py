@@ -45,7 +45,6 @@ from latroids.codes import (
     full_space,
     length_lambda,
     span,
-    zero_code,
 )
 from latroids.core import Latroid, dual_latroid, validate_latroid
 from latroids.enumerators import (
@@ -189,7 +188,7 @@ def test_chain_support_latroid_where_words_share_projections(ring_name):
 def test_code_latroids_of_zero_code_match_references(ring_name):
     ring = parse_ring(ring_name)
     for n in (1, 2, 3):
-        code = zero_code(ring, n)
+        code = span(ring, n, [])
         lt = chain_support_latroid(code)
         assert validate_latroid(lt).ok
         assert lt == reference_chain_support_latroid(code)

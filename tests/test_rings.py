@@ -9,7 +9,7 @@ from test_lattices import ideals
 from latroids import rings
 from latroids.cli import main
 from latroids.lattices import is_complemented_lattice
-from latroids.rings import ChainRing, Pir, chain_ring, intlog, parse_ring, product_ring
+from latroids.rings import ChainRing, Pir, chain_ring, intlog, parse_ring
 from latroids.supports import ChainSupport
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -104,7 +104,7 @@ def test_crt_agrees_with_integer_arithmetic(spec):
 
 
 def test_to_int_needs_coprime_sizes():
-    ring = product_ring((2, 1), (2, 1))
+    ring = parse_ring("Z_2 x Z_2")
     with pytest.raises(ValueError, match="coprime"):
         ring.to_int((1, 0))
 

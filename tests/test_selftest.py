@@ -15,6 +15,7 @@ from latroids import (
     selftest,
     supports,
 )
+from latroids.report import Check, Report
 from latroids.selftest import CRITERIA
 
 MODULES = (cli, code_latroids, codes, enumerators, isometries, lattices, selftest, supports)
@@ -28,6 +29,13 @@ def test_criterion_passes(criterion):
     report = criterion.run(0)
     assert report.ok, report.summary()
     assert len(report.checks) == CHECK_COUNTS[criterion.number]
+
+
+def test_a_check_from_a_report_carries_its_summary_only_on_failure():
+    passed = Report.from_checks([Check("a", True)])
+    failed = Report.from_checks([Check("a", True), Check("b", False, "x = 1")])
+    assert Check.from_report("pass", passed) == Check("pass", True, "")
+    assert Check.from_report("fail", failed) == Check("fail", False, "b: x = 1")
 
 
 def test_every_criterion_is_counted():

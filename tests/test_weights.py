@@ -38,14 +38,12 @@ from latroids.codes import (
     span,
     span_from_ints,
     submodule_invariants,
-    zero_code,
 )
 from latroids.core import Latroid
 from latroids import codes, core, enumerators
 from latroids.enumerators import (
     ExpPoly,
     enumerator_from_tutte,
-    generalized_enumerator,
     generalized_weight_distribution,
     inclusion_exclusion_check,
     refined_enumerator,
@@ -111,7 +109,7 @@ def test_out_of_range_r_raises(oracle, r, message):
 
 
 def test_zero_code_has_no_weights():
-    zero = zero_code(Z4, 2)
+    zero = span(Z4, 2, [])
     assert code_gen_weights_dbar(zero, ChainSupport(Z4, 2)) == []
     rep = latroid_weights_equal_code_weights(zero)
     assert rep.to_dict() == {
@@ -370,14 +368,7 @@ def test_generalized_enumerator_counts_submodules_of_each_length(code):
     supp = ChainSupport(code.ring, code.n)
     lengths = [length_lambda(d) for d in enumerate_submodules(code)]
     for r in range(length_lambda(code) + 1):
-        poly = generalized_enumerator(code, supp, r)
-        assert poly.total() == lengths.count(r)
         assert sum(generalized_weight_distribution(code, supp, r)) == lengths.count(r)
-
-
-def test_generalized_enumerator_rejects_r_out_of_range():
-    with pytest.raises(ValueError, match=r"r = 3 outside \[0, 2\]"):
-        generalized_enumerator(Z4_12, ChainSupport(Z4, 2), 3)
 
 
 def test_generalized_enumerator_enumerates_once(monkeypatch):
@@ -389,7 +380,7 @@ def test_generalized_enumerator_enumerates_once(monkeypatch):
 
     monkeypatch.setattr(codes, "_submodule_masks", counted)
     # a new code: Z4_12 keeps the masks other tests enumerated
-    generalized_enumerator(span_from_ints(Z4, 2, [[1, 2]]), ChainSupport(Z4, 2), 2)
+    generalized_weight_distribution(span_from_ints(Z4, 2, [[1, 2]]), ChainSupport(Z4, 2), 2)
     assert len(calls) == 1
 
 
@@ -478,8 +469,8 @@ def test_oracle_is_blocked_without_changing_its_results(monkeypatch):
 def test_generalized_enumerator_of_z4_code():
     supp = ChainSupport(Z4, 2)
     # lambda = 1: the submodule 2<(1,2)> = {0, (2,0)} of weight 1
-    assert generalized_enumerator(Z4_12, supp, 1).render() == "x^3*y"
-    assert generalized_enumerator(Z4_12, supp, 2).render() == "x*y^3"
+    assert generalized_weight_distribution(Z4_12, supp, 1) == [0, 1, 0, 0, 0]
+    assert generalized_weight_distribution(Z4_12, supp, 2) == [0, 0, 0, 1, 0]
 
 
 # -- R from R' ---------------------------------------------------------------------------
