@@ -13,17 +13,24 @@ lattice sort a submodule's words again.
 
 A code keeps its sorted words as digit rows (``Code.digits``, the encoding
 of R^n from ``rings``), which every array consumer reads.  Its submodules
-are membership masks over those words (``Code.submodule_masks``): the masks
-of the cyclic submodules are closed under sums with one cyclic at a time
-through a table of word differences, on the first read, and kept.  The
-masks are the one thing the subcode oracle reads: ``submodule_invariants``
-gives lambda, M and the support weight of every submodule as array
-reductions, kept on the code for the last support asked, so no weight
-query builds a submodule's codeword set and the queries of one support
-share one pass.
+are membership masks over those words (``Code.submodule_masks``), made on
+the first read and kept.  Those of R^n itself come from its
+first-coordinate decomposition: a submodule D is R (p^e, x) + (0 + D') for
+the submodule D' it cuts from 0 + R^{n-1}, so the submodules of R^j are
+gathered from those of R^{j-1}, one level at a time, over each CRT factor
+(``_chain_submodules``), and a product ring's are the ANDs of its factors'
+(``_ambient_masks``).  Those of any other code come from the closure of its
+cyclic submodules under sums with one cyclic at a time, through a table of
+word differences (``_submodule_masks``); it is also the reference the tests
+hold R^n's masks to.  The masks are the one thing the subcode oracle
+reads: ``submodule_invariants`` gives lambda, M and the support weight of
+every submodule as array reductions, kept on the code for the last support
+asked, so no weight query builds a submodule's codeword set and the
+queries of one support share one pass.
 ``enumerate_submodules`` builds those codeword sets for the one caller that
 needs ``Code`` labels, ``lattices.submodule_lattice``; the subspace lattices
-label each mask by the ``rref`` of the rows it marks.  Distinct rows
+label each subspace by the ``rref`` of the at most n generator rows that
+the decomposition carries.  Distinct rows
 and keys are found by sorting and masking equal neighbours, and sets of
 positions by a mark array, never by numpy's ``unique``: numpy 2 imports
 ``numpy.ma`` on its first call, 10-20 ms that every process would pay.
@@ -47,12 +54,13 @@ labels of ``lattices.subspace_lattice``), and its length is the dimension
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .limits import LATTICE_CAP, SPAN_CAP, SUBMODULE_CAP, check_cap
-from .rings import Pir, Vector, intlog, is_prime
+from .rings import ChainRing, Pir, Vector, intlog, is_prime
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +121,14 @@ class Code:
 
     @functools.cached_property
     def submodule_masks(self) -> np.ndarray:
-        """The submodules as masks over the sorted words (``_submodule_masks``),
-        enumerated on first read and kept: the weight oracle, the enumerators
-        and the submodule lattice of one code share them."""
+        """The submodules as masks over the sorted words, enumerated on first
+        read and kept: the weight oracle, the enumerators and the submodule
+        lattice of one code share them.  Those of R^n come straight from its
+        first-coordinate decomposition (``_ambient_masks``), those of any
+        other code from the closure of its cyclic submodules
+        (``_submodule_masks``); both give the same rows in the same order."""
+        if len(self) == self.ring.size**self.n:
+            return _ambient_masks(self.ring, self.n)
         return _submodule_masks(self)
 
     def factor(self, i: int) -> "Code":
@@ -339,10 +352,108 @@ def _submodule_masks(code: Code) -> np.ndarray:
                         check_cap(len(found), LATTICE_CAP, "submodule count")
         frontier = np.frombuffer(b"".join(new), dtype=np.uint8).reshape(-1, row_bytes.itemsize)
 
-    packed = np.frombuffer(b"".join(sorted(found, key=_mask_order)), dtype=np.uint8)
-    masks = np.unpackbits(packed.reshape(len(found), -1), axis=1, count=m).view(bool)
+    return _sorted_masks(found, m)
+
+
+def _sorted_masks(keys, m: int) -> np.ndarray:
+    """Packed masks (bytes) of m bits unpacked into a read-only bool array,
+    in ``_mask_order``."""
+    packed = np.frombuffer(b"".join(sorted(keys, key=_mask_order)), dtype=np.uint8)
+    masks = np.unpackbits(packed.reshape(len(keys), -1), axis=1, count=m).view(bool)
     masks.flags.writeable = False
     return masks
+
+
+def _ambient_masks(ring: Pir, n: int) -> np.ndarray:
+    """The rows of ``_submodule_masks(full_space(ring, n))``, computed
+    without the closure.  A submodule of R^n is the product of its
+    projections onto the CRT factors, one submodule of R_i^n each
+    (``_chain_submodules``), so its mask is the AND of theirs, each read at
+    the index of every vector's projection.  |R|^n is checked against
+    ``SUBMODULE_CAP`` first, and the number of products against
+    ``LATTICE_CAP`` before their masks are allocated."""
+    check_cap(ring.size**n, SUBMODULE_CAP, "submodule enumeration")
+    factors = [_chain_submodules(f, n)[0] for f in ring.factors]
+    check_cap(math.prod(map(len, factors)), LATTICE_CAP, "submodule count")
+    masks = factors[0]
+    if ring.ell > 1:
+        digits = ring.space(n)
+        masks = np.ones((1, len(digits)), dtype=bool)
+        for i, (f, own) in enumerate(zip(ring.factors, factors)):
+            at = digits[:, i :: ring.ell] @ f.size ** np.arange(n - 1, -1, -1)
+            masks = (masks[:, None] & own[:, at]).reshape(-1, len(digits))
+    packed = np.ascontiguousarray(np.packbits(masks, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    return _sorted_masks(keys, masks.shape[1])
+
+
+def _chain_submodules(f: ChainRing, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The submodules of R^n over the chain ring R = Z_{p^k}, q = p^k: a bool
+    array of their masks over R^n (vectors indexed as in ``Pir.space``),
+    and for each the digits of n generator rows, zero rows included:
+    shapes (N, q^n) and (N, n, n).  The rows are in no particular order.
+
+    A submodule D meets 0 + R^{n-1} in 0 + D' for a submodule D' of
+    R^{n-1}, and its first coordinates form an ideal p^e R.  Picking
+    (p^e, x) in D, D = R (p^e, x) + (0 + D'), where x lies in
+    X_e(D') = {y : p^{k-e} y in D'} and matters only modulo D'; and every
+    such (D', e, x + D') gives a submodule, each once.  So the submodules
+    of R^j come from those of R^{j-1}, for j = 1..n, one level at a
+    time, each coset x + D' given by its vector of least index.
+
+    A level holds, for each submodule D of R^j and each vector v, the least
+    index of the coset v + D: D is where it is 0, and v is the least of
+    its coset where it is v's own index.  With m = q^{j-1} and a first
+    coordinate a = c p^e + r (r < p^e), the least of (a, w) + D is
+    r m + least(w - c x + D'), so a level is gathered from the one before
+    it, a block of ``_CLOSE_BLOCK`` entries at a time; no other temporary
+    is larger than the level before.  Each level's exact count,
+    sum over D' and e of |X_e(D')| / |D'|, is checked against
+    ``LATTICE_CAP`` before the level is allocated; the last level keeps
+    only the masks."""
+    if n == 0:  # R^0 is one vector, and its one submodule holds it
+        return np.ones((1, 1), dtype=bool), np.zeros((1, 0, 0), dtype=np.int64)
+    p, k, q = f.p, f.k, f.size
+    digit = np.arange(q)
+    least = np.zeros((1, 1), dtype=np.int32)  # R^0 and its one submodule
+    gens = np.zeros((1, 0, 0), dtype=np.int64)
+    for j in range(1, n + 1):
+        m = q ** (j - 1)
+        place = q ** np.arange(j - 2, -1, -1)
+        below = np.arange(m)[:, None] // place % q  # the digits of R^{j-1}
+        rep = least == np.arange(m)
+        # for each e, the (D', x) with x the least of its coset in X_e(D')
+        found = [
+            np.nonzero(rep & (least[:, below * p ** (k - e) % q @ place] == 0))
+            for e in range(k + 1)
+        ]
+        count = sum(len(rows) for rows, _ in found)
+        check_cap(count, LATTICE_CAP, "submodule count")
+        rows, xs = (np.concatenate(parts) for parts in zip(*found))
+        period = np.repeat(p ** np.arange(k + 1), [len(r) for r, _ in found])
+        x = below[xs]
+        table = np.empty((count, q * m), dtype=bool if j == n else np.int32)
+        step = max(1, _CLOSE_BLOCK // (q * m))
+        for start in range(0, count, step):
+            here = slice(start, start + step)
+            c, r = np.divmod(digit, period[here, None])
+            shift = c[:, :, None] * x[here, None] % q
+            # at[row, a, w]: the index of w - c x, one digit of w at a time
+            at = np.zeros(c.shape + (1,), dtype=np.int64)
+            for d in range(j - 1):
+                moved = (digit - shift[:, :, d, None]) % q
+                at = (at[..., None] * q + moved[:, :, None, :]).reshape(c.shape + (-1,))
+            inside = least[rows[here, None, None], at]
+            if j == n:
+                table[here] = ((r == 0)[..., None] & (inside == 0)).reshape(len(c), -1)
+            else:
+                table[here] = (r[..., None] * m + inside).reshape(len(c), -1)
+        new = np.zeros((count, j, j), dtype=np.int64)
+        new[:, 0, 0] = period % q
+        new[:, 0, 1:] = x
+        new[:, 1:, 1:] = gens[rows]
+        least, gens = table, new
+    return least, gens
 
 
 def enumerate_submodules(code: Code) -> list[Code]:

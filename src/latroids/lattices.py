@@ -23,21 +23,24 @@ The subspace lattices of F_q^n and the submodule lattices of R^n skip that
 check, because their algebra gives the tables (``_closed_family``).  Both
 are families of subsets of R^n closed under intersection, held as
 membership rows over ``Pir.space`` (the submodule masks of R^n,
-``Code.submodule_masks``) packed into 64-bit words.  meet[a, b] is the
-element whose row is the AND of a's and b's: a 64-bit key of the row finds
-it through one bucket table over the sorted keys of the family, and a word
-by word compare confirms it.  a <= b where meet[a, b] = a, and b covers a
-where the composition length also rises by 1.  Over a Frobenius ring,
+``Code.submodule_masks``, which the first-coordinate decomposition of R^n
+gives without a closure) packed into 64-bit words.  meet[a, b] is the
+element whose row is the AND of a's and b's: a 64-bit key of the row (one
+integer matrix product) finds it through one bucket table over the sorted
+keys of the family, and a word by word compare confirms it.  a <= b where
+meet[a, b] = a, and b covers a where the composition length also rises
+by 1.  Over a Frobenius ring,
 C -> C^perp under the standard dot product (one CRT factor at a time) is an
 inclusion-reversing involution with |C| |C^perp| = |R|^n (Wood,
 *Amer. J. Math.* 121, 1999), so join[a, b] = (a^perp ^ b^perp)^perp.  The
 perps come level by level from rows of the nonzero-dot-product table of
 R^n, which only this module builds (``_nonorthogonal``).  Every table is
 checked exactly and a failed check raises.  The cost is O(N^2) word
-operations, a block of rows at a time, with no N x N x N product: on a
-2-vCPU x86 machine the 2825 subspaces of F_2^6 take about 0.55 s from
-scratch (enumeration and rref labels included) at about 120 MB peak RSS,
-against about 2 s and 220 MB through ``build_lattice``.
+operations, a block of rows at a time, with no N x N x N product.  From
+scratch in a fresh process on a 2-vCPU x86 machine, enumeration and rref
+labels included (about a tenth of it), the 2825 subspaces of F_2^6 take
+about 0.5 s at about 120 MB peak RSS and the 3652 of F_7^4 about 2.2 s
+at about 270 MB.
 
 Lattices built from lattices keep their tables.  A product's order, join
 and meet are componentwise and a cover changes one coordinate by a cover
@@ -92,7 +95,14 @@ import math
 
 import numpy as np
 
-from .codes import Code, _composition_lengths, enumerate_submodules, full_space, rref
+from .codes import (
+    Code,
+    _chain_submodules,
+    _composition_lengths,
+    enumerate_submodules,
+    full_space,
+    rref,
+)
 from .errors import NotALatticeError, NotGradedError
 from .limits import LATTICE_CAP, SUBMODULE_CAP, check_cap
 from .report import Check, Report
@@ -474,10 +484,11 @@ def _subspaces(q: int, n: int) -> tuple[FiniteLattice, np.ndarray, np.ndarray]:
     """The subspace lattice of F_q^n, sorted by (dim, rref basis), its
     membership matrix (row i marks the vectors of subspace i, indexed as in
     ``Pir.space``) and the index of each subspace's orthogonal complement,
-    both read-only.  The subspaces are the submodule masks of F_q^n, each
-    labelled by the ``rref`` of the digit rows it marks, so F_q^n is checked
-    against the cap of their enumeration before it is spanned; the tables
-    come from ``_closed_family``.
+    both read-only.  The subspaces come from the first-coordinate
+    decomposition of F_q^n (``codes._chain_submodules`` with k = 1), each
+    labelled by the ``rref`` of the n generator rows it carries, so F_q^n
+    is checked against the cap of their enumeration first; the tables come
+    from ``_closed_family``.
 
     Built once for each (q, n) and shared, as ``_chain`` is: the rank-metric
     latroids of one F_q^n all sit on it.  An entry lives as long as the
@@ -490,9 +501,8 @@ def _subspaces(q: int, n: int) -> tuple[FiniteLattice, np.ndarray, np.ndarray]:
     if not is_prime(q):
         raise ValueError(f"only prime fields are supported, got q = {q}")
     ring = chain_ring(q, 1)
-    space = full_space(ring, n)
-    masks = space.submodule_masks
-    bases = [rref(space.digits[row].tolist(), q) for row in masks]
+    masks, gens = _chain_submodules(ring.factors[0], n)
+    bases = [rref(rows, q) for rows in gens.tolist()]
     order = sorted(range(len(bases)), key=lambda i: (len(bases[i]), bases[i]))
     members = masks[order]
     members.flags.writeable = False
@@ -540,17 +550,29 @@ def _packed(members: np.ndarray) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def _row_keys(words: np.ndarray) -> np.ndarray:
-    """A 64-bit key of each packed row (last axis): every word plus a
-    constant for its place, through the splitmix64 finalizer, summed
-    mod 2^64.  The finalizer is a bijection, so one-word rows never
-    collide; ``_locator`` checks the family's keys anyway."""
-    z = words + _GOLDEN * np.arange(1, words.shape[-1] + 1, dtype=np.uint64)
+@functools.cache
+def _place_factors(width: int) -> np.ndarray:
+    """An odd 64-bit factor for each of ``width`` 32-bit places: the
+    splitmix64 finalizer of the place times the golden ratio, low bit set.
+    Kept for each width, read-only."""
+    z = _GOLDEN * np.arange(1, width + 1, dtype=np.uint64)
     for shift, factor in ((30, _MIX1), (27, _MIX2)):
         z ^= z >> np.uint64(shift)
         z *= factor
     z ^= z >> np.uint64(31)
-    return z.sum(axis=-1, dtype=np.uint64)
+    return _read_only(z | np.uint64(1))
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """A 64-bit key of each packed row (last axis): the 32-bit halves of
+    its words times the factors of their places (``_place_factors``),
+    summed mod 2^64 in one integer matrix product.  Two distinct rows
+    differ in some half by less than 2^32, so for odd factors drawn at
+    random they would share a key with probability at most 2^-32;
+    ``_locator`` checks that the family's keys are distinct, and compares
+    every row it finds."""
+    halves = words.view(np.uint32)
+    return halves @ _place_factors(halves.shape[-1])
 
 
 def _locator(words: np.ndarray):

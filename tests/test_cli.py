@@ -303,6 +303,22 @@ def test_submodule_lattice_cap_is_checked_before_spanning_the_ambient_space(
     assert json.loads(out) == {"error": "submodule enumeration needs 65536 > cap 4096", "kind": "cap"}
 
 
+def test_submodule_latroid_on_a_large_chain_ring(capsys, tmp_path):
+    # the thirteen ideals of Z_{2^12}, enumerated without the closure
+    text = "ring = Z_4096\nn = 1\nsupport = chain\nlattice = submodule\ngen = 2\n"
+    code, out, err = run_cli(capsys, "--command", "latroid", "--config", _write(tmp_path, text))
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["lattice_size"] == 13
+
+
+def test_submodule_latroid_past_the_lattice_cap_exits_3(capsys, tmp_path):
+    # Z_16^3 is within the enumeration cap, but its submodules are not
+    text = "ring = Z_16\nn = 3\nsupport = chain\nlattice = submodule\ngen = 1 2 4\n"
+    code, out, err = run_cli(capsys, "--command", "latroid", "--config", _write(tmp_path, text))
+    assert code == 3 and "Traceback" not in err
+    assert json.loads(out) == {"error": "submodule count needs 4387 > cap 4096", "kind": "cap"}
+
+
 def test_weights_r_out_of_range_exits_2(capsys, tmp_path):
     for r in (7, 0):
         path = _write(tmp_path, f"ring = Z_4\nn = 2\nsupport = chain\ngen = 1 2\nr = {r}\n")

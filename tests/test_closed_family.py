@@ -2,18 +2,35 @@
 duality (``lattices._closed_family``), against ``build_lattice`` on the
 membership order: labels, order, covers, join and meet are the same tables.
 The perps are checked against the orthogonal complement by brute force, and
-a corrupted key, perp or family raises instead of returning tables."""
+a corrupted key, perp or family raises instead of returning tables.
+
+The submodules of R^n come from its first-coordinate decomposition
+(``codes._ambient_masks``); the closure of the cyclic submodules
+(``codes._submodule_masks``) stays their reference, row for row, and the
+subspaces of F_q^n are counted by Gaussian binomials."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_lattices import clear_lattice_caches
+from test_weights import q_binomial
 
-from latroids import lattices
-from latroids.codes import enumerate_submodules, full_space, span_from_ints
-from latroids.errors import NotALatticeError
-from latroids.lattices import build_lattice, submodule_lattice
-from latroids.rings import parse_ring
+from latroids import codes, lattices
+from latroids.codes import (
+    _ambient_masks,
+    _submodule_masks,
+    enumerate_submodules,
+    full_space,
+    span_from_ints,
+)
+from latroids.errors import CapExceededError, NotALatticeError
+from latroids.lattices import build_lattice, submodule_lattice, subspace_lattice
+from latroids.rings import ChainRing, Pir, parse_ring
 
 SUBSPACES = [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(5, 1), (5, 2)]
 AMBIENT = [
@@ -135,3 +152,65 @@ def test_a_family_not_closed_under_intersection_raises():
     members = space.submodule_masks[keep]
     with pytest.raises(NotALatticeError, match="not closed under intersection"):
         lattices._closed_family(space.ring, 2, [labels[i] for i in keep], members)
+
+
+DECOMPOSED = [
+    ("Z_4", 1), ("Z_4", 2), ("Z_4", 3), ("Z_8", 2), ("Z_9", 2), ("Z_16", 2), ("Z_27", 2),
+    ("Z_8", 3), ("Z_2", 3), ("Z_2", 4), ("Z_2", 5), ("Z_2", 6), ("Z_3", 2), ("Z_3", 3),
+    ("Z_3", 4), ("Z_3", 5), ("Z_5", 4), ("Z_2 x Z_3", 1), ("Z_2 x Z_3", 2), ("Z_2 x Z_4", 1),
+    ("Z_2 x Z_4", 2), ("Z_2 x Z_2", 2), ("Z_2 x Z_2", 3),
+]
+
+
+@pytest.mark.parametrize("ring, n", DECOMPOSED, ids=[f"({r})^{n}" for r, n in DECOMPOSED])
+def test_the_masks_of_r_n_equal_the_closure_row_for_row(ring, n):
+    space = full_space(parse_ring(ring), n)
+    masks = space.submodule_masks
+    assert np.array_equal(masks, _submodule_masks(space))
+    assert not masks.flags.writeable
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(data=st.data())
+def test_the_masks_of_a_random_r_n_equal_the_closure(data):
+    factors = data.draw(st.lists(
+        st.builds(ChainRing, st.sampled_from([2, 3, 5, 7]), st.integers(1, 3)),
+        min_size=1, max_size=3,
+    ).filter(lambda fs: Pir(tuple(fs)).size <= 256))
+    ring = Pir(tuple(factors))
+    longest = 1
+    while ring.size ** (longest + 1) <= 256:
+        longest += 1
+    n = data.draw(st.integers(1, longest))
+    space = full_space(ring, n)
+    try:
+        reference = _submodule_masks(space)
+    except CapExceededError:
+        with pytest.raises(CapExceededError, match="submodule count"):
+            _ambient_masks(ring, n)
+    else:
+        assert np.array_equal(_ambient_masks(ring, n), reference)
+
+
+def test_r_0_has_one_submodule_holding_its_one_vector():
+    for ring in ("Z_4", "Z_2 x Z_3"):
+        assert full_space(parse_ring(ring), 0).submodule_masks.tolist() == [[True]]
+
+
+SUBSPACE_COUNTS = [(q, n) for q in (2, 3, 5, 7) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("q, n", SUBSPACE_COUNTS, ids=[f"F_{q}^{n}" for q, n in SUBSPACE_COUNTS])
+def test_f_q_n_has_one_subspace_per_gaussian_binomial(q, n):
+    masks = _ambient_masks(parse_ring(f"Z_{q}"), n)
+    assert Counter(masks.sum(axis=1).tolist()) == {q**d: q_binomial(n, d, q) for d in range(n + 1)}
+
+
+def test_r_n_is_never_enumerated_by_the_closure(monkeypatch):
+    def no_closure(code):
+        raise AssertionError(f"closure on {code.ring}^{code.n}")
+
+    clear_lattice_caches()
+    monkeypatch.setattr(codes, "_submodule_masks", no_closure)
+    assert lattices._ambient_submodules(parse_ring("Z_8"), 2).size == 37
+    assert subspace_lattice(2, 4).size == 67

@@ -187,10 +187,19 @@ def test_full_space_checks_the_span_cap_before_building_words():
 
 
 def test_enumerate_submodules_refuses_the_4097th_subspace_of_f2_12():
-    # F_2^12 has 4,096 words and 4,096 cyclic subspaces (the zero space and
-    # 4,095 lines), so the first plane found is one past the lattice cap.
-    with pytest.raises(CapExceededError, match="submodule count needs 4097 > cap 4096"):
+    # R^n is enumerated level by level, and each level's count is checked
+    # before it is built: the 29,212 subspaces of F_2^7 are refused.
+    with pytest.raises(CapExceededError, match="submodule count needs 29212 > cap 4096"):
         enumerate_submodules(full_space(F2, 12))
+
+
+def test_the_closure_refuses_the_4097th_subspace_of_a_code():
+    # The coordinate subspace F_2^12 + 0 of F_2^13 is no R^n, so the closure
+    # enumerates it: its 4,096 cyclic subspaces (the zero space and 4,095
+    # lines) fill the cap, and the first plane found is one past it.
+    code = span(F2, 13, [F2.basis_vector(13, i) for i in range(12)])
+    with pytest.raises(CapExceededError, match="submodule count needs 4097 > cap 4096"):
+        enumerate_submodules(code)
 
 
 def test_enumerate_submodules_cap(monkeypatch):
@@ -200,10 +209,19 @@ def test_enumerate_submodules_cap(monkeypatch):
 
 
 def test_enumerate_submodules_counts_each_submodule_against_the_lattice_cap(monkeypatch):
-    # F_2^4 has 16 cyclic subspaces and 67 in all: the 21st found is refused.
+    # F_2^4 has 67 subspaces, counted before they are built (F_2^3's 16 pass).
     monkeypatch.setattr(codes, "LATTICE_CAP", 20)
-    with pytest.raises(CapExceededError, match="submodule count needs 21 > cap 20"):
+    with pytest.raises(CapExceededError, match="submodule count needs 67 > cap 20"):
         enumerate_submodules(full_space(F2, 4))
+
+
+def test_the_closure_counts_each_submodule_against_the_lattice_cap(monkeypatch):
+    # F_2^4 + 0 in F_2^5 has 16 cyclic subspaces and 67 in all: the 21st
+    # that the closure finds is refused.
+    monkeypatch.setattr(codes, "LATTICE_CAP", 20)
+    code = span(F2, 5, [F2.basis_vector(5, i) for i in range(4)])
+    with pytest.raises(CapExceededError, match="submodule count needs 21 > cap 20"):
+        enumerate_submodules(code)
 
 
 def test_latroid_from_code_checks_the_ambient_space_before_spanning_it(monkeypatch):

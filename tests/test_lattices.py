@@ -117,8 +117,9 @@ def test_subspace_lattice_rejections_come_before_enumeration(monkeypatch, q):
 
 
 def test_subspace_lattice_stops_enumerating_at_the_lattice_cap():
-    # F_2^8 is within the enumeration cap but has 417199 subspaces.
-    with pytest.raises(CapExceededError, match="submodule count needs 4097 > cap 4096"):
+    # F_2^8 is within the enumeration cap but has 417199 subspaces; the
+    # 29212 of F_2^7 are counted, and refused, before they are built.
+    with pytest.raises(CapExceededError, match="submodule count needs 29212 > cap 4096"):
         subspace_lattice(2, 8)
 
 
