@@ -24,11 +24,11 @@ and the reconstructions read their ranks from that same matrix.  The pair
 scan ``_unmatched_pairs`` tests each pair against the maximal elements of
 D_j, the elements below its join j that dominate no candidate of j: D_j is
 a down-set, so m1 v m2 lies in it exactly when m1 and m2 lie below one of
-them.  That is one N^3 product, one N^2 step per upper cover, and one
-small batched product per down-set size, its temporaries bounded by
-``_SCAN_BLOCK`` entries or one join's |down(j)|^2.  The other pairwise
-checks go through ``scan_rows``.  Witnesses come in ascending index,
-row-major order.
+them.  That is one N^3 product, one N^2 step per upper cover, and a scan
+of the index pairs l1 <= l2 on bits packed 64 to a uint64 word, a block of
+rows at a time.  B2 runs its loops on Python int bit masks over the atoms.  The
+other pairwise checks go through ``scan_rows``.  Witnesses come in
+ascending index, row-major order.
 """
 
 from __future__ import annotations
@@ -125,45 +125,53 @@ def scan_rows(rows: int, width: int, bad):
     ``_SCAN_BLOCK`` entries of ``width`` per row."""
     step = max(1, _SCAN_BLOCK // width)
     for start in range(0, rows, step):
-        for a, *rest in np.argwhere(bad(slice(start, start + step))).tolist():
-            yield (start + a, *rest)
+        mask = bad(slice(start, start + step))
+        if mask.any():
+            for a, *rest in np.argwhere(mask).tolist():
+                yield (start + a, *rest)
 
 
 def validate_latroid(lt: Latroid) -> Report:
     """Exhaustively check L1-L5; each check reports its first witness.
 
-    L2-L5 run on the int64 tables, a block of rows at a time; a witness is
-    the first failing pair in row-major order, its values as tuples.
+    L2-L5 run on (u, N) copies of the int64 tables, a block of rows at a
+    time: the values of a block are (u, rows, N) gathers (``np.take`` along
+    the element axis), compared plane by plane over u.  A witness is the
+    first failing pair in row-major order, its values as tuples.
     """
     lat = lt.lattice
     labels = lat.labels
     rank, length = lt.rank, lt.length
+    rank_t, length_t = np.ascontiguousarray(rank.T), np.ascontiguousarray(length.T)
     strict = _strict(lat)
 
     def le(x, y):
-        return (x <= y).all(axis=-1)
+        return (x <= y).all(axis=0)
 
     def bad_pairs(bad_rows):
         return scan_rows(lat.size, lat.size * max(lt.udim, 1), bad_rows)
 
+    def pairs(table, rows):
+        """table at each (row a, element b), and at a v b and a ^ b."""
+        return (table[:, rows, None], table[:, None, :],
+                np.take(table, lat.join[rows], axis=1), np.take(table, lat.meet[rows], axis=1))
+
     def length_not_increasing(rows):
-        lo, hi = length[rows, None], length[None]
-        return strict[rows] & ~(le(lo, hi) & (lo != hi).any(axis=-1))
+        lo, hi = length_t[:, rows, None], length_t[:, None, :]
+        return strict[rows] & ~(le(lo, hi) & (lo != hi).any(axis=0))
 
     def length_not_modular(rows):
-        lhs = length[rows, None] + length[None]
-        rhs = length[lat.join[rows]] + length[lat.meet[rows]]
-        return (lhs != rhs).any(axis=-1)
+        a, b, join, meet = pairs(length_t, rows)
+        return (a + b != join + meet).any(axis=0)
 
     def rank_not_bounded(rows):
-        dr = rank[None] - rank[rows, None]
-        dl = length[None] - length[rows, None]
-        return strict[rows] & ~((dr >= 0).all(axis=-1) & le(dr, dl))
+        dr = rank_t[:, None, :] - rank_t[:, rows, None]
+        dl = length_t[:, None, :] - length_t[:, rows, None]
+        return strict[rows] & ~((dr >= 0).all(axis=0) & le(dr, dl))
 
     def rank_not_submodular(rows):
-        lhs = rank[rows, None] + rank[None]
-        rhs = rank[lat.join[rows]] + rank[lat.meet[rows]]
-        return ~le(rhs, lhs)
+        a, b, join, meet = pairs(rank_t, rows)
+        return ~le(join + meet, a + b)
 
     def value(row):
         return tuple(row.tolist())
@@ -315,6 +323,15 @@ def _padded_indices(mask: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _packed_words(mask: np.ndarray) -> np.ndarray:
+    """words[w, i]: columns 64w .. 64w + 63 of row i of ``mask`` as the
+    bits of one uint64, the last word padded with zeros."""
+    width = mask.shape[1]
+    bits = np.zeros((len(mask), -(-width // 64) * 8), dtype=np.uint8)
+    bits[:, : -(-width // 8)] = np.packbits(mask, axis=1, bitorder="little")
+    return bits.view(np.uint64).T.copy()
+
+
 def _unmatched_pairs(lat: FiniteLattice, M: np.ndarray):
     """(l1, l2, m1, m2) for each failing pair (l1, l2), in row-major order:
     some m1 in M(l1) and m2 in M(l2) have no m3 in M(l1 v l2) below
@@ -328,43 +345,43 @@ def _unmatched_pairs(lat: FiniteLattice, M: np.ndarray):
     below one maximal c of D_j.  Such m1 in M(l1) and m2 in M(l2) exist
     exactly when ``reach[l1, c]`` and ``reach[l2, c]`` hold.
 
-    So pairs are grouped by their join j: on down(j), (l1, l2) fails where
-    R R^T is nonzero and l1 v l2 = j, for R = ``reach[down(j), max D_j]``
-    (the product counts nonnegative integers, so a float32 sum is positive
-    exactly when a term is).  The j with one d = |down(j)| go together:
-    each max D_j is padded to the group's widest with an all-false column,
-    and a chunk of the group is one batched gather and one batched product.
-    c is maximal in the down-set D_j exactly when no upper cover of c is in
-    D_j, one N^2 step per upper cover.  Cost: one N^3 product for
-    ``reach``, that maximality step, then sum_j d_j^2 |max D_j| for the
-    pair products; on the [12,6] block matroid |max D_j| <= 37 where d_j
-    reaches 4096.  Besides N^2 masks like the lattice's own tables, a chunk
-    holds about ``_SCAN_BLOCK`` entries, or one j's d_j^2.
+    ``reach`` and ``tops`` (tops[c, j]: c is maximal in D_j) are packed
+    into uint64 words over c, 64 c's to a word, as R[w, l] and T[w, j].
+    (l1, l2) fails when ``R[w, l1] & R[w, l2] & T[w, l1 v l2]`` is nonzero
+    for some word w.  The test is symmetric, so it runs on the upper
+    triangle: a block of rows at a time, from the block's first row on,
+    with the word loop inside (per word, one gather of T through the
+    block's joins and two ANDs).  Words where no j has a top are skipped,
+    and the failures are mirrored at the end.  c is maximal in the down-set
+    D_j exactly when no upper cover of c is in D_j, one N^2 step per upper
+    cover.  Cost: one N^3 product for ``reach``, that maximality step,
+    then about N^2/2 pairs times N/64 words for the scan.  Besides N^2
+    masks like the lattice's own tables and the N^2/32 words of the two
+    packed tables, a block holds uint64 temporaries of about
+    8 ``_SCAN_BLOCK`` pairs: each word costs a few numpy calls per block,
+    and at N = 4096 blocks of ``_SCAN_BLOCK`` pairs were slower.
     """
     n = lat.size
-    reach = np.zeros((n, n + 1), dtype=bool)  # column n is the padding
-    reach[:, :n] = (M.astype(np.float32) @ lat.leq.astype(np.float32)) > 0
+    reach = (M.astype(np.float32) @ lat.leq.astype(np.float32)) > 0
     free = np.zeros((n + 1, n), dtype=bool)  # free[c, j]: c in D_j; row n pads
-    free[:n] = lat.leq & ~reach[:, :n].T
+    free[:n] = lat.leq & ~reach.T
     tops = free[:n].copy()
     for up in _padded_indices(lat.covers).T:
         tops &= ~free[up]
-    size, width = lat.leq.sum(axis=0), tops.sum(axis=0)
-    maxima = _padded_indices(tops.T)  # maxima[j]: max D_j, then padding
+    R, T = _packed_words(reach), _packed_words(tops.T)
+    live = np.flatnonzero(T.any(axis=1))
     fail = np.zeros((n, n), dtype=bool)
-    for d in sorted(set(size[width > 0].tolist())):
-        group = np.flatnonzero((size == d) & (width > 0))
-        downs = np.nonzero(lat.leq[:, group].T)[1].reshape(len(group), d)
-        tops_of = maxima[group, : width[group].max()]
-        step = max(1, _SCAN_BLOCK // (d * d))
-        for start in range(0, len(group), step):
-            j, down, top = (a[start : start + step] for a in (group, downs, tops_of))
-            r = reach[down[:, :, None], top[:, None, :]].astype(np.float32)
-            hit = (r @ r.transpose(0, 2, 1)) > 0
-            hit &= lat.join[down[:, :, None], down[:, None, :]] == j[:, None, None]
-            if hit.any():
-                k, a, b = np.nonzero(hit)
-                fail[down[k, a], down[k, b]] = True
+    step = max(1, 8 * _SCAN_BLOCK // n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        join = lat.join[rows, start:]
+        hit = np.zeros(join.shape, dtype=np.uint64)
+        for w in live:
+            pair = R[w, rows, None] & R[w, None, start:]
+            pair &= T[w].take(join)
+            hit |= pair
+        fail[rows, start:] = hit != 0
+    fail |= fail.T
     for l1, l2 in np.argwhere(fail).tolist():
         rows, cols = np.flatnonzero(M[l1]), np.flatnonzero(M[l2])
         above = reach[lat.join[l1, l2], lat.join[np.ix_(rows, cols)]]
@@ -384,6 +401,12 @@ def _common_heights(lat: FiniteLattice, M: np.ndarray, what: str) -> np.ndarray:
             f"{sorted(set(height[M[l]].tolist()))}"
         )
     return hi
+
+
+def _bitmasks(mask: np.ndarray) -> list[int]:
+    """Row i of a boolean matrix as the int whose bit k is column k."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _atom_decompositions(lat: FiniteLattice, x: int):
@@ -457,9 +480,16 @@ def axioms_B(lat: FiniteLattice, base_set) -> Report:
     """Basis axioms for a candidate set.
 
     B2 loops over the atom decompositions of each pair of bases, in
-    ascending index order.  B3 runs ``_unmatched_pairs`` on the maximal
-    meets b ^ L below each element; its witness is the first failing
-    (L1, L2) in row-major order.
+    ascending index order, and stops at the first failure.  Sets of atoms
+    are int bit masks: below(x) holds the atoms <= x, and good(r) the atoms
+    t with r v t a basis, from one gather of ``join[:, atoms]``.  Per B1,
+    the join r of each decomposition minus one atom is taken once; the
+    exchange into a decomposition ts of B2 fails when
+    ``ts & ~below(B1) & good(r)`` is 0.  Atoms below B2 need no exchange,
+    so the ts of B2 are not visited when all atoms of B1's decomposition
+    lie below B2, as they do for B2 = B1.  B3 runs ``_unmatched_pairs`` on
+    the maximal meets b ^ L below each element; its witness is the first
+    failing (L1, L2) in row-major order.
     """
     return _axioms_B(lat, base_set)[0]
 
@@ -470,23 +500,36 @@ def _axioms_B(lat: FiniteLattice, base_set) -> tuple[Report, np.ndarray]:
     _require_crypto_hypotheses(lat)
     B = sorted(set(base_set))
     maxima = _meet_maxima(lat, B)
+    atoms = list(lat.atoms)
+    bit = {a: 1 << k for k, a in enumerate(atoms)}
+    below = _bitmasks(lat.leq[atoms].T)  # below[x]: the atoms t <= x
+    good = _bitmasks(_membership(lat, B)[lat.join[:, atoms]])  # good[r]: r v t in B
     decomps = {b: list(_atom_decompositions(lat, b)) for b in B}
+    masks = {b: [sum(bit[t] for t in ts) for ts in decomps[b]] for b in B}
+
+    def drops(js):
+        """(ji, its bit, good(join of the other atoms of js)) per ji in js."""
+        for pos, ji in enumerate(js):
+            rest = lat.bottom
+            for a in js[:pos] + js[pos + 1 :]:
+                rest = int(lat.join[rest, a])
+            yield ji, bit[ji], good[rest]
 
     def failed_exchanges():
         for b1 in B:
+            exchanges = [list(drops(js)) for js in decomps[b1]]
+            outside = ~below[b1]
             for b2 in B:
-                for js in decomps[b1]:
-                    for ts in decomps[b2]:
-                        for pos, ji in enumerate(js):
-                            if lat.leq[ji, b2]:
-                                continue
-                            jrest = lat.bottom
-                            for a in js[:pos] + js[pos + 1 :]:
-                                jrest = int(lat.join[jrest, a])
-                            if not any(
-                                not lat.leq[t, b1] and int(lat.join[jrest, t]) in B
-                                for t in ts
-                            ):
+                in_b2 = below[b2]
+                for js in exchanges:
+                    # the atoms of js not below B2 (none when B2 = B1)
+                    todo = [(ji, ji_good) for ji, ji_bit, ji_good in js if not ji_bit & in_b2]
+                    if not todo:
+                        continue
+                    for ts in masks[b2]:
+                        fresh = ts & outside
+                        for ji, ji_good in todo:
+                            if not fresh & ji_good:
                                 yield (
                                     f"B1={lat.labels[b1]}, B2={lat.labels[b2]}, "
                                     f"atom={lat.labels[ji]}"

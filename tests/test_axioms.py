@@ -315,6 +315,50 @@ def test_axioms_I_on_sparse_sets_match_reference_loops(block, monkeypatch):
             assert axioms_I(lat, indep).to_dict() == ref_axioms_I(lat, indep).to_dict()
 
 
+@pytest.mark.parametrize("block", [None, 5])
+def test_axioms_B_on_sparse_sets_match_reference_loops(block, monkeypatch):
+    """Sparse base sets of mixed heights, and sets of one height, whose
+    first B2 failure is often past the first (B1, B2) pair: the bit masks
+    must keep the reference's loop order."""
+    if block is not None:
+        monkeypatch.setattr(core, "_SCAN_BLOCK", block)
+    rng = random.Random(7)
+    late = 0
+    for lat in (boolean_lattice(5), subspace_lattice(2, 4)):
+        heights = np.asarray(lat.height)
+        for _ in range(20):
+            mixed = rng.sample(range(lat.size), rng.randrange(1, 7))
+            level = np.flatnonzero(heights == rng.randrange(1, lat.hgt(lat.top)))
+            level = rng.sample(level.tolist(), rng.randrange(1, min(len(level), 8) + 1))
+            for B in (mixed, level):
+                got = axioms_B(lat, B).to_dict()
+                assert got == ref_axioms_B(lat, B).to_dict(), B
+                b2 = got["checks"][1]
+                late += not b2["ok"] and not b2["detail"].startswith(
+                    f"B1={lat.labels[min(B)]}, B2={lat.labels[sorted(B)[1]]}, ")
+    assert late >= 10
+
+
+def test_atom_decompositions_run_once_per_basis(monkeypatch):
+    calls = []
+    real = core._atom_decompositions
+
+    def counted(lat, x):
+        calls.append(x)
+        return real(lat, x)
+
+    monkeypatch.setattr(core, "_atom_decompositions", counted)
+    lt = _latroid("block [7,4] Hamming")
+    B = bases(lt)
+    assert axioms_B(lt.lattice, [*B, *B]).ok
+    assert calls == sorted(B)
+    calls.clear()
+    lat = subspace_lattice(2, 4)
+    B = [lat.top, lat.bottom, 5, 5]
+    assert not axioms_B(lat, B).ok
+    assert calls == sorted(set(B))
+
+
 def test_perturbations_reach_every_failing_check():
     """The corpus exercises a failure of every check but I1 and C1 (the
     bottom is seldom drawn), so each witness order is compared."""
@@ -393,6 +437,7 @@ def _scan_lattices():
         *grids,
         dual(subspace_lattice(2, 3)),
         interval(grids[2], 1, grids[2].top),
+        grid_lattice((2, 2, 2, 4)),  # 135 elements: three words per packed row
     ]
 
 
@@ -424,7 +469,7 @@ def test_unmatched_pairs_match_the_reference_kernel(block, monkeypatch):
             assert got == list(reference_unmatched_pairs(lat, M)), (lat.size, M.sum())
             cases += 1
             failing += bool(got)
-    assert cases == 14 * 13 and failing >= cases // 3
+    assert cases == 15 * 13 and failing >= cases // 3
 
 
 #: A binary [10,5] code [I | A]: its block matroid lives on the 1024
